@@ -6,14 +6,12 @@ unevenly-weighted power iteration, and flag accounts whose importance
 falls below the community's IQR lower fence.
 """
 
-from .community import (Dendrogram, LouvainConfig, Partition, community_views,
-                        louvain, modularity, move_gain)
+from .community import Dendrogram, LouvainConfig, Partition, louvain, modularity, move_gain
 from .detect import ZombieReport, detect_zombies, iqr_threshold, quartiles
 from .errors import CacheError, ParseError, ValidationError
 from .evaluate import (ConfusionMatrix, MetricSet, confusion, degree_histogram,
                        metrics, region_distribution)
-from .graph import (DirectedGraph, SubgraphView, UndirectedGraph, build_graph,
-                    induced_subgraph, symmetrize)
+from .graph import DirectedGraph, UndirectedGraph, build_graph, symmetrize
 from .ingest import (ProfileSchema, RawNetwork, UserProfile, cache_load, cache_save,
                      parse_profiles, parse_uidlist, parse_weibo_network)
 from .rank import (ImportanceVector, IOScores, RankConfig, io_score, io_scores_for,
@@ -24,11 +22,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "build_graph", "symmetrize", "induced_subgraph",
-    "DirectedGraph", "UndirectedGraph", "SubgraphView",
+    "build_graph", "symmetrize",
+    "DirectedGraph", "UndirectedGraph",
     "parse_weibo_network", "parse_uidlist", "parse_profiles",
     "cache_save", "cache_load", "RawNetwork", "UserProfile", "ProfileSchema",
-    "louvain", "modularity", "move_gain", "community_views",
+    "louvain", "modularity", "move_gain",
     "Partition", "LouvainConfig", "Dendrogram",
     "io_score", "io_scores_for", "transition_weights", "pagerank",
     "rank_all_communities", "IOScores", "RankConfig", "ImportanceVector",

@@ -30,8 +30,7 @@ from .evaluate import (confusion, degree_histogram, metrics, region_distribution
 from .graph import DirectedGraph, symmetrize
 from .ingest import (cache_load, cache_save, parse_profiles, parse_uidlist,
                      parse_weibo_network)
-from .rank import (RankConfig, default_worker_count, rank_all_communities,
-                   read_ranks_csv, write_ranks_csv)
+from .rank import RankConfig, rank_all_communities, read_ranks_csv, write_ranks_csv
 from .synth import SynthConfig, emit_weibo_format, generate, read_truth_csv
 
 EXIT_OK = 0
@@ -227,7 +226,7 @@ def _cmd_rank(args) -> int:
     config = {"cache": str(args.cache), "partition": str(args.partition),
               "damping": args.damping, "tol": args.tol, "max_iters": args.max_iters,
               "mode": args.mode, "io_source": args.io_source,
-              "threads": args.threads, "output": str(args.output)}
+              "output": str(args.output)}
     manifest = Manifest("rank", config)
     manifest.add_input(args.cache)
     manifest.add_input(args.partition)
@@ -242,8 +241,7 @@ def _cmd_rank(args) -> int:
         cfg = RankConfig(damping=args.damping, tolerance=args.tol,
                          max_iterations=args.max_iters, mode=args.mode)
         with manifest.timed("pagerank"):
-            vectors = rank_all_communities(graph, part, cfg, profiles,
-                                           args.io_source, args.threads)
+            vectors = rank_all_communities(graph, part, cfg, profiles, args.io_source)
         write_ranks_csv(declare(args.output), graph, part, vectors, profiles,
                         args.io_source)
         nonconverged = sum(1 for v in vectors.values() if not v.converged)
@@ -398,7 +396,6 @@ def _cmd_pipeline(args) -> int:
         "damping": args.damping, "tol": args.tol, "rank_max_iters": args.rank_max_iters,
         "mode": args.mode, "io_source": args.io_source,
         "min_size": args.min_size, "quartile_method": args.quartile_method,
-        "threads": args.threads,
     }
     manifest = Manifest("pipeline", config)
     for key in ("network", "uidlist", "profiles", "truth"):
@@ -420,12 +417,13 @@ def _cmd_pipeline(args) -> int:
         print(f"communities: {part.community_count} "
               f"modularity_standard={q_std!r} modularity_distinct_pairs={q_lit!r}")
 
-        profiles = _load_profiles(inputs["profiles"]) if args.io_source == "profile" else None
+        # one parse serves both the profile IO source and the region breakdown
+        needs_profiles = args.io_source == "profile" or inputs["truth"] is not None
+        profiles = _load_profiles(inputs["profiles"]) if needs_profiles else None
         cfg = RankConfig(damping=args.damping, tolerance=args.tol,
                          max_iterations=args.rank_max_iters, mode=args.mode)
         with manifest.timed("rank"):
-            vectors = rank_all_communities(graph, part, cfg, profiles,
-                                           args.io_source, args.threads)
+            vectors = rank_all_communities(graph, part, cfg, profiles, args.io_source)
             write_ranks_csv(declare(out / "ranks.csv"), graph, part, vectors,
                             profiles, args.io_source)
         nonconverged = sum(1 for v in vectors.values() if not v.converged)
@@ -457,9 +455,8 @@ def _cmd_pipeline(args) -> int:
                 cm = confusion(report.labels(), truth.labels())
                 ms = metrics(cm)
                 write_metrics_json(cm, ms, declare(out / "metrics.json"), "manifest.json")
-                if inputs["profiles"] is not None:
-                    region_profiles = _load_profiles(inputs["profiles"])
-                    counts = region_distribution(report, region_profiles)
+                if profiles is not None:
+                    counts = region_distribution(report, profiles)
                     write_regions_csv(counts, declare(out / "regions.csv"))
             summary["accuracy"] = ms.accuracy
             summary["precision"] = ms.precision
@@ -516,7 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--io-source", choices=["local", "profile"],
                    default=DEFAULTS["io_source"])
     p.add_argument("--profiles", default=None)
-    p.add_argument("--threads", type=int, default=default_worker_count())
     p.add_argument("-o", "--output", required=True, help="ranks CSV")
     p.set_defaults(func=_cmd_rank)
 
@@ -557,7 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-size", type=int, default=DEFAULTS["min_size"])
     p.add_argument("--quartile-method", choices=list(QUARTILE_METHODS),
                    default=DEFAULTS["quartile_method"])
-    p.add_argument("--threads", type=int, default=default_worker_count())
     p.set_defaults(func=_cmd_pipeline)
 
     return parser

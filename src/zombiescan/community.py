@@ -27,7 +27,7 @@ from random import Random
 import numpy as np
 
 from .errors import ValidationError
-from .graph import DirectedGraph, SubgraphView, UndirectedGraph, induced_subgraph
+from .graph import UndirectedGraph
 
 __all__ = [
     "Partition",
@@ -37,7 +37,6 @@ __all__ = [
     "modularity",
     "move_gain",
     "louvain",
-    "community_views",
     "write_partition_csv",
     "read_partition_csv",
 ]
@@ -301,14 +300,6 @@ def louvain(g: UndirectedGraph, cfg: LouvainConfig | None = None) -> Dendrogram:
     for level in levels:
         labels = level.assignment[labels]
     return Dendrogram(levels, Partition(labels))
-
-
-def community_views(g: DirectedGraph, p: Partition) -> list[SubgraphView]:
-    """One directed SubgraphView per community, indexed by community id."""
-    if p.node_count != g.node_count:
-        raise ValidationError(
-            f"partition covers {p.node_count} nodes, graph has {g.node_count}")
-    return [induced_subgraph(g, p.members(c)) for c in range(p.community_count)]
 
 
 def write_partition_csv(p: Partition, destination, uids: list[str] | None = None) -> None:

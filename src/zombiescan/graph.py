@@ -20,10 +20,8 @@ from .errors import ValidationError
 __all__ = [
     "DirectedGraph",
     "UndirectedGraph",
-    "SubgraphView",
     "build_graph",
     "symmetrize",
-    "induced_subgraph",
 ]
 
 
@@ -297,91 +295,3 @@ def symmetrize(g: DirectedGraph) -> UndirectedGraph:
     lo, hi = np.minimum(src, dst), np.maximum(src, dst)
     lo, hi = _dedup_pairs(lo, hi)
     return UndirectedGraph.from_edges(g.node_count, lo, hi, np.ones(lo.shape[0]))
-
-
-class SubgraphView:
-    """Directed subgraph induced by a member set, with dense local ids.
-
-    Local ids are the ranks of the (sorted) parent member ids, so the
-    mapping round-trips exactly. Arcs keep their direction; only arcs with
-    both endpoints inside the member set are visible.
-    """
-
-    __slots__ = ("parent", "members", "out_indptr", "out_indices", "in_indptr", "in_indices")
-
-    def __init__(self, parent: DirectedGraph, members: np.ndarray):
-        members = np.unique(np.asarray(members, dtype=np.int64))
-        if members.shape[0] == 0:
-            raise ValidationError("subgraph member set is empty")
-        if members[0] < 0 or members[-1] >= parent.node_count:
-            raise ValidationError("subgraph member id out of range")
-        self.parent = parent
-        self.members = members
-        n = members.shape[0]
-
-        local_src: list[np.ndarray] = []
-        local_dst: list[np.ndarray] = []
-        for local_u, u in enumerate(members):
-            nbrs = parent.out_neighbors(int(u))
-            pos = np.searchsorted(members, nbrs)
-            pos[pos >= n] = n - 1
-            inside = members[pos] == nbrs
-            kept = pos[inside]
-            local_src.append(np.full(kept.shape[0], local_u, dtype=np.int64))
-            local_dst.append(kept.astype(np.int64))
-        src = np.concatenate(local_src) if local_src else np.zeros(0, dtype=np.int64)
-        dst = np.concatenate(local_dst) if local_dst else np.zeros(0, dtype=np.int64)
-        self.out_indptr, self.out_indices = _csr_from_arcs(src, dst, n)
-        self.in_indptr, self.in_indices = _csr_from_arcs(dst, src, n)
-
-    @property
-    def node_count(self) -> int:
-        return int(self.members.shape[0])
-
-    @property
-    def arc_count(self) -> int:
-        return int(self.out_indices.shape[0])
-
-    def to_parent(self, local: int) -> int:
-        return int(self.members[local])
-
-    def to_local(self, parent_id: int) -> int:
-        i = int(np.searchsorted(self.members, parent_id))
-        if i >= self.members.shape[0] or self.members[i] != parent_id:
-            raise ValidationError(f"node {parent_id} is not a member of this subgraph")
-        return i
-
-    def out_neighbors(self, local: int) -> np.ndarray:
-        return self.out_indices[self.out_indptr[local]:self.out_indptr[local + 1]]
-
-    def in_neighbors(self, local: int) -> np.ndarray:
-        return self.in_indices[self.in_indptr[local]:self.in_indptr[local + 1]]
-
-    def out_degree(self, local: int) -> int:
-        return int(self.out_indptr[local + 1] - self.out_indptr[local])
-
-    def in_degree(self, local: int) -> int:
-        return int(self.in_indptr[local + 1] - self.in_indptr[local])
-
-    @property
-    def out_degrees(self) -> np.ndarray:
-        return np.diff(self.out_indptr)
-
-    @property
-    def in_degrees(self) -> np.ndarray:
-        return np.diff(self.in_indptr)
-
-    def arcs(self):
-        """Iterate local (source, target) arcs."""
-        for u in range(self.node_count):
-            for v in self.out_neighbors(u):
-                yield u, int(v)
-
-    def __repr__(self) -> str:
-        return f"SubgraphView(nodes={self.node_count}, arcs={self.arc_count})"
-
-
-def induced_subgraph(g: DirectedGraph, members) -> SubgraphView:
-    """Subgraph of g induced by `members` (nonempty set of node ids)."""
-    return SubgraphView(g, np.fromiter(members, dtype=np.int64)
-                        if not isinstance(members, np.ndarray) else members)

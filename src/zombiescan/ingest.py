@@ -376,6 +376,11 @@ def cache_load(path) -> DirectedGraph:
     if indptr[0] != 0 or indptr[-1] != m or (np.diff(indptr) < 0).any():
         raise CacheError("corrupt adjacency offsets")
     if m:
+        # after a row's first target, a zero delta repeats the previous target
+        repeats = deltas == 0
+        repeats[indptr[:-1][np.diff(indptr) > 0]] = False
+        if repeats.any():
+            raise CacheError("corrupt adjacency: duplicate arcs")
         running = np.cumsum(deltas)
         row_start = np.repeat(indptr[:-1], np.diff(indptr))
         indices = running - running[row_start] + deltas[row_start]

@@ -11,21 +11,25 @@ so that well-followed accounts absorb more weight and accounts that only
 follow others absorb almost none. Nodes without outgoing arcs redistribute
 their weight uniformly over the community, which keeps every iterate a
 probability vector.
+
+Communities never exchange weight, so one sweep over all intra-community
+arcs advances every community at once (the local step of Kamvar et al.
+2003, "BlockRank"). Per-community sums run over contiguous slices so each
+community rounds, and stops, exactly as it would alone.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
-import os
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .community import Partition, community_views
+from .community import Partition
 from .errors import ValidationError
-from .graph import DirectedGraph, SubgraphView
+from .graph import DirectedGraph
 
 log = logging.getLogger(__name__)
 
@@ -45,14 +49,10 @@ __all__ = [
 
 @dataclass
 class IOScores:
-    """Per-node credibility values in [0, 1], aligned with subgraph local ids."""
+    """Per-node credibility values in [0, 1], aligned with node ids."""
 
     values: np.ndarray
     fallback_count: int = 0  # nodes scored from local degrees for lack of profile data
-
-
-def _io_values(io) -> np.ndarray:
-    return np.asarray(io.values if isinstance(io, IOScores) else io, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -97,178 +97,264 @@ def io_score(fan_num: int, follow_num: int) -> float:
     return fan_num / total
 
 
-def io_scores_for(subgraph: SubgraphView, source: str = "local",
-                  profiles=None) -> IOScores:
-    """IO scores for all members of a community.
-
-    source "local" uses in/out degrees within the subgraph; "profile" uses
-    global follower/followee counts, falling back to local degrees node by
-    node when counts are missing (tallied on the result).
-    """
+def _io_scores(n: int, sources: np.ndarray, targets: np.ndarray, source: str,
+               profiles) -> IOScores:
+    """IO scores of nodes 0..n-1, local degrees counted over the given arcs only."""
     if source not in ("local", "profile"):
         raise ValidationError("io source must be 'local' or 'profile'")
-    n = subgraph.node_count
-    fans = subgraph.in_degrees.astype(np.float64)
-    follows = subgraph.out_degrees.astype(np.float64)
+    fans = np.bincount(targets, minlength=n).astype(np.float64)
+    follows = np.bincount(sources, minlength=n).astype(np.float64)
     fallback = 0
     if source == "profile":
         if profiles is None:
             raise ValidationError("profile io source requires profiles")
-        for local in range(n):
-            parent = subgraph.to_parent(local)
-            prof = profiles[parent] if parent < len(profiles) else None
+        fallback = n
+        for node, prof in enumerate(profiles[:n]):
             if prof is not None and prof.followers is not None and prof.followees is not None:
-                fans[local] = prof.followers
-                follows[local] = prof.followees
-            else:
-                fallback += 1
+                fans[node], follows[node] = prof.followers, prof.followees
+                fallback -= 1
         if fallback:
-            log.warning("%d of %d members lack profile counts; used local degrees",
+            log.warning("%d of %d nodes lack profile counts; used local degrees",
                         fallback, n)
     total = fans + follows
     values = np.divide(fans, total, out=np.zeros(n), where=total > 0)
     return IOScores(values, fallback)
 
 
-def transition_weights(subgraph: SubgraphView, io) -> np.ndarray:
-    """Arc weights K aligned with the subgraph's out-adjacency.
+def io_scores_for(g: DirectedGraph, source: str = "local", profiles=None) -> IOScores:
+    """IO scores for all nodes of g taken as one community.
 
-    For each follower u, weight on arc u->v is io[v] / sum of io over u's
-    followees; an all-zero denominator falls back to an even split so no
-    walk weight is lost. Rows of non-dangling nodes sum to 1.
+    source "local" uses in/out degrees within g; "profile" uses global
+    follower/followee counts, falling back to local degrees node by node
+    when counts are missing (tallied on the result).
     """
-    io = _io_values(io)
-    n = subgraph.node_count
-    if io.shape[0] != n:
-        raise ValidationError("io scores must cover every subgraph member")
-    weights = io[subgraph.out_indices]
-    indptr = subgraph.out_indptr
-    out_deg = np.diff(indptr)
-    row_of = np.repeat(np.arange(n), out_deg)
-    row_sum = np.bincount(row_of, weights=weights, minlength=n)
+    return _io_scores(g.node_count, g.arc_sources(), g.out_indices, source, profiles)
+
+
+def _arc_weights(sources: np.ndarray, targets: np.ndarray, n: int, io=None) -> np.ndarray:
+    """Walk weight of each arc (arcs grouped by source): an even split without
+    io, else io[v] / sum of io over u's followees for arc u->v, falling back
+    to an even split when that sum is 0 so no walk weight is lost."""
+    out_deg = np.bincount(sources, minlength=n)
+    if io is None:
+        return 1.0 / out_deg[sources]
+    weights = io[targets]
+    row_sum = np.bincount(sources, weights=weights, minlength=n)
     even_rows = row_sum == 0
     row_sum_safe = np.where(even_rows, 1.0, row_sum)
-    weights = weights / row_sum_safe[row_of]
+    weights = weights / row_sum_safe[sources]
     if even_rows.any():
-        deg_per_arc = out_deg[row_of]
-        weights = np.where(even_rows[row_of], 1.0 / deg_per_arc, weights)
+        weights = np.where(even_rows[sources], 1.0 / out_deg[sources], weights)
     return weights
 
 
-def _power_iterate(subgraph: SubgraphView, arc_weights: np.ndarray, damping: float):
-    """Yield (vector, l1_residual) after each sweep, starting uniform."""
-    n = subgraph.node_count
-    targets = subgraph.out_indices
-    row_of = np.repeat(np.arange(n), np.diff(subgraph.out_indptr))
-    dangling = np.flatnonzero(subgraph.out_degrees == 0)
+def transition_weights(g: DirectedGraph, io) -> np.ndarray:
+    """Arc weights K aligned with g's out-adjacency; rows of non-dangling nodes sum to 1."""
+    io = np.asarray(io.values if isinstance(io, IOScores) else io, dtype=np.float64)
+    if io.shape[0] != g.node_count:
+        raise ValidationError("io scores must cover every node")
+    return _arc_weights(g.arc_sources(), g.out_indices, g.node_count, io)
+
+
+def _slices(counts: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the kept consecutive slices of sizes `counts`, concatenated,
+    and how far each kept slice moves down."""
+    lengths = counts[keep]
+    shift = (np.cumsum(counts) - counts)[keep] - (np.cumsum(lengths) - lengths)
+    return np.arange(int(lengths.sum())) + np.repeat(shift, lengths), shift
+
+
+def _segment_sums(a: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sum of each consecutive slice of a, in np.sum's own summation order."""
+    ends = np.cumsum(counts).tolist()
+    return np.array([a[lo:hi].sum() for lo, hi in zip([0] + ends[:-1], ends)])
+
+
+@dataclass
+class _Blocks:
+    """Communities laid out one after another.
+
+    Community c owns the next sizes[c] node positions, arc_counts[c] arcs
+    (source-major, endpoints given as positions) and dangling_counts[c]
+    entries of `dangling` (positions without an out-arc, ascending).
+    """
+
+    sizes: np.ndarray
+    sources: np.ndarray
+    targets: np.ndarray
+    weights: np.ndarray
+    arc_counts: np.ndarray
+    dangling: np.ndarray
+    dangling_counts: np.ndarray
+
+    @classmethod
+    def build(cls, sources, targets, weights, assignment, count):
+        """Lay out intra-community arcs, given in CSR order, by community.
+
+        Also returns the node id at each position, ascending per community."""
+        n = assignment.shape[0]
+        order = np.argsort(assignment, kind="stable")
+        position = np.empty(n, dtype=np.int64)
+        position[order] = np.arange(n)
+        out_deg = np.bincount(sources, minlength=n)
+        arcs, _ = _slices(out_deg, order)  # the out-rows of `order`, in turn
+        dangling = np.flatnonzero(out_deg[order] == 0)
+        return cls(np.bincount(assignment, minlength=count),
+                   position[sources[arcs]], position[targets[arcs]], weights[arcs],
+                   np.bincount(assignment[sources], minlength=count),
+                   dangling, np.bincount(assignment[order[dangling]], minlength=count)), order
+
+    def take(self, keep: np.ndarray) -> tuple["_Blocks", np.ndarray]:
+        """The communities at indices `keep`, and the old position of each new one."""
+        nodes, shift = _slices(self.sizes, keep)
+        arcs, _ = _slices(self.arc_counts, keep)
+        arc_shift = np.repeat(shift, self.arc_counts[keep])
+        dangling, _ = _slices(self.dangling_counts, keep)
+        return _Blocks(self.sizes[keep],
+                       self.sources[arcs] - arc_shift, self.targets[arcs] - arc_shift,
+                       self.weights[arcs], self.arc_counts[keep],
+                       self.dangling[dangling] - np.repeat(shift, self.dangling_counts[keep]),
+                       self.dangling_counts[keep]), nodes
+
+    def sweep(self, x: np.ndarray, damping: float) -> tuple[np.ndarray, np.ndarray]:
+        """One damped step of every community: the new x and each community's L1 change."""
+        inflow = np.bincount(self.targets, weights=self.weights * x[self.sources],
+                             minlength=x.shape[0])
+        mass = _segment_sums(x[self.dangling], self.dangling_counts)
+        new_x = (np.repeat((1.0 - damping) / self.sizes, self.sizes)
+                 + damping * (inflow + np.repeat(mass / self.sizes, self.sizes)))
+        return new_x, _segment_sums(np.abs(new_x - x), self.sizes)
+
+
+def _iterate(blocks: _Blocks, cfg: RankConfig):
+    """Sweep from uniform until each community converges or hits the cap.
+
+    Returns x by position and each community's sweep count and last
+    residual. The working set drops stopped communities once they hold
+    half its nodes and arcs, so a slow community sweeps little else.
+    """
+    x = np.repeat(1.0 / blocks.sizes, blocks.sizes)
+    iterations = np.zeros(blocks.sizes.shape[0], dtype=np.int64)
+    residuals = np.full(blocks.sizes.shape[0], np.inf)
+    work, work_x = blocks, x
+    ids = np.arange(blocks.sizes.shape[0])  # id of each working community
+    where = np.arange(x.shape[0])  # position of each working node
+    live = np.ones(ids.shape[0], dtype=bool)
+    while live.any():
+        work_x, residual = work.sweep(work_x, cfg.damping)
+        iterations[ids[live]] += 1
+        residuals[ids[live]] = residual[live]
+        done = live & ((residual < cfg.tolerance) | (iterations[ids] >= cfg.max_iterations))
+        if not done.any():
+            continue
+        finished = np.repeat(done, work.sizes)
+        x[where[finished]] = work_x[finished]
+        live &= ~done
+        size = work.sizes + work.arc_counts
+        if 2 * size[live].sum() < size.sum():
+            keep = np.flatnonzero(live)
+            work, nodes = work.take(keep)
+            work_x, where, ids = work_x[nodes], where[nodes], ids[keep]
+            live = live[keep]
+    return x, iterations, residuals
+
+
+def _rank(sources, targets, weights, assignment, count, cfg) -> list[ImportanceVector]:
+    """Rank every community of an assignment whose arcs all stay inside one."""
+    blocks, order = _Blocks.build(sources, targets, weights, assignment, count)
+    x, iterations, residuals = _iterate(blocks, cfg)
+    bounds = np.cumsum(blocks.sizes)[:-1]
+    vectors = []
+    for values, members, sweeps, residual in zip(np.split(x, bounds), np.split(order, bounds),
+                                                 iterations.tolist(), residuals.tolist()):
+        converged = residual < cfg.tolerance
+        if not converged:
+            log.warning("power iteration stopped at %d sweeps with residual %.3g",
+                        sweeps, residual)
+        vectors.append(ImportanceVector(values, members, sweeps, residual, converged))
+    return vectors
+
+
+def _power_iterate(g: DirectedGraph, arc_weights: np.ndarray, damping: float):
+    """Yield (vector, l1_residual) after each sweep of g as one community, from uniform."""
+    n = g.node_count
+    blocks, _ = _Blocks.build(g.arc_sources(), g.out_indices, arc_weights,
+                              np.zeros(n, dtype=np.int64), 1)
     x = np.full(n, 1.0 / n)
-    base = (1.0 - damping) / n
     while True:
-        inflow = np.bincount(targets, weights=arc_weights * x[row_of], minlength=n)
-        dangling_mass = float(x[dangling].sum()) if dangling.size else 0.0
-        new_x = base + damping * (inflow + dangling_mass / n)
-        residual = float(np.abs(new_x - x).sum())
-        x = new_x
-        yield x, residual
+        x, residual = blocks.sweep(x, damping)
+        yield x, float(residual[0])
 
 
-def pagerank(subgraph: SubgraphView, cfg: RankConfig | None = None,
-             io=None) -> ImportanceVector:
-    """Importance of every member of one community; values sum to 1.
+def pagerank(g: DirectedGraph, cfg: RankConfig | None = None, io=None) -> ImportanceVector:
+    """Importance of every node of g taken as one community; values sum to 1.
 
     Uneven mode requires io scores. Hitting the iteration cap returns the
     last iterate with converged=False; the caller decides what to do.
     """
     cfg = cfg or RankConfig()
-    if subgraph.node_count == 0:
-        raise ValidationError("cannot rank an empty subgraph")
+    if g.node_count == 0:
+        raise ValidationError("cannot rank an empty graph")
     if cfg.mode == "uneven":
         if io is None:
             raise ValidationError("uneven mode requires io scores")
-        arc_weights = transition_weights(subgraph, io)
+        weights = transition_weights(g, io)
     else:
-        out_deg = np.diff(subgraph.out_indptr)
-        arc_weights = 1.0 / out_deg[np.repeat(np.arange(subgraph.node_count), out_deg)] \
-            if subgraph.arc_count else np.zeros(0)
+        weights = _arc_weights(g.arc_sources(), g.out_indices, g.node_count)
+    return _rank(g.arc_sources(), g.out_indices, weights,
+                 np.zeros(g.node_count, dtype=np.int64), 1, cfg)[0]
 
-    iterations = 0
-    residual = float("inf")
-    x = np.full(subgraph.node_count, 1.0 / subgraph.node_count)
-    for x, residual in _power_iterate(subgraph, arc_weights, cfg.damping):
-        iterations += 1
-        if residual < cfg.tolerance or iterations >= cfg.max_iterations:
-            break
-    converged = residual < cfg.tolerance
-    if not converged:
-        log.warning("power iteration stopped at %d sweeps with residual %.3g",
-                    iterations, residual)
-    return ImportanceVector(x, subgraph.members.copy(), iterations, residual, converged)
+
+def _intra_arcs(g: DirectedGraph, p: Partition) -> tuple[np.ndarray, np.ndarray]:
+    """Sources and targets of the arcs inside one community, in CSR order."""
+    if p.node_count != g.node_count:
+        raise ValidationError(
+            f"partition covers {p.node_count} nodes, graph has {g.node_count}")
+    sources = g.arc_sources()
+    inside = p.assignment[sources] == p.assignment[g.out_indices]
+    return sources[inside], g.out_indices[inside]
 
 
 def rank_all_communities(g: DirectedGraph, p: Partition, cfg: RankConfig | None = None,
-                         profiles=None, io_source: str = "local",
-                         workers: int = 1) -> dict[int, ImportanceVector]:
-    """Rank every community independently; returns {community id: vector}.
-
-    Communities do not interact, so they may be ranked on parallel workers;
-    results are identical for any worker count.
-    """
+                         profiles=None, io_source: str = "local") -> dict[int, ImportanceVector]:
+    """Rank every community independently; returns {community id: vector}."""
     cfg = cfg or RankConfig()
-    views = community_views(g, p)
-
-    def one(view: SubgraphView) -> ImportanceVector:
-        io = io_scores_for(view, io_source, profiles) if cfg.mode == "uneven" else None
-        return pagerank(view, cfg, io)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            vectors = list(pool.map(one, views))
-    else:
-        vectors = [one(view) for view in views]
-    return dict(enumerate(vectors))
-
-
-def default_worker_count() -> int:
-    """Worker count from the ZOMBIESCAN_THREADS environment variable (default 1)."""
-    raw = os.environ.get("ZOMBIESCAN_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    sources, targets = _intra_arcs(g, p)
+    io = (_io_scores(g.node_count, sources, targets, io_source, profiles).values
+          if cfg.mode == "uneven" else None)
+    weights = _arc_weights(sources, targets, g.node_count, io)
+    return dict(enumerate(_rank(sources, targets, weights, p.assignment,
+                                p.community_count, cfg)))
 
 
 def write_ranks_csv(destination, g: DirectedGraph, p: Partition,
                     vectors: dict[int, ImportanceVector], profiles=None,
                     io_source: str = "local") -> None:
     """Emit `node_id,community_id,io,pagerank,converged` rows in node order."""
-    from .graph import induced_subgraph
     from .ingest import _text_stream
 
     n = g.node_count
-    io_col = np.zeros(n)
+    io_col = _io_scores(n, *_intra_arcs(g, p), io_source, profiles).values
     pr_col = np.zeros(n)
     conv_col = np.ones(n, dtype=bool)
     for vec in vectors.values():
         pr_col[vec.members] = vec.values
         conv_col[vec.members] = vec.converged
-    for cid in range(p.community_count):
-        view = induced_subgraph(g, p.members(cid))
-        io = io_scores_for(view, io_source, profiles)
-        io_col[view.members] = io.values
     with _text_stream(destination, "w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["node_id", "community_id", "io", "pagerank", "converged"])
-        for node in range(n):
-            writer.writerow([node, int(p.assignment[node]), repr(float(io_col[node])),
-                             repr(float(pr_col[node])),
-                             "true" if conv_col[node] else "false"])
+        writer.writerows(zip(range(n), p.assignment.tolist(),
+                             map(repr, io_col.tolist()), map(repr, pr_col.tolist()),
+                             ["true" if c else "false" for c in conv_col.tolist()]))
 
 
 def read_ranks_csv(source) -> dict[int, ImportanceVector]:
-    """Rebuild per-community vectors from a ranks CSV."""
+    """Rebuild per-community vectors from a ranks CSV; rejects non-finite
+    scores, repeated nodes and `converged` values other than true/false."""
     from .ingest import _text_stream
 
     groups: dict[int, list[tuple[int, float, bool]]] = {}
+    seen: set[int] = set()
     with _text_stream(source) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -281,10 +367,15 @@ def read_ranks_csv(source) -> dict[int, ImportanceVector]:
             try:
                 node, cid = int(row[0]), int(row[1])
                 value = float(row[3])
-                converged = row[4] == "true"
+                flag = row[4]
             except (ValueError, IndexError):
                 raise ValidationError(f"bad ranks row: {row!r}") from None
-            groups.setdefault(cid, []).append((node, value, converged))
+            if not math.isfinite(value) or flag not in ("true", "false"):
+                raise ValidationError(f"bad ranks row: {row!r}")
+            if node in seen:
+                raise ValidationError(f"node {node} listed twice in the ranks file")
+            seen.add(node)
+            groups.setdefault(cid, []).append((node, value, flag == "true"))
 
     vectors: dict[int, ImportanceVector] = {}
     for cid, entries in groups.items():

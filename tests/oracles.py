@@ -85,6 +85,36 @@ def pagerank_dense(n: int, arcs: list[tuple[int, int]], damping: float,
     return x
 
 
+def pagerank_sweeps(n: int, arcs: list[tuple[int, int]], damping: float, io: np.ndarray,
+                    tol: float, max_iters: int,
+                    running_sums: bool = False) -> tuple[np.ndarray, int]:
+    """Sparse power iteration of one community, with the ranking's rounding.
+
+    Weights are io[v] over the row's io sum (an even split when that sum
+    is 0), scattered with bincount in (source, target) order; the dangling
+    mass and the L1 residual are np.sum over the whole community, or
+    left-to-right running sums with running_sums. Returns the last iterate
+    and the number of sweeps.
+    """
+    total = (lambda a: a.cumsum()[-1] if a.size else 0.0) if running_sums else np.sum
+    arcs = sorted(arcs)
+    src = np.array([u for u, _ in arcs], dtype=np.int64)
+    dst = np.array([v for _, v in arcs], dtype=np.int64)
+    deg = np.bincount(src, minlength=n)
+    row = np.bincount(src, weights=io[dst], minlength=n)
+    w = np.where(row[src] == 0, 1.0 / deg[src], io[dst] / np.where(row == 0, 1.0, row)[src])
+    dangling = np.flatnonzero(deg == 0)
+    x = np.full(n, 1.0 / n)
+    for sweeps in range(1, max_iters + 1):
+        inflow = np.bincount(dst, weights=w * x[src], minlength=n)
+        new_x = (1.0 - damping) / n + damping * (inflow + total(x[dangling]) / n)
+        residual = total(np.abs(new_x - x))
+        x = new_x
+        if residual < tol:
+            break
+    return x, sweeps
+
+
 def rand_index(a, b) -> float:
     """Fraction of node pairs on which two labelings agree (pairwise agreement)."""
     a = np.asarray(a)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from zombiescan import (LouvainConfig, Partition, ValidationError, build_graph,
-                        community_views, louvain, modularity, move_gain, symmetrize)
+from zombiescan import (LouvainConfig, Partition, ValidationError, build_graph, louvain,
+                        modularity, move_gain, symmetrize)
 from zombiescan.community import read_partition_csv, write_partition_csv
 from zombiescan.graph import UndirectedGraph
 
@@ -182,29 +182,6 @@ class TestLouvain:
         q_agg = modularity(agg, Partition.singletons(agg.node_count), "standard")
         assert q_agg == pytest.approx(q_orig, abs=1e-12)
         assert agg.total_weight == pytest.approx(und.total_weight, abs=1e-9)
-
-
-class TestCommunityViews:
-    def test_two_cycle_single_community(self, two_cycle):
-        views = community_views(two_cycle, Partition([0, 0]))
-        assert len(views) == 1
-        assert views[0].arc_count == 2
-
-    def test_singleton_partition_views_have_no_arcs(self, two_cycle):
-        views = community_views(two_cycle, Partition.singletons(2))
-        assert [v.arc_count for v in views] == [0, 0]
-
-    def test_union_of_views_is_intra_community_arcs(self):
-        g, arcs = random_graph(13, 18, 0.2)
-        rng = np.random.Generator(np.random.PCG64(2))
-        p = Partition(rng.integers(0, 3, size=18))
-        got = set()
-        for cid, view in enumerate(community_views(g, p)):
-            for u, v in view.arcs():
-                got.add((view.to_parent(u), view.to_parent(v)))
-        expected = {(u, v) for u, v in set(arcs)
-                    if p.assignment[u] == p.assignment[v]}
-        assert got == expected
 
 
 class TestPartition:

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zombiescan import (ValidationError, build_graph, induced_subgraph, symmetrize)
+from zombiescan import ValidationError, build_graph, symmetrize
 
 from conftest import random_graph
 
@@ -83,43 +83,6 @@ class TestSymmetrize:
             neighbors[v].add(u)
         for u in range(12):
             assert und.degree_weights[u] == len(neighbors[u])
-
-
-class TestInducedSubgraph:
-    def test_pair_inside_triangle(self):
-        g = build_graph([(0, 1, 0), (1, 0, 0), (1, 2, 0), (2, 0, 0)], 3)
-        view = induced_subgraph(g, {0, 1})
-        assert view.node_count == 2
-        assert view.arc_count == 2
-        assert sorted(view.arcs()) == [(0, 1), (1, 0)]
-
-    def test_all_members_is_identity(self):
-        g, arcs = random_graph(11, 10, 0.25)
-        view = induced_subgraph(g, range(10))
-        assert sorted(view.arcs()) == sorted(set(arcs))
-
-    def test_matches_brute_force_filter(self):
-        g, arcs = random_graph(5, 20, 0.2)
-        members = sorted({3, 4, 7, 9, 12, 15, 16, 19})
-        view = induced_subgraph(g, members)
-        expected = sorted((members.index(u), members.index(v))
-                          for u, v in set(arcs) if u in members and v in members)
-        assert sorted(view.arcs()) == expected
-
-    def test_id_mapping_round_trips(self):
-        g, _ = random_graph(5, 20, 0.2)
-        view = induced_subgraph(g, [2, 5, 13])
-        for local in range(view.node_count):
-            assert view.to_local(view.to_parent(local)) == local
-
-    def test_empty_member_set_rejected(self, two_cycle):
-        with pytest.raises(ValidationError):
-            induced_subgraph(two_cycle, [])
-
-    def test_non_member_lookup_rejected(self, two_cycle):
-        view = induced_subgraph(two_cycle, [0])
-        with pytest.raises(ValidationError):
-            view.to_local(1)
 
 
 def test_degrees_validates_node_id(two_cycle):

@@ -235,6 +235,20 @@ class TestCache:
         with pytest.raises(CacheError, match="truncated"):
             cache_load(path)
 
+    def test_repeated_target_in_row_rejected(self, tmp_path):
+        from zombiescan import build_graph
+
+        g = build_graph([(0, 1, 0), (0, 2, 0), (1, 2, 0)], 3)
+        path = tmp_path / "g.bin"
+        cache_save(g, path)
+        blob = bytearray(path.read_bytes())
+        second_delta = 24 + 8 * 4 + 4  # header, indptr, then row 0's second u32 delta
+        assert blob[second_delta:second_delta + 4] == (1).to_bytes(4, "little")
+        blob[second_delta:second_delta + 4] = bytes(4)  # row 0 becomes [1, 1]
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CacheError, match="duplicate"):
+            cache_load(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "g.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 40)

@@ -3,18 +3,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zombiescan import (Partition, RankConfig, ValidationError, build_graph,
-                        induced_subgraph, io_score, io_scores_for, pagerank,
-                        rank_all_communities, transition_weights)
+from zombiescan import (Partition, RankConfig, ValidationError, build_graph, io_score,
+                        io_scores_for, pagerank, rank_all_communities, transition_weights)
 from zombiescan.ingest import UserProfile
 from zombiescan.rank import _power_iterate, read_ranks_csv, write_ranks_csv
 
 from conftest import random_graph
-from oracles import pagerank_dense
+from oracles import pagerank_dense, pagerank_sweeps
 
 
-def whole_view(arcs, n):
-    return induced_subgraph(build_graph([(u, v, 0) for u, v in arcs], n), range(n))
+def whole_graph(arcs, n):
+    return build_graph([(u, v, 0) for u, v in arcs], n)
+
+
+def community_arcs(arcs, members):
+    """The arcs between members, relabelled to ranks in the member list."""
+    local = {u: i for i, u in enumerate(members)}
+    return [(local[u], local[v]) for u, v in arcs if u in local and v in local]
 
 
 class TestIoScore:
@@ -39,78 +44,76 @@ class TestIoScore:
 
 class TestIoScoresFor:
     def test_two_cycle_symmetric(self):
-        view = whole_view([(0, 1), (1, 0)], 2)
-        assert list(io_scores_for(view).values) == [0.5, 0.5]
+        g = whole_graph([(0, 1), (1, 0)], 2)
+        assert list(io_scores_for(g).values) == [0.5, 0.5]
 
     def test_star_hub_is_one_leaves_zero(self):
-        view = whole_view([(i, 0) for i in range(1, 5)], 5)
-        scores = io_scores_for(view).values
+        g = whole_graph([(i, 0) for i in range(1, 5)], 5)
+        scores = io_scores_for(g).values
         assert scores[0] == 1.0
         assert list(scores[1:]) == [0.0] * 4
 
     def test_matches_scalar_recomputation(self):
         g, _ = random_graph(31, 5, 0.5)
-        view = induced_subgraph(g, range(5))
-        scores = io_scores_for(view).values
+        scores = io_scores_for(g).values
         for u in range(5):
-            fans, follows = view.in_degree(u), view.out_degree(u)
+            fans, follows = g.in_degree(u), g.out_degree(u)
             assert scores[u] == io_score(fans, follows)
 
     def test_profile_source(self):
-        view = whole_view([(0, 1), (1, 0)], 2)
+        g = whole_graph([(0, 1), (1, 0)], 2)
         profiles = [UserProfile(0, followers=30, followees=70),
                     UserProfile(1, followers=100, followees=0)]
-        scores = io_scores_for(view, "profile", profiles)
+        scores = io_scores_for(g, "profile", profiles)
         assert list(scores.values) == [0.3, 1.0]
         assert scores.fallback_count == 0
 
     def test_profile_fallback_tallied(self):
-        view = whole_view([(0, 1), (1, 0)], 2)
+        g = whole_graph([(0, 1), (1, 0)], 2)
         profiles = [UserProfile(0, followers=30, followees=70), UserProfile(1)]
-        scores = io_scores_for(view, "profile", profiles)
+        scores = io_scores_for(g, "profile", profiles)
         assert scores.values[1] == 0.5  # local degrees of the 2-cycle
         assert scores.fallback_count == 1
 
 
 class TestTransitionWeights:
     def test_proportional_split(self):
-        view = whole_view([(0, 1), (0, 2)], 3)
-        w = transition_weights(view, np.array([0.0, 0.6, 0.2]))
-        row = dict(zip(view.out_neighbors(0), w[:2]))
+        g = whole_graph([(0, 1), (0, 2)], 3)
+        w = transition_weights(g, np.array([0.0, 0.6, 0.2]))
+        row = dict(zip(g.out_neighbors(0), w[:2]))
         assert row[1] == pytest.approx(0.75)
         assert row[2] == pytest.approx(0.25)
 
     def test_zero_denominator_even_fallback(self):
-        view = whole_view([(0, 1), (0, 2)], 3)
-        w = transition_weights(view, np.array([0.0, 0.0, 0.0]))
+        g = whole_graph([(0, 1), (0, 2)], 3)
+        w = transition_weights(g, np.array([0.0, 0.0, 0.0]))
         assert list(w[:2]) == [0.5, 0.5]
 
     def test_single_followee_gets_everything(self):
-        view = whole_view([(0, 1)], 2)
-        w = transition_weights(view, np.array([0.0, 0.4]))
+        g = whole_graph([(0, 1)], 2)
+        w = transition_weights(g, np.array([0.0, 0.4]))
         assert w[0] == 1.0
 
     def test_rows_are_stochastic(self):
         g, _ = random_graph(41, 25, 0.2)
-        view = induced_subgraph(g, range(25))
         rng = np.random.Generator(np.random.PCG64(1))
-        w = transition_weights(view, rng.random(25))
+        w = transition_weights(g, rng.random(25))
         for u in range(25):
-            lo, hi = view.out_indptr[u], view.out_indptr[u + 1]
+            lo, hi = g.out_indptr[u], g.out_indptr[u + 1]
             if hi > lo:
                 assert abs(w[lo:hi].sum() - 1.0) < 1e-12
 
 
 class TestPagerank:
     def test_two_cycle_even_split(self):
-        view = whole_view([(0, 1), (1, 0)], 2)
-        vec = pagerank(view, RankConfig(mode="even"))
+        g = whole_graph([(0, 1), (1, 0)], 2)
+        vec = pagerank(g, RankConfig(mode="even"))
         assert vec.values == pytest.approx([0.5, 0.5], abs=1e-12)
         assert vec.converged
 
     def test_single_arc_sink_dominates(self):
-        view = whole_view([(0, 1)], 2)
-        vec = pagerank(view, RankConfig(mode="even"))
+        g = whole_graph([(0, 1)], 2)
+        vec = pagerank(g, RankConfig(mode="even"))
         assert vec.values[1] > vec.values[0]
         assert vec.values.sum() == pytest.approx(1.0, abs=1e-10)
         oracle = pagerank_dense(2, [(0, 1)], 0.85)
@@ -119,16 +122,15 @@ class TestPagerank:
     def test_uneven_three_node_community_matches_dense_oracle(self):
         arcs = [(0, 1), (0, 2), (1, 0), (2, 0)]
         io = np.array([0.5, 0.8, 0.2])
-        view = whole_view(arcs, 3)
-        vec = pagerank(view, RankConfig(mode="uneven", tolerance=1e-12), io)
+        g = whole_graph(arcs, 3)
+        vec = pagerank(g, RankConfig(mode="uneven", tolerance=1e-12), io)
         oracle = pagerank_dense(3, arcs, 0.85, io)
         assert np.abs(vec.values - oracle).max() < 1e-10
 
     def test_every_iterate_sums_to_one(self):
         g, arcs = random_graph(51, 12, 0.2)
-        view = induced_subgraph(g, range(12))
-        weights = transition_weights(view, io_scores_for(view).values)
-        for i, (x, _) in enumerate(_power_iterate(view, weights, 0.85)):
+        weights = transition_weights(g, io_scores_for(g).values)
+        for i, (x, _) in enumerate(_power_iterate(g, weights, 0.85)):
             assert x.sum() == pytest.approx(1.0, abs=1e-10)
             if i > 20:
                 break
@@ -136,10 +138,9 @@ class TestPagerank:
     def test_residual_non_increasing(self):
         for seed in (60, 61, 62):
             g, _ = random_graph(seed, 15, 0.15)
-            view = induced_subgraph(g, range(15))
-            weights = transition_weights(view, io_scores_for(view).values)
+            weights = transition_weights(g, io_scores_for(g).values)
             residuals = []
-            for _, r in _power_iterate(view, weights, 0.85):
+            for _, r in _power_iterate(g, weights, 0.85):
                 residuals.append(r)
                 if len(residuals) >= 40:
                     break
@@ -148,9 +149,8 @@ class TestPagerank:
     def test_even_uneven_equivalence_with_constant_io(self):
         for seed in (70, 71):
             g, _ = random_graph(seed, 14, 0.2)
-            view = induced_subgraph(g, range(14))
-            even = pagerank(view, RankConfig(mode="even"))
-            uneven = pagerank(view, RankConfig(mode="uneven"), np.full(14, 0.7))
+            even = pagerank(g, RankConfig(mode="even"))
+            uneven = pagerank(g, RankConfig(mode="uneven"), np.full(14, 0.7))
             assert np.abs(even.values - uneven.values).max() < 1e-10
 
     def test_permutation_equivariance(self):
@@ -159,28 +159,28 @@ class TestPagerank:
         rng = np.random.Generator(np.random.PCG64(9))
         perm = rng.permutation(10)
         io = rng.random(10)
-        base = pagerank(whole_view(arcs, 10), RankConfig(), io)
+        base = pagerank(whole_graph(arcs, 10), RankConfig(), io)
         permuted_arcs = [(perm[u], perm[v]) for u, v in arcs]
-        permuted = pagerank(whole_view(permuted_arcs, 10), RankConfig(), io[np.argsort(perm)])
+        permuted = pagerank(whole_graph(permuted_arcs, 10), RankConfig(), io[np.argsort(perm)])
         # node u in the base graph is node perm[u] in the permuted graph
         assert np.abs(base.values - permuted.values[perm]).max() < 1e-12
 
     def test_uneven_requires_io(self):
-        view = whole_view([(0, 1)], 2)
+        g = whole_graph([(0, 1)], 2)
         with pytest.raises(ValidationError):
-            pagerank(view, RankConfig(mode="uneven"))
+            pagerank(g, RankConfig(mode="uneven"))
 
     def test_nonconvergence_flagged(self):
         # bipartite walk {0} <-> {1, 2} oscillates forever at damping 1
-        view = whole_view([(0, 1), (0, 2), (1, 0), (2, 0)], 3)
-        vec = pagerank(view, RankConfig(mode="even", damping=1.0, max_iterations=5,
+        g = whole_graph([(0, 1), (0, 2), (1, 0), (2, 0)], 3)
+        vec = pagerank(g, RankConfig(mode="even", damping=1.0, max_iterations=5,
                                         tolerance=1e-12))
         assert vec.iterations == 5
 
     def test_dangling_mass_redistributed(self):
         # 1 and 2 have no out-arcs; walk must still sum to 1
-        view = whole_view([(0, 1), (0, 2)], 3)
-        vec = pagerank(view, RankConfig(mode="even"))
+        g = whole_graph([(0, 1), (0, 2)], 3)
+        vec = pagerank(g, RankConfig(mode="even"))
         assert vec.values.sum() == pytest.approx(1.0, abs=1e-10)
         oracle = pagerank_dense(3, [(0, 1), (0, 2)], 0.85)
         assert vec.values == pytest.approx(oracle, abs=1e-10)
@@ -206,23 +206,63 @@ class TestRankAllCommunities:
         arcset = set(arcs)
         for cid in range(p.community_count):
             members = list(p.members(cid))
-            local = {u: i for i, u in enumerate(members)}
-            local_arcs = [(local[u], local[v]) for u, v in arcset
-                          if u in local and v in local]
-            view = induced_subgraph(g, members)
-            io = io_scores_for(view).values
+            local_arcs = community_arcs(arcset, members)
+            io = io_scores_for(whole_graph(local_arcs, len(members))).values
             oracle = pagerank_dense(len(members), local_arcs, 0.85, io)
             assert np.abs(vectors[cid].values - oracle).max() < 1e-8
             assert vectors[cid].values.sum() == pytest.approx(1.0, abs=1e-10)
 
-    def test_worker_count_does_not_change_results(self):
-        g, _ = random_graph(92, 30, 0.15)
-        rng = np.random.Generator(np.random.PCG64(4))
-        p = Partition(rng.integers(0, 3, size=30))
-        serial = rank_all_communities(g, p, workers=1)
-        parallel = rank_all_communities(g, p, workers=4)
-        for cid in serial:
-            assert np.array_equal(serial[cid].values, parallel[cid].values)
+    def test_block_kernel_equals_ranking_each_community_alone(self):
+        rng = np.random.Generator(np.random.PCG64(12))
+        local_arcs = [
+            [(u, v) for u in range(20) for v in range(20) if u != v and rng.random() < 0.2],
+            # only 0-3 follow anyone inside: 12 dangling members
+            [(u, v) for u in range(4) for v in range(16) if u != v and rng.random() < 0.7],
+            # {0} <-> {1, 2} oscillates and settles slowly; 3 is dangling
+            [(0, 1), (0, 2), (1, 0), (2, 0), (1, 3)],
+            [],  # singleton
+        ]
+        sizes = [20, 16, 4, 1]
+        n = sum(sizes)
+        # community-local -> node id; ids interleave across communities but keep local order
+        node = [np.sort(ids) for ids in np.split(rng.permutation(n), np.cumsum(sizes)[:-1])]
+        arcs = {(int(node[c][u]), int(node[c][v])) for c, la in enumerate(local_arcs)
+                for u, v in la}
+        assignment = np.repeat(np.arange(4), sizes)[np.argsort(np.concatenate(node))]
+        while len(arcs) < sum(map(len, local_arcs)) + 40:  # arcs across communities
+            u, v = (int(x) for x in rng.integers(0, n, size=2))
+            if assignment[u] != assignment[v]:
+                arcs.add((u, v))
+        g = build_graph([(u, v, 0) for u, v in sorted(arcs)], n)
+        p = Partition(assignment)
+        cfg = RankConfig(max_iterations=60)
+        vectors = rank_all_communities(g, p, cfg)
+
+        capped, wide_dangling = [], 0
+        for cid in range(p.community_count):
+            members = p.members(cid)
+            local_arcs = community_arcs(arcs, members.tolist())
+            alone_graph = whole_graph(local_arcs, len(members))
+            io = io_scores_for(alone_graph)
+            alone = pagerank(alone_graph, cfg, io)
+            reference, sweeps = pagerank_sweeps(len(members), local_arcs, cfg.damping,
+                                                io.values, cfg.tolerance, cfg.max_iterations)
+            assert np.array_equal(alone.values, reference) and alone.iterations == sweeps
+            assert np.array_equal(vectors[cid].members, members)
+            assert np.array_equal(vectors[cid].values, alone.values)
+            assert vectors[cid].iterations == alone.iterations
+            if alone.iterations == cfg.max_iterations:
+                capped.append(cid)
+            if (alone_graph.out_degrees == 0).sum() >= 8:
+                # here np.sum's pairwise order and a running sum give different bytes
+                running, _ = pagerank_sweeps(len(members), local_arcs, cfg.damping, io.values,
+                                             cfg.tolerance, cfg.max_iterations, True)
+                assert not np.array_equal(running, reference)
+                wide_dangling += 1
+        # one community runs on alone after the others stop, from a later position
+        assert len(capped) == 1 and capped[0] > 0
+        assert wide_dangling == 1
+        assert min(len(p.members(c)) for c in range(p.community_count)) == 1
 
 
 class TestRanksCsv:
@@ -237,3 +277,15 @@ class TestRanksCsv:
             assert np.array_equal(loaded[cid].members, vec.members)
             assert np.array_equal(loaded[cid].values, vec.values)
             assert loaded[cid].converged == vec.converged
+
+    @pytest.mark.parametrize("rows", [
+        ["0,0,0.5,nan,true", "1,0,0.5,0.5,true"],
+        ["0,0,0.5,0.5,true", "1,0,0.5,inf,true"],
+        ["0,0,0.5,0.5,true", "0,0,0.5,0.5,true"],
+        ["0,0,0.5,0.5,true", "1,0,0.5,0.5,yes"],
+    ], ids=["nan", "inf", "node-twice", "converged-not-boolean"])
+    def test_bad_rows_rejected(self, tmp_path, rows):
+        path = tmp_path / "ranks.csv"
+        path.write_text("\n".join(["node_id,community_id,io,pagerank,converged", *rows]) + "\n")
+        with pytest.raises(ValidationError):
+            read_ranks_csv(path)

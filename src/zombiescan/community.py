@@ -189,14 +189,6 @@ class Dendrogram:
     levels: list[LouvainLevel]
     partition: Partition
 
-    def flattened(self) -> Partition:
-        """Recompose the per-level assignments; equals `partition`."""
-        n = self.partition.node_count
-        labels = np.arange(n)
-        for level in self.levels:
-            labels = level.assignment[labels]
-        return Partition(labels)
-
 
 def _one_level(g: UndirectedGraph, rng: Random, resolution: float) -> tuple[np.ndarray, bool]:
     """Phase 1: greedy local moves until a full sweep changes nothing.
@@ -303,26 +295,30 @@ def louvain(g: UndirectedGraph, cfg: LouvainConfig | None = None) -> Dendrogram:
 
 
 def write_partition_csv(p: Partition, destination, uids: list[str] | None = None) -> None:
-    """Emit `node_id,community_id` rows; uids substitute for node ids when given."""
+    """Emit `node_id,community_id` rows, plus a `uid` column when uids are given."""
     from .ingest import _text_stream
 
+    header, columns = ["node_id", "community_id"], [range(p.node_count), p.assignment.tolist()]
+    if uids is not None:
+        if len(uids) != p.node_count:
+            raise ValidationError(
+                f"uid list has {len(uids)} entries, partition has {p.node_count} nodes")
+        header, columns = header + ["uid"], columns + [uids]
     with _text_stream(destination, "w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["node_id", "community_id"])
-        for node in range(p.node_count):
-            node_id = uids[node] if uids is not None else node
-            writer.writerow([node_id, int(p.assignment[node])])
+        writer.writerow(header)
+        writer.writerows(zip(*columns))
 
 
 def read_partition_csv(source, node_count: int) -> Partition:
-    """Read a partition written by write_partition_csv (dense node ids only)."""
+    """Read a partition written by write_partition_csv; a `uid` column is ignored."""
     from .ingest import _text_stream
 
     assignment = np.full(node_count, -1, dtype=np.int64)
     with _text_stream(source) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header != ["node_id", "community_id"]:
+        if header not in (["node_id", "community_id"], ["node_id", "community_id", "uid"]):
             raise ValidationError("partition file must start with 'node_id,community_id'")
         for row in reader:
             if not row:

@@ -156,19 +156,16 @@ def write_report_csv(report: ZombieReport, destination) -> None:
     with _text_stream(destination, "w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["node_id", "community_id", "pagerank", "threshold", "label"])
-        for i in range(report.total):
-            thr = report.thresholds[i]
-            writer.writerow([
-                int(report.node_ids[i]),
-                int(report.community_ids[i]),
-                repr(float(report.values[i])),
-                "" if math.isnan(thr) else repr(float(thr)),
-                "zombie" if report.is_zombie[i] else "normal",
-            ])
+        writer.writerows(zip(
+            report.node_ids.tolist(), report.community_ids.tolist(),
+            map(repr, report.values.tolist()),
+            ["" if math.isnan(t) else repr(t) for t in report.thresholds.tolist()],
+            ["zombie" if z else "normal" for z in report.is_zombie.tolist()]))
 
 
 def read_report_csv(source) -> dict[int, bool]:
-    """Predicted labels {node_id: is_zombie} from a report CSV."""
+    """Predicted labels {node_id: is_zombie} from a report CSV; rejects labels
+    other than zombie/normal and repeated nodes."""
     from .ingest import _text_stream
 
     labels: dict[int, bool] = {}
@@ -182,9 +179,14 @@ def read_report_csv(source) -> dict[int, bool]:
             if not row:
                 continue
             try:
-                labels[int(row[0])] = row[4] == "zombie"
+                node, label = int(row[0]), row[4]
             except (ValueError, IndexError):
                 raise ValidationError(f"bad report row: {row!r}") from None
+            if label not in ("zombie", "normal"):
+                raise ValidationError(f"bad report row: {row!r}")
+            if node in labels:
+                raise ValidationError(f"node {node} listed twice in the report")
+            labels[node] = label == "zombie"
     return labels
 
 

@@ -45,10 +45,6 @@ class ConfusionMatrix:
     def total(self) -> int:
         return self.tp + self.fn + self.fp + self.tn
 
-    def transposed(self) -> "ConfusionMatrix":
-        """The alternative reading with truth and prediction axes swapped."""
-        return ConfusionMatrix(tp=self.tp, fn=self.fp, fp=self.fn, tn=self.tn)
-
 
 @dataclass(frozen=True)
 class MetricSet:
@@ -111,9 +107,14 @@ def metrics(cm: ConfusionMatrix) -> MetricSet:
 
 
 def region_distribution(report, profiles) -> dict[str, int]:
-    """Zombie counts per region string; nodes without a region go to "unknown"."""
+    """Zombie counts per region string; nodes without a region go to "unknown".
+
+    `report` is a ZombieReport or a {node_id: is_zombie} map.
+    """
+    flagged = ([n for n, z in report.items() if z] if isinstance(report, dict)
+               else report.zombie_nodes())
     counts: Counter[str] = Counter()
-    for node in report.zombie_nodes():
+    for node in flagged:
         node = int(node)
         prof = profiles[node] if profiles is not None and node < len(profiles) else None
         region = prof.region if prof is not None and prof.region else "unknown"

@@ -112,24 +112,9 @@ class DirectedGraph:
         i = np.searchsorted(row, v)
         return i < row.shape[0] and row[i] == v
 
-    def is_reciprocal(self, u: int, v: int) -> bool:
-        """True when both u->v and v->u exist."""
-        return self.has_arc(u, v) and self.has_arc(v, u)
-
     def arc_sources(self) -> np.ndarray:
         """Source node of every arc, aligned with out_indices."""
         return np.repeat(np.arange(self._n, dtype=self.out_indices.dtype), self.out_degrees)
-
-    def arcs(self):
-        """Iterate (source, target) over all arcs in source-major order."""
-        for u in range(self._n):
-            for v in self.out_neighbors(u):
-                yield u, int(v)
-
-    def arcs_with_flags(self):
-        """Iterate (source, target, reciprocal_flag) over all arcs."""
-        for u, v in self.arcs():
-            yield u, v, int(self.has_arc(v, u))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DirectedGraph):
@@ -265,20 +250,6 @@ class UndirectedGraph:
         """(neighbor ids, weights) of u's row; may include u itself."""
         lo, hi = self.indptr[u], self.indptr[u + 1]
         return self.indices[lo:hi], self.weights[lo:hi]
-
-    def self_weight(self, u: int) -> float:
-        ids, w = self.neighbors(u)
-        i = np.searchsorted(ids, u)
-        if i < ids.shape[0] and ids[i] == u:
-            return float(w[i])
-        return 0.0
-
-    def edge_entries(self):
-        """Iterate (u, v, w) over row entries; off-diagonal edges appear twice."""
-        for u in range(self._n):
-            ids, w = self.neighbors(u)
-            for v, wv in zip(ids, w):
-                yield u, int(v), float(wv)
 
     def __repr__(self) -> str:
         return f"UndirectedGraph(nodes={self._n}, m={self.total_weight:g})"

@@ -37,7 +37,6 @@ __all__ = [
     "IOScores",
     "RankConfig",
     "ImportanceVector",
-    "io_score",
     "io_scores_for",
     "transition_weights",
     "pagerank",
@@ -85,16 +84,6 @@ class ImportanceVector:
     iterations: int
     residual: float
     converged: bool
-
-
-def io_score(fan_num: int, follow_num: int) -> float:
-    """Credibility ratio fans / (followees + fans); 0 when there is no evidence."""
-    if fan_num < 0 or follow_num < 0:
-        raise ValidationError("degree counts must be non-negative")
-    total = fan_num + follow_num
-    if total == 0:
-        return 0.0
-    return fan_num / total
 
 
 def _io_scores(n: int, sources: np.ndarray, targets: np.ndarray, source: str,

@@ -238,12 +238,12 @@ def write_truth_csv(truth: GroundTruth, destination) -> None:
     with _text_stream(destination, "w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["node_id", "block_id", "is_zombie", "region"])
-        for i in range(truth.node_count):
-            writer.writerow([i, int(truth.block_ids[i]),
-                             1 if truth.is_zombie[i] else 0, truth.regions[i]])
+        writer.writerows(zip(range(truth.node_count), truth.block_ids.tolist(),
+                             truth.is_zombie.astype(np.int64).tolist(), truth.regions))
 
 
 def read_truth_csv(source) -> GroundTruth:
+    """Read a truth file; `is_zombie` must be one of 0/1/true/false/True/False."""
     from .ingest import _text_stream
 
     blocks: list[int] = []
@@ -261,6 +261,8 @@ def read_truth_csv(source) -> GroundTruth:
             try:
                 node = int(row[0])
                 if node != len(blocks):
+                    raise ValueError
+                if row[2] not in ("0", "1", "true", "false", "True", "False"):
                     raise ValueError
                 blocks.append(int(row[1]))
                 zombies.append(row[2] in ("1", "true", "True"))

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from zombiescan import ValidationError  # the error type the package raises, no logic
+
 
 def dense_adjacency(und) -> np.ndarray:
     """Symmetric weight matrix from an UndirectedGraph's row entries."""
@@ -167,3 +169,44 @@ def random_digraph_arcs(rng: np.random.Generator, n: int,
             if u != v and rng.random() < p:
                 arcs.append((u, v))
     return arcs
+
+
+# ---- scalar and per-entry readings of the package's containers ---------------
+
+
+def io_score(fan_num: int, follow_num: int) -> float:
+    """Credibility ratio fans / (followees + fans); 0 when there is no evidence."""
+    if fan_num < 0 or follow_num < 0:
+        raise ValidationError("degree counts must be non-negative")
+    total = fan_num + follow_num
+    return fan_num / total if total else 0.0
+
+
+def is_reciprocal(g, u: int, v: int) -> bool:
+    """True when a DirectedGraph holds both u->v and v->u."""
+    return v in g.out_neighbors(u).tolist() and u in g.out_neighbors(v).tolist()
+
+
+def arcs_with_flags(g) -> list[tuple[int, int, int]]:
+    """(source, target, reciprocal flag) for every arc, source-major."""
+    return [(u, int(v), int(is_reciprocal(g, u, int(v))))
+            for u in range(g.node_count) for v in g.out_neighbors(u)]
+
+
+def self_weight(und, u: int) -> float:
+    """Weight of u's self-loop in an UndirectedGraph row, 0 when absent."""
+    ids, w = und.neighbors(u)
+    return sum(float(wv) for v, wv in zip(ids, w) if v == u)
+
+
+def transposed(cm):
+    """A confusion matrix read with truth and prediction axes swapped."""
+    return type(cm)(tp=cm.tp, fn=cm.fp, fp=cm.fn, tn=cm.tn)
+
+
+def flattened(dendrogram) -> np.ndarray:
+    """Compose a Louvain run's per-level assignments onto the original nodes."""
+    labels = np.arange(dendrogram.partition.node_count)
+    for level in dendrogram.levels:
+        labels = level.assignment[labels]
+    return labels

@@ -1,4 +1,10 @@
+import hashlib
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +13,17 @@ from zombiescan.cli import main
 from conftest import DATA
 
 PLANTED = f"{DATA}/planted_4x50"
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def files_under(root):
+    return {p for p in Path(root).rglob("*") if p.is_file()}
+
+
+def without_manifest_key(path):
+    data = json.loads(Path(path).read_text())
+    data.pop("manifest")
+    return data
 
 
 def write_corpus(tmp_path, seed=5):
@@ -76,8 +93,16 @@ class TestCommunities:
         part = tmp_path / "partition.csv"
         assert main(["communities", str(cache), "-o", str(part),
                      "--uids", str(corpus / "uidlist.txt")]) == 0
-        first_data_row = part.read_text().splitlines()[1]
-        assert first_data_row.startswith("1000000,")
+        lines = part.read_text().splitlines()
+        assert lines[0] == "node_id,community_id,uid"
+        assert lines[1].startswith("0,") and lines[1].endswith(",1000000")
+        # the uid column rides along: rank accepts the file and ranks as without it
+        plain = tmp_path / "plain.csv"
+        assert main(["communities", str(cache), "-o", str(plain)]) == 0
+        for source, ranks in ((part, "ranks_uid.csv"), (plain, "ranks_plain.csv")):
+            assert main(["rank", str(cache), str(source), "-o", str(tmp_path / ranks)]) == 0
+        assert ((tmp_path / "ranks_uid.csv").read_bytes()
+                == (tmp_path / "ranks_plain.csv").read_bytes())
 
 
 class TestRankAndDetect:
@@ -195,8 +220,13 @@ class TestPipeline:
         assert main(["detect", str(stages / "ranks.csv"),
                      "-o", str(stages / "report.csv"),
                      "--summary", str(stages / "summary.json")]) == 0
-        for name in ("graph.bin", "partition.csv", "ranks.csv", "report.csv"):
+        assert main(["evaluate", str(stages / "report.csv"), str(corpus / "truth.csv"),
+                     "-o", str(stages / "metrics.json"),
+                     "--regions", str(corpus / "user_profile.txt")]) == 0
+        for name in ("graph.bin", "partition.csv", "ranks.csv", "report.csv", "regions.csv"):
             assert (run / name).read_bytes() == (stages / name).read_bytes(), name
+        for name in ("summary.json", "metrics.json"):
+            assert without_manifest_key(run / name) == without_manifest_key(stages / name)
 
     def test_manifest_records_config_inputs_outputs(self, tmp_path):
         run = tmp_path / "run"
@@ -210,6 +240,51 @@ class TestPipeline:
         assert all("sha256" in o for o in manifest["outputs"])
         assert "communities" in manifest["timings_s"]
         assert manifest["summary"]["communities"] == 4
+
+    def test_manifest_lists_only_this_runs_outputs(self, tmp_path):
+        run = tmp_path / "run"
+        assert main(["pipeline", PLANTED, "-o", str(run)]) == 0
+        assert (run / "metrics.json").exists()
+        lone = tmp_path / "lone"
+        lone.mkdir()
+        net = lone / "weibo_network.txt"
+        net.write_bytes((Path(PLANTED) / "weibo_network.txt").read_bytes())
+        assert main(["pipeline", str(net), "-o", str(run)]) == 0
+        manifest = json.loads((run / "manifest.json").read_text())
+        assert [Path(o["path"]).name for o in manifest["outputs"]] == [
+            "graph.bin", "partition.csv", "ranks.csv", "report.csv", "summary.json"]
+
+    def test_labelled_subsample_is_scored_like_evaluate(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name in ("weibo_network.txt", "user_profile.txt"):
+            (corpus / name).write_bytes((Path(PLANTED) / name).read_bytes())
+        truth = (Path(PLANTED) / "truth.csv").read_text().splitlines(keepends=True)
+        (corpus / "truth.csv").write_text("".join(truth[:61]))  # header + nodes 0..59
+        run = tmp_path / "run"
+        assert main(["pipeline", str(corpus), "-o", str(run)]) == 0
+        assert main(["evaluate", str(run / "report.csv"), str(corpus / "truth.csv"),
+                     "-o", str(tmp_path / "metrics.json"),
+                     "--regions", str(corpus / "user_profile.txt")]) == 0
+        metrics = without_manifest_key(run / "metrics.json")
+        assert metrics["tp"] + metrics["fn"] + metrics["fp"] + metrics["tn"] == 60
+        assert metrics == without_manifest_key(tmp_path / "metrics.json")
+        assert (run / "regions.csv").read_bytes() == (tmp_path / "regions.csv").read_bytes()
+
+    def test_killed_run_leaves_no_final_named_output(self, tmp_path):
+        # the child kills itself while writing report.csv, after three outputs
+        out = tmp_path / "run"
+        code = ("import os, signal, sys\n"
+                "import zombiescan.cli as cli\n"
+                "cli.write_report_csv = lambda *a: os.kill(os.getpid(), signal.SIGKILL)\n"
+                f"sys.exit(cli.main(['pipeline', {PLANTED!r}, '-o', {str(out)!r}]))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+        assert proc.returncode == -signal.SIGKILL
+        for name in ("graph.bin", "partition.csv", "ranks.csv", "report.csv",
+                     "manifest.json"):
+            assert not (out / name).exists(), name
 
     def test_network_file_without_truth_skips_evaluate(self, tmp_path):
         corpus = write_corpus(tmp_path)
@@ -232,6 +307,52 @@ class TestPipeline:
         for run in (a, b):
             manifest = json.loads((run / "manifest.json").read_text())
             assert manifest["summary"]["communities"] == 4
+
+
+class TestManifests:
+    def test_digests_match_files_and_outputs_are_the_files_written(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"block_sizes": [40, 40], "p_in": 0.15, "p_out": 0.005,
+                                   "zombie_fraction": 0.1, "zombie_out_degree": [5, 10],
+                                   "seed": 5}))
+        c, w = tmp_path / "corpus", tmp_path / "work"
+        w.mkdir()
+        commands = [
+            (["synth", str(cfg), "-o", str(c)], c / "manifest.json"),
+            (["convert", str(c / "weibo_network.txt"), "--cache", str(w / "g.bin")],
+             w / "g.manifest.json"),
+            (["stats", str(w / "g.bin"), "-o", str(w / "hist.csv")], w / "hist.manifest.json"),
+            (["communities", str(w / "g.bin"), "-o", str(w / "p.csv")], w / "p.manifest.json"),
+            (["rank", str(w / "g.bin"), str(w / "p.csv"), "-o", str(w / "r.csv"),
+              "--profiles", str(c / "user_profile.txt")], w / "r.manifest.json"),
+            (["detect", str(w / "r.csv"), "-o", str(w / "d.csv"),
+              "--summary", str(w / "s.json")], w / "d.manifest.json"),
+            (["evaluate", str(w / "d.csv"), str(c / "truth.csv"), "-o", str(w / "m.json"),
+              "--regions", str(c / "user_profile.txt")], w / "m.manifest.json"),
+            (["pipeline", str(c), "-o", str(w / "run")], w / "run" / "manifest.json"),
+        ]
+        for argv, manifest_path in commands:
+            before = files_under(tmp_path)
+            assert main(argv) == 0, argv[0]
+            written = files_under(tmp_path) - before
+            manifest = json.loads(manifest_path.read_text())
+            listed = [Path(o["path"]) for o in manifest["outputs"]]
+            assert len(listed) == len(set(listed))
+            assert set(listed) == written - {manifest_path}, argv[0]
+            assert manifest["inputs"], argv[0]
+            for entry in manifest["inputs"] + manifest["outputs"]:
+                digest = hashlib.sha256(Path(entry["path"]).read_bytes()).hexdigest()
+                assert entry["sha256"] == digest, (argv[0], entry["path"])
+
+    def test_failed_run_leaves_nothing_behind(self, tmp_path):
+        # rank fails for lack of profiles after convert and communities staged their files
+        lone = tmp_path / "lone"
+        lone.mkdir()
+        net = lone / "weibo_network.txt"
+        net.write_bytes((Path(PLANTED) / "weibo_network.txt").read_bytes())
+        run = tmp_path / "run"
+        assert main(["pipeline", str(net), "-o", str(run), "--io-source", "profile"]) == 2
+        assert list(run.iterdir()) == []
 
 
 def test_version_flag(capsys):

@@ -7,7 +7,7 @@ from zombiescan.community import read_partition_csv, write_partition_csv
 from zombiescan.graph import UndirectedGraph
 
 from conftest import random_graph
-from oracles import dense_adjacency, modularity_dense
+from oracles import dense_adjacency, flattened, modularity_dense, self_weight
 
 TWO_TRIANGLES = [(0, 1, 0), (1, 2, 0), (2, 0, 0), (3, 4, 0), (4, 5, 0), (5, 3, 0)]
 
@@ -138,7 +138,7 @@ class TestLouvain:
     def test_dendrogram_composes_to_flattened(self):
         g, _ = random_graph(10, 35, 0.09)
         dend = louvain(symmetrize(g), LouvainConfig(seed=5))
-        assert dend.flattened() == dend.partition
+        assert Partition(flattened(dend)) == dend.partition
 
     def test_deterministic_for_fixed_seed(self):
         g, _ = random_graph(12, 40, 0.1)
@@ -206,8 +206,11 @@ class TestPartition:
         p = Partition([0, 1])
         path = tmp_path / "partition.csv"
         write_partition_csv(p, path, uids=["u100", "u200"])
-        text = path.read_text()
-        assert "u100,0" in text and "u200,1" in text
+        assert path.read_text() == "node_id,community_id,uid\n0,0,u100\n1,1,u200\n"
+        assert read_partition_csv(path, 2) == p
+        with pytest.raises(ValidationError, match="uid list has 1 entries"):
+            write_partition_csv(p, tmp_path / "short.csv", uids=["u100"])
+        assert not (tmp_path / "short.csv").exists()
 
     def test_csv_incomplete_coverage_rejected(self, tmp_path):
         path = tmp_path / "partition.csv"
@@ -223,4 +226,4 @@ def test_self_loop_degree_convention():
     assert und.degree_weights[0] == 3.0  # self-loop counts once
     assert und.degree_weights[1] == 1.0
     assert und.total_weight == 2.0
-    assert und.self_weight(0) == 2.0
+    assert self_weight(und, 0) == 2.0

@@ -182,3 +182,15 @@ class TestReportFiles:
         write_report_csv(report, path)
         lines = path.read_text().splitlines()
         assert lines[1].split(",")[3] == ""
+
+    @pytest.mark.parametrize("rows,match", [
+        (["0,0,0.1,,zombie", "1,0,0.1,,garbage"], "bad report row"),
+        (["0,0,0.1,,zombie", "1,0,0.1,,Zombie"], "bad report row"),
+        (["0,0,0.1,,normal", "0,0,0.1,,zombie"], "listed twice"),
+    ])
+    def test_unknown_label_or_repeated_node_rejected(self, tmp_path, rows, match):
+        path = tmp_path / "report.csv"
+        path.write_text("node_id,community_id,pagerank,threshold,label\n"
+                        + "\n".join(rows) + "\n")
+        with pytest.raises(ValidationError, match=match):
+            read_report_csv(path)

@@ -10,6 +10,7 @@ from zombiescan.ingest import UserProfile
 from zombiescan.rank import ImportanceVector
 
 from conftest import random_graph
+from oracles import transposed
 
 # 100 manually labeled accounts, rows read as truth: 41/17 over 9/33
 LABELED_SAMPLE = ConfusionMatrix(tp=41, fn=17, fp=9, tn=33)
@@ -41,7 +42,7 @@ class TestConfusion:
         truth = {i: bool(rng.integers(2)) for i in range(40)}
         cm = confusion(predicted, truth)
         swapped = confusion(truth, predicted)
-        assert swapped == cm.transposed()
+        assert swapped == transposed(cm)
         assert (swapped.fp, swapped.fn) == (cm.fn, cm.fp)
 
     @given(st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=60))

@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zombiescan import (Partition, RankConfig, ValidationError, build_graph, io_score,
-                        io_scores_for, pagerank, rank_all_communities, transition_weights)
+from zombiescan import (Partition, RankConfig, ValidationError, build_graph, io_scores_for,
+                        pagerank, rank_all_communities, transition_weights)
 from zombiescan.ingest import UserProfile
 from zombiescan.rank import _power_iterate, read_ranks_csv, write_ranks_csv
 
 from conftest import random_graph
-from oracles import pagerank_dense, pagerank_sweeps
+from oracles import io_score, pagerank_dense, pagerank_sweeps
 
 
 def whole_graph(arcs, n):

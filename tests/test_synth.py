@@ -9,6 +9,8 @@ from zombiescan.ingest import parse_profiles, parse_uidlist, parse_weibo_network
 from zombiescan.synth import (emit_weibo_format, read_truth_csv, write_truth_csv,
                               _zombie_allocation)
 
+from oracles import is_reciprocal
+
 
 def small_config(**overrides):
     base = dict(block_sizes=(30, 30), p_in=0.2, p_out=0.01, reciprocity=0.3,
@@ -49,7 +51,7 @@ class TestGenerate:
         for u in range(4):
             for v in range(4):
                 if u != v:
-                    assert g.is_reciprocal(u, v)
+                    assert is_reciprocal(g, u, v)
 
     def test_exact_zombie_count(self):
         cfg = SynthConfig(block_sizes=(10,), p_in=0.3, zombie_fraction=0.5,
@@ -146,3 +148,19 @@ class TestEmission:
         assert np.array_equal(again.block_ids, truth.block_ids)
         assert np.array_equal(again.is_zombie, truth.is_zombie)
         assert again.regions == truth.regions
+
+    @pytest.mark.parametrize("value", ["2", "yes", "TRUE", ""])
+    def test_unknown_is_zombie_value_rejected(self, tmp_path, value):
+        path = tmp_path / "truth.csv"
+        path.write_text("node_id,block_id,is_zombie,region\n"
+                        f"0,0,1,Beijing\n1,0,{value},Beijing\n")
+        with pytest.raises(ValidationError, match="bad truth row"):
+            read_truth_csv(path)
+
+    @pytest.mark.parametrize("value,expected", [("0", False), ("1", True), ("true", True),
+                                                ("false", False), ("True", True),
+                                                ("False", False)])
+    def test_known_is_zombie_values_read(self, tmp_path, value, expected):
+        path = tmp_path / "truth.csv"
+        path.write_text(f"node_id,block_id,is_zombie,region\n0,0,{value},Beijing\n")
+        assert read_truth_csv(path).labels() == {0: expected}

@@ -122,12 +122,15 @@ def _stats(run: Run, args, graph):
 def _communities(run: Run, args, graph, uids, out):
     und = symmetrize(graph)
     cfg = LouvainConfig(max_levels=args.max_levels, min_gain=args.epsilon, seed=args.seed)
-    part = louvain(und, cfg).partition
-    q_std, q_lit = (modularity(und, part, variant) if und.total_weight > 0
-                    else float("nan") for variant in ("standard", "distinct-pairs"))
+    dend = louvain(und, cfg)
+    part = dend.partition
+    # undefined without edges: null in the manifest, not a bare NaN
+    q_std, q_lit = (modularity(und, part, variant) if und.total_weight > 0 else None
+                    for variant in ("standard", "distinct-pairs"))
     write_partition_csv(part, run.output(out), uids)
     return part, {"communities": part.community_count,
-                  "modularity_standard": q_std, "modularity_distinct_pairs": q_lit}
+                  "modularity_standard": q_std, "modularity_distinct_pairs": q_lit,
+                  "louvain_sweeps": [level.sweeps for level in dend.levels]}
 
 
 def _rank(run: Run, args, graph, part, profiles, out):
@@ -247,8 +250,10 @@ def _run(args) -> int:
     finally:
         for directory in run.staging_dirs.values():
             shutil.rmtree(directory, ignore_errors=True)
+    # stats without -o writes its histogram to stdout, so the summary goes to stderr
+    stream = sys.stderr if args.command == "stats" and not args.output else sys.stdout
     for key, value in run.data["summary"].items():
-        print(f"{key}: {'undefined' if value is None else value}")
+        print(f"{key}: {'undefined' if value is None else value}", file=stream)
     nonconverged = run.data["summary"].get("nonconverged_communities")
     if nonconverged:
         print(f"nonconverged_communities: {nonconverged}", file=sys.stderr)

@@ -175,11 +175,17 @@ class LouvainConfig:
 
 @dataclass
 class LouvainLevel:
-    """One coarsening step: the partition found on that level's graph."""
+    """One coarsening step: the partition found on that level's graph.
+
+    `sweeps` counts the local-move passes over all nodes, the last of which
+    moved nothing; `moves` counts the accepted node moves.
+    """
 
     node_count: int
     assignment: np.ndarray
     modularity: float
+    sweeps: int
+    moves: int
 
 
 @dataclass
@@ -190,37 +196,40 @@ class Dendrogram:
     partition: Partition
 
 
-def _one_level(g: UndirectedGraph, rng: Random, resolution: float) -> tuple[np.ndarray, bool]:
+def _one_level(g: UndirectedGraph, rng: Random,
+               resolution: float) -> tuple[np.ndarray, int, int]:
     """Phase 1: greedy local moves until a full sweep changes nothing.
 
-    Returns the (non-dense) assignment and whether any move was accepted.
-    Ties keep the current community, then prefer the smallest community id.
+    Returns the (non-dense) assignment, the number of sweeps and the number
+    of accepted moves. Ties keep the current community, then prefer the
+    smallest community id. The sweep reads Python scalars only: lists for
+    per-node state, memoryviews for the neighbour scan.
     """
     n = g.node_count
     m = g.total_weight
     inv_m = 1.0 / m
     inv_2mm = resolution / (2.0 * m * m)
-    k = g.degree_weights
-    node_comm = np.arange(n)
-    comm_tot = k.copy()
+    k = g.degree_weights.tolist()
+    node_comm = list(range(n))
+    comm_tot = list(k)
 
     order = list(range(n))
     rng.shuffle(order)
-    improved = False
+    sweeps = moves = 0
 
-    indptr, indices, weights = g.indptr, g.indices, g.weights
+    # memoryviews, not lists: a list of the arcs would raise peak memory
+    indptr, indices, weights = g.indptr.tolist(), memoryview(g.indices), memoryview(g.weights)
     while True:
+        sweeps += 1
         moved = False
         for u in order:
-            cu = int(node_comm[u])
+            cu = node_comm[u]
             lo, hi = indptr[u], indptr[u + 1]
-            nbrs = indices[lo:hi]
-            wts = weights[lo:hi]
             links: dict[int, float] = {cu: 0.0}
-            for v, w in zip(nbrs, wts):
+            for v, w in zip(indices[lo:hi], weights[lo:hi]):
                 if v != u:
-                    c = int(node_comm[v])
-                    links[c] = links.get(c, 0.0) + float(w)
+                    c = node_comm[v]
+                    links[c] = links.get(c, 0.0) + w
 
             ku = k[u]
             comm_tot[cu] -= ku
@@ -237,11 +246,11 @@ def _one_level(g: UndirectedGraph, rng: Random, resolution: float) -> tuple[np.n
             if best_c != cu and best_gain > stay_gain:
                 node_comm[u] = best_c
                 moved = True
-                improved = True
+                moves += 1
             comm_tot[node_comm[u]] += ku
         if not moved:
             break
-    return node_comm, improved
+    return np.array(node_comm, dtype=np.int64), sweeps, moves
 
 
 def _aggregate(g: UndirectedGraph, p: Partition) -> UndirectedGraph:
@@ -275,12 +284,12 @@ def louvain(g: UndirectedGraph, cfg: LouvainConfig | None = None) -> Dendrogram:
     current = g
     prev_q: float | None = None
     for _ in range(cfg.max_levels):
-        raw, improved = _one_level(current, rng, cfg.resolution)
-        if not improved:
+        raw, sweeps, moves = _one_level(current, rng, cfg.resolution)
+        if not moves:
             break
         p = Partition(raw)
         q = modularity(current, p, "standard")
-        levels.append(LouvainLevel(current.node_count, p.assignment, q))
+        levels.append(LouvainLevel(current.node_count, p.assignment, q, sweeps, moves))
         if prev_q is not None and q - prev_q < cfg.min_gain:
             break
         prev_q = q

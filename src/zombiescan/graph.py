@@ -29,14 +29,48 @@ def _index_dtype(node_count: int) -> np.dtype:
     return np.dtype(np.int32) if node_count <= np.iinfo(np.int32).max else np.dtype(np.int64)
 
 
+# src * node_count + dst stays within int64 up to floor(sqrt(2**63))
+_KEY_NODE_LIMIT = 3_037_000_499
+
+
+def _pair_keys(src: np.ndarray, dst: np.ndarray, node_count: int) -> np.ndarray:
+    """Row-major int64 key `src * node_count + dst` of each (src, dst) pair.
+
+    Sorting the keys sorts the pairs by (src, dst), and equal keys are equal
+    pairs, so one sort of one array replaces a two-key lexsort.
+    """
+    if node_count > _KEY_NODE_LIMIT:
+        raise ValidationError(
+            f"{node_count} nodes: pair keys overflow int64 above {_KEY_NODE_LIMIT} nodes")
+    keys = src.astype(np.int64)
+    keys *= node_count
+    keys += dst
+    return keys
+
+
+def _unique_keys(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of `keys`, which is sorted in place.
+
+    np.unique does the same but is far slower on int64.
+    """
+    keys.sort()
+    keep = np.ones(keys.shape[0], dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    return keys[keep]
+
+
+def _csr_from_keys(keys: np.ndarray, node_count: int):
+    """indptr/indices arrays from sorted pair keys; consumes `keys`."""
+    indptr = np.searchsorted(keys, np.arange(node_count + 1, dtype=np.int64) * node_count)
+    indices = np.remainder(keys, node_count, out=keys)
+    return indptr, indices.astype(_index_dtype(node_count))
+
+
 def _csr_from_arcs(sources: np.ndarray, targets: np.ndarray, node_count: int):
     """Sort arcs by (source, target) and build indptr/indices arrays."""
-    order = np.lexsort((targets, sources))
-    src = sources[order]
-    dst = targets[order]
-    indptr = np.zeros(node_count + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=node_count), out=indptr[1:])
-    return indptr, dst.astype(_index_dtype(node_count), copy=False)
+    keys = _pair_keys(sources, targets, node_count)
+    keys.sort()
+    return _csr_from_keys(keys, node_count)
 
 
 class DirectedGraph:
@@ -66,10 +100,8 @@ class DirectedGraph:
     def _from_out_csr(cls, node_count: int, out_indptr: np.ndarray, out_indices: np.ndarray,
                       dropped_self_loops: int = 0, dropped_duplicates: int = 0) -> "DirectedGraph":
         """Rebuild the in-adjacency from a finished out-CSR."""
-        degrees = np.diff(out_indptr)
-        sources = np.repeat(np.arange(node_count, dtype=_index_dtype(node_count)), degrees)
-        in_indptr, in_indices = _csr_from_arcs(out_indices.astype(np.int64, copy=False),
-                                               sources.astype(np.int64, copy=False), node_count)
+        sources = np.repeat(np.arange(node_count, dtype=np.int64), np.diff(out_indptr))
+        in_indptr, in_indices = _csr_from_arcs(out_indices, sources, node_count)
         return cls(node_count, out_indptr, out_indices, in_indptr, in_indices,
                    dropped_self_loops, dropped_duplicates)
 
@@ -157,31 +189,24 @@ def build_graph(arcs, node_count: int) -> DirectedGraph:
     dropped_self_loops = int(loops.sum())
     src, dst, flag = src[~loops], dst[~loops], flag[~loops]
 
-    explicit = _dedup_pairs(src, dst)
-    dropped_duplicates = int(src.shape[0] - explicit[0].shape[0])
+    explicit = _unique_keys(_pair_keys(src, dst, node_count))
+    dropped_duplicates = int(src.shape[0] - explicit.shape[0])
 
     rec = flag == 1
     if rec.any():
-        all_src = np.concatenate([explicit[0], dst[rec]])
-        all_dst = np.concatenate([explicit[1], src[rec]])
-        all_src, all_dst = _dedup_pairs(all_src, all_dst)
+        keys = _unique_keys(np.concatenate([explicit, _pair_keys(dst[rec], src[rec], node_count)]))
     else:
-        all_src, all_dst = explicit
+        keys = explicit
 
-    out_indptr, out_indices = _csr_from_arcs(all_src, all_dst, node_count)
+    out_indptr, out_indices = _csr_from_keys(keys, node_count)
     return DirectedGraph._from_out_csr(node_count, out_indptr, out_indices,
                                        dropped_self_loops, dropped_duplicates)
 
 
-def _dedup_pairs(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unique (src, dst) pairs, order not preserved."""
-    if src.shape[0] == 0:
-        return src, dst
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    keep = np.ones(src.shape[0], dtype=bool)
-    keep[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-    return src[keep], dst[keep]
+def _dedup_pairs(src: np.ndarray, dst: np.ndarray,
+                 node_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unique int64 (src, dst) pairs over nodes [0, node_count), sorted by (src, dst)."""
+    return np.divmod(_unique_keys(_pair_keys(src, dst, node_count)), node_count)
 
 
 class UndirectedGraph:
@@ -218,13 +243,14 @@ class UndirectedGraph:
         w = np.asarray(w, dtype=np.float64)
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         if lo.shape[0]:
-            order = np.lexsort((hi, lo))
-            lo, hi, w = lo[order], hi[order], w[order]
-            first = np.ones(lo.shape[0], dtype=bool)
-            first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-            group = np.cumsum(first) - 1
-            wsum = np.bincount(group, weights=w)
-            lo, hi = lo[first], hi[first]
+            # stable, so parallel entries sum their weights in input order
+            keys = _pair_keys(lo, hi, node_count)
+            order = np.argsort(keys, kind="stable")
+            keys, w = keys[order], w[order]
+            first = np.ones(keys.shape[0], dtype=bool)
+            first[1:] = keys[1:] != keys[:-1]
+            wsum = np.bincount(np.cumsum(first) - 1, weights=w)
+            lo, hi = np.divmod(keys[first], node_count)
         else:
             wsum = w
         # expand to row entries: off-diagonal edges in both rows, loops once
@@ -232,11 +258,10 @@ class UndirectedGraph:
         rows = np.concatenate([lo[~diag], hi[~diag], lo[diag]])
         cols = np.concatenate([hi[~diag], lo[~diag], lo[diag]])
         vals = np.concatenate([wsum[~diag], wsum[~diag], wsum[diag]])
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        indptr = np.zeros(node_count + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=node_count), out=indptr[1:])
-        return cls(node_count, indptr, cols.astype(_index_dtype(node_count)), vals)
+        keys = _pair_keys(rows, cols, node_count)
+        order = np.argsort(keys, kind="stable")
+        indptr, indices = _csr_from_keys(keys[order], node_count)
+        return cls(node_count, indptr, indices, vals[order])
 
     @property
     def node_count(self) -> int:
@@ -261,8 +286,10 @@ def symmetrize(g: DirectedGraph) -> UndirectedGraph:
     A pair of mutual arcs becomes a single edge of weight 1, matching a 0/1
     adjacency-matrix reading of connectivity.
     """
-    src = g.arc_sources().astype(np.int64)
-    dst = g.out_indices.astype(np.int64)
-    lo, hi = np.minimum(src, dst), np.maximum(src, dst)
-    lo, hi = _dedup_pairs(lo, hi)
-    return UndirectedGraph.from_edges(g.node_count, lo, hi, np.ones(lo.shape[0]))
+    n = g.node_count
+    src = g.arc_sources()
+    # both directions of every arc, once each: the rows of the 0/1 adjacency
+    keys = _unique_keys(np.concatenate([_pair_keys(src, g.out_indices, n),
+                                        _pair_keys(g.out_indices, src, n)]))
+    indptr, indices = _csr_from_keys(keys, n)
+    return UndirectedGraph(n, indptr, indices, np.ones(indices.shape[0]))

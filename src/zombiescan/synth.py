@@ -210,7 +210,7 @@ def generate(cfg: SynthConfig) -> tuple[DirectedGraph, GroundTruth, list[UserPro
     # reciprocation can resample an arc that already exists; drop repeats here
     # so the built graph carries no warning tallies
     all_src, all_dst = _dedup_pairs(np.concatenate(srcs).astype(np.int64),
-                                    np.concatenate(dsts).astype(np.int64))
+                                    np.concatenate(dsts).astype(np.int64), n)
 
     # 4) regions
     labels = sorted(cfg.regions)

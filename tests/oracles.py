@@ -210,3 +210,140 @@ def flattened(dendrogram) -> np.ndarray:
     for level in dendrogram.levels:
         labels = level.assignment[labels]
     return labels
+
+
+# ---- the lexsort CSR builds and the numpy-scalar local-move sweep ------------
+# Kept as they were before the keyed sorts and the list-based sweep replaced
+# them; the package must reproduce them array for array.
+
+
+def dedup_pairs_lexsort(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unique (src, dst) pairs sorted by (src, dst) with a two-key lexsort."""
+    if src.shape[0] == 0:
+        return src, dst
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    keep = np.ones(src.shape[0], dtype=bool)
+    keep[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+    return src[keep], dst[keep]
+
+
+def _index_dtype(node_count: int) -> np.dtype:
+    return np.dtype(np.int32) if node_count <= np.iinfo(np.int32).max else np.dtype(np.int64)
+
+
+def csr_from_arcs_lexsort(sources: np.ndarray, targets: np.ndarray, node_count: int):
+    """(indptr, indices) of arcs sorted by (source, target) with a lexsort."""
+    order = np.lexsort((targets, sources))
+    src = sources[order]
+    dst = targets[order]
+    indptr = np.zeros(node_count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=node_count), out=indptr[1:])
+    return indptr, dst.astype(_index_dtype(node_count), copy=False)
+
+
+def build_graph_lexsort(triples: np.ndarray, node_count: int):
+    """(out_indptr, out_indices, in_indptr, in_indices, self-loops, duplicates)."""
+    src, dst, flag = triples[:, 0], triples[:, 1], triples[:, 2]
+    loops = src == dst
+    src, dst, flag = src[~loops], dst[~loops], flag[~loops]
+    explicit = dedup_pairs_lexsort(src, dst)
+    rec = flag == 1
+    all_src, all_dst = dedup_pairs_lexsort(np.concatenate([explicit[0], dst[rec]]),
+                                           np.concatenate([explicit[1], src[rec]]))
+    out_indptr, out_indices = csr_from_arcs_lexsort(all_src, all_dst, node_count)
+    sources = np.repeat(np.arange(node_count, dtype=_index_dtype(node_count)),
+                        np.diff(out_indptr))
+    in_indptr, in_indices = csr_from_arcs_lexsort(out_indices.astype(np.int64),
+                                                  sources.astype(np.int64), node_count)
+    return (out_indptr, out_indices, in_indptr, in_indices, int(loops.sum()),
+            int(src.shape[0] - explicit[0].shape[0]))
+
+
+def from_edges_lexsort(node_count: int, u, v, w):
+    """(indptr, indices, weights) of an undirected graph; parallel edges summed."""
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    w = np.asarray(w, dtype=np.float64)
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    if lo.shape[0]:
+        order = np.lexsort((hi, lo))
+        lo, hi, w = lo[order], hi[order], w[order]
+        first = np.ones(lo.shape[0], dtype=bool)
+        first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+        group = np.cumsum(first) - 1
+        wsum = np.bincount(group, weights=w)
+        lo, hi = lo[first], hi[first]
+    else:
+        wsum = w
+    diag = lo == hi
+    rows = np.concatenate([lo[~diag], hi[~diag], lo[diag]])
+    cols = np.concatenate([hi[~diag], lo[~diag], lo[diag]])
+    vals = np.concatenate([wsum[~diag], wsum[~diag], wsum[diag]])
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    indptr = np.zeros(node_count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=node_count), out=indptr[1:])
+    return indptr, cols.astype(_index_dtype(node_count)), vals
+
+
+def symmetrize_lexsort(g):
+    """(indptr, indices, weights) of a DirectedGraph's weight-1 undirected view."""
+    src = np.repeat(np.arange(g.node_count), np.diff(g.out_indptr)).astype(np.int64)
+    dst = g.out_indices.astype(np.int64)
+    lo, hi = dedup_pairs_lexsort(np.minimum(src, dst), np.maximum(src, dst))
+    return from_edges_lexsort(g.node_count, lo, hi, np.ones(lo.shape[0]))
+
+
+def one_level_numpy_scalars(g, rng, resolution: float) -> tuple[np.ndarray, bool]:
+    """Greedy local moves reading numpy arrays element by element.
+
+    Returns the assignment and whether any move was accepted; consumes the
+    same draws from `rng` as the package's sweep.
+    """
+    n = g.node_count
+    m = g.total_weight
+    inv_m = 1.0 / m
+    inv_2mm = resolution / (2.0 * m * m)
+    k = g.degree_weights
+    node_comm = np.arange(n)
+    comm_tot = k.copy()
+
+    order = list(range(n))
+    rng.shuffle(order)
+    improved = False
+
+    indptr, indices, weights = g.indptr, g.indices, g.weights
+    while True:
+        moved = False
+        for u in order:
+            cu = int(node_comm[u])
+            lo, hi = indptr[u], indptr[u + 1]
+            nbrs = indices[lo:hi]
+            wts = weights[lo:hi]
+            links: dict[int, float] = {cu: 0.0}
+            for v, w in zip(nbrs, wts):
+                if v != u:
+                    c = int(node_comm[v])
+                    links[c] = links.get(c, 0.0) + float(w)
+
+            ku = k[u]
+            comm_tot[cu] -= ku
+            best_c = cu
+            best_gain = links[cu] * inv_m - comm_tot[cu] * ku * inv_2mm
+            stay_gain = best_gain
+            for c, kin in links.items():
+                if c == cu:
+                    continue
+                gain = kin * inv_m - comm_tot[c] * ku * inv_2mm
+                if gain > best_gain or (gain == best_gain and best_c != cu and c < best_c):
+                    best_gain = gain
+                    best_c = c
+            if best_c != cu and best_gain > stay_gain:
+                node_comm[u] = best_c
+                moved = True
+                improved = True
+            comm_tot[node_comm[u]] += ku
+        if not moved:
+            break
+    return node_comm, improved

@@ -73,8 +73,47 @@ class TestStats:
         assert lines[0] == "bin_lower,count"
         assert sum(int(l.split(",")[1]) for l in lines[1:]) == 80
 
+    def test_stdout_holds_only_the_csv(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path)
+        cache = tmp_path / "g.bin"
+        main(["convert", str(corpus / "weibo_network.txt"), "--cache", str(cache)])
+        hist = tmp_path / "hist.csv"
+        assert main(["stats", str(cache), "-o", str(hist)]) == 0
+        capsys.readouterr()
+        assert main(["stats", str(cache)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.encode() == hist.read_bytes()
+        assert "nodes: 80" in captured.err
+
+
+def reject_constant(name):
+    raise ValueError(f"bare {name} in JSON")
+
 
 class TestCommunities:
+    def test_edgeless_graph_records_null_modularity(self, tmp_path, capsys):
+        net = tmp_path / "weibo_network.txt"
+        net.write_text("3 0\n0 0\n1 0\n2 0\n")
+        cache, part = tmp_path / "g.bin", tmp_path / "p.csv"
+        assert main(["convert", str(net), "--cache", str(cache)]) == 0
+        assert main(["communities", str(cache), "-o", str(part)]) == 0
+        manifest = json.loads((tmp_path / "p.manifest.json").read_text(),
+                              parse_constant=reject_constant)
+        summary = manifest["summary"]
+        assert summary["modularity_standard"] is None
+        assert summary["modularity_distinct_pairs"] is None
+        assert summary["louvain_sweeps"] == []
+        assert "modularity_standard: undefined" in capsys.readouterr().out
+
+    def test_manifest_counts_sweeps_per_level(self, tmp_path):
+        part = tmp_path / "p.csv"
+        cache = tmp_path / "g.bin"
+        main(["convert", f"{PLANTED}/weibo_network.txt", "--cache", str(cache)])
+        assert main(["communities", str(cache), "-o", str(part)]) == 0
+        sweeps = json.loads((tmp_path / "p.manifest.json").read_text())["summary"][
+            "louvain_sweeps"]
+        assert sweeps and all(isinstance(s, int) and s >= 2 for s in sweeps)
+
     def test_prints_both_modularity_variants(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path)
         cache = tmp_path / "g.bin"

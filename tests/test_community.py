@@ -7,7 +7,8 @@ from zombiescan.community import read_partition_csv, write_partition_csv
 from zombiescan.graph import UndirectedGraph
 
 from conftest import random_graph
-from oracles import dense_adjacency, flattened, modularity_dense, self_weight
+from oracles import (dense_adjacency, flattened, modularity_dense, one_level_numpy_scalars,
+                     self_weight)
 
 TWO_TRIANGLES = [(0, 1, 0), (1, 2, 0), (2, 0, 0), (3, 4, 0), (4, 5, 0), (5, 3, 0)]
 
@@ -182,6 +183,75 @@ class TestLouvain:
         q_agg = modularity(agg, Partition.singletons(agg.node_count), "standard")
         assert q_agg == pytest.approx(q_orig, abs=1e-12)
         assert agg.total_weight == pytest.approx(und.total_weight, abs=1e-9)
+
+
+def corpus_graph(name):
+    from conftest import DATA
+    from zombiescan.ingest import parse_weibo_network
+
+    return symmetrize(parse_weibo_network(f"{DATA}/{name}/weibo_network.txt").to_graph())
+
+
+class TestLocalMoves:
+    """The list-based sweep reproduces the numpy-scalar sweep exactly."""
+
+    def assert_same_sweep(self, und, seed, resolution=1.0):
+        from random import Random
+
+        from zombiescan.community import _one_level
+
+        rng, oracle_rng = Random(seed), Random(seed)
+        raw, sweeps, moves = _one_level(und, rng, resolution)
+        expected, improved = one_level_numpy_scalars(und, oracle_rng, resolution)
+        assert raw.dtype == np.int64 and np.array_equal(raw, expected)
+        assert (moves > 0) == improved
+        assert rng.getstate() == oracle_rng.getstate()
+        # every node outside its own starting community moved at least once,
+        # and a sweep that moved something is followed by one more
+        assert moves >= int((raw != np.arange(und.node_count)).sum())
+        assert sweeps >= 1 + (moves > 0)
+        return raw
+
+    @pytest.mark.parametrize("name", ["planted_4x50", "zombie_5x500"])
+    def test_committed_corpora_and_their_aggregated_level(self, name):
+        from zombiescan.community import _aggregate
+
+        und = corpus_graph(name)
+        for seed in (0, 1):
+            raw = self.assert_same_sweep(und, seed)
+        agg = _aggregate(und, Partition(raw))
+        # the aggregated level is weighted and carries self-loops
+        assert any(self_weight(agg, u) > 0 for u in range(agg.node_count))
+        assert (agg.weights != 1.0).any()
+        for seed in (0, 1):
+            self.assert_same_sweep(agg, seed)
+
+    def test_random_weighted_graphs_with_self_loops(self):
+        rng = np.random.Generator(np.random.PCG64(21))
+        for seed in range(20):
+            n = int(rng.integers(2, 40))
+            m = int(rng.integers(1, 4 * n))
+            und = UndirectedGraph.from_edges(n, rng.integers(0, n, m), rng.integers(0, n, m),
+                                             rng.choice([0.1, 0.2, 0.7, 1.5], size=m))
+            self.assert_same_sweep(und, seed, resolution=float(rng.choice([0.5, 1.0, 2.0])))
+
+    def test_levels_record_sweeps_and_moves(self):
+        und = corpus_graph("zombie_5x500")
+        dend = louvain(und, LouvainConfig())
+        assert dend.levels
+        for level in dend.levels:
+            assert level.sweeps >= 2 and level.moves >= 1
+
+    def test_a_graph_with_nothing_to_move_takes_one_sweep(self):
+        from random import Random
+
+        from zombiescan.community import _one_level
+
+        # two self-loops, no edges between the nodes: no move can gain
+        und = UndirectedGraph.from_edges(2, np.array([0, 1]), np.array([0, 1]),
+                                         np.array([1.0, 1.0]))
+        raw, sweeps, moves = _one_level(und, Random(0), 1.0)
+        assert list(raw) == [0, 1] and (sweeps, moves) == (1, 0)
 
 
 class TestPartition:

@@ -1,11 +1,15 @@
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zombiescan import ValidationError, build_graph, symmetrize
+from zombiescan.graph import UndirectedGraph, _csr_from_arcs, _dedup_pairs, _pair_keys
 
 from conftest import random_graph
-from oracles import arcs_with_flags, is_reciprocal
+from oracles import (arcs_with_flags, build_graph_lexsort, csr_from_arcs_lexsort,
+                     dedup_pairs_lexsort, from_edges_lexsort, is_reciprocal,
+                     symmetrize_lexsort)
 
 
 class TestBuildGraph:
@@ -95,3 +99,96 @@ def test_star_degrees():
     g = build_graph([(i, 0, 0) for i in range(1, 6)], 6)
     assert g.degrees(0) == (5, 0)
     assert g.degrees(1) == (0, 1)
+
+
+def assert_same_arrays(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+@st.composite
+def arc_triples(draw, max_nodes=12, max_arcs=80):
+    """(node_count, int64 (source, target, flag) rows) with repeats and loops."""
+    n = draw(st.integers(1, max_nodes))
+    node = st.integers(0, n - 1)
+    rows = draw(st.lists(st.tuples(node, node, st.integers(0, 1)), max_size=max_arcs))
+    return n, np.array(rows, dtype=np.int64).reshape(-1, 3)
+
+
+# summed left to right these give different doubles in different orders
+ORDER_SENSITIVE = [0.1, 0.2, 0.7, 0.3, 1.0]
+
+
+@st.composite
+def weighted_edges(draw):
+    n, triples = draw(arc_triples(max_nodes=6, max_arcs=120))
+    w = draw(st.lists(st.sampled_from(ORDER_SENSITIVE), min_size=triples.shape[0],
+                      max_size=triples.shape[0]))
+    return n, triples[:, 0], triples[:, 1], np.array(w, dtype=np.float64)
+
+
+class TestKeyedSorts:
+    """One sort of src * node_count + dst gives the lexsort builds exactly."""
+
+    @given(arc_triples())
+    @settings(max_examples=60, deadline=None)
+    def test_dedup_pairs_matches_lexsort(self, case):
+        n, triples = case
+        src, dst = triples[:, 0], triples[:, 1]
+        assert_same_arrays(_dedup_pairs(src, dst, n), dedup_pairs_lexsort(src, dst))
+
+    @given(arc_triples())
+    @settings(max_examples=60, deadline=None)
+    def test_csr_from_arcs_matches_lexsort(self, case):
+        n, triples = case
+        src, dst = triples[:, 0], triples[:, 1]
+        assert_same_arrays(_csr_from_arcs(src, dst, n), csr_from_arcs_lexsort(src, dst, n))
+
+    @given(arc_triples())
+    @settings(max_examples=60, deadline=None)
+    def test_build_graph_matches_lexsort(self, case):
+        n, triples = case
+        g = build_graph(triples, n)
+        *arrays, loops, duplicates = build_graph_lexsort(triples, n)
+        assert_same_arrays((g.out_indptr, g.out_indices, g.in_indptr, g.in_indices), arrays)
+        assert (g.dropped_self_loops, g.dropped_duplicates) == (loops, duplicates)
+
+    @given(arc_triples())
+    @settings(max_examples=60, deadline=None)
+    def test_symmetrize_matches_lexsort(self, case):
+        n, triples = case
+        g = build_graph(triples, n)
+        und = symmetrize(g)
+        assert_same_arrays((und.indptr, und.indices, und.weights), symmetrize_lexsort(g))
+
+    @given(weighted_edges())
+    @settings(max_examples=80, deadline=None)
+    @example((2, np.array([0, 1, 0]), np.array([1, 0, 1]), np.array([0.1, 0.2, 0.7])))
+    @example((2, np.array([1, 0, 0]), np.array([0, 1, 1]), np.array([0.7, 0.2, 0.1])))
+    def test_from_edges_matches_lexsort(self, case):
+        n, u, v, w = case
+        und = UndirectedGraph.from_edges(n, u, v, w)
+        assert_same_arrays((und.indptr, und.indices, und.weights),
+                           from_edges_lexsort(n, u, v, w))
+
+    def test_from_edges_sums_parallel_weights_in_input_order(self):
+        # thousands of parallel entries in shuffled order: an unstable sort
+        # would sum them in another order and round differently
+        rng = np.random.Generator(np.random.PCG64(3))
+        u = rng.integers(0, 4, size=3000)
+        v = rng.integers(0, 4, size=3000)
+        w = rng.choice(ORDER_SENSITIVE, size=3000)
+        und = UndirectedGraph.from_edges(4, u, v, w)
+        expected = from_edges_lexsort(4, u, v, w)
+        assert_same_arrays((und.indptr, und.indices, und.weights), expected)
+        reversed_sum = from_edges_lexsort(4, u[::-1], v[::-1], w[::-1])[2]
+        assert not np.array_equal(expected[2], reversed_sum)
+
+    def test_pair_keys_guard_int64_overflow(self):
+        limit = 3_037_000_499
+        last = np.array([limit - 1])
+        assert int(_pair_keys(last, last, limit)[0]) == limit * limit - 1 < 2 ** 63
+        with pytest.raises(ValidationError, match="overflow"):
+            _pair_keys(np.array([0]), np.array([1]), limit + 1)

@@ -76,34 +76,37 @@ def _csr_from_arcs(sources: np.ndarray, targets: np.ndarray, node_count: int):
 class DirectedGraph:
     """Immutable directed graph over dense integer node ids [0, N).
 
-    Holds both the out-adjacency and the in-adjacency so follower and
-    followee queries are symmetric in cost. No self-loops, no duplicate
-    arcs. Construction goes through :func:`build_graph` or the cache
-    loader; instances are safe for concurrent reads.
+    Holds the out-adjacency; the in-adjacency is built from it on first use
+    (`in_indptr`, `in_indices`, `in_neighbors`, `in_degree`), since no
+    pipeline stage reads it. No self-loops, no duplicate arcs. Construction
+    goes through :func:`build_graph` or the cache loader; instances are safe
+    for concurrent reads.
     """
 
-    __slots__ = ("_n", "out_indptr", "out_indices", "in_indptr", "in_indices",
+    __slots__ = ("_n", "out_indptr", "out_indices", "_in_csr",
                  "dropped_self_loops", "dropped_duplicates")
 
     def __init__(self, node_count: int, out_indptr: np.ndarray, out_indices: np.ndarray,
-                 in_indptr: np.ndarray, in_indices: np.ndarray,
                  dropped_self_loops: int = 0, dropped_duplicates: int = 0):
         self._n = int(node_count)
         self.out_indptr = out_indptr
         self.out_indices = out_indices
-        self.in_indptr = in_indptr
-        self.in_indices = in_indices
+        self._in_csr = None
         self.dropped_self_loops = dropped_self_loops
         self.dropped_duplicates = dropped_duplicates
 
-    @classmethod
-    def _from_out_csr(cls, node_count: int, out_indptr: np.ndarray, out_indices: np.ndarray,
-                      dropped_self_loops: int = 0, dropped_duplicates: int = 0) -> "DirectedGraph":
-        """Rebuild the in-adjacency from a finished out-CSR."""
-        sources = np.repeat(np.arange(node_count, dtype=np.int64), np.diff(out_indptr))
-        in_indptr, in_indices = _csr_from_arcs(out_indices, sources, node_count)
-        return cls(node_count, out_indptr, out_indices, in_indptr, in_indices,
-                   dropped_self_loops, dropped_duplicates)
+    def _in_adjacency(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._in_csr is None:
+            self._in_csr = _csr_from_arcs(self.out_indices, self.arc_sources(), self._n)
+        return self._in_csr
+
+    @property
+    def in_indptr(self) -> np.ndarray:
+        return self._in_adjacency()[0]
+
+    @property
+    def in_indices(self) -> np.ndarray:
+        return self._in_adjacency()[1]
 
     @property
     def node_count(self) -> int:
@@ -137,7 +140,7 @@ class DirectedGraph:
 
     @property
     def in_degrees(self) -> np.ndarray:
-        return np.diff(self.in_indptr)
+        return np.bincount(self.out_indices, minlength=self._n)
 
     def has_arc(self, u: int, v: int) -> bool:
         row = self.out_neighbors(u)
@@ -171,14 +174,19 @@ def build_graph(arcs, node_count: int) -> DirectedGraph:
     counted as duplicates, so re-ingesting a graph's own arc list is
     warning-free.
     """
-    if node_count < 0:
-        raise ValidationError("node_count must be non-negative")
     triples = np.asarray(list(arcs) if not isinstance(arcs, np.ndarray) else arcs, dtype=np.int64)
     if triples.size == 0:
         triples = triples.reshape(0, 3)
     if triples.ndim != 2 or triples.shape[1] != 3:
         raise ValidationError("arcs must be (source, target, flag) triples")
-    src, dst, flag = triples[:, 0], triples[:, 1], triples[:, 2]
+    return _build_graph(triples[:, 0], triples[:, 1], triples[:, 2], node_count)
+
+
+def _build_graph(src: np.ndarray, dst: np.ndarray, flag: np.ndarray,
+                 node_count: int) -> DirectedGraph:
+    """:func:`build_graph` on separate int64 source, target and flag columns."""
+    if node_count < 0:
+        raise ValidationError("node_count must be non-negative")
     bad = (src < 0) | (src >= node_count) | (dst < 0) | (dst >= node_count)
     if bad.any():
         i = int(np.argmax(bad))
@@ -199,8 +207,8 @@ def build_graph(arcs, node_count: int) -> DirectedGraph:
         keys = explicit
 
     out_indptr, out_indices = _csr_from_keys(keys, node_count)
-    return DirectedGraph._from_out_csr(node_count, out_indptr, out_indices,
-                                       dropped_self_loops, dropped_duplicates)
+    return DirectedGraph(node_count, out_indptr, out_indices,
+                         dropped_self_loops, dropped_duplicates)
 
 
 def _dedup_pairs(src: np.ndarray, dst: np.ndarray,

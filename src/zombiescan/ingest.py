@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CacheError, ParseError, ValidationError
-from .graph import DirectedGraph, build_graph, _index_dtype
+from .graph import DirectedGraph, _build_graph, _index_dtype
 
 log = logging.getLogger(__name__)
 
@@ -54,11 +54,8 @@ class RawNetwork:
     def arc_count(self) -> int:
         return int(self.sources.shape[0])
 
-    def arc_triples(self) -> np.ndarray:
-        return np.column_stack([self.sources, self.targets, self.flags])
-
     def to_graph(self) -> DirectedGraph:
-        return build_graph(self.arc_triples(), self.node_count)
+        return _build_graph(self.sources, self.targets, self.flags, self.node_count)
 
 
 @contextmanager
@@ -84,13 +81,94 @@ def _ints(line: str, lineno: int) -> list[int]:
         raise ParseError("non-integer token", lineno) from None
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+# the only bytes the whole-buffer parse accepts; anything else goes line by line
+_FAST_CHARSET = b"0123456789 \t\n"
+
+
 def parse_weibo_network(source) -> RawNetwork:
     """Parse a network file into a RawNetwork.
+
+    The input is read once. A file of digits, spaces, tabs and LFs whose
+    records all check out is converted as one buffer; any other file (CR
+    line ends, signs, other whitespace, a malformed record) is parsed line
+    by line, which accepts what the fast path leaves out and reports the
+    failing line. Both give the same arrays.
 
     A mismatch between the declared edge count and the number of parsed
     arcs is logged as a warning, not raised; published counts for the same
     crawl are known to disagree with each other.
     """
+    if isinstance(source, (str, Path)):
+        with open(source, "rb") as fh:
+            data = fh.read()
+    else:
+        data = source.read()
+    if isinstance(data, str):
+        raw = _parse_buffer(data.encode("ascii")) if data.isascii() else None
+    else:
+        raw = _parse_buffer(data)
+    if raw is None:
+        # a text stream has already applied its own newline handling; bytes are
+        # read as open() in text mode reads them: ASCII, universal newlines
+        raw = _parse_lines(io.StringIO(data) if isinstance(data, str)
+                           else io.StringIO(data.decode("ascii"), newline=None))
+    if raw.arc_count != raw.declared_edge_count:
+        log.warning("network declares %d relationships but %d arcs were parsed",
+                    raw.declared_edge_count, raw.arc_count)
+    return raw
+
+
+def _parse_buffer(buf: bytes) -> RawNetwork | None:
+    """Whole-buffer parse; None when the file needs the line-aware parser."""
+    if not buf or buf.translate(None, _FAST_CHARSET):
+        return None
+    chars = np.frombuffer(buf, dtype=np.uint8)
+    # a token starts at a digit (the only bytes above space here) after whitespace
+    digit = chars > 32
+    first = np.empty_like(digit)
+    first[0] = digit[0]
+    np.greater(digit[1:], digit[:-1], out=first[1:])
+    del digit
+    token_pos = np.flatnonzero(first)
+    del first
+    # tokens before each LF; line i holds tokens [ends[i - 1], ends[i])
+    ends = np.searchsorted(token_pos, np.flatnonzero(chars == 10))
+    token_count = token_pos.shape[0]
+    del token_pos
+    bounds = np.concatenate([[0], ends, [token_count]])
+    counts = np.diff(bounds)
+    if counts[0] != 2:
+        return None
+    values = np.fromstring(buf, dtype=np.int64, sep=" ")
+    if values.shape[0] != token_count:
+        return None
+    n, declared_m = int(values[0]), int(values[1])
+    if _INT64_MAX in (n, declared_m):  # an oversized token clamps to INT64_MAX
+        return None
+
+    records = np.flatnonzero(counts[1:]) + 1  # nonblank lines after the header
+    if records.shape[0] != n:
+        return None
+    widths, heads = counts[records], bounds[records]
+    if (widths < 2).any() or (widths % 2).any():
+        return None
+    # each record is `v1 k` then k (target, flag) pairs; no value here is negative
+    v1, k = values[heads], values[heads + 1]
+    if (k != widths // 2 - 1).any() or (v1 >= n).any():
+        return None
+    pairs = values[2:].reshape(-1, 2)
+    arc = np.ones(pairs.shape[0], dtype=bool)
+    arc[(heads - 2) // 2] = False
+    targets = pairs[arc, 0]
+    flags = pairs[arc, 1]
+    if targets.shape[0] and (targets.max() >= n or flags.max() > 1):
+        return None
+    return RawNetwork(n, declared_m, np.repeat(v1, k), targets, flags)
+
+
+def _parse_lines(source) -> RawNetwork:
+    """Line-by-line parse; raises ParseError with the line of the first fault."""
     with _text_stream(source) as fh:
         header = fh.readline()
         if not header or not header.strip():
@@ -101,6 +179,8 @@ def parse_weibo_network(source) -> RawNetwork:
         n, declared_m = head
         if n < 0 or declared_m < 0:
             raise ParseError("negative count in header", 1)
+        if n > _INT64_MAX:
+            raise ParseError(f"node count {n} does not fit a 64-bit id", 1)
 
         sources: list[np.ndarray] = []
         targets: list[np.ndarray] = []
@@ -127,15 +207,16 @@ def parse_weibo_network(source) -> RawNetwork:
                     f"record for node {v1} declares {k} neighbors but carries "
                     f"{len(nums) - 2} trailing numbers (expected {2 * k})", lineno)
             if k:
-                tail = np.asarray(nums[2:], dtype=np.int64).reshape(k, 2)
-                v2, fl = tail[:, 0], tail[:, 1]
-                if ((v2 < 0) | (v2 >= n)).any():
+                # range-check the Python ints, so no value overflows int64 below
+                ids, fl = nums[2::2], nums[3::2]
+                if min(ids) < 0 or max(ids) >= n:
                     raise ParseError(f"target id outside [0, {n})", lineno)
-                if (~((fl == 0) | (fl == 1))).any():
+                if min(fl) < 0 or max(fl) > 1:
                     raise ParseError("relationship flag must be 0 or 1", lineno)
+                tail = np.asarray(nums[2:], dtype=np.int64).reshape(k, 2)
                 sources.append(np.full(k, v1, dtype=np.int64))
-                targets.append(v2)
-                flags.append(fl)
+                targets.append(tail[:, 0])
+                flags.append(tail[:, 1])
             records += 1
         rest = fh.read()
         if rest and rest.strip():
@@ -145,9 +226,6 @@ def parse_weibo_network(source) -> RawNetwork:
     src = np.concatenate(sources) if sources else np.zeros(0, dtype=np.int64)
     dst = np.concatenate(targets) if targets else np.zeros(0, dtype=np.int64)
     fl = np.concatenate(flags) if flags else np.zeros(0, dtype=np.int64)
-    if src.shape[0] != declared_m:
-        log.warning("network declares %d relationships but %d arcs were parsed",
-                    declared_m, src.shape[0])
     return RawNetwork(n, declared_m, src, dst, fl)
 
 
@@ -372,20 +450,29 @@ def cache_load(path) -> DirectedGraph:
     offset = _HEADER.size
     indptr = np.frombuffer(blob, dtype="<u8", count=n + 1, offset=offset).astype(np.int64)
     offset += 8 * (n + 1)
-    deltas = np.frombuffer(blob, dtype=idx_dtype, count=m, offset=offset).astype(np.int64)
-    if indptr[0] != 0 or indptr[-1] != m or (np.diff(indptr) < 0).any():
+    degrees = np.diff(indptr)
+    if indptr[0] != 0 or indptr[-1] != m or (degrees < 0).any():
         raise CacheError("corrupt adjacency offsets")
+    # a delta too large for the index dtype turns negative here and is rejected
+    indices = np.frombuffer(blob, dtype=idx_dtype, count=m, offset=offset).astype(
+        _index_dtype(n))
     if m:
+        starts = indptr[:-1][degrees > 0]
+        if (indices < 0).any():
+            raise CacheError("corrupt adjacency indices")
         # after a row's first target, a zero delta repeats the previous target
-        repeats = deltas == 0
-        repeats[indptr[:-1][np.diff(indptr) > 0]] = False
+        repeats = indices == 0
+        repeats[starts] = False
         if repeats.any():
             raise CacheError("corrupt adjacency: duplicate arcs")
-        running = np.cumsum(deltas)
-        row_start = np.repeat(indptr[:-1], np.diff(indptr))
-        indices = running - running[row_start] + deltas[row_start]
-        if (indices < 0).any() or (indices >= n).any():
+        # rows increase strictly, so a row's sum of deltas is its largest target
+        last = np.add.reduceat(indices, starts, dtype=np.int64)
+        if (last >= n).any():
             raise CacheError("corrupt adjacency indices")
-    else:
-        indices = deltas
-    return DirectedGraph._from_out_csr(n, indptr, indices.astype(_index_dtype(n)))
+        # rebase each row's first target on the previous row's last, then one
+        # running sum decodes every row
+        indices[starts[1:]] -= last[:-1]
+        np.cumsum(indices, dtype=indices.dtype, out=indices)
+        if (indices == np.repeat(np.arange(n, dtype=indices.dtype), degrees)).any():
+            raise CacheError("corrupt adjacency: self-loop")
+    return DirectedGraph(n, indptr, indices)

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .graph import DirectedGraph, build_graph, _dedup_pairs
+from .graph import DirectedGraph, _build_graph, _dedup_pairs
 from .ingest import UserProfile, write_profiles, write_uidlist, write_weibo_network
 
 log = logging.getLogger(__name__)
@@ -217,14 +217,14 @@ def generate(cfg: SynthConfig) -> tuple[DirectedGraph, GroundTruth, list[UserPro
     weights = np.asarray([cfg.regions[r] for r in labels], dtype=np.float64)
     regions = [labels[i] for i in rng.choice(len(labels), size=n, p=weights / weights.sum())]
 
-    arcs = np.column_stack([all_src, all_dst, np.zeros(all_src.shape[0], dtype=np.int64)])
-    graph = build_graph(arcs, n)
+    graph = _build_graph(all_src, all_dst, np.zeros_like(all_src), n)
     truth = GroundTruth(block_ids, is_zombie, regions)
+    in_deg, out_deg = graph.in_degrees.tolist(), graph.out_degrees.tolist()
     profiles = [
         UserProfile(node_id=i, uid=str(1_000_000 + i), name=f"user_{i}",
                     gender="f" if i % 2 else "m",
                     verification="no", region=regions[i],
-                    followers=graph.in_degree(i), followees=graph.out_degree(i),
+                    followers=in_deg[i], followees=out_deg[i],
                     tweets=0)
         for i in range(n)
     ]

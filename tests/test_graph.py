@@ -18,6 +18,14 @@ class TestBuildGraph:
         assert two_cycle.degrees(0) == (1, 1)
         assert two_cycle.degrees(1) == (1, 1)
 
+    def test_in_adjacency_built_on_first_use(self):
+        g = build_graph([(0, 1, 0), (2, 1, 1)], 3)
+        assert g.in_degrees.tolist() == [0, 2, 1]
+        assert g._in_csr is None  # counting in-degrees needs no in-adjacency
+        assert g.in_neighbors(1).tolist() == [0, 2]
+        assert g._in_csr is not None
+        assert g.in_degrees.dtype == np.diff(g.in_indptr).dtype
+
     def test_self_loop_dropped(self):
         g = build_graph([(0, 0, 0)], 1)
         assert g.edge_count == 0

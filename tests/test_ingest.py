@@ -1,16 +1,23 @@
 import io
+import struct
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zombiescan import (CacheError, ParseError, ValidationError, cache_load,
+from zombiescan import (CacheError, ParseError, ValidationError, build_graph, cache_load,
                         cache_save, parse_profiles, parse_uidlist,
                         parse_weibo_network)
-from zombiescan.ingest import (ProfileSchema, RawNetwork, UserProfile,
-                               write_profiles, write_uidlist, write_weibo_network)
+from zombiescan.ingest import (ProfileSchema, RawNetwork, UserProfile, _parse_buffer,
+                               _parse_lines, write_profiles, write_uidlist,
+                               write_weibo_network)
 
-from conftest import random_graph
+from conftest import DATA, random_graph
+from oracles import build_graph_lexsort
 
 GOLDEN_RECIPROCAL = "2 2\n0 1 1 1\n1 1 0 1\n"
 GOLDEN_FANOUT = "3 2\n0 2 1 0 2 0\n1 0\n2 0\n"
@@ -78,6 +85,129 @@ class TestParseWeiboNetwork:
         with pytest.raises(ParseError) as err:
             parse_str("2 2\n0 1 1 9\n1 0\n")
         assert err.value.line == 2
+
+
+INT64_MAX = 2**63 - 1
+HUGE = "99999999999999999999"  # 20 digits, above INT64_MAX
+
+
+def outcome(parse, source):
+    """What a parser makes of a source: its arrays, or its ParseError."""
+    try:
+        raw = parse(source)
+    except ParseError as exc:
+        return "ParseError", str(exc), exc.line
+    return (raw.node_count, raw.declared_edge_count,
+            [(a.dtype.str, a.tolist()) for a in (raw.sources, raw.targets, raw.flags)])
+
+
+@st.composite
+def network_texts(draw):
+    """Network files in the layouts and with the faults either parser meets."""
+    n = draw(st.integers(0, 5))
+    lines = [[n, draw(st.integers(0, 12))]]
+    for v in draw(st.permutations(range(n))):
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 1)),
+                              max_size=4))
+        lines.append([v, len(pairs)] + [x for pair in pairs for x in pair])
+    fault = draw(st.sampled_from([None, None, None, None, "k", "flag", "target", "node", "missing",
+                                  "extra", "trailing", "oversized", "word"]))
+    records = lines[1:]
+    if fault == "k" and records:
+        draw(st.sampled_from(records))[1] += draw(st.sampled_from([-1, 1]))
+    elif fault == "flag" and any(len(r) > 2 for r in records):
+        draw(st.sampled_from([r for r in records if len(r) > 2]))[3] = 2
+    elif fault == "target" and any(len(r) > 2 for r in records):
+        draw(st.sampled_from([r for r in records if len(r) > 2]))[2] = n
+    elif fault == "node" and records:
+        draw(st.sampled_from(records))[0] = n
+    elif fault == "missing" and records:
+        lines.remove(draw(st.sampled_from(records)))
+    elif fault == "extra" and records:
+        draw(st.sampled_from(records)).append(0)  # one token past the k pairs
+    elif fault == "trailing":
+        lines.append([0, 0])
+    elif fault in ("oversized", "word"):
+        row = draw(st.sampled_from(lines))
+        row[draw(st.integers(0, len(row) - 1))] = HUGE if fault == "oversized" else "x"
+
+    if draw(st.booleans()):  # only bytes the whole-buffer parse takes
+        eol = "\n"
+        sep = st.sampled_from([" ", " ", "  ", "\t", " \t"])
+        prefix = st.sampled_from(["", "", "", "0", "00"])
+    else:
+        eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        sep = st.sampled_from([" ", " ", "\t", "\x0b", "\x0c"])
+        prefix = st.sampled_from(["", "", "", "0", "+"])
+    out = []
+    for row in lines:
+        if draw(st.integers(0, 5)) == 0:
+            out.append(draw(st.sampled_from(["", " ", "\t"])) + eol)  # a blank line
+        tokens = [draw(prefix) + str(x) if isinstance(x, int) else x for x in row]
+        out.append(draw(st.sampled_from(["", " "])) + "".join(
+            tok + (draw(sep) if i + 1 < len(tokens) else "") for i, tok in enumerate(tokens)))
+        out.append(draw(st.sampled_from(["", " ", "\t"])) + eol)
+    if draw(st.booleans()):
+        out.pop()  # no line end after the last record
+    return "".join(out)
+
+
+class TestFastParse:
+    """The whole-buffer parse gives what the line-aware parser gives."""
+
+    @given(network_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_line_parser(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "net.txt"
+            path.write_bytes(text.encode("ascii"))
+            expected = outcome(_parse_lines, path)
+            assert outcome(parse_weibo_network, path) == expected
+            assert outcome(parse_weibo_network,
+                           io.BytesIO(text.encode("ascii"))) == expected
+        expected = outcome(_parse_lines, io.StringIO(text))
+        assert outcome(parse_weibo_network, io.StringIO(text)) == expected
+        # a valid file in the fast charset never needs the line-aware parser
+        if (expected[0] != "ParseError" and set(text) <= set("0123456789 \t\n")
+                and expected[1] < INT64_MAX):
+            assert outcome(_parse_buffer, text.encode("ascii")) == expected
+
+    @pytest.mark.parametrize("name", ["planted_4x50", "zombie_5x500"])
+    def test_committed_corpora(self, name):
+        path = Path(DATA) / name / "weibo_network.txt"
+        assert _parse_buffer(path.read_bytes()) is not None
+        assert outcome(parse_weibo_network, path) == outcome(_parse_lines, path)
+
+    @pytest.mark.parametrize("text", [
+        "3 3\r\n0 2 1 1 2 0\r\n1 1 0 1\r\n2 0\r\n",
+        "3 3\r0 2 1 1 2 0\r1 1 0 1\r2 0\r",
+        "3 3\n0\t2\t1 1\x0b2 0\n1 1 +0 1\n\x0c\n2 0\n",
+        "3 3\n0 2 01 1 2 0\n\n1 1 0 001\n2 0",
+    ])
+    def test_layouts_outside_fast_charset(self, text, tmp_path):
+        path = tmp_path / "net.txt"
+        path.write_bytes(text.encode("ascii"))
+        assert outcome(parse_weibo_network, path) == outcome(parse_str, GOLDEN_MIXED)
+
+    @pytest.mark.parametrize("text,match", [
+        (f"2 1\n0 1 {HUGE} 0\n1 0\n", "target id"),
+        (f"2 1\n0 1 1 {HUGE}\n1 0\n", "flag"),
+        (f"2 1\n{HUGE} 1 1 0\n1 0\n", "node id"),
+        (f"2 1\n0 {HUGE} 1 0\n1 0\n", "declares"),
+    ])
+    def test_oversized_token_is_parse_error(self, text, match):
+        with pytest.raises(ParseError, match=match) as err:
+            parse_str(text)
+        assert err.value.line == 2
+
+    def test_oversized_node_count_is_parse_error(self):
+        with pytest.raises(ParseError, match="node count") as err:
+            parse_str(f"{HUGE} 1\n0 1 {HUGE} 0\n")
+        assert err.value.line == 1
+
+    def test_oversized_declared_count_is_kept(self):
+        raw = parse_str(f"1 {HUGE}\n0 0\n")
+        assert raw.declared_edge_count == int(HUGE)
 
 
 class TestRoundTrip:
@@ -182,6 +312,25 @@ class TestProfiles:
             [("u0", "Beijing", 4, 2), ("u1", "Harbin", 0, 9)]
 
 
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 7))
+    node = st.integers(0, n - 1)
+    return build_graph(draw(st.lists(st.tuples(node, node, st.integers(0, 1)), max_size=20)),
+                       n)
+
+
+def assert_graph_invariants(g):
+    """Offsets consistent; every row sorted, unique, in range and loop-free."""
+    n, indptr, indices = g.node_count, g.out_indptr, g.out_indices
+    assert indptr.shape == (n + 1,)
+    assert indptr[0] == 0 and indptr[-1] == indices.shape[0]
+    for u in range(n):
+        row = indices[indptr[u]:indptr[u + 1]].tolist()
+        assert row == sorted(set(row))
+        assert all(0 <= v < n and v != u for v in row)
+
+
 class TestCache:
     def test_two_cycle_round_trip(self, two_cycle, tmp_path):
         path = tmp_path / "g.bin"
@@ -248,6 +397,44 @@ class TestCache:
         path.write_bytes(bytes(blob))
         with pytest.raises(CacheError, match="duplicate"):
             cache_load(path)
+
+    def test_self_loop_rejected(self, tmp_path):
+        path = tmp_path / "g.bin"
+        # two nodes, one arc 0 -> 0
+        path.write_bytes(struct.pack("<4sIQQ", b"ZGC1", 1, 2, 1)
+                         + np.array([0, 1, 1], dtype="<u8").tobytes()
+                         + np.array([0], dtype="<u4").tobytes())
+        with pytest.raises(CacheError, match="self-loop"):
+            cache_load(path)
+
+    @given(small_graphs(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_single_byte_flip(self, g, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "g.bin"
+            cache_save(g, path)
+            blob = bytearray(path.read_bytes())
+            blob[data.draw(st.integers(0, len(blob) - 1))] ^= data.draw(st.integers(1, 255))
+            path.write_bytes(bytes(blob))
+            try:
+                loaded = cache_load(path)
+            except CacheError:
+                return
+        assert_graph_invariants(loaded)
+
+    @given(small_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_loaded_in_adjacency_matches_lexsort(self, g):
+        triples = np.column_stack([g.arc_sources(), g.out_indices,
+                                   np.zeros(g.edge_count, dtype=np.int64)]).astype(np.int64)
+        _, _, in_indptr, in_indices, _, _ = build_graph_lexsort(triples, g.node_count)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "g.bin"
+            cache_save(g, path)
+            loaded = cache_load(path)
+        for got, expected in ((loaded.in_indptr, in_indptr), (loaded.in_indices, in_indices)):
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "g.bin"

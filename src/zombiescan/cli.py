@@ -130,7 +130,9 @@ def _communities(run: Run, args, graph, uids, out):
     write_partition_csv(part, run.output(out), uids)
     return part, {"communities": part.community_count,
                   "modularity_standard": q_std, "modularity_distinct_pairs": q_lit,
-                  "louvain_sweeps": [level.sweeps for level in dend.levels]}
+                  "louvain_levels": [{"nodes": level.node_count, "visits": level.visits,
+                                      "moves": level.moves, "modularity": level.modularity}
+                                     for level in dend.levels]}
 
 
 def _rank(run: Run, args, graph, part, profiles, out):
@@ -253,7 +255,11 @@ def _run(args) -> int:
     # stats without -o writes its histogram to stdout, so the summary goes to stderr
     stream = sys.stderr if args.command == "stats" and not args.output else sys.stdout
     for key, value in run.data["summary"].items():
-        print(f"{key}: {'undefined' if value is None else value}", file=stream)
+        if value is None:
+            value = "undefined"
+        elif isinstance(value, list):
+            value = json.dumps(value)
+        print(f"{key}: {value}", file=stream)
     nonconverged = run.data["summary"].get("nonconverged_communities")
     if nonconverged:
         print(f"nonconverged_communities: {nonconverged}", file=sys.stderr)

@@ -11,16 +11,23 @@ optimizes and the one that is invariant under community aggregation.
 "distinct-pairs" excludes the i = j terms. On a singleton partition the
 distinct-pairs variant is exactly zero.
 
-The optimizer alternates two phases: sweep nodes in a seeded random order,
-moving each to the neighboring community with the largest positive gain,
-until a full sweep changes nothing; then collapse communities into single
-nodes (inter-community weights summed, intra-community weight becoming a
-self-loop) and repeat on the smaller graph.
+The optimizer alternates two phases. Local moves visit nodes from a FIFO
+queue seeded with a random node order, moving each to the neighboring
+community with the largest positive gain; a node that moves puts back in
+the queue each neighbour that is not queued and not already in its new
+community (the fast local move of Traag 2015, Phys. Rev. E 92:032801).
+The phase ends when the queue is empty: every node's last visit came
+after its neighbours' last move and found no improving move. A later full
+sweep can still find a move, because community totals shift when nodes
+that are not neighbours move. Then communities collapse into single nodes
+(inter-community weights summed, intra-community weight becoming a
+self-loop) and the optimizer repeats on the smaller graph.
 """
 
 from __future__ import annotations
 
 import csv
+from collections import deque
 from dataclasses import dataclass
 from random import Random
 
@@ -177,14 +184,15 @@ class LouvainConfig:
 class LouvainLevel:
     """One coarsening step: the partition found on that level's graph.
 
-    `sweeps` counts the local-move passes over all nodes, the last of which
-    moved nothing; `moves` counts the accepted node moves.
+    `visits` counts the node visits of the local-move queue (at least
+    `node_count`, one per node for the first pass); `moves` counts the
+    accepted node moves.
     """
 
     node_count: int
     assignment: np.ndarray
     modularity: float
-    sweeps: int
+    visits: int
     moves: int
 
 
@@ -198,11 +206,17 @@ class Dendrogram:
 
 def _one_level(g: UndirectedGraph, rng: Random,
                resolution: float) -> tuple[np.ndarray, int, int]:
-    """Phase 1: greedy local moves until a full sweep changes nothing.
+    """Phase 1: greedy local moves from a node queue until the queue is empty.
 
-    Returns the (non-dense) assignment, the number of sweeps and the number
+    The queue starts as a shuffled node order, so the first n visits are
+    one full sweep. A node that moves re-queues each neighbour that is not
+    queued and not in its new community. On return, every node's last visit
+    came after its neighbours' last move and found no improving move; a full
+    sweep can still find one, since community totals have shifted.
+
+    Returns the (non-dense) assignment, the number of visits and the number
     of accepted moves. Ties keep the current community, then prefer the
-    smallest community id. The sweep reads Python scalars only: lists for
+    smallest community id. The loop reads Python scalars only: lists for
     per-node state, memoryviews for the neighbour scan.
     """
     n = g.node_count
@@ -215,56 +229,72 @@ def _one_level(g: UndirectedGraph, rng: Random,
 
     order = list(range(n))
     rng.shuffle(order)
-    sweeps = moves = 0
+    queue = deque(order)
+    queued = [True] * n
+    visits = moves = 0
 
     # memoryviews, not lists: a list of the arcs would raise peak memory
     indptr, indices, weights = g.indptr.tolist(), memoryview(g.indices), memoryview(g.weights)
-    while True:
-        sweeps += 1
-        moved = False
-        for u in order:
-            cu = node_comm[u]
-            lo, hi = indptr[u], indptr[u + 1]
-            links: dict[int, float] = {cu: 0.0}
-            for v, w in zip(indices[lo:hi], weights[lo:hi]):
-                if v != u:
-                    c = node_comm[v]
-                    links[c] = links.get(c, 0.0) + w
+    while queue:
+        u = queue.popleft()
+        queued[u] = False
+        visits += 1
+        cu = node_comm[u]
+        lo, hi = indptr[u], indptr[u + 1]
+        links: dict[int, float] = {cu: 0.0}
+        for v, w in zip(indices[lo:hi], weights[lo:hi]):
+            if v != u:
+                c = node_comm[v]
+                links[c] = links.get(c, 0.0) + w
 
-            ku = k[u]
-            comm_tot[cu] -= ku
-            best_c = cu
-            best_gain = links[cu] * inv_m - comm_tot[cu] * ku * inv_2mm
-            stay_gain = best_gain
-            for c, kin in links.items():
-                if c == cu:
-                    continue
-                gain = kin * inv_m - comm_tot[c] * ku * inv_2mm
-                if gain > best_gain or (gain == best_gain and best_c != cu and c < best_c):
-                    best_gain = gain
-                    best_c = c
-            if best_c != cu and best_gain > stay_gain:
-                node_comm[u] = best_c
-                moved = True
-                moves += 1
-            comm_tot[node_comm[u]] += ku
-        if not moved:
-            break
-    return np.array(node_comm, dtype=np.int64), sweeps, moves
+        ku = k[u]
+        comm_tot[cu] -= ku
+        best_c = cu
+        best_gain = links[cu] * inv_m - comm_tot[cu] * ku * inv_2mm
+        stay_gain = best_gain
+        for c, kin in links.items():
+            if c == cu:
+                continue
+            gain = kin * inv_m - comm_tot[c] * ku * inv_2mm
+            if gain > best_gain or (gain == best_gain and best_c != cu and c < best_c):
+                best_gain = gain
+                best_c = c
+        if best_c != cu and best_gain > stay_gain:
+            cu = node_comm[u] = best_c
+            moves += 1
+            # u itself is skipped: it now sits in best_c
+            for v in indices[lo:hi]:
+                if not queued[v] and node_comm[v] != best_c:
+                    queued[v] = True
+                    queue.append(v)
+        comm_tot[cu] += ku
+    return np.array(node_comm, dtype=np.int64), visits, moves
 
 
 def _aggregate(g: UndirectedGraph, p: Partition) -> UndirectedGraph:
-    """Phase 2: one node per community; intra-community weight becomes a self-loop."""
+    """Phase 2: one node per community; intra-community weight becomes a self-loop.
+
+    Each community's self-loop is one bincount over its entries in row
+    order, the order in which from_edges would sum them, so only the
+    inter-community edges (plus one loop per community) are sorted.
+    """
     comm = p.assignment
     rows = np.repeat(np.arange(g.node_count), np.diff(g.indptr))
     cols = g.indices
-    cu, cv, w = comm[rows], comm[cols], g.weights
     # each off-diagonal edge appears in both rows; keep one representative
-    keep = (rows < cols) | (rows == cols)
-    cu, cv, w = cu[keep], cv[keep], w[keep]
-    intra = (cu == cv) & (rows[keep] != cols[keep])
-    w = np.where(intra, 2.0 * w, w)  # both ordered pairs land on the diagonal
-    return UndirectedGraph.from_edges(p.community_count, cu, cv, w)
+    keep = rows <= cols
+    rows, cols, w = rows[keep], cols[keep], g.weights[keep]
+    cu, cv = comm[rows], comm[cols]
+    intra = cu == cv
+    # both ordered pairs of an intra-community edge land on the diagonal
+    w = np.where(intra & (rows != cols), 2.0 * w, w)
+    loops = np.flatnonzero(np.bincount(cu[intra], minlength=p.community_count))
+    loop_sum = np.bincount(cu[intra], weights=w[intra], minlength=p.community_count)
+    inter = ~intra
+    return UndirectedGraph.from_edges(p.community_count,
+                                      np.concatenate([cu[inter], loops]),
+                                      np.concatenate([cv[inter], loops]),
+                                      np.concatenate([w[inter], loop_sum[loops]]))
 
 
 def louvain(g: UndirectedGraph, cfg: LouvainConfig | None = None) -> Dendrogram:
@@ -284,12 +314,12 @@ def louvain(g: UndirectedGraph, cfg: LouvainConfig | None = None) -> Dendrogram:
     current = g
     prev_q: float | None = None
     for _ in range(cfg.max_levels):
-        raw, sweeps, moves = _one_level(current, rng, cfg.resolution)
+        raw, visits, moves = _one_level(current, rng, cfg.resolution)
         if not moves:
             break
         p = Partition(raw)
         q = modularity(current, p, "standard")
-        levels.append(LouvainLevel(current.node_count, p.assignment, q, sweeps, moves))
+        levels.append(LouvainLevel(current.node_count, p.assignment, q, visits, moves))
         if prev_q is not None and q - prev_q < cfg.min_gain:
             break
         prev_q = q

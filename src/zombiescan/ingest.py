@@ -14,6 +14,7 @@ from __future__ import annotations
 import io
 import logging
 import struct
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CacheError, ParseError, ValidationError
-from .graph import DirectedGraph, _build_graph, _index_dtype
+from .graph import DirectedGraph, _build_graph, _index_dtype, _pair_keys
 
 log = logging.getLogger(__name__)
 
@@ -232,42 +233,38 @@ def _parse_lines(source) -> RawNetwork:
 def write_weibo_network(raw_or_graph, destination) -> None:
     """Serialize a RawNetwork or DirectedGraph in the network text layout.
 
-    Rows are emitted for every node in id order; a graph's flags are derived
-    from arc reciprocity.
+    Rows are emitted for every node in id order; a graph's flags mark the
+    arcs whose reverse arc is also present.
     """
-    if isinstance(raw_or_graph, RawNetwork):
-        n = raw_or_graph.node_count
-        order = np.lexsort((raw_or_graph.targets, raw_or_graph.sources))
-        src = raw_or_graph.sources[order]
-        dst = raw_or_graph.targets[order]
-        fl = raw_or_graph.flags[order]
-        starts = np.searchsorted(src, np.arange(n + 1))
-
-        def row(u: int):
-            return zip(dst[starts[u]:starts[u + 1]], fl[starts[u]:starts[u + 1]])
-
-        total = src.shape[0]
-    else:
-        g: DirectedGraph = raw_or_graph
-        n = g.node_count
-        total = g.edge_count
-
-        def row(u: int):
-            for v in g.out_neighbors(u):
-                yield v, 1 if g.has_arc(int(v), u) else 0
-
+    raw = raw_or_graph if isinstance(raw_or_graph, RawNetwork) else _flagged_arcs(raw_or_graph)
+    n = raw.node_count
+    order = np.lexsort((raw.targets, raw.sources))
+    # target and flag of each arc, interleaved in row order
+    tokens = np.empty(2 * order.shape[0], dtype=np.int64)
+    tokens[0::2] = raw.targets[order]
+    tokens[1::2] = raw.flags[order]
+    starts = (2 * np.searchsorted(raw.sources[order], np.arange(n + 1))).tolist()
     with _text_stream(destination, "w") as fh:
-        fh.write(f"{n} {total}\n")
+        fh.write(f"{n} {raw.arc_count}\n")
         for u in range(n):
-            parts = []
-            for v, flag in row(u):
-                parts.append(str(int(v)))
-                parts.append(str(int(flag)))
-            fh.write(f"{u} {len(parts) // 2}")
-            if parts:
-                fh.write(" ")
-                fh.write(" ".join(parts))
-            fh.write("\n")
+            lo, hi = starts[u], starts[u + 1]
+            if lo == hi:
+                fh.write(f"{u} 0\n")
+            else:
+                fh.write(f"{u} {(hi - lo) // 2} {' '.join(map(str, tokens[lo:hi].tolist()))}\n")
+
+
+def _flagged_arcs(g: DirectedGraph) -> RawNetwork:
+    """A graph's arcs as a RawNetwork, flag 1 where the reverse arc exists."""
+    n = g.node_count
+    sources = g.arc_sources()
+    # the out-CSR lists arcs sorted by (source, target), so their keys are sorted
+    keys = _pair_keys(sources, g.out_indices, n)
+    reverse = _pair_keys(g.out_indices, sources, n)
+    pos = np.searchsorted(keys, reverse)
+    flags = pos < keys.shape[0]
+    flags[flags] = keys[pos[flags]] == reverse[flags]
+    return RawNetwork(n, g.edge_count, sources, g.out_indices, flags.astype(np.int64))
 
 
 def parse_uidlist(source) -> list[tuple[int, str]]:
@@ -401,14 +398,16 @@ def write_profiles(profiles: list[UserProfile], destination,
 
 
 # Binary cache layout (little-endian):
-#   magic "ZGC1" | u32 version | u64 node_count | u64 edge_count
+#   magic "ZGC1" | u32 version | u32 crc32 | u64 node_count | u64 edge_count
 #   u64 out_indptr[node_count + 1]
 #   u32 (or u64 when node_count > 2^32) deltas[edge_count]:
 #     per out-adjacency row, first entry absolute, the rest successive
 #     differences of the sorted target ids.
+# crc32 is zlib's CRC-32 of everything after the header; the file length
+# pins node_count and edge_count.
 _CACHE_MAGIC = b"ZGC1"
-_CACHE_VERSION = 1
-_HEADER = struct.Struct("<4sIQQ")
+_CACHE_VERSION = 2
+_HEADER = struct.Struct("<4sIIQQ")
 
 
 def _cache_index_dtype(node_count: int) -> np.dtype:
@@ -423,10 +422,13 @@ def cache_save(g: DirectedGraph, path) -> None:
         degrees = np.diff(g.out_indptr)
         starts = g.out_indptr[:-1][degrees > 0]
         deltas[starts] = g.out_indices[starts]
+    indptr = g.out_indptr.astype("<u8", copy=False).tobytes()
+    deltas = deltas.astype(_cache_index_dtype(g.node_count)).tobytes()
+    crc = zlib.crc32(deltas, zlib.crc32(indptr))
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, g.node_count, g.edge_count))
-        fh.write(g.out_indptr.astype("<u8", copy=False).tobytes())
-        fh.write(deltas.astype(_cache_index_dtype(g.node_count)).tobytes())
+        fh.write(_HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, crc, g.node_count, g.edge_count))
+        fh.write(indptr)
+        fh.write(deltas)
 
 
 def cache_load(path) -> DirectedGraph:
@@ -437,7 +439,7 @@ def cache_load(path) -> DirectedGraph:
         raise CacheError(f"cannot read cache: {exc}") from exc
     if len(blob) < _HEADER.size:
         raise CacheError("cache file truncated: missing header")
-    magic, version, n, m = _HEADER.unpack_from(blob)
+    magic, version, crc, n, m = _HEADER.unpack_from(blob)
     if magic != _CACHE_MAGIC:
         raise CacheError("not a graph cache file")
     if version != _CACHE_VERSION:
@@ -447,6 +449,8 @@ def cache_load(path) -> DirectedGraph:
     expected = _HEADER.size + 8 * (n + 1) + idx_dtype.itemsize * m
     if len(blob) != expected:
         raise CacheError(f"cache file truncated: {len(blob)} bytes, expected {expected}")
+    if zlib.crc32(memoryview(blob)[_HEADER.size:]) != crc:
+        raise CacheError("cache checksum mismatch")
     offset = _HEADER.size
     indptr = np.frombuffer(blob, dtype="<u8", count=n + 1, offset=offset).astype(np.int64)
     offset += 8 * (n + 1)

@@ -212,9 +212,12 @@ def flattened(dendrogram) -> np.ndarray:
     return labels
 
 
-# ---- the lexsort CSR builds and the numpy-scalar local-move sweep ------------
-# Kept as they were before the keyed sorts and the list-based sweep replaced
-# them; the package must reproduce them array for array.
+# ---- the lexsort CSR builds and the numpy-scalar local moves -----------------
+# The builds and the full-sweep local moves are kept as they were before the
+# keyed sorts, the list-based loop, the node queue and the bincount
+# aggregation replaced them. The package reproduces the builds and the
+# queue oracle array for array; the full sweep is the older contract, which
+# the queue meets on the committed corpora.
 
 
 def dedup_pairs_lexsort(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -287,6 +290,21 @@ def from_edges_lexsort(node_count: int, u, v, w):
     return indptr, cols.astype(_index_dtype(node_count)), vals
 
 
+def aggregate_lexsort(und, assignment: np.ndarray, community_count: int):
+    """(indptr, indices, weights) of one node per community, every entry sorted.
+
+    Each edge is taken once; an intra-community edge counts twice on the
+    community's self-loop (both ordered pairs), a self-loop once.
+    """
+    rows = np.repeat(np.arange(und.node_count), np.diff(und.indptr))
+    cols = und.indices.astype(np.int64)
+    keep = rows <= cols
+    rows, cols, w = rows[keep], cols[keep], und.weights[keep]
+    cu, cv = assignment[rows], assignment[cols]
+    w = np.where((cu == cv) & (rows != cols), 2.0 * w, w)
+    return from_edges_lexsort(community_count, cu, cv, w)
+
+
 def symmetrize_lexsort(g):
     """(indptr, indices, weights) of a DirectedGraph's weight-1 undirected view."""
     src = np.repeat(np.arange(g.node_count), np.diff(g.out_indptr)).astype(np.int64)
@@ -296,10 +314,11 @@ def symmetrize_lexsort(g):
 
 
 def one_level_numpy_scalars(g, rng, resolution: float) -> tuple[np.ndarray, bool]:
-    """Greedy local moves reading numpy arrays element by element.
+    """Greedy local moves in full sweeps, reading numpy arrays element by element.
 
-    Returns the assignment and whether any move was accepted; consumes the
-    same draws from `rng` as the package's sweep.
+    Sweeps in the shuffled order until one moves nothing. Returns the
+    assignment and whether any move was accepted; consumes the same draws
+    from `rng` as the package's local moves.
     """
     n = g.node_count
     m = g.total_weight
@@ -347,3 +366,63 @@ def one_level_numpy_scalars(g, rng, resolution: float) -> tuple[np.ndarray, bool
         if not moved:
             break
     return node_comm, improved
+
+
+def one_level_queue_numpy_scalars(g, rng, resolution: float) -> tuple[np.ndarray, int, int]:
+    """Queue-driven local moves reading numpy arrays element by element.
+
+    Nodes are visited from a FIFO list seeded with the shuffled order; a
+    node that moves appends each neighbour that is not waiting in the list
+    and not in the node's new community. Returns the assignment, the number
+    of visits and the number of moves; consumes the same draws from `rng`
+    as the package's local moves.
+    """
+    n = g.node_count
+    m = g.total_weight
+    inv_m = 1.0 / m
+    inv_2mm = resolution / (2.0 * m * m)
+    k = g.degree_weights
+    node_comm = np.arange(n)
+    comm_tot = k.copy()
+
+    order = list(range(n))
+    rng.shuffle(order)
+    waiting = np.ones(n, dtype=bool)
+    moves = 0
+
+    indptr, indices, weights = g.indptr, g.indices, g.weights
+    head = 0
+    while head < len(order):
+        u = order[head]
+        head += 1
+        waiting[u] = False
+        cu = int(node_comm[u])
+        nbrs = indices[indptr[u]:indptr[u + 1]]
+        wts = weights[indptr[u]:indptr[u + 1]]
+        links: dict[int, float] = {cu: 0.0}
+        for v, w in zip(nbrs, wts):
+            if v != u:
+                c = int(node_comm[v])
+                links[c] = links.get(c, 0.0) + float(w)
+
+        ku = k[u]
+        comm_tot[cu] -= ku
+        best_c = cu
+        best_gain = links[cu] * inv_m - comm_tot[cu] * ku * inv_2mm
+        stay_gain = best_gain
+        for c, kin in links.items():
+            if c == cu:
+                continue
+            gain = kin * inv_m - comm_tot[c] * ku * inv_2mm
+            if gain > best_gain or (gain == best_gain and best_c != cu and c < best_c):
+                best_gain = gain
+                best_c = c
+        if best_c != cu and best_gain > stay_gain:
+            node_comm[u] = best_c
+            moves += 1
+            for v in nbrs:
+                if not waiting[v] and node_comm[v] != best_c:
+                    waiting[v] = True
+                    order.append(int(v))
+        comm_tot[node_comm[u]] += ku
+    return node_comm, head, moves

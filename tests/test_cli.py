@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from zombiescan import LouvainConfig, cache_load, louvain, symmetrize
 from zombiescan.cli import main
 
 from conftest import DATA
@@ -102,17 +103,42 @@ class TestCommunities:
         summary = manifest["summary"]
         assert summary["modularity_standard"] is None
         assert summary["modularity_distinct_pairs"] is None
-        assert summary["louvain_sweeps"] == []
+        assert summary["louvain_levels"] == []
         assert "modularity_standard: undefined" in capsys.readouterr().out
 
-    def test_manifest_counts_sweeps_per_level(self, tmp_path):
+    def test_manifest_counts_sweeps_per_level(self, tmp_path, capsys):
         part = tmp_path / "p.csv"
         cache = tmp_path / "g.bin"
         main(["convert", f"{PLANTED}/weibo_network.txt", "--cache", str(cache)])
         assert main(["communities", str(cache), "-o", str(part)]) == 0
-        sweeps = json.loads((tmp_path / "p.manifest.json").read_text())["summary"][
-            "louvain_sweeps"]
-        assert sweeps and all(isinstance(s, int) and s >= 2 for s in sweeps)
+        summary = json.loads((tmp_path / "p.manifest.json").read_text())["summary"]
+        levels = summary["louvain_levels"]
+        dend = louvain(symmetrize(cache_load(cache)), LouvainConfig())
+        assert levels and levels == [
+            {"nodes": level.node_count, "visits": level.visits, "moves": level.moves,
+             "modularity": level.modularity} for level in dend.levels]
+        for level in levels:
+            assert level["visits"] >= level["nodes"] and level["moves"] >= 1
+        assert levels[-1]["modularity"] == pytest.approx(summary["modularity_standard"])
+        # printed as JSON, like the manifest
+        printed = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("louvain_levels: ")]
+        assert [json.loads(line.split(": ", 1)[1]) for line in printed] == [levels]
+
+    # SHA-256 of partition.csv; the file holds only integers, so the digest
+    # is the same on every platform
+    PINNED_PARTITIONS = {
+        "planted_4x50": "ffdf52e1fdf6ecd96127cc4b24e07fd29042df69ac2dd4b8ed5a7477bdfbb5ad",
+        "zombie_5x500": "85831d3f5e0f5f7d864ddc660d1390df0d12f34ef32093f0aba8275b9403b342",
+    }
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name", sorted(PINNED_PARTITIONS))
+    def test_committed_corpus_partitions_are_pinned(self, tmp_path, name, seed):
+        cache, part = tmp_path / "g.bin", tmp_path / "p.csv"
+        assert main(["convert", f"{DATA}/{name}/weibo_network.txt", "--cache", str(cache)]) == 0
+        assert main(["communities", str(cache), "-o", str(part), "--seed", str(seed)]) == 0
+        assert hashlib.sha256(part.read_bytes()).hexdigest() == self.PINNED_PARTITIONS[name]
 
     def test_prints_both_modularity_variants(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path)

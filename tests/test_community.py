@@ -7,8 +7,8 @@ from zombiescan.community import read_partition_csv, write_partition_csv
 from zombiescan.graph import UndirectedGraph
 
 from conftest import random_graph
-from oracles import (dense_adjacency, flattened, modularity_dense, one_level_numpy_scalars,
-                     self_weight)
+from oracles import (aggregate_lexsort, dense_adjacency, flattened, modularity_dense,
+                     one_level_numpy_scalars, one_level_queue_numpy_scalars, self_weight)
 
 TWO_TRIANGLES = [(0, 1, 0), (1, 2, 0), (2, 0, 0), (3, 4, 0), (4, 5, 0), (5, 3, 0)]
 
@@ -184,6 +184,22 @@ class TestLouvain:
         assert q_agg == pytest.approx(q_orig, abs=1e-12)
         assert agg.total_weight == pytest.approx(und.total_weight, abs=1e-9)
 
+    def test_aggregate_matches_lexsort_reference(self):
+        from zombiescan.community import _aggregate
+
+        rng = np.random.Generator(np.random.PCG64(8))
+        for _ in range(100):
+            n = int(rng.integers(1, 50))
+            m = int(rng.integers(0, 5 * n))
+            # repeated pairs and self-loops, weights whose sums depend on order
+            und = UndirectedGraph.from_edges(n, rng.integers(0, n, m), rng.integers(0, n, m),
+                                             rng.random(m) * rng.choice([0.1, 1.0, 7.0], m))
+            p = Partition(rng.integers(0, int(rng.integers(1, n + 1)), size=n))
+            agg = _aggregate(und, p)
+            expected = aggregate_lexsort(und, p.assignment, p.community_count)
+            for got, want in zip((agg.indptr, agg.indices, agg.weights), expected):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
 
 def corpus_graph(name):
     from conftest import DATA
@@ -193,23 +209,36 @@ def corpus_graph(name):
 
 
 class TestLocalMoves:
-    """The list-based sweep reproduces the numpy-scalar sweep exactly."""
+    """The queue-driven local moves reproduce the numpy-scalar queue oracle
+    exactly, and on the committed corpora also the full-sweep oracle."""
 
-    def assert_same_sweep(self, und, seed, resolution=1.0):
+    def assert_same_as_queue_oracle(self, und, seed, resolution=1.0):
         from random import Random
 
         from zombiescan.community import _one_level
 
         rng, oracle_rng = Random(seed), Random(seed)
-        raw, sweeps, moves = _one_level(und, rng, resolution)
-        expected, improved = one_level_numpy_scalars(und, oracle_rng, resolution)
+        raw, visits, moves = _one_level(und, rng, resolution)
+        expected, oracle_visits, oracle_moves = one_level_queue_numpy_scalars(
+            und, oracle_rng, resolution)
         assert raw.dtype == np.int64 and np.array_equal(raw, expected)
-        assert (moves > 0) == improved
+        assert (visits, moves) == (oracle_visits, oracle_moves)
         assert rng.getstate() == oracle_rng.getstate()
         # every node outside its own starting community moved at least once,
-        # and a sweep that moved something is followed by one more
+        # and the first pass visits every node
         assert moves >= int((raw != np.arange(und.node_count)).sum())
-        assert sweeps >= 1 + (moves > 0)
+        assert visits >= und.node_count
+        return raw, moves, rng.getstate()
+
+    def assert_same_as_full_sweep(self, und, seed):
+        from random import Random
+
+        raw, moves, rng_state = self.assert_same_as_queue_oracle(und, seed)
+        rng = Random(seed)
+        expected, improved = one_level_numpy_scalars(und, rng, 1.0)
+        assert np.array_equal(raw, expected)
+        assert (moves > 0) == improved
+        assert rng.getstate() == rng_state
         return raw
 
     @pytest.mark.parametrize("name", ["planted_4x50", "zombie_5x500"])
@@ -218,13 +247,13 @@ class TestLocalMoves:
 
         und = corpus_graph(name)
         for seed in (0, 1):
-            raw = self.assert_same_sweep(und, seed)
+            raw = self.assert_same_as_full_sweep(und, seed)
         agg = _aggregate(und, Partition(raw))
         # the aggregated level is weighted and carries self-loops
         assert any(self_weight(agg, u) > 0 for u in range(agg.node_count))
         assert (agg.weights != 1.0).any()
         for seed in (0, 1):
-            self.assert_same_sweep(agg, seed)
+            self.assert_same_as_full_sweep(agg, seed)
 
     def test_random_weighted_graphs_with_self_loops(self):
         rng = np.random.Generator(np.random.PCG64(21))
@@ -233,14 +262,32 @@ class TestLocalMoves:
             m = int(rng.integers(1, 4 * n))
             und = UndirectedGraph.from_edges(n, rng.integers(0, n, m), rng.integers(0, n, m),
                                              rng.choice([0.1, 0.2, 0.7, 1.5], size=m))
-            self.assert_same_sweep(und, seed, resolution=float(rng.choice([0.5, 1.0, 2.0])))
+            self.assert_same_as_queue_oracle(und, seed,
+                                             resolution=float(rng.choice([0.5, 1.0, 2.0])))
+
+    def test_queue_fixed_point_can_leave_a_full_sweep_move(self):
+        from random import Random
+
+        from zombiescan.community import _one_level
+
+        # a star 0-{1, 2, 6}, a path 2-3-4 and an isolated node 5
+        edges = np.array([(0, 1), (0, 2), (0, 6), (2, 3), (3, 4)])
+        und = UndirectedGraph.from_edges(7, edges[:, 0], edges[:, 1], np.ones(5))
+        raw = self.assert_same_as_queue_oracle(und, 0)[0]
+        assert raw.tolist() == [0, 0, 0, 3, 3, 5, 0]
+        # node 2 joins 0 on a tie with {3, 4}; then 1 and 6, which are not its
+        # neighbours, join 0 and raise its total without re-queueing 2, so a
+        # full sweep still moves 2 to {3, 4}
+        assert move_gain(und, raw, 2, 3) > 0
+        swept, _ = one_level_numpy_scalars(und, Random(0), 1.0)
+        assert swept.tolist() == [0, 0, 3, 3, 3, 5, 0]
 
     def test_levels_record_sweeps_and_moves(self):
         und = corpus_graph("zombie_5x500")
         dend = louvain(und, LouvainConfig())
         assert dend.levels
         for level in dend.levels:
-            assert level.sweeps >= 2 and level.moves >= 1
+            assert level.visits >= level.node_count and level.moves >= 1
 
     def test_a_graph_with_nothing_to_move_takes_one_sweep(self):
         from random import Random
@@ -250,8 +297,8 @@ class TestLocalMoves:
         # two self-loops, no edges between the nodes: no move can gain
         und = UndirectedGraph.from_edges(2, np.array([0, 1]), np.array([0, 1]),
                                          np.array([1.0, 1.0]))
-        raw, sweeps, moves = _one_level(und, Random(0), 1.0)
-        assert list(raw) == [0, 1] and (sweeps, moves) == (1, 0)
+        raw, visits, moves = _one_level(und, Random(0), 1.0)
+        assert list(raw) == [0, 1] and (visits, moves) == (2, 0)
 
 
 class TestPartition:

@@ -2,6 +2,7 @@ import io
 import struct
 import tempfile
 import time
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -227,6 +228,13 @@ class TestRoundTrip:
         write_weibo_network(g, buf)
         assert parse_weibo_network(io.StringIO(buf.getvalue())).to_graph() == g
 
+    @pytest.mark.parametrize("name", ["planted_4x50", "zombie_5x500"])
+    def test_committed_network_rewrites_byte_for_byte(self, name, tmp_path):
+        committed = Path(f"{DATA}/{name}/weibo_network.txt")
+        out = tmp_path / "weibo_network.txt"
+        write_weibo_network(parse_weibo_network(committed).to_graph(), out)
+        assert out.read_bytes() == committed.read_bytes()
+
     def test_empty_graph_emission_layout(self):
         raw = parse_str("2 0\n0 0\n1 0\n")
         buf = io.StringIO()
@@ -331,6 +339,16 @@ def assert_graph_invariants(g):
         assert all(0 <= v < n and v != u for v in row)
 
 
+CACHE_HEADER = 28  # magic, version, crc32, node count, edge count
+
+
+def sealed(blob: bytes) -> bytes:
+    """A cache blob with its crc32 field recomputed over the payload."""
+    blob = bytearray(blob)
+    struct.pack_into("<I", blob, 8, zlib.crc32(bytes(blob[CACHE_HEADER:])))
+    return bytes(blob)
+
+
 class TestCache:
     def test_two_cycle_round_trip(self, two_cycle, tmp_path):
         path = tmp_path / "g.bin"
@@ -391,20 +409,39 @@ class TestCache:
         path = tmp_path / "g.bin"
         cache_save(g, path)
         blob = bytearray(path.read_bytes())
-        second_delta = 24 + 8 * 4 + 4  # header, indptr, then row 0's second u32 delta
+        second_delta = CACHE_HEADER + 8 * 4 + 4  # header, indptr, row 0's second u32 delta
         assert blob[second_delta:second_delta + 4] == (1).to_bytes(4, "little")
         blob[second_delta:second_delta + 4] = bytes(4)  # row 0 becomes [1, 1]
-        path.write_bytes(bytes(blob))
+        path.write_bytes(sealed(blob))
         with pytest.raises(CacheError, match="duplicate"):
             cache_load(path)
 
     def test_self_loop_rejected(self, tmp_path):
         path = tmp_path / "g.bin"
         # two nodes, one arc 0 -> 0
+        path.write_bytes(sealed(struct.pack("<4sIIQQ", b"ZGC1", 2, 0, 2, 1)
+                                + np.array([0, 1, 1], dtype="<u8").tobytes()
+                                + np.array([0], dtype="<u4").tobytes()))
+        with pytest.raises(CacheError, match="self-loop"):
+            cache_load(path)
+
+    def test_version_1_cache_rejected(self, tmp_path):
+        path = tmp_path / "g.bin"
+        # the version 1 layout had no checksum: two nodes, one arc 0 -> 1
         path.write_bytes(struct.pack("<4sIQQ", b"ZGC1", 1, 2, 1)
                          + np.array([0, 1, 1], dtype="<u8").tobytes()
-                         + np.array([0], dtype="<u4").tobytes())
-        with pytest.raises(CacheError, match="self-loop"):
+                         + np.array([1], dtype="<u4").tobytes())
+        with pytest.raises(CacheError, match="version 1"):
+            cache_load(path)
+
+    def test_payload_flip_fails_the_checksum(self, tmp_path):
+        g, _ = random_graph(5, 40, 0.2)
+        path = tmp_path / "g.bin"
+        cache_save(g, path)
+        blob = bytearray(path.read_bytes())
+        blob[-4] ^= 1  # the last delta's low byte: a target moves by one
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CacheError, match="checksum"):
             cache_load(path)
 
     @given(small_graphs(), st.data())
@@ -416,6 +453,19 @@ class TestCache:
             blob = bytearray(path.read_bytes())
             blob[data.draw(st.integers(0, len(blob) - 1))] ^= data.draw(st.integers(1, 255))
             path.write_bytes(bytes(blob))
+            with pytest.raises(CacheError):
+                cache_load(path)
+
+    @given(small_graphs(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_single_byte_flip_behind_a_valid_checksum(self, g, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "g.bin"
+            cache_save(g, path)
+            blob = bytearray(path.read_bytes())
+            blob[data.draw(st.integers(CACHE_HEADER, len(blob) - 1))] ^= data.draw(
+                st.integers(1, 255))
+            path.write_bytes(sealed(blob))
             try:
                 loaded = cache_load(path)
             except CacheError:

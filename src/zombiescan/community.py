@@ -27,6 +27,7 @@ self-loop) and the optimizer repeats on the smaller graph.
 from __future__ import annotations
 
 import csv
+import io
 from collections import deque
 from dataclasses import dataclass
 from random import Random
@@ -35,6 +36,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .graph import UndirectedGraph
+from .textio import UTF8, csv_columns, int64, int_column, read_text, text_stream
 
 __all__ = [
     "Partition",
@@ -333,45 +335,71 @@ def louvain(g: UndirectedGraph, cfg: LouvainConfig | None = None) -> Dendrogram:
     return Dendrogram(levels, Partition(labels))
 
 
-def write_partition_csv(p: Partition, destination, uids: list[str] | None = None) -> None:
-    """Emit `node_id,community_id` rows, plus a `uid` column when uids are given."""
-    from .ingest import _text_stream
+_PARTITION_HEADER = ("node_id", "community_id")
 
-    header, columns = ["node_id", "community_id"], [range(p.node_count), p.assignment.tolist()]
-    if uids is not None:
-        if len(uids) != p.node_count:
-            raise ValidationError(
-                f"uid list has {len(uids)} entries, partition has {p.node_count} nodes")
-        header, columns = header + ["uid"], columns + [uids]
-    with _text_stream(destination, "w") as fh:
+
+def write_partition_csv(p: Partition, destination, uids: list[str] | None = None) -> None:
+    """Emit `node_id,community_id` rows, plus a `uid` column (UTF-8) when uids are given."""
+    if uids is None:
+        with text_stream(destination, "w", UTF8) as fh:
+            fh.write(",".join(_PARTITION_HEADER) + "\n"
+                     + "".join(map("%d,%d\n".__mod__, enumerate(p.assignment.tolist()))))
+        return
+    if len(uids) != p.node_count:
+        raise ValidationError(
+            f"uid list has {len(uids)} entries, partition has {p.node_count} nodes")
+    with text_stream(destination, "w", UTF8) as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(zip(*columns))
+        writer.writerow(_PARTITION_HEADER + ("uid",))
+        writer.writerows(zip(range(p.node_count), p.assignment.tolist(), uids))
 
 
 def read_partition_csv(source, node_count: int) -> Partition:
     """Read a partition written by write_partition_csv; a `uid` column is ignored."""
-    from .ingest import _text_stream
-
-    assignment = np.full(node_count, -1, dtype=np.int64)
-    with _text_stream(source) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header not in (["node_id", "community_id"], ["node_id", "community_id", "uid"]):
-            raise ValidationError("partition file must start with 'node_id,community_id'")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                node, comm = int(row[0]), int(row[1])
-            except (ValueError, IndexError):
-                raise ValidationError(f"bad partition row: {row!r}") from None
-            if not 0 <= node < node_count:
-                raise ValidationError(f"node id {node} outside [0, {node_count})")
-            if assignment[node] != -1:
-                raise ValidationError(f"node {node} assigned twice")
-            assignment[node] = comm
-    if (assignment == -1).any():
-        missing = int(np.argmax(assignment == -1))
-        raise ValidationError(f"partition does not cover node {missing}")
+    text = read_text(source, UTF8)
+    assignment = _partition_columns(text, node_count)
+    if assignment is None:
+        assignment = _partition_rows(text, node_count)
     return Partition(assignment)
+
+
+def _partition_columns(text: str, node_count: int) -> np.ndarray | None:
+    """The assignment from one split of the whole text, or None for the row loop."""
+    columns = (csv_columns(text, _PARTITION_HEADER)
+               or csv_columns(text, _PARTITION_HEADER + ("uid",)))
+    if columns is None:
+        return None
+    nodes, comms = int_column(columns[0]), int_column(columns[1])
+    if nodes is None or comms is None or nodes.shape[0] != node_count:
+        return None
+    # node_count distinct ids below node_count cover every node once
+    if node_count and (nodes.max() >= node_count
+                       or np.bincount(nodes, minlength=node_count).max() > 1):
+        return None
+    assignment = np.empty(node_count, dtype=np.int64)
+    assignment[nodes] = comms
+    return assignment
+
+
+def _partition_rows(text: str, node_count: int) -> np.ndarray:
+    assignment = np.zeros(node_count, dtype=np.int64)
+    assigned = np.zeros(node_count, dtype=bool)
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header not in (list(_PARTITION_HEADER), list(_PARTITION_HEADER) + ["uid"]):
+        raise ValidationError("partition file must start with 'node_id,community_id'")
+    for row in reader:
+        if not row:
+            continue
+        try:
+            node, comm = int(row[0]), int64(row[1])
+        except (ValueError, IndexError):
+            raise ValidationError(f"bad partition row: {row!r}") from None
+        if not 0 <= node < node_count:
+            raise ValidationError(f"node id {node} outside [0, {node_count})")
+        if assigned[node]:
+            raise ValidationError(f"node {node} assigned twice")
+        assignment[node], assigned[node] = comm, True
+    if not assigned.all():
+        raise ValidationError(f"partition does not cover node {int(np.argmin(assigned))}")
+    return assignment

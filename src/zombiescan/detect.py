@@ -10,6 +10,7 @@ say nothing.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -18,6 +19,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .rank import ImportanceVector
+from .textio import ASCII, csv_columns, float_reprs, int_column, read_text, text_stream
 
 __all__ = [
     "QUARTILE_METHODS",
@@ -99,7 +101,7 @@ class ZombieReport:
         return self.node_ids[self.is_zombie]
 
     def labels(self) -> dict[int, bool]:
-        return {int(n): bool(z) for n, z in zip(self.node_ids, self.is_zombie)}
+        return dict(zip(self.node_ids.tolist(), self.is_zombie.tolist()))
 
 
 def detect_zombies(ranks: dict[int, ImportanceVector], min_community_size: int = 5,
@@ -149,44 +151,62 @@ def detect_zombies(ranks: dict[int, ImportanceVector], min_community_size: int =
     )
 
 
+_REPORT_HEADER = ("node_id", "community_id", "pagerank", "threshold", "label")
+_LABELS = {"zombie": True, "normal": False}
+
+
 def write_report_csv(report: ZombieReport, destination) -> None:
     """Emit `node_id,community_id,pagerank,threshold,label` rows."""
-    from .ingest import _text_stream
-
-    with _text_stream(destination, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["node_id", "community_id", "pagerank", "threshold", "label"])
-        writer.writerows(zip(
-            report.node_ids.tolist(), report.community_ids.tolist(),
-            map(repr, report.values.tolist()),
-            ["" if math.isnan(t) else repr(t) for t in report.thresholds.tolist()],
-            ["zombie" if z else "normal" for z in report.is_zombie.tolist()]))
+    labels = np.array(["normal", "zombie"], dtype=object)[report.is_zombie.astype(np.intp)]
+    rows = zip(report.node_ids.tolist(), report.community_ids.tolist(),
+               float_reprs(report.values), float_reprs(report.thresholds, nan=""),
+               labels.tolist())
+    with text_stream(destination, "w") as fh:
+        fh.write(",".join(_REPORT_HEADER) + "\n" + "".join(map("%d,%d,%s,%s,%s\n".__mod__, rows)))
 
 
 def read_report_csv(source) -> dict[int, bool]:
     """Predicted labels {node_id: is_zombie} from a report CSV; rejects labels
     other than zombie/normal and repeated nodes."""
-    from .ingest import _text_stream
+    text = read_text(source, ASCII)
+    labels = _report_columns(text)
+    return labels if labels is not None else _report_rows(text)
 
+
+def _report_columns(text: str) -> dict[int, bool] | None:
+    """The labels from one split of the whole text, or None for the row loop."""
+    columns = csv_columns(text, _REPORT_HEADER)
+    if columns is None:
+        return None
+    nodes = int_column(columns[0])
+    labels = list(map(_LABELS.get, columns[4]))
+    if nodes is None or None in labels:
+        return None
+    ordered = np.sort(nodes)
+    if (ordered[1:] == ordered[:-1]).any():
+        return None
+    return dict(zip(nodes.tolist(), labels))
+
+
+def _report_rows(text: str) -> dict[int, bool]:
     labels: dict[int, bool] = {}
-    with _text_stream(source) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["node_id", "community_id", "pagerank", "threshold", "label"]:
-            raise ValidationError("report file must start with "
-                                  "'node_id,community_id,pagerank,threshold,label'")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                node, label = int(row[0]), row[4]
-            except (ValueError, IndexError):
-                raise ValidationError(f"bad report row: {row!r}") from None
-            if label not in ("zombie", "normal"):
-                raise ValidationError(f"bad report row: {row!r}")
-            if node in labels:
-                raise ValidationError(f"node {node} listed twice in the report")
-            labels[node] = label == "zombie"
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header != list(_REPORT_HEADER):
+        raise ValidationError("report file must start with "
+                              "'node_id,community_id,pagerank,threshold,label'")
+    for row in reader:
+        if not row:
+            continue
+        try:
+            node, label = int(row[0]), row[4]
+        except (ValueError, IndexError):
+            raise ValidationError(f"bad report row: {row!r}") from None
+        if label not in _LABELS:
+            raise ValidationError(f"bad report row: {row!r}")
+        if node in labels:
+            raise ValidationError(f"node {node} listed twice in the report")
+        labels[node] = _LABELS[label]
     return labels
 
 
@@ -203,8 +223,6 @@ def write_summary_json(report: ZombieReport, destination,
     }
     if manifest_name is not None:
         summary["manifest"] = manifest_name
-    from .ingest import _text_stream
-
-    with _text_stream(destination, "w") as fh:
+    with text_stream(destination, "w") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")

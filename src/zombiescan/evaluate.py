@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import csv
 import json
-from collections import Counter
+from itertools import compress
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 from .graph import DirectedGraph
+from .textio import UTF8, text_stream
 
 __all__ = [
     "ConfusionMatrix",
@@ -61,28 +62,19 @@ def confusion(predicted: dict[int, bool], truth: dict[int, bool]) -> ConfusionMa
 
     Both maps must cover exactly the same node ids.
     """
-    missing_truth = sorted(set(predicted) - set(truth))
-    missing_pred = sorted(set(truth) - set(predicted))
-    if missing_truth or missing_pred:
+    if predicted.keys() != truth.keys():
+        missing_truth = sorted(set(predicted) - set(truth))
+        missing_pred = sorted(set(truth) - set(predicted))
         parts = []
         if missing_pred:
             parts.append(f"no prediction for {_preview(missing_pred)}")
         if missing_truth:
             parts.append(f"no truth for {_preview(missing_truth)}")
         raise ValidationError("label sets differ: " + "; ".join(parts))
-    tp = fn = fp = tn = 0
-    for node, is_zombie in truth.items():
-        flagged = predicted[node]
-        if is_zombie:
-            if flagged:
-                tp += 1
-            else:
-                fn += 1
-        elif flagged:
-            fp += 1
-        else:
-            tn += 1
-    return ConfusionMatrix(tp, fn, fp, tn)
+    zombies = list(compress(truth, truth.values()))
+    tp = sum(map(bool, map(predicted.__getitem__, zombies)))
+    fp = sum(map(bool, predicted.values())) - tp
+    return ConfusionMatrix(tp, len(zombies) - tp, fp, len(truth) - len(zombies) - fp)
 
 
 def _preview(ids: list[int], limit: int = 10) -> str:
@@ -111,15 +103,20 @@ def region_distribution(report, profiles) -> dict[str, int]:
 
     `report` is a ZombieReport or a {node_id: is_zombie} map.
     """
-    flagged = ([n for n, z in report.items() if z] if isinstance(report, dict)
-               else report.zombie_nodes())
-    counts: Counter[str] = Counter()
-    for node in flagged:
-        node = int(node)
-        prof = profiles[node] if profiles is not None and node < len(profiles) else None
-        region = prof.region if prof is not None and prof.region else "unknown"
-        counts[region] += 1
-    return dict(counts)
+    flagged = np.asarray(list(compress(report, report.values())) if isinstance(report, dict)
+                         else report.zombie_nodes(), dtype=np.int64)
+    names = ["unknown"]
+    codes = np.full(flagged.shape[0], -1, dtype=np.int64)
+    if profiles is not None:
+        known = flagged < len(profiles)
+        codes[known] = profiles.region_codes[flagged[known]]
+        names += profiles.region_names
+    counts: dict[str, int] = {}
+    # region code c is counted at c + 1, so no region (-1) lands on "unknown"
+    for name, count in zip(names, np.bincount(codes + 1).tolist()):
+        if count:  # a region called "unknown" merges with the nodes without one
+            counts[name] = counts.get(name, 0) + count
+    return counts
 
 
 def degree_histogram(g: DirectedGraph, bin_width: int = 1) -> list[tuple[int, int]]:
@@ -147,18 +144,14 @@ def write_metrics_json(cm: ConfusionMatrix, ms: MetricSet, destination,
     }
     if manifest_name is not None:
         payload["manifest"] = manifest_name
-    from .ingest import _text_stream
-
-    with _text_stream(destination, "w") as fh:
+    with text_stream(destination, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
 
 def write_regions_csv(counts: dict[str, int], destination) -> None:
-    """Emit `region,count` sorted by count descending, then name."""
-    from .ingest import _text_stream
-
-    with _text_stream(destination, "w") as fh:
+    """Emit `region,count` (UTF-8) sorted by count descending, then name."""
+    with text_stream(destination, "w", UTF8) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["region", "count"])
         for region, count in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])):
@@ -166,9 +159,7 @@ def write_regions_csv(counts: dict[str, int], destination) -> None:
 
 
 def write_histogram_csv(hist: list[tuple[int, int]], destination) -> None:
-    from .ingest import _text_stream
-
-    with _text_stream(destination, "w") as fh:
+    with text_stream(destination, "w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["bin_lower", "count"])
         for lower, count in hist:

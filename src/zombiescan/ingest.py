@@ -15,7 +15,6 @@ import io
 import logging
 import struct
 import zlib
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,12 +22,14 @@ import numpy as np
 
 from .errors import CacheError, ParseError, ValidationError
 from .graph import DirectedGraph, _build_graph, _index_dtype, _pair_keys
+from .textio import (ASCII, INT64_MAX, UTF8, decode, int64, int_column, read_text,
+                     render_ints, split_fields, text_stream)
 
 log = logging.getLogger(__name__)
 
 __all__ = [
     "RawNetwork",
-    "UserProfile",
+    "ProfileTable",
     "ProfileSchema",
     "parse_weibo_network",
     "write_weibo_network",
@@ -59,22 +60,6 @@ class RawNetwork:
         return _build_graph(self.sources, self.targets, self.flags, self.node_count)
 
 
-@contextmanager
-def _text_stream(source, mode: str = "r"):
-    """Yield a text stream for a path, text stream, or binary stream."""
-    if isinstance(source, (str, Path)):
-        with open(source, mode, encoding="ascii") as fh:
-            yield fh
-    elif isinstance(source, io.TextIOBase):
-        yield source
-    else:
-        wrapper = io.TextIOWrapper(source, encoding="ascii", write_through=True)
-        try:
-            yield wrapper
-        finally:
-            wrapper.detach()
-
-
 def _ints(line: str, lineno: int) -> list[int]:
     try:
         return [int(tok) for tok in line.split()]
@@ -82,7 +67,6 @@ def _ints(line: str, lineno: int) -> list[int]:
         raise ParseError("non-integer token", lineno) from None
 
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
 # the only bytes the whole-buffer parse accepts; anything else goes line by line
 _FAST_CHARSET = b"0123456789 \t\n"
 
@@ -112,8 +96,7 @@ def parse_weibo_network(source) -> RawNetwork:
     if raw is None:
         # a text stream has already applied its own newline handling; bytes are
         # read as open() in text mode reads them: ASCII, universal newlines
-        raw = _parse_lines(io.StringIO(data) if isinstance(data, str)
-                           else io.StringIO(data.decode("ascii"), newline=None))
+        raw = _parse_lines(io.StringIO(data if isinstance(data, str) else decode(data, ASCII)))
     if raw.arc_count != raw.declared_edge_count:
         log.warning("network declares %d relationships but %d arcs were parsed",
                     raw.declared_edge_count, raw.arc_count)
@@ -145,7 +128,7 @@ def _parse_buffer(buf: bytes) -> RawNetwork | None:
     if values.shape[0] != token_count:
         return None
     n, declared_m = int(values[0]), int(values[1])
-    if _INT64_MAX in (n, declared_m):  # an oversized token clamps to INT64_MAX
+    if INT64_MAX in (n, declared_m):  # an oversized token clamps to INT64_MAX
         return None
 
     records = np.flatnonzero(counts[1:]) + 1  # nonblank lines after the header
@@ -170,7 +153,7 @@ def _parse_buffer(buf: bytes) -> RawNetwork | None:
 
 def _parse_lines(source) -> RawNetwork:
     """Line-by-line parse; raises ParseError with the line of the first fault."""
-    with _text_stream(source) as fh:
+    with text_stream(source) as fh:
         header = fh.readline()
         if not header or not header.strip():
             raise ParseError("empty file", 1)
@@ -180,7 +163,7 @@ def _parse_lines(source) -> RawNetwork:
         n, declared_m = head
         if n < 0 or declared_m < 0:
             raise ParseError("negative count in header", 1)
-        if n > _INT64_MAX:
+        if n > INT64_MAX:
             raise ParseError(f"node count {n} does not fit a 64-bit id", 1)
 
         sources: list[np.ndarray] = []
@@ -230,6 +213,9 @@ def _parse_lines(source) -> RawNetwork:
     return RawNetwork(n, declared_m, src, dst, fl)
 
 
+_RENDER_CHUNK = 1 << 18  # tokens rendered at a time, to bound the temporaries
+
+
 def write_weibo_network(raw_or_graph, destination) -> None:
     """Serialize a RawNetwork or DirectedGraph in the network text layout.
 
@@ -238,20 +224,28 @@ def write_weibo_network(raw_or_graph, destination) -> None:
     """
     raw = raw_or_graph if isinstance(raw_or_graph, RawNetwork) else _flagged_arcs(raw_or_graph)
     n = raw.node_count
-    order = np.lexsort((raw.targets, raw.sources))
-    # target and flag of each arc, interleaved in row order
-    tokens = np.empty(2 * order.shape[0], dtype=np.int64)
-    tokens[0::2] = raw.targets[order]
-    tokens[1::2] = raw.flags[order]
-    starts = (2 * np.searchsorted(raw.sources[order], np.arange(n + 1))).tolist()
-    with _text_stream(destination, "w") as fh:
+    sources, targets = raw.sources, raw.targets
+    order = np.lexsort((targets, sources))
+    bounds = np.searchsorted(sources[order], np.arange(n + 1))
+    order = order[bounds[0]:bounds[-1]]  # the arcs whose source is a node id
+    degrees = np.diff(bounds)
+    # row u is `u k` and its k (target, flag) pairs; its first token is at row_start[u]
+    row_start = 2 * np.arange(n) + 2 * (bounds[:-1] - bounds[0])
+    tokens = np.empty(2 * n + 2 * order.shape[0], dtype=np.int64)
+    tokens[row_start] = np.arange(n)
+    tokens[row_start + 1] = degrees
+    pairs = np.ones(tokens.shape[0], dtype=bool)
+    pairs[row_start] = pairs[row_start + 1] = False
+    tokens[pairs] = np.stack([targets[order], raw.flags[order]], axis=1).ravel()
+    if tokens.shape[0] and tokens.min() < 0:
+        raise ValidationError("network ids and flags must be non-negative")
+    separators = np.full(tokens.shape[0], ord(" "), dtype=np.uint8)
+    separators[row_start + 1 + 2 * degrees] = ord("\n")
+    with text_stream(destination, "w") as fh:
         fh.write(f"{n} {raw.arc_count}\n")
-        for u in range(n):
-            lo, hi = starts[u], starts[u + 1]
-            if lo == hi:
-                fh.write(f"{u} 0\n")
-            else:
-                fh.write(f"{u} {(hi - lo) // 2} {' '.join(map(str, tokens[lo:hi].tolist()))}\n")
+        for lo in range(0, tokens.shape[0], _RENDER_CHUNK):
+            hi = lo + _RENDER_CHUNK
+            fh.write(render_ints(tokens[lo:hi], separators[lo:hi]).decode(ASCII))
 
 
 def _flagged_arcs(g: DirectedGraph) -> RawNetwork:
@@ -268,50 +262,65 @@ def _flagged_arcs(g: DirectedGraph) -> RawNetwork:
 
 
 def parse_uidlist(source) -> list[tuple[int, str]]:
-    """Read one external uid per line; line i maps to node id i."""
-    with _text_stream(source) as fh:
-        out: list[tuple[int, str]] = []
-        lineno = 0
-        while True:
-            line = fh.readline()
-            if not line:
-                break
-            lineno += 1
-            uid = line.strip()
-            if not uid:
-                if fh.read(1):
-                    raise ParseError("blank line inside uid list", lineno)
-                break
-            out.append((len(out), uid))
-        if not out:
-            raise ParseError("uid list is empty", 1)
-        return out
+    """Read one external uid per line (UTF-8); line i maps to node id i."""
+    fh = io.StringIO(read_text(source, UTF8))
+    out: list[tuple[int, str]] = []
+    lineno = 0
+    while True:
+        line = fh.readline()
+        if not line:
+            break
+        lineno += 1
+        uid = line.strip()
+        if not uid:
+            if fh.read(1):
+                raise ParseError("blank line inside uid list", lineno)
+            break
+        out.append((len(out), uid))
+    if not out:
+        raise ParseError("uid list is empty", 1)
+    return out
 
 
 def write_uidlist(uids: list[str], destination) -> None:
-    with _text_stream(destination, "w") as fh:
-        for uid in uids:
-            fh.write(uid)
-            fh.write("\n")
-
-
-@dataclass
-class UserProfile:
-    """Per-account profile record; absent fields stay None."""
-
-    node_id: int
-    uid: str | None = None
-    name: str | None = None
-    gender: str | None = None
-    verification: str | None = None
-    region: str | None = None
-    followers: int | None = None
-    followees: int | None = None
-    tweets: int | None = None
+    with text_stream(destination, "w", UTF8) as fh:
+        fh.write("".join(uid + "\n" for uid in uids))
 
 
 _PROFILE_TEXT_FIELDS = ("uid", "name", "gender", "verification", "region")
 _PROFILE_INT_FIELDS = ("followers", "followees", "tweets")
+
+
+@dataclass(eq=False)
+class ProfileTable:
+    """Profile records as columns, one row per node in file order.
+
+    Text columns hold "" where a record leaves the field blank or lacks it.
+    Each count column is int64, beside a mask of the rows whose value is
+    blank, unparseable, outside int64 or absent; a masked entry reads 0.
+    Regions are codes into `region_names`, -1 where blank.
+    """
+
+    uid: list[str]
+    name: list[str]
+    gender: list[str]
+    verification: list[str]
+    region_codes: np.ndarray
+    region_names: list[str]
+    followers: np.ndarray
+    followers_missing: np.ndarray
+    followees: np.ndarray
+    followees_missing: np.ndarray
+    tweets: np.ndarray
+    tweets_missing: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.region_codes.shape[0])
+
+    @property
+    def regions(self) -> list[str]:
+        """The region of each row, "" where blank."""
+        return np.array(self.region_names + [""], dtype=object)[self.region_codes].tolist()
 
 
 @dataclass
@@ -331,70 +340,128 @@ class ProfileSchema:
         for f in self.fields:
             if f not in known:
                 raise ValidationError(f"unknown profile field {f!r}")
+        named = [f for f in self.fields if f != "_"]
+        if len(set(named)) != len(named):
+            raise ValidationError("a profile field is listed twice")
+        if not self.delimiter or "\n" in self.delimiter:
+            raise ValidationError("the profile delimiter must be nonempty and hold no newline")
 
 
 def parse_profiles(source, schema: ProfileSchema | None = None,
-                   uidlist: list[tuple[int, str]] | None = None) -> list[UserProfile]:
-    """Parse delimiter-separated profile records, one per node in file order.
+                   uidlist: list[tuple[int, str]] | None = None) -> ProfileTable:
+    """Parse delimiter-separated profile records (UTF-8), one per node in file order.
 
-    Unparseable numeric fields become None and are tallied in a warning.
-    When a uidlist is supplied the record count must match it.
+    Blank lines are skipped and fields are stripped of surrounding
+    whitespace. Blank or unparseable numeric fields are masked as missing and
+    tallied in a warning. When a uidlist is supplied the record count must
+    match it.
     """
     schema = schema or ProfileSchema()
-    bad_numbers = 0
+    text = read_text(source, UTF8)
+    split = _profile_columns(text, schema)
+    n, columns = split if split is not None else _profile_rows(text, schema)
+    table, bad_numbers = _profile_table(n, columns)
     uid_mismatches = 0
-    profiles: list[UserProfile] = []
-    with _text_stream(source) as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split(schema.delimiter)
-            prof = UserProfile(node_id=len(profiles))
-            for name, value in zip(schema.fields, cols):
-                if name == "_":
-                    continue
-                value = value.strip()
-                if name in _PROFILE_INT_FIELDS:
-                    if value:
-                        try:
-                            setattr(prof, name, int(value))
-                        except ValueError:
-                            bad_numbers += 1
-                    else:
-                        bad_numbers += 1
-                elif value:
-                    setattr(prof, name, value)
-            profiles.append(prof)
-
     if uidlist is not None:
-        if len(profiles) != len(uidlist):
+        if n != len(uidlist):
             raise ValidationError(
-                f"profile file has {len(profiles)} records but uid list has {len(uidlist)}")
-        for (_, uid), prof in zip(uidlist, profiles):
-            if prof.uid is not None and prof.uid != uid:
-                uid_mismatches += 1
+                f"profile file has {n} records but uid list has {len(uidlist)}")
+        uid_mismatches = sum(1 for uid, (_, listed) in zip(table.uid, uidlist)
+                             if uid and uid != listed)
     if bad_numbers:
         log.warning("%d numeric profile fields were blank or unparseable", bad_numbers)
     if uid_mismatches:
         log.warning("%d profile uids disagree with the uid list", uid_mismatches)
-    return profiles
+    return table
 
 
-def write_profiles(profiles: list[UserProfile], destination,
+def _profile_columns(text: str, schema: ProfileSchema):
+    """(records, {field: stripped values}) from one split of the whole text, or
+    None unless every line holds exactly len(schema.fields) fields."""
+    delimiter, width = schema.delimiter, len(schema.fields)
+    if len(delimiter) != 1 or not delimiter.isascii() or not width:
+        return None
+    named = [(j, name) for j, name in enumerate(schema.fields) if name != "_"]
+    if not text:
+        return 0, {name: [] for _, name in named}
+    split = split_fields(text, delimiter, width)
+    if split is None:
+        return None
+    return len(split) // width, {name: list(map(str.strip, split[j::width]))
+                                 for j, name in named}
+
+
+def _profile_rows(text: str, schema: ProfileSchema):
+    """(records, {field: stripped values}) line by line; a record without a
+    count field holds None there, one without a text field holds ""."""
+    rows = [line.split(schema.delimiter) for line in text.split("\n") if line]
+    columns = {}
+    for j, name in enumerate(schema.fields):
+        if name != "_":
+            absent = None if name in _PROFILE_INT_FIELDS else ""
+            columns[name] = [row[j].strip() if j < len(row) else absent for row in rows]
+    return len(rows), columns
+
+
+def _profile_table(n: int, columns: dict[str, list]) -> tuple[ProfileTable, int]:
+    """The table of split profile columns, and the count of blank or bad numbers."""
+    region = columns.get("region", [""] * n)
+    names = [r for r in dict.fromkeys(region) if r]
+    index = dict(zip(names, range(len(names))))
+    index[""] = -1
+    codes = np.fromiter(map(index.__getitem__, region), dtype=np.int64, count=n)
+    counts = {}
+    bad_numbers = 0
+    for name in _PROFILE_INT_FIELDS:
+        values, missing, bad = _count_column(columns.get(name), n)
+        counts[name], counts[name + "_missing"] = values, missing
+        bad_numbers += bad
+    text = {name: columns.get(name, [""] * n) for name in _PROFILE_TEXT_FIELDS
+            if name != "region"}
+    return ProfileTable(**text, region_codes=codes, region_names=names, **counts), bad_numbers
+
+
+def _count_column(column: list | None, n: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """int64 values, missing mask and bad-value tally of one count column.
+
+    A None entry is a record without the field, missing but not tallied."""
+    if column is not None and None not in column:
+        values = int_column(column)
+        if values is not None:
+            return values, np.zeros(n, dtype=bool), 0
+    values = np.zeros(n, dtype=np.int64)
+    missing = np.ones(n, dtype=bool)
+    bad = 0
+    for row, field in enumerate(column or ()):
+        if field is None:
+            continue
+        try:
+            values[row], missing[row] = int64(field), False
+        except ValueError:
+            bad += 1
+    return values, missing, bad
+
+
+def write_profiles(profiles: ProfileTable, destination,
                    schema: ProfileSchema | None = None) -> None:
+    """Write one delimiter-separated record per row (UTF-8); missing values stay blank."""
     schema = schema or ProfileSchema()
-    with _text_stream(destination, "w") as fh:
-        for prof in profiles:
-            cols = []
-            for name in schema.fields:
-                if name == "_":
-                    cols.append("")
-                    continue
-                value = getattr(prof, name)
-                cols.append("" if value is None else str(value))
-            fh.write(schema.delimiter.join(cols))
-            fh.write("\n")
+    n = len(profiles)
+    columns = []
+    for name in schema.fields:
+        if name == "_":
+            columns.append([""] * n)
+        elif name == "region":
+            columns.append(profiles.regions)
+        elif name in _PROFILE_INT_FIELDS:
+            column = list(map(str, getattr(profiles, name).tolist()))
+            for row in np.flatnonzero(getattr(profiles, name + "_missing")).tolist():
+                column[row] = ""
+            columns.append(column)
+        else:
+            columns.append(getattr(profiles, name))
+    with text_stream(destination, "w", UTF8) as fh:
+        fh.write("".join(row + "\n" for row in map(schema.delimiter.join, zip(*columns))))
 
 
 # Binary cache layout (little-endian):

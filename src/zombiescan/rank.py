@@ -21,6 +21,7 @@ community rounds, and stops, exactly as it would alone.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 from dataclasses import dataclass
@@ -30,6 +31,8 @@ import numpy as np
 from .community import Partition
 from .errors import ValidationError
 from .graph import DirectedGraph
+from .textio import (ASCII, csv_columns, float_reprs, int64, int_column, read_text,
+                     text_stream)
 
 log = logging.getLogger(__name__)
 
@@ -97,11 +100,11 @@ def _io_scores(n: int, sources: np.ndarray, targets: np.ndarray, source: str,
     if source == "profile":
         if profiles is None:
             raise ValidationError("profile io source requires profiles")
-        fallback = n
-        for node, prof in enumerate(profiles[:n]):
-            if prof is not None and prof.followers is not None and prof.followees is not None:
-                fans[node], follows[node] = prof.followers, prof.followees
-                fallback -= 1
+        rows = min(n, len(profiles))
+        known = np.flatnonzero(~(profiles.followers_missing[:rows]
+                                 | profiles.followees_missing[:rows]))
+        fans[known], follows[known] = profiles.followers[known], profiles.followees[known]
+        fallback = n - known.shape[0]
         if fallback:
             log.warning("%d of %d nodes lack profile counts; used local degrees",
                         fallback, n)
@@ -316,12 +319,13 @@ def rank_all_communities(g: DirectedGraph, p: Partition, cfg: RankConfig | None 
                                 p.community_count, cfg)))
 
 
+_RANKS_HEADER = ("node_id", "community_id", "io", "pagerank", "converged")
+
+
 def write_ranks_csv(destination, g: DirectedGraph, p: Partition,
                     vectors: dict[int, ImportanceVector], profiles=None,
                     io_source: str = "local") -> None:
     """Emit `node_id,community_id,io,pagerank,converged` rows in node order."""
-    from .ingest import _text_stream
-
     n = g.node_count
     io_col = _io_scores(n, *_intra_arcs(g, p), io_source, profiles).values
     pr_col = np.zeros(n)
@@ -329,42 +333,79 @@ def write_ranks_csv(destination, g: DirectedGraph, p: Partition,
     for vec in vectors.values():
         pr_col[vec.members] = vec.values
         conv_col[vec.members] = vec.converged
-    with _text_stream(destination, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["node_id", "community_id", "io", "pagerank", "converged"])
-        writer.writerows(zip(range(n), p.assignment.tolist(),
-                             map(repr, io_col.tolist()), map(repr, pr_col.tolist()),
-                             ["true" if c else "false" for c in conv_col.tolist()]))
+    converged = np.array(["false", "true"], dtype=object)[conv_col.astype(np.intp)].tolist()
+    rows = zip(range(n), p.assignment.tolist(), float_reprs(io_col), float_reprs(pr_col),
+               converged)
+    with text_stream(destination, "w") as fh:
+        fh.write(",".join(_RANKS_HEADER) + "\n" + "".join(map("%d,%d,%s,%s,%s\n".__mod__, rows)))
 
 
 def read_ranks_csv(source) -> dict[int, ImportanceVector]:
     """Rebuild per-community vectors from a ranks CSV; rejects non-finite
     scores, repeated nodes and `converged` values other than true/false."""
-    from .ingest import _text_stream
+    text = read_text(source, ASCII)
+    vectors = _ranks_columns(text)
+    return vectors if vectors is not None else _ranks_rows(text)
 
+
+def _ranks_columns(text: str) -> dict[int, ImportanceVector] | None:
+    """The vectors from one split of the whole text, or None for the row loop."""
+    columns = csv_columns(text, _RANKS_HEADER)
+    if columns is None:
+        return None
+    nodes, cids = int_column(columns[0]), int_column(columns[1])
+    flags = list(map(_CONVERGED.get, columns[4]))
+    if nodes is None or cids is None or None in flags:
+        return None
+    try:
+        values = np.array(list(map(float, columns[3])), dtype=np.float64)
+    except ValueError:
+        return None
+    ordered = np.sort(nodes)
+    if not np.isfinite(values).all() or (ordered[1:] == ordered[:-1]).any():
+        return None
+    vectors: dict[int, ImportanceVector] = {}
+    if not nodes.shape[0]:
+        return vectors
+    # rows by community, then node; communities in order of first appearance
+    order = np.lexsort((nodes, cids))
+    ids, starts = np.unique(cids[order], return_index=True)
+    bounds = np.append(starts, order.shape[0]).tolist()
+    first_row = np.minimum.reduceat(order, starts)
+    converged = np.logical_and.reduceat(np.array(flags, dtype=bool)[order], starts)
+    for k in np.argsort(first_row).tolist():
+        rows = order[bounds[k]:bounds[k + 1]]
+        vectors[int(ids[k])] = ImportanceVector(values[rows], nodes[rows], 0, 0.0,
+                                                bool(converged[k]))
+    return vectors
+
+
+_CONVERGED = {"true": True, "false": False}
+
+
+def _ranks_rows(text: str) -> dict[int, ImportanceVector]:
     groups: dict[int, list[tuple[int, float, bool]]] = {}
     seen: set[int] = set()
-    with _text_stream(source) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["node_id", "community_id", "io", "pagerank", "converged"]:
-            raise ValidationError("ranks file must start with "
-                                  "'node_id,community_id,io,pagerank,converged'")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                node, cid = int(row[0]), int(row[1])
-                value = float(row[3])
-                flag = row[4]
-            except (ValueError, IndexError):
-                raise ValidationError(f"bad ranks row: {row!r}") from None
-            if not math.isfinite(value) or flag not in ("true", "false"):
-                raise ValidationError(f"bad ranks row: {row!r}")
-            if node in seen:
-                raise ValidationError(f"node {node} listed twice in the ranks file")
-            seen.add(node)
-            groups.setdefault(cid, []).append((node, value, flag == "true"))
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header != list(_RANKS_HEADER):
+        raise ValidationError("ranks file must start with "
+                              "'node_id,community_id,io,pagerank,converged'")
+    for row in reader:
+        if not row:
+            continue
+        try:
+            node, cid = int64(row[0]), int(row[1])
+            value = float(row[3])
+            flag = row[4]
+        except (ValueError, IndexError):
+            raise ValidationError(f"bad ranks row: {row!r}") from None
+        if not math.isfinite(value) or flag not in _CONVERGED:
+            raise ValidationError(f"bad ranks row: {row!r}")
+        if node in seen:
+            raise ValidationError(f"node {node} listed twice in the ranks file")
+        seen.add(node)
+        groups.setdefault(cid, []).append((node, value, flag == "true"))
 
     vectors: dict[int, ImportanceVector] = {}
     for cid, entries in groups.items():

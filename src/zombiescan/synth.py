@@ -14,6 +14,7 @@ corpora are the durable reference.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 import math
@@ -24,7 +25,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .graph import DirectedGraph, _build_graph, _dedup_pairs
-from .ingest import UserProfile, write_profiles, write_uidlist, write_weibo_network
+from .ingest import ProfileTable, write_profiles, write_uidlist, write_weibo_network
+from .textio import UTF8, csv_columns, int64, int_column, read_text, text_stream
 
 log = logging.getLogger(__name__)
 
@@ -113,7 +115,7 @@ class GroundTruth:
         return np.flatnonzero(self.is_zombie)
 
     def labels(self) -> dict[int, bool]:
-        return {i: bool(z) for i, z in enumerate(self.is_zombie)}
+        return dict(enumerate(self.is_zombie.tolist()))
 
 
 def _zombie_allocation(cfg: SynthConfig) -> list[int]:
@@ -129,7 +131,7 @@ def _zombie_allocation(cfg: SynthConfig) -> list[int]:
     return counts
 
 
-def generate(cfg: SynthConfig) -> tuple[DirectedGraph, GroundTruth, list[UserProfile]]:
+def generate(cfg: SynthConfig) -> tuple[DirectedGraph, GroundTruth, ProfileTable]:
     """Build (graph, truth, profiles) deterministically from the config seed."""
     if cfg.p_in <= cfg.p_out:
         log.warning("p_in (%g) <= p_out (%g): planted blocks will not be detectable",
@@ -215,60 +217,79 @@ def generate(cfg: SynthConfig) -> tuple[DirectedGraph, GroundTruth, list[UserPro
     # 4) regions
     labels = sorted(cfg.regions)
     weights = np.asarray([cfg.regions[r] for r in labels], dtype=np.float64)
-    regions = [labels[i] for i in rng.choice(len(labels), size=n, p=weights / weights.sum())]
+    region_codes = rng.choice(len(labels), size=n, p=weights / weights.sum())
 
     graph = _build_graph(all_src, all_dst, np.zeros_like(all_src), n)
-    truth = GroundTruth(block_ids, is_zombie, regions)
-    in_deg, out_deg = graph.in_degrees.tolist(), graph.out_degrees.tolist()
-    profiles = [
-        UserProfile(node_id=i, uid=str(1_000_000 + i), name=f"user_{i}",
-                    gender="f" if i % 2 else "m",
-                    verification="no", region=regions[i],
-                    followers=in_deg[i], followees=out_deg[i],
-                    tweets=0)
-        for i in range(n)
-    ]
+    truth = GroundTruth(block_ids, is_zombie, [labels[i] for i in region_codes.tolist()])
+    known = np.zeros(n, dtype=bool)
+    profiles = ProfileTable(
+        uid=list(map(str, range(1_000_000, 1_000_000 + n))),
+        name=list(map("user_{}".format, range(n))),
+        gender=(["m", "f"] * (n // 2 + 1))[:n], verification=["no"] * n,
+        region_codes=region_codes.astype(np.int64), region_names=labels,
+        followers=graph.in_degrees.astype(np.int64), followers_missing=known,
+        followees=graph.out_degrees.astype(np.int64), followees_missing=known.copy(),
+        tweets=np.zeros(n, dtype=np.int64), tweets_missing=known.copy())
     return graph, truth, profiles
 
 
-def write_truth_csv(truth: GroundTruth, destination) -> None:
-    """Emit `node_id,block_id,is_zombie,region` rows."""
-    from .ingest import _text_stream
+_TRUTH_HEADER = ("node_id", "block_id", "is_zombie", "region")
+_TRUTH_FLAGS = {"0": False, "1": True, "true": True, "false": False, "True": True,
+                "False": False}
 
-    with _text_stream(destination, "w") as fh:
+
+def write_truth_csv(truth: GroundTruth, destination) -> None:
+    """Emit `node_id,block_id,is_zombie,region` rows (UTF-8)."""
+    with text_stream(destination, "w", UTF8) as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["node_id", "block_id", "is_zombie", "region"])
+        writer.writerow(_TRUTH_HEADER)
         writer.writerows(zip(range(truth.node_count), truth.block_ids.tolist(),
                              truth.is_zombie.astype(np.int64).tolist(), truth.regions))
 
 
 def read_truth_csv(source) -> GroundTruth:
-    """Read a truth file; `is_zombie` must be one of 0/1/true/false/True/False."""
-    from .ingest import _text_stream
+    """Read a truth file (UTF-8); `is_zombie` must be one of 0/1/true/false/True/False."""
+    text = read_text(source, UTF8)
+    truth = _truth_columns(text)
+    return truth if truth is not None else _truth_rows(text)
 
+
+def _truth_columns(text: str) -> GroundTruth | None:
+    """The truth file from one split of the whole text, or None for the row loop."""
+    columns = csv_columns(text, _TRUTH_HEADER)
+    if columns is None or not columns[0]:
+        return None
+    nodes, blocks = int_column(columns[0]), int_column(columns[1])
+    flags = list(map(_TRUTH_FLAGS.get, columns[2]))
+    if (nodes is None or blocks is None or None in flags
+            or (nodes != np.arange(nodes.shape[0])).any()):
+        return None
+    return GroundTruth(blocks, np.array(flags, dtype=bool), columns[3])
+
+
+def _truth_rows(text: str) -> GroundTruth:
     blocks: list[int] = []
     zombies: list[bool] = []
     regions: list[str] = []
-    with _text_stream(source) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["node_id", "block_id", "is_zombie", "region"]:
-            raise ValidationError("truth file must start with "
-                                  "'node_id,block_id,is_zombie,region'")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                node = int(row[0])
-                if node != len(blocks):
-                    raise ValueError
-                if row[2] not in ("0", "1", "true", "false", "True", "False"):
-                    raise ValueError
-                blocks.append(int(row[1]))
-                zombies.append(row[2] in ("1", "true", "True"))
-                regions.append(row[3])
-            except (ValueError, IndexError):
-                raise ValidationError(f"bad truth row: {row!r}") from None
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header != list(_TRUTH_HEADER):
+        raise ValidationError("truth file must start with "
+                              "'node_id,block_id,is_zombie,region'")
+    for row in reader:
+        if not row:
+            continue
+        try:
+            node = int(row[0])
+            if node != len(blocks):
+                raise ValueError
+            if row[2] not in _TRUTH_FLAGS:
+                raise ValueError
+            blocks.append(int64(row[1]))
+            zombies.append(_TRUTH_FLAGS[row[2]])
+            regions.append(row[3])
+        except (ValueError, IndexError):
+            raise ValidationError(f"bad truth row: {row!r}") from None
     if not blocks:
         raise ValidationError("truth file is empty")
     return GroundTruth(np.asarray(blocks, dtype=np.int64),
@@ -276,7 +297,7 @@ def read_truth_csv(source) -> GroundTruth:
 
 
 def emit_weibo_format(g: DirectedGraph, truth: GroundTruth,
-                      profiles: list[UserProfile], out_dir) -> dict[str, Path]:
+                      profiles: ProfileTable, out_dir) -> dict[str, Path]:
     """Write the network/uidlist/profile/truth files for a generated corpus."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -287,7 +308,7 @@ def emit_weibo_format(g: DirectedGraph, truth: GroundTruth,
         "truth": out / "truth.csv",
     }
     write_weibo_network(g, paths["network"])
-    write_uidlist([p.uid or str(i) for i, p in enumerate(profiles)], paths["uidlist"])
+    write_uidlist([uid or str(i) for i, uid in enumerate(profiles.uid)], paths["uidlist"])
     write_profiles(profiles, paths["profiles"])
     write_truth_csv(truth, paths["truth"])
     return paths

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from zombiescan import build_graph
+from zombiescan import ProfileTable, build_graph
 
 DATA = __file__.rsplit("/", 1)[0] + "/data"
 
@@ -21,3 +21,24 @@ def random_graph(seed: int, n: int, p: float):
     rng = np.random.Generator(np.random.PCG64(seed))
     arcs = [(u, v, 0) for u in range(n) for v in range(n) if u != v and rng.random() < p]
     return build_graph(arcs, n), [(u, v) for u, v, _ in arcs]
+
+
+def profile_table(n, uids=None, regions=None, followers=None, followees=None):
+    """A ProfileTable of n rows from per-row values; None marks a blank value."""
+    names = [r for r in dict.fromkeys(regions or []) if r]
+    codes = [names.index(r) if r else -1 for r in regions or [None] * n]
+
+    def counts(values):
+        values = values or [None] * n
+        return (np.array([v or 0 for v in values], dtype=np.int64),
+                np.array([v is None for v in values]))
+
+    fans, fans_missing = counts(followers)
+    follows, follows_missing = counts(followees)
+    tweets, tweets_missing = counts(None)
+    return ProfileTable(uid=[u or "" for u in uids or [None] * n], name=[""] * n,
+                        gender=[""] * n, verification=[""] * n,
+                        region_codes=np.array(codes, dtype=np.int64), region_names=names,
+                        followers=fans, followers_missing=fans_missing,
+                        followees=follows, followees_missing=follows_missing,
+                        tweets=tweets, tweets_missing=tweets_missing)

@@ -6,6 +6,10 @@ formulas, deliberately sharing no code with the package under test.
 
 from __future__ import annotations
 
+import csv
+import io
+import math
+
 import numpy as np
 
 from zombiescan import ValidationError  # the error type the package raises, no logic
@@ -426,3 +430,37 @@ def one_level_queue_numpy_scalars(g, rng, resolution: float) -> tuple[np.ndarray
                     order.append(int(v))
         comm_tot[node_comm[u]] += ku
     return node_comm, head, moves
+
+
+# ---- CSV writers as csv.writer renders them, one row at a time ----------------
+
+
+def _csv_text(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def partition_csv_rows(assignment, uids=None) -> str:
+    header = ["node_id", "community_id"] + (["uid"] if uids is not None else [])
+    rows = [[i, int(c)] + ([uids[i]] if uids is not None else [])
+            for i, c in enumerate(assignment)]
+    return _csv_text(header, rows)
+
+
+def ranks_csv_rows(assignment, io_values, pagerank, converged) -> str:
+    return _csv_text(["node_id", "community_id", "io", "pagerank", "converged"],
+                     [[i, int(c), repr(float(x)), repr(float(p)), "true" if ok else "false"]
+                      for i, (c, x, p, ok) in enumerate(zip(assignment, io_values,
+                                                            pagerank, converged))])
+
+
+def report_csv_rows(report) -> str:
+    return _csv_text(["node_id", "community_id", "pagerank", "threshold", "label"],
+                     [[int(n), int(c), repr(float(v)), "" if math.isnan(t) else repr(float(t)),
+                       "zombie" if z else "normal"]
+                      for n, c, v, t, z in zip(report.node_ids, report.community_ids,
+                                               report.values, report.thresholds,
+                                               report.is_zombie)])

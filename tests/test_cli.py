@@ -374,6 +374,36 @@ class TestPipeline:
             assert manifest["summary"]["communities"] == 4
 
 
+class TestTextEncoding:
+    def copy_planted(self, tmp_path, replace):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name in ("weibo_network.txt", "uidlist.txt", "user_profile.txt", "truth.csv"):
+            data = (Path(PLANTED) / name).read_bytes()
+            if name in replace:
+                data = data.replace(b"Beijing", replace[name])
+            (corpus / name).write_bytes(data)
+        return corpus
+
+    def test_utf8_region_names_reach_regions_csv(self, tmp_path):
+        chinese = "北京".encode("utf-8")
+        corpus = self.copy_planted(tmp_path, {"user_profile.txt": chinese,
+                                              "truth.csv": chinese})
+        run = tmp_path / "run"
+        assert main(["pipeline", str(corpus), "-o", str(run)]) == 0
+        assert (run / "regions.csv").read_text(encoding="utf-8") == "region,count\n北京,2\n"
+
+    @pytest.mark.parametrize("name", ["user_profile.txt", "truth.csv"])
+    def test_stray_latin1_byte_exits_2_naming_the_line(self, tmp_path, capsys, name):
+        corpus = self.copy_planted(tmp_path, {name: "Pékin".encode("latin-1")})
+        lines = (corpus / name).read_bytes().split(b"\n")
+        first = next(i for i, line in enumerate(lines, 1) if b"\xe9" in line)
+        run = tmp_path / "run"
+        assert main(["pipeline", str(corpus), "-o", str(run)]) == 2
+        assert f"error: line {first}: byte 0xe9 is not UTF-8 text" in capsys.readouterr().err
+        assert not run.exists() or not files_under(run)
+
+
 class TestManifests:
     def test_digests_match_files_and_outputs_are_the_files_written(self, tmp_path):
         cfg = tmp_path / "cfg.json"

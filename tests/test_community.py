@@ -335,6 +335,11 @@ class TestPartition:
         with pytest.raises(ValidationError, match="cover"):
             read_partition_csv(path, 2)
 
+    def test_csv_negative_community_ids_read(self, tmp_path):
+        path = tmp_path / "partition.csv"
+        path.write_text("node_id,community_id\n0,-1\n1,5\n2,-1\n")
+        assert read_partition_csv(path, 3) == Partition([0, 1, 0])
+
 
 def test_self_loop_degree_convention():
     # one edge {0,1} plus a self-loop of weight 2 at node 0

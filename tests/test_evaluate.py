@@ -6,10 +6,9 @@ from hypothesis import strategies as st
 from zombiescan import (ConfusionMatrix, ValidationError, build_graph, confusion,
                         degree_histogram, detect_zombies, metrics,
                         region_distribution)
-from zombiescan.ingest import UserProfile
 from zombiescan.rank import ImportanceVector
 
-from conftest import random_graph
+from conftest import profile_table, random_graph
 from oracles import transposed
 
 # 100 manually labeled accounts, rows read as truth: 41/17 over 9/33
@@ -97,13 +96,13 @@ def report_with_zombies(zombie_nodes, total):
 class TestRegionDistribution:
     def test_counts_by_region(self):
         report = report_with_zombies([0, 1, 2, 3], 20)
-        profiles = [UserProfile(i, region="Beijing" if i < 3 else "Shanghai")
-                    for i in range(20)]
+        profiles = profile_table(20, regions=["Beijing" if i < 3 else "Shanghai"
+                                              for i in range(20)])
         assert region_distribution(report, profiles) == {"Beijing": 3, "Shanghai": 1}
 
     def test_missing_profile_goes_to_unknown(self):
         report = report_with_zombies([0], 10)
-        profiles = [UserProfile(i, region=None) for i in range(10)]
+        profiles = profile_table(10, regions=[None] * 10)
         assert region_distribution(report, profiles) == {"unknown": 1}
 
     def test_counts_match_generator(self):
@@ -112,7 +111,7 @@ class TestRegionDistribution:
         assigned = [regions[int(rng.integers(3))] for _ in range(30)]
         zombies = [0, 5, 9, 13, 22]
         report = report_with_zombies(zombies, 30)
-        profiles = [UserProfile(i, region=assigned[i]) for i in range(30)]
+        profiles = profile_table(30, regions=assigned)
         expected: dict[str, int] = {}
         for z in zombies:
             expected[assigned[z]] = expected.get(assigned[z], 0) + 1

@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 from zombiescan import (CacheError, ParseError, ValidationError, build_graph, cache_load,
                         cache_save, parse_profiles, parse_uidlist,
                         parse_weibo_network)
-from zombiescan.ingest import (ProfileSchema, RawNetwork, UserProfile, _parse_buffer,
+from zombiescan.ingest import (ProfileSchema, RawNetwork, _parse_buffer,
                                _parse_lines, write_profiles, write_uidlist,
                                write_weibo_network)
 
-from conftest import DATA, random_graph
+from conftest import DATA, profile_table, random_graph
 from oracles import build_graph_lexsort
 
 GOLDEN_RECIPROCAL = "2 2\n0 1 1 1\n1 1 0 1\n"
@@ -235,6 +235,13 @@ class TestRoundTrip:
         write_weibo_network(parse_weibo_network(committed).to_graph(), out)
         assert out.read_bytes() == committed.read_bytes()
 
+    def test_rendering_in_chunks_gives_the_same_bytes(self, tmp_path, monkeypatch):
+        committed = Path(f"{DATA}/planted_4x50/weibo_network.txt")
+        monkeypatch.setattr("zombiescan.ingest._RENDER_CHUNK", 7)
+        out = tmp_path / "weibo_network.txt"
+        write_weibo_network(parse_weibo_network(committed), out)
+        assert out.read_bytes() == committed.read_bytes()
+
     def test_empty_graph_emission_layout(self):
         raw = parse_str("2 0\n0 0\n1 0\n")
         buf = io.StringIO()
@@ -270,14 +277,14 @@ class TestProfiles:
         text = "1001\tamy\tf\tyes\tBeijing\t10\t3\t7\n"
         profs = parse_profiles(io.StringIO(text))
         assert len(profs) == 1
-        p = profs[0]
-        assert (p.uid, p.region, p.followers, p.followees) == ("1001", "Beijing", 10, 3)
+        assert (profs.uid[0], profs.regions[0], profs.followers[0], profs.followees[0]) == \
+            ("1001", "Beijing", 10, 3)
 
     def test_blank_numeric_field_tallied(self, caplog):
         text = "1001\tamy\tf\tyes\tBeijing\t\t3\t7\n"
         with caplog.at_level("WARNING"):
             profs = parse_profiles(io.StringIO(text))
-        assert profs[0].followers is None
+        assert profs.followers_missing[0]
         assert "1 numeric profile fields" in caplog.text
 
     def test_synthetic_hundred_records_region_histogram(self):
@@ -291,8 +298,8 @@ class TestProfiles:
         profs = parse_profiles(io.StringIO("\n".join(rows) + "\n"))
         assert len(profs) == 100
         got: dict[str, int] = {}
-        for p in profs:
-            got[p.region] = got.get(p.region, 0) + 1
+        for region in profs.regions:
+            got[region] = got.get(region, 0) + 1
         assert got == expected
 
     def test_record_count_checked_against_uidlist(self):
@@ -303,20 +310,21 @@ class TestProfiles:
     def test_custom_schema_with_skips(self):
         schema = ProfileSchema(fields=("uid", "_", "followers"), delimiter=",")
         profs = parse_profiles(io.StringIO("u9,junk,42\n"), schema)
-        assert profs[0].followers == 42
-        assert profs[0].name is None
+        assert profs.followers[0] == 42
+        assert profs.name[0] == ""
 
     def test_unknown_schema_field_rejected(self):
         with pytest.raises(ValidationError):
             ProfileSchema(fields=("uid", "shoe_size"))
 
     def test_write_then_parse(self):
-        original = [UserProfile(0, uid="u0", region="Beijing", followers=4, followees=2),
-                    UserProfile(1, uid="u1", region="Harbin", followers=0, followees=9)]
+        original = profile_table(2, uids=["u0", "u1"], regions=["Beijing", "Harbin"],
+                                 followers=[4, 0], followees=[2, 9])
         buf = io.StringIO()
         write_profiles(original, buf)
         profs = parse_profiles(io.StringIO(buf.getvalue()))
-        assert [(p.uid, p.region, p.followers, p.followees) for p in profs] == \
+        assert list(zip(profs.uid, profs.regions, profs.followers.tolist(),
+                        profs.followees.tolist())) == \
             [("u0", "Beijing", 4, 2), ("u1", "Harbin", 0, 9)]
 
 

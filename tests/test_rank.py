@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 
 from zombiescan import (Partition, RankConfig, ValidationError, build_graph, io_scores_for,
                         pagerank, rank_all_communities, transition_weights)
-from zombiescan.ingest import UserProfile
 from zombiescan.rank import _power_iterate, read_ranks_csv, write_ranks_csv
 
-from conftest import random_graph
+from conftest import profile_table, random_graph
 from oracles import io_score, pagerank_dense, pagerank_sweeps
 
 
@@ -62,15 +61,14 @@ class TestIoScoresFor:
 
     def test_profile_source(self):
         g = whole_graph([(0, 1), (1, 0)], 2)
-        profiles = [UserProfile(0, followers=30, followees=70),
-                    UserProfile(1, followers=100, followees=0)]
+        profiles = profile_table(2, followers=[30, 100], followees=[70, 0])
         scores = io_scores_for(g, "profile", profiles)
         assert list(scores.values) == [0.3, 1.0]
         assert scores.fallback_count == 0
 
     def test_profile_fallback_tallied(self):
         g = whole_graph([(0, 1), (1, 0)], 2)
-        profiles = [UserProfile(0, followers=30, followees=70), UserProfile(1)]
+        profiles = profile_table(2, followers=[30, None], followees=[70, None])
         scores = io_scores_for(g, "profile", profiles)
         assert scores.values[1] == 0.5  # local degrees of the 2-cycle
         assert scores.fallback_count == 1

@@ -102,9 +102,9 @@ class TestGenerate:
         cfg = small_config(seed=11)
         g, truth, profiles = generate(cfg)
         for i in (0, 17, 59):
-            assert profiles[i].followers == g.in_degree(i)
-            assert profiles[i].followees == g.out_degree(i)
-            assert profiles[i].region == truth.regions[i]
+            assert profiles.followers[i] == g.in_degree(i)
+            assert profiles.followees[i] == g.out_degree(i)
+            assert profiles.regions[i] == truth.regions[i]
 
     def test_infeasible_zombie_out_degree_rejected(self):
         with pytest.raises(ValidationError, match="targets"):
@@ -130,7 +130,7 @@ class TestEmission:
         assert len(uids) == g.node_count
         parsed_profiles = parse_profiles(paths["profiles"], uidlist=uids)
         assert len(parsed_profiles) == g.node_count
-        assert parsed_profiles[5].followers == profiles[5].followers
+        assert parsed_profiles.followers[5] == profiles.followers[5]
 
     def test_reciprocal_pair_flagged_both_ways(self, tmp_path):
         cfg = SynthConfig(block_sizes=(3,), p_in=1.0, reciprocity=1.0, seed=3)

@@ -27,7 +27,6 @@ self-loop) and the optimizer repeats on the smaller graph.
 from __future__ import annotations
 
 import csv
-import io
 from collections import deque
 from dataclasses import dataclass
 from random import Random
@@ -36,7 +35,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .graph import UndirectedGraph
-from .textio import UTF8, csv_columns, int64, int_column, read_text, text_stream
+from .textio import UTF8, csv_columns, csv_rows, int64, int_column, read_text, text_stream
 
 __all__ = [
     "Partition",
@@ -384,13 +383,7 @@ def _partition_columns(text: str, node_count: int) -> np.ndarray | None:
 def _partition_rows(text: str, node_count: int) -> np.ndarray:
     assignment = np.zeros(node_count, dtype=np.int64)
     assigned = np.zeros(node_count, dtype=bool)
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header not in (list(_PARTITION_HEADER), list(_PARTITION_HEADER) + ["uid"]):
-        raise ValidationError("partition file must start with 'node_id,community_id'")
-    for row in reader:
-        if not row:
-            continue
+    for row in csv_rows(text, "partition", _PARTITION_HEADER, _PARTITION_HEADER + ("uid",)):
         try:
             node, comm = int(row[0]), int64(row[1])
         except (ValueError, IndexError):

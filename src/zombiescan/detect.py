@@ -9,8 +9,6 @@ say nothing.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -19,7 +17,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .rank import ImportanceVector
-from .textio import ASCII, csv_columns, float_reprs, int_column, read_text, text_stream
+from .textio import (ASCII, csv_columns, csv_rows, float_reprs, int_column, read_text,
+                     text_stream)
 
 __all__ = [
     "QUARTILE_METHODS",
@@ -190,14 +189,7 @@ def _report_columns(text: str) -> dict[int, bool] | None:
 
 def _report_rows(text: str) -> dict[int, bool]:
     labels: dict[int, bool] = {}
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header != list(_REPORT_HEADER):
-        raise ValidationError("report file must start with "
-                              "'node_id,community_id,pagerank,threshold,label'")
-    for row in reader:
-        if not row:
-            continue
+    for row in csv_rows(text, "report", _REPORT_HEADER):
         try:
             node, label = int(row[0]), row[4]
         except (ValueError, IndexError):

@@ -252,13 +252,19 @@ def _flagged_arcs(g: DirectedGraph) -> RawNetwork:
     """A graph's arcs as a RawNetwork, flag 1 where the reverse arc exists."""
     n = g.node_count
     sources = g.arc_sources()
-    # the out-CSR lists arcs sorted by (source, target), so their keys are sorted
+    # the out-CSR lists arcs sorted by (source, target), so their keys are sorted;
+    # looking the reverse keys up in sorted order keeps the binary searches
+    # cache-local, and the hits are scattered back to arc order
     keys = _pair_keys(sources, g.out_indices, n)
     reverse = _pair_keys(g.out_indices, sources, n)
+    order = np.argsort(reverse)
+    reverse = reverse[order]
     pos = np.searchsorted(keys, reverse)
-    flags = pos < keys.shape[0]
-    flags[flags] = keys[pos[flags]] == reverse[flags]
-    return RawNetwork(n, g.edge_count, sources, g.out_indices, flags.astype(np.int64))
+    found = pos < keys.shape[0]
+    found[found] = keys[pos[found]] == reverse[found]
+    flags = np.empty(keys.shape[0], dtype=np.int64)
+    flags[order] = found
+    return RawNetwork(n, g.edge_count, sources, g.out_indices, flags)
 
 
 def parse_uidlist(source) -> list[tuple[int, str]]:

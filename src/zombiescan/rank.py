@@ -14,14 +14,16 @@ probability vector.
 
 Communities never exchange weight, so one sweep over all intra-community
 arcs advances every community at once (the local step of Kamvar et al.
-2003, "BlockRank"). Per-community sums run over contiguous slices so each
-community rounds, and stops, exactly as it would alone.
+2003, "BlockRank"). One pass over the out-CSR lays them out: nodes take
+positions community by community, and their intra-community out-rows
+follow in that order, in CSR order within a row, so a sweep reads source
+weights as `np.repeat(x, degrees)` and stores no arc sources. Per-community
+sums run over contiguous slices so each community rounds, and stops,
+exactly as it would alone. A whole graph is the layout of one community.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import logging
 import math
 from dataclasses import dataclass
@@ -31,22 +33,13 @@ import numpy as np
 from .community import Partition
 from .errors import ValidationError
 from .graph import DirectedGraph
-from .textio import (ASCII, csv_columns, float_reprs, int64, int_column, read_text,
+from .textio import (ASCII, csv_columns, csv_rows, float_reprs, int64, int_column, read_text,
                      text_stream)
 
 log = logging.getLogger(__name__)
 
-__all__ = [
-    "IOScores",
-    "RankConfig",
-    "ImportanceVector",
-    "io_scores_for",
-    "transition_weights",
-    "pagerank",
-    "rank_all_communities",
-    "write_ranks_csv",
-    "read_ranks_csv",
-]
+__all__ = ["IOScores", "RankConfig", "ImportanceVector", "io_scores_for", "transition_weights",
+           "pagerank", "rank_all_communities", "write_ranks_csv", "read_ranks_csv"]
 
 
 @dataclass
@@ -79,7 +72,8 @@ class RankConfig:
 class ImportanceVector:
     """Result of one community's power iteration.
 
-    values are aligned with `members` (parent node ids, sorted) and sum to 1.
+    values are aligned with `members` (parent node ids, sorted) and sum to 1;
+    io, if known, holds the members' io scores in the same order.
     """
 
     values: np.ndarray
@@ -87,15 +81,31 @@ class ImportanceVector:
     iterations: int
     residual: float
     converged: bool
+    io: np.ndarray | None = None
 
 
-def _io_scores(n: int, sources: np.ndarray, targets: np.ndarray, source: str,
+def _assignment(g: DirectedGraph, p: Partition) -> np.ndarray:
+    if p.node_count != g.node_count:
+        raise ValidationError(
+            f"partition covers {p.node_count} nodes, graph has {g.node_count}")
+    return p.assignment
+
+
+def _intra(g: DirectedGraph, assignment: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Targets of the arcs inside one community, in CSR order, and each
+    node's count of them (its intra out-degree)."""
+    inside = np.repeat(assignment, g.out_degrees) == assignment[g.out_indices]
+    before = np.concatenate(([0], np.cumsum(inside)))[g.out_indptr]  # intra arcs before each row
+    return g.out_indices[inside], np.diff(before)
+
+
+def _io_scores(n: int, targets: np.ndarray, follows: np.ndarray, source: str,
                profiles) -> IOScores:
     """IO scores of nodes 0..n-1, local degrees counted over the given arcs only."""
     if source not in ("local", "profile"):
         raise ValidationError("io source must be 'local' or 'profile'")
     fans = np.bincount(targets, minlength=n).astype(np.float64)
-    follows = np.bincount(sources, minlength=n).astype(np.float64)
+    follows = follows.astype(np.float64)
     fallback = 0
     if source == "profile":
         if profiles is None:
@@ -106,8 +116,7 @@ def _io_scores(n: int, sources: np.ndarray, targets: np.ndarray, source: str,
         fans[known], follows[known] = profiles.followers[known], profiles.followees[known]
         fallback = n - known.shape[0]
         if fallback:
-            log.warning("%d of %d nodes lack profile counts; used local degrees",
-                        fallback, n)
+            log.warning("%d of %d nodes lack profile counts; used local degrees", fallback, n)
     total = fans + follows
     values = np.divide(fans, total, out=np.zeros(n), where=total > 0)
     return IOScores(values, fallback)
@@ -120,32 +129,24 @@ def io_scores_for(g: DirectedGraph, source: str = "local", profiles=None) -> IOS
     follower/followee counts, falling back to local degrees node by node
     when counts are missing (tallied on the result).
     """
-    return _io_scores(g.node_count, g.arc_sources(), g.out_indices, source, profiles)
+    return _io_scores(g.node_count, g.out_indices, g.out_degrees, source, profiles)
 
 
-def _arc_weights(sources: np.ndarray, targets: np.ndarray, n: int, io=None) -> np.ndarray:
-    """Walk weight of each arc (arcs grouped by source): an even split without
-    io, else io[v] / sum of io over u's followees for arc u->v, falling back
-    to an even split when that sum is 0 so no walk weight is lost."""
-    out_deg = np.bincount(sources, minlength=n)
+def _walk_weights(targets: np.ndarray, degrees: np.ndarray, io=None) -> np.ndarray:
+    """Walk weight of each laid-out arc: an even split without io, else
+    io[v] / sum of io over u's followees for arc u->v (summed in arc order),
+    or an even split where that sum is 0 so no walk weight is lost."""
+    n = degrees.shape[0]
+    share = 1.0 / np.maximum(degrees, 1)  # of an even split
     if io is None:
-        return 1.0 / out_deg[sources]
+        return np.repeat(share, degrees)
     weights = io[targets]
-    row_sum = np.bincount(sources, weights=weights, minlength=n)
-    even_rows = row_sum == 0
-    row_sum_safe = np.where(even_rows, 1.0, row_sum)
-    weights = weights / row_sum_safe[sources]
-    if even_rows.any():
-        weights = np.where(even_rows[sources], 1.0 / out_deg[sources], weights)
+    row_sum = np.bincount(np.repeat(np.arange(n), degrees), weights=weights, minlength=n)
+    even = row_sum == 0
+    weights /= np.repeat(np.where(even, 1.0, row_sum), degrees)
+    if even.any():
+        weights[np.repeat(even, degrees)] = np.repeat(share[even], degrees[even])
     return weights
-
-
-def transition_weights(g: DirectedGraph, io) -> np.ndarray:
-    """Arc weights K aligned with g's out-adjacency; rows of non-dangling nodes sum to 1."""
-    io = np.asarray(io.values if isinstance(io, IOScores) else io, dtype=np.float64)
-    if io.shape[0] != g.node_count:
-        raise ValidationError("io scores must cover every node")
-    return _arc_weights(g.arc_sources(), g.out_indices, g.node_count, io)
 
 
 def _slices(counts: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -167,55 +168,72 @@ class _Blocks:
     """Communities laid out one after another.
 
     Community c owns the next sizes[c] node positions, arc_counts[c] arcs
-    (source-major, endpoints given as positions) and dangling_counts[c]
-    entries of `dangling` (positions without an out-arc, ascending).
+    and dangling_counts[c] entries of `dangling` (positions without an
+    out-arc, ascending); position i owns the next degrees[i] arcs, whose
+    targets are positions.
     """
 
     sizes: np.ndarray
-    sources: np.ndarray
+    degrees: np.ndarray
     targets: np.ndarray
     weights: np.ndarray
     arc_counts: np.ndarray
     dangling: np.ndarray
     dangling_counts: np.ndarray
 
-    @classmethod
-    def build(cls, sources, targets, weights, assignment, count):
-        """Lay out intra-community arcs, given in CSR order, by community.
-
-        Also returns the node id at each position, ascending per community."""
-        n = assignment.shape[0]
-        order = np.argsort(assignment, kind="stable")
-        position = np.empty(n, dtype=np.int64)
-        position[order] = np.arange(n)
-        out_deg = np.bincount(sources, minlength=n)
-        arcs, _ = _slices(out_deg, order)  # the out-rows of `order`, in turn
-        dangling = np.flatnonzero(out_deg[order] == 0)
-        return cls(np.bincount(assignment, minlength=count),
-                   position[sources[arcs]], position[targets[arcs]], weights[arcs],
-                   np.bincount(assignment[sources], minlength=count),
-                   dangling, np.bincount(assignment[order[dangling]], minlength=count)), order
-
     def take(self, keep: np.ndarray) -> tuple["_Blocks", np.ndarray]:
         """The communities at indices `keep`, and the old position of each new one."""
         nodes, shift = _slices(self.sizes, keep)
         arcs, _ = _slices(self.arc_counts, keep)
-        arc_shift = np.repeat(shift, self.arc_counts[keep])
         dangling, _ = _slices(self.dangling_counts, keep)
-        return _Blocks(self.sizes[keep],
-                       self.sources[arcs] - arc_shift, self.targets[arcs] - arc_shift,
+        return _Blocks(self.sizes[keep], self.degrees[nodes],
+                       self.targets[arcs] - np.repeat(shift, self.arc_counts[keep]),
                        self.weights[arcs], self.arc_counts[keep],
                        self.dangling[dangling] - np.repeat(shift, self.dangling_counts[keep]),
                        self.dangling_counts[keep]), nodes
 
     def sweep(self, x: np.ndarray, damping: float) -> tuple[np.ndarray, np.ndarray]:
         """One damped step of every community: the new x and each community's L1 change."""
-        inflow = np.bincount(self.targets, weights=self.weights * x[self.sources],
+        inflow = np.bincount(self.targets, weights=self.weights * np.repeat(x, self.degrees),
                              minlength=x.shape[0])
         mass = _segment_sums(x[self.dangling], self.dangling_counts)
         new_x = (np.repeat((1.0 - damping) / self.sizes, self.sizes)
                  + damping * (inflow + np.repeat(mass / self.sizes, self.sizes)))
         return new_x, _segment_sums(np.abs(new_x - x), self.sizes)
+
+
+def _layout(targets: np.ndarray, follows: np.ndarray, assignment: np.ndarray, count: int,
+            io=None) -> tuple[_Blocks, np.ndarray]:
+    """Lay out the intra arcs (from `_intra`) by community, weighted by io or
+    split evenly; also returns the node id at each position."""
+    n = assignment.shape[0]
+    order = np.argsort(assignment, kind="stable")
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(n)
+    arcs, _ = _slices(follows, order)  # the intra out-rows of `order`, in turn
+    degrees = follows[order]
+    targets = position[targets[arcs]]
+    sizes = np.bincount(assignment, minlength=count)
+    arc_ends = np.concatenate(([0], np.cumsum(degrees)))[np.cumsum(sizes)]  # per community
+    dangling = np.flatnonzero(degrees == 0)
+    weights = _walk_weights(targets, degrees, None if io is None else io[order])
+    return _Blocks(sizes, degrees, targets, weights, np.diff(arc_ends, prepend=0), dangling,
+                   np.bincount(assignment[order[dangling]], minlength=count)), order
+
+
+def _whole(g: DirectedGraph, io=None) -> tuple[_Blocks, np.ndarray]:
+    """g taken as one community: positions are node ids, arcs keep the CSR order."""
+    if io is not None:
+        io = np.asarray(io.values if isinstance(io, IOScores) else io, dtype=np.float64)
+        if io.shape[0] != g.node_count:
+            raise ValidationError("io scores must cover every node")
+    return _layout(g.out_indices, g.out_degrees, np.zeros(g.node_count, dtype=np.int64), 1, io)
+
+
+def transition_weights(g: DirectedGraph, io) -> np.ndarray:
+    """Arc weights K aligned with g's out-adjacency, split by io (evenly for
+    io=None); rows of non-dangling nodes sum to 1."""
+    return _whole(g, io)[0].weights
 
 
 def _iterate(blocks: _Blocks, cfg: RankConfig):
@@ -251,9 +269,8 @@ def _iterate(blocks: _Blocks, cfg: RankConfig):
     return x, iterations, residuals
 
 
-def _rank(sources, targets, weights, assignment, count, cfg) -> list[ImportanceVector]:
-    """Rank every community of an assignment whose arcs all stay inside one."""
-    blocks, order = _Blocks.build(sources, targets, weights, assignment, count)
+def _rank(blocks: _Blocks, order: np.ndarray, cfg: RankConfig, io=None) -> list[ImportanceVector]:
+    """Rank every laid-out community; io by node id, if given, rides along."""
     x, iterations, residuals = _iterate(blocks, cfg)
     bounds = np.cumsum(blocks.sizes)[:-1]
     vectors = []
@@ -263,16 +280,16 @@ def _rank(sources, targets, weights, assignment, count, cfg) -> list[ImportanceV
         if not converged:
             log.warning("power iteration stopped at %d sweeps with residual %.3g",
                         sweeps, residual)
-        vectors.append(ImportanceVector(values, members, sweeps, residual, converged))
+        vectors.append(ImportanceVector(values, members, sweeps, residual, converged,
+                                        None if io is None else io[members]))
     return vectors
 
 
 def _power_iterate(g: DirectedGraph, arc_weights: np.ndarray, damping: float):
     """Yield (vector, l1_residual) after each sweep of g as one community, from uniform."""
-    n = g.node_count
-    blocks, _ = _Blocks.build(g.arc_sources(), g.out_indices, arc_weights,
-                              np.zeros(n, dtype=np.int64), 1)
-    x = np.full(n, 1.0 / n)
+    blocks, _ = _whole(g)
+    blocks.weights = arc_weights  # the layout of one community keeps the CSR order
+    x = np.full(g.node_count, 1.0 / g.node_count)
     while True:
         x, residual = blocks.sweep(x, damping)
         yield x, float(residual[0])
@@ -287,36 +304,23 @@ def pagerank(g: DirectedGraph, cfg: RankConfig | None = None, io=None) -> Import
     cfg = cfg or RankConfig()
     if g.node_count == 0:
         raise ValidationError("cannot rank an empty graph")
-    if cfg.mode == "uneven":
-        if io is None:
-            raise ValidationError("uneven mode requires io scores")
-        weights = transition_weights(g, io)
-    else:
-        weights = _arc_weights(g.arc_sources(), g.out_indices, g.node_count)
-    return _rank(g.arc_sources(), g.out_indices, weights,
-                 np.zeros(g.node_count, dtype=np.int64), 1, cfg)[0]
-
-
-def _intra_arcs(g: DirectedGraph, p: Partition) -> tuple[np.ndarray, np.ndarray]:
-    """Sources and targets of the arcs inside one community, in CSR order."""
-    if p.node_count != g.node_count:
-        raise ValidationError(
-            f"partition covers {p.node_count} nodes, graph has {g.node_count}")
-    sources = g.arc_sources()
-    inside = p.assignment[sources] == p.assignment[g.out_indices]
-    return sources[inside], g.out_indices[inside]
+    if cfg.mode == "uneven" and io is None:
+        raise ValidationError("uneven mode requires io scores")
+    return _rank(*_whole(g, io if cfg.mode == "uneven" else None), cfg)[0]
 
 
 def rank_all_communities(g: DirectedGraph, p: Partition, cfg: RankConfig | None = None,
                          profiles=None, io_source: str = "local") -> dict[int, ImportanceVector]:
-    """Rank every community independently; returns {community id: vector}."""
+    """Rank every community independently; returns {community id: vector}.
+
+    Each vector carries its members' io scores, in either mode."""
     cfg = cfg or RankConfig()
-    sources, targets = _intra_arcs(g, p)
-    io = (_io_scores(g.node_count, sources, targets, io_source, profiles).values
-          if cfg.mode == "uneven" else None)
-    weights = _arc_weights(sources, targets, g.node_count, io)
-    return dict(enumerate(_rank(sources, targets, weights, p.assignment,
-                                p.community_count, cfg)))
+    assignment = _assignment(g, p)
+    targets, follows = _intra(g, assignment)
+    io = _io_scores(g.node_count, targets, follows, io_source, profiles).values
+    blocks, order = _layout(targets, follows, assignment, p.community_count,
+                            io if cfg.mode == "uneven" else None)
+    return dict(enumerate(_rank(blocks, order, cfg, io)))
 
 
 _RANKS_HEADER = ("node_id", "community_id", "io", "pagerank", "converged")
@@ -325,16 +329,22 @@ _RANKS_HEADER = ("node_id", "community_id", "io", "pagerank", "converged")
 def write_ranks_csv(destination, g: DirectedGraph, p: Partition,
                     vectors: dict[int, ImportanceVector], profiles=None,
                     io_source: str = "local") -> None:
-    """Emit `node_id,community_id,io,pagerank,converged` rows in node order."""
+    """Emit `node_id,community_id,io,pagerank,converged` rows in node order.
+
+    io is what the vectors carry; nodes of vectors without it are scored here."""
     n = g.node_count
-    io_col = _io_scores(n, *_intra_arcs(g, p), io_source, profiles).values
-    pr_col = np.zeros(n)
-    conv_col = np.ones(n, dtype=bool)
+    assignment = _assignment(g, p)
+    io_col, pr_col = np.zeros(n), np.zeros(n)
+    conv_col, scored = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
     for vec in vectors.values():
-        pr_col[vec.members] = vec.values
-        conv_col[vec.members] = vec.converged
+        pr_col[vec.members], conv_col[vec.members] = vec.values, vec.converged
+        if vec.io is not None:
+            io_col[vec.members], scored[vec.members] = vec.io, True
+    if not scored.all():
+        io_col[~scored] = _io_scores(n, *_intra(g, assignment), io_source,
+                                     profiles).values[~scored]
     converged = np.array(["false", "true"], dtype=object)[conv_col.astype(np.intp)].tolist()
-    rows = zip(range(n), p.assignment.tolist(), float_reprs(io_col), float_reprs(pr_col),
+    rows = zip(range(n), assignment.tolist(), float_reprs(io_col), float_reprs(pr_col),
                converged)
     with text_stream(destination, "w") as fh:
         fh.write(",".join(_RANKS_HEADER) + "\n" + "".join(map("%d,%d,%s,%s,%s\n".__mod__, rows)))
@@ -386,18 +396,9 @@ _CONVERGED = {"true": True, "false": False}
 def _ranks_rows(text: str) -> dict[int, ImportanceVector]:
     groups: dict[int, list[tuple[int, float, bool]]] = {}
     seen: set[int] = set()
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header != list(_RANKS_HEADER):
-        raise ValidationError("ranks file must start with "
-                              "'node_id,community_id,io,pagerank,converged'")
-    for row in reader:
-        if not row:
-            continue
+    for row in csv_rows(text, "ranks", _RANKS_HEADER):
         try:
-            node, cid = int64(row[0]), int(row[1])
-            value = float(row[3])
-            flag = row[4]
+            node, cid, value, flag = int64(row[0]), int(row[1]), float(row[3]), row[4]
         except (ValueError, IndexError):
             raise ValidationError(f"bad ranks row: {row!r}") from None
         if not math.isfinite(value) or flag not in _CONVERGED:
@@ -409,9 +410,7 @@ def _ranks_rows(text: str) -> dict[int, ImportanceVector]:
 
     vectors: dict[int, ImportanceVector] = {}
     for cid, entries in groups.items():
-        entries.sort()
-        members = np.asarray([e[0] for e in entries], dtype=np.int64)
-        values = np.asarray([e[1] for e in entries])
-        converged = all(e[2] for e in entries)
-        vectors[cid] = ImportanceVector(values, members, 0, 0.0, converged)
+        members, values, flags = zip(*sorted(entries))
+        vectors[cid] = ImportanceVector(np.asarray(values), np.asarray(members, dtype=np.int64),
+                                        0, 0.0, all(flags))
     return vectors

@@ -14,7 +14,6 @@ corpora are the durable reference.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import logging
 import math
@@ -26,7 +25,7 @@ import numpy as np
 from .errors import ValidationError
 from .graph import DirectedGraph, _build_graph, _dedup_pairs
 from .ingest import ProfileTable, write_profiles, write_uidlist, write_weibo_network
-from .textio import UTF8, csv_columns, int64, int_column, read_text, text_stream
+from .textio import UTF8, csv_columns, csv_rows, int64, int_column, read_text, text_stream
 
 log = logging.getLogger(__name__)
 
@@ -271,14 +270,7 @@ def _truth_rows(text: str) -> GroundTruth:
     blocks: list[int] = []
     zombies: list[bool] = []
     regions: list[str] = []
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header != list(_TRUTH_HEADER):
-        raise ValidationError("truth file must start with "
-                              "'node_id,block_id,is_zombie,region'")
-    for row in reader:
-        if not row:
-            continue
+    for row in csv_rows(text, "truth", _TRUTH_HEADER):
         try:
             node = int(row[0])
             if node != len(blocks):

@@ -8,7 +8,7 @@ would apply them, and `csv_columns` splits a plain CSV into columns in one
 pass. `csv_columns` and `int_column` return None for any input they cannot
 convert exactly as the row-by-row readers would (quotes, CR, another field
 count, a token that is not plain digits); the caller then runs its row
-loop, which reports the first failing row.
+loop over `csv_rows`, which reports the first failing row.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 
 UTF8 = "utf-8"
 ASCII = "ascii"
@@ -105,6 +105,19 @@ def csv_columns(text: str, header: tuple[str, ...]) -> list[list[str]] | None:
     if len(body) > limit and max(map(len, fields)) > limit:
         return None
     return [fields[j::len(header)] for j in range(len(header))]
+
+
+def csv_rows(text: str, kind: str, *headers: tuple[str, ...]):
+    """The nonblank rows of a CSV text after its header, which must be one of
+    `headers`. Text the csv module cannot split raises the "bad <kind> row"
+    ValidationError that the callers raise for a row with a bad value."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        if next(reader, None) not in [list(h) for h in headers]:
+            raise ValidationError(f"{kind} file must start with '{','.join(headers[0])}'")
+        yield from filter(None, reader)
+    except csv.Error as exc:
+        raise ValidationError(f"bad {kind} row on line {reader.line_num}: {exc}") from None
 
 
 def int_column(column: list[str]) -> np.ndarray | None:

@@ -31,7 +31,7 @@ def profile_table(n, uids=None, regions=None, followers=None, followees=None):
     def counts(values):
         values = values or [None] * n
         return (np.array([v or 0 for v in values], dtype=np.int64),
-                np.array([v is None for v in values]))
+                np.array([v is None for v in values], dtype=bool))
 
     fans, fans_missing = counts(followers)
     follows, follows_missing = counts(followees)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import io
+import logging
 import math
 
 import numpy as np
@@ -430,6 +431,172 @@ def one_level_queue_numpy_scalars(g, rng, resolution: float) -> tuple[np.ndarray
                     order.append(int(v))
         comm_tot[node_comm[u]] += ku
     return node_comm, head, moves
+
+
+# ---- the ranking path before the position layout -----------------------------
+# Kept as it was before one layout pass replaced it: the intra arcs are found
+# in CSR order through arc_sources(), io and the walk weights are computed
+# over them and then gathered into community order, and every sweep gathers
+# x[sources]. The package must reproduce it bit for bit.
+
+rank_log = logging.getLogger("oracles.rank")
+
+
+def _arc_sources(g) -> np.ndarray:
+    return np.repeat(np.arange(g.node_count, dtype=g.out_indices.dtype), np.diff(g.out_indptr))
+
+
+def intra_arcs_csr(g, assignment) -> tuple[np.ndarray, np.ndarray]:
+    """Sources and targets of the arcs inside one community, in CSR order."""
+    sources = _arc_sources(g)
+    inside = assignment[sources] == assignment[g.out_indices]
+    return sources[inside], g.out_indices[inside]
+
+
+def io_scores_csr(n: int, sources, targets, source: str, profiles) -> np.ndarray:
+    """IO of nodes 0..n-1 over the given arcs, or from profile counts where known."""
+    fans = np.bincount(targets, minlength=n).astype(np.float64)
+    follows = np.bincount(sources, minlength=n).astype(np.float64)
+    if source == "profile":
+        rows = min(n, len(profiles))
+        known = np.flatnonzero(~(profiles.followers_missing[:rows]
+                                 | profiles.followees_missing[:rows]))
+        fans[known], follows[known] = profiles.followers[known], profiles.followees[known]
+        if n - known.shape[0]:
+            rank_log.warning("%d of %d nodes lack profile counts; used local degrees",
+                             n - known.shape[0], n)
+    total = fans + follows
+    return np.divide(fans, total, out=np.zeros(n), where=total > 0)
+
+
+def io_reference(g, assignment, source: str = "local", profiles=None) -> np.ndarray:
+    """The io column of a ranks file: scores over the arcs inside communities."""
+    return io_scores_csr(g.node_count, *intra_arcs_csr(g, np.asarray(assignment)), source,
+                         profiles)
+
+
+def _arc_weights_csr(sources, targets, n: int, io=None) -> np.ndarray:
+    out_deg = np.bincount(sources, minlength=n)
+    if io is None:
+        return 1.0 / out_deg[sources]
+    weights = io[targets]
+    row_sum = np.bincount(sources, weights=weights, minlength=n)
+    even_rows = row_sum == 0
+    weights = weights / np.where(even_rows, 1.0, row_sum)[sources]
+    if even_rows.any():
+        weights = np.where(even_rows[sources], 1.0 / out_deg[sources], weights)
+    return weights
+
+
+def _slices(counts, keep):
+    lengths = counts[keep]
+    shift = (np.cumsum(counts) - counts)[keep] - (np.cumsum(lengths) - lengths)
+    return np.arange(int(lengths.sum())) + np.repeat(shift, lengths), shift
+
+
+def _segment_sums(a, counts):
+    ends = np.cumsum(counts).tolist()
+    return np.array([a[lo:hi].sum() for lo, hi in zip([0] + ends[:-1], ends)])
+
+
+class _SourceBlocks:
+    """Communities one after another, each arc holding its source position."""
+
+    def __init__(self, sizes, sources, targets, weights, arc_counts, dangling,
+                 dangling_counts):
+        self.sizes, self.sources, self.targets, self.weights = sizes, sources, targets, weights
+        self.arc_counts, self.dangling, self.dangling_counts = (arc_counts, dangling,
+                                                                dangling_counts)
+
+    @classmethod
+    def build(cls, sources, targets, weights, assignment, count):
+        n = assignment.shape[0]
+        order = np.argsort(assignment, kind="stable")
+        position = np.empty(n, dtype=np.int64)
+        position[order] = np.arange(n)
+        out_deg = np.bincount(sources, minlength=n)
+        arcs, _ = _slices(out_deg, order)
+        dangling = np.flatnonzero(out_deg[order] == 0)
+        return cls(np.bincount(assignment, minlength=count),
+                   position[sources[arcs]], position[targets[arcs]], weights[arcs],
+                   np.bincount(assignment[sources], minlength=count),
+                   dangling, np.bincount(assignment[order[dangling]], minlength=count)), order
+
+    def take(self, keep):
+        nodes, shift = _slices(self.sizes, keep)
+        arcs, _ = _slices(self.arc_counts, keep)
+        arc_shift = np.repeat(shift, self.arc_counts[keep])
+        dangling, _ = _slices(self.dangling_counts, keep)
+        return _SourceBlocks(self.sizes[keep], self.sources[arcs] - arc_shift,
+                             self.targets[arcs] - arc_shift, self.weights[arcs],
+                             self.arc_counts[keep],
+                             self.dangling[dangling]
+                             - np.repeat(shift, self.dangling_counts[keep]),
+                             self.dangling_counts[keep]), nodes
+
+    def sweep(self, x, damping):
+        inflow = np.bincount(self.targets, weights=self.weights * x[self.sources],
+                             minlength=x.shape[0])
+        mass = _segment_sums(x[self.dangling], self.dangling_counts)
+        new_x = (np.repeat((1.0 - damping) / self.sizes, self.sizes)
+                 + damping * (inflow + np.repeat(mass / self.sizes, self.sizes)))
+        return new_x, _segment_sums(np.abs(new_x - x), self.sizes)
+
+
+def _iterate_blocks(blocks, cfg):
+    x = np.repeat(1.0 / blocks.sizes, blocks.sizes)
+    iterations = np.zeros(blocks.sizes.shape[0], dtype=np.int64)
+    residuals = np.full(blocks.sizes.shape[0], np.inf)
+    work, work_x = blocks, x
+    ids = np.arange(blocks.sizes.shape[0])
+    where = np.arange(x.shape[0])
+    live = np.ones(ids.shape[0], dtype=bool)
+    takes = 0
+    while live.any():
+        work_x, residual = work.sweep(work_x, cfg.damping)
+        iterations[ids[live]] += 1
+        residuals[ids[live]] = residual[live]
+        done = live & ((residual < cfg.tolerance) | (iterations[ids] >= cfg.max_iterations))
+        if not done.any():
+            continue
+        finished = np.repeat(done, work.sizes)
+        x[where[finished]] = work_x[finished]
+        live &= ~done
+        size = work.sizes + work.arc_counts
+        if 2 * size[live].sum() < size.sum():
+            keep = np.flatnonzero(live)
+            work, nodes = work.take(keep)
+            work_x, where, ids = work_x[nodes], where[nodes], ids[keep]
+            live = live[keep]
+            takes += 1
+    return x, iterations, residuals, takes
+
+
+def rank_reference(g, assignment, count: int, cfg, profiles=None, io_source: str = "local"):
+    """Every community ranked on the pre-layout path.
+
+    Returns ({community: (values, members, iterations, residual, converged)},
+    io by node id, the number of times the working set was compacted).
+    io is computed first and logged on `rank_log`, then the nonconverged
+    communities, in the package's order.
+    """
+    assignment = np.asarray(assignment)
+    sources, targets = intra_arcs_csr(g, assignment)
+    io = io_scores_csr(g.node_count, sources, targets, io_source, profiles)
+    weights = _arc_weights_csr(sources, targets, g.node_count,
+                               io if cfg.mode == "uneven" else None)
+    blocks, order = _SourceBlocks.build(sources, targets, weights, assignment, count)
+    x, iterations, residuals, takes = _iterate_blocks(blocks, cfg)
+    bounds = np.cumsum(blocks.sizes)[:-1]
+    vectors = {}
+    for cid, (values, members, sweeps, residual) in enumerate(zip(
+            np.split(x, bounds), np.split(order, bounds), iterations.tolist(),
+            residuals.tolist())):
+        if not residual < cfg.tolerance:
+            rank_log.warning("power iteration stopped at %d sweeps with residual %.3g",
+                             sweeps, residual)
+        vectors[cid] = (values, members, sweeps, residual, residual < cfg.tolerance)
+    return vectors, io, takes
 
 
 # ---- CSV writers as csv.writer renders them, one row at a time ----------------

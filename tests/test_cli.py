@@ -140,6 +140,33 @@ class TestCommunities:
         assert main(["communities", str(cache), "-o", str(part), "--seed", str(seed)]) == 0
         assert hashlib.sha256(part.read_bytes()).hexdigest() == self.PINNED_PARTITIONS[name]
 
+    # SHA-256 of the `pipeline` ranks.csv and report.csv (default settings).
+    # Their floats are written with repr, so a score or fence that moves in
+    # its last bit changes the digest.
+    PINNED_FLOAT_OUTPUTS = {
+        ("planted_4x50", "local"): (
+            "2e2708ace75ea873392a0b71cb0d0ec377b08eddd4d36d46b04382d5eb8595e2",
+            "c974679791af3dfc8d04b29b02009e7237a2ef50cf0e13dd5837455cc5676ceb"),
+        ("planted_4x50", "profile"): (
+            "e22929b916f454cd14fbec8eaec8e48329e85bf1f22d53598db5c4132715809a",
+            "d8ab622af5b75bb66f7e0d1a1780a473e315198f03c9399d1cf1e9d23d5323c6"),
+        ("zombie_5x500", "local"): (
+            "bd5625b7ea700045a6cf04929f97877be3f0d768cc6bcff8133a0569c9ccff73",
+            "de974352e5651fcc6b17f02349d516bc9c7dbaa85dd597f8b5509c02442b86e1"),
+        ("zombie_5x500", "profile"): (
+            "44d6b6c83ffa91499e4d09aedee8baea64a8cceef980fd36bd2f06adeac1ef32",
+            "338518f39dab06463bdebcc30dc9bf2a301a754a72f59af495dd6beb001269a1"),
+    }
+
+    @pytest.mark.parametrize("name,io_source", sorted(PINNED_FLOAT_OUTPUTS))
+    def test_committed_corpus_float_outputs_are_pinned(self, tmp_path, name, io_source):
+        run = tmp_path / "run"
+        assert main(["pipeline", f"{DATA}/{name}", "-o", str(run),
+                     "--io-source", io_source]) == 0
+        assert tuple(hashlib.sha256((run / f).read_bytes()).hexdigest()
+                     for f in ("ranks.csv", "report.csv")) == \
+            self.PINNED_FLOAT_OUTPUTS[(name, io_source)]
+
     def test_prints_both_modularity_variants(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path)
         cache = tmp_path / "g.bin"

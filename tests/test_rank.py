@@ -1,6 +1,10 @@
+import dataclasses
+import io
+import logging
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from zombiescan import (Partition, RankConfig, ValidationError, build_graph, io_scores_for,
@@ -8,7 +12,7 @@ from zombiescan import (Partition, RankConfig, ValidationError, build_graph, io_
 from zombiescan.rank import _power_iterate, read_ranks_csv, write_ranks_csv
 
 from conftest import profile_table, random_graph
-from oracles import io_score, pagerank_dense, pagerank_sweeps
+from oracles import io_score, pagerank_dense, pagerank_sweeps, rank_reference
 
 
 def whole_graph(arcs, n):
@@ -287,3 +291,106 @@ class TestRanksCsv:
         path.write_text("\n".join(["node_id,community_id,io,pagerank,converged", *rows]) + "\n")
         with pytest.raises(ValidationError):
             read_ranks_csv(path)
+
+
+def bits(values) -> list[int]:
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+def messages(caplog, name):
+    return [r.getMessage() for r in caplog.records if r.name == name]
+
+
+def assert_ranks_like_reference(caplog, g, p, cfg, profiles, source):
+    """rank_all_communities equals the pre-layout path bit for bit, warnings
+    included; returns the reference's io and compaction count."""
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        vectors = rank_all_communities(g, p, cfg, profiles, source)
+        expected, io, takes = rank_reference(g, p.assignment, p.community_count, cfg,
+                                             profiles, source)
+    assert messages(caplog, "zombiescan.rank") == messages(caplog, "oracles.rank")
+    assert sorted(vectors) == sorted(expected)
+    for cid, (values, members, sweeps, residual, converged) in expected.items():
+        vec = vectors[cid]
+        assert bits(vec.values) == bits(values)
+        assert vec.members.tolist() == members.tolist()
+        assert (vec.iterations, vec.residual.hex(), vec.converged) == \
+            (sweeps, residual.hex(), converged)
+        assert bits(vec.io) == bits(io[members])
+    return io, takes
+
+
+@st.composite
+def ranking_cases(draw):
+    n = draw(st.integers(1, 14))
+    node = st.integers(0, n - 1)
+    g = build_graph(draw(st.lists(st.tuples(node, node, st.just(0)), max_size=45)), n)
+    p = Partition(np.asarray(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))))
+    counts = st.none() | st.integers(0, 4)
+    rows = draw(st.integers(0, n))  # nodes past the profile table fall back too
+    profiles = profile_table(rows, followers=[draw(counts) for _ in range(rows)],
+                             followees=[draw(counts) for _ in range(rows)])
+    cfg = RankConfig(mode=draw(st.sampled_from(["even", "uneven"])),
+                     max_iterations=draw(st.sampled_from([1, 2, 3, 6, 1000])))
+    return g, p, cfg, profiles, draw(st.sampled_from(["local", "profile"]))
+
+
+class TestLayoutAgainstReference:
+    @given(ranking_cases())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_rank_all_communities_is_bit_exact(self, caplog, case):
+        assert_ranks_like_reference(caplog, *case)
+
+    def test_cases_the_property_must_reach(self, caplog):
+        # A: 12 nodes, rows of 8+ arcs (a pairwise sum would round them otherwise),
+        # capped; B: a singleton; C: a 100-node cycle, settled after one sweep;
+        # D: 6 nodes without arcs; E: e follows e+1 and e+2, whose profiles
+        # give io 0, and e+3 to e+5 follow no one
+        rng = np.random.Generator(np.random.PCG64(5))
+        arcs = [(u, v) for u in range(12) for v in range(12) if u != v and rng.random() < 0.9]
+        arcs += [(13 + i, 13 + (i + 1) % 100) for i in range(100)]
+        e = 119
+        arcs += [(e, e + 1), (e, e + 2), (e + 1, e + 3), (e + 2, e), (3, e), (e, 13)]
+        n = 125
+        p = Partition(np.repeat([0, 1, 2, 3, 4], [12, 1, 100, 6, 6]))
+        g = whole_graph(arcs, n)
+        followers = [None] * n
+        followees = [None] * n
+        for u in (e + 1, e + 2):
+            followers[u], followees[u] = 0, 7
+        profiles = profile_table(n, followers=followers, followees=followees)
+        for mode in ("even", "uneven"):
+            for source in ("local", "profile"):
+                cfg = RankConfig(mode=mode, max_iterations=4)
+                io, takes = assert_ranks_like_reference(caplog, g, p, cfg, profiles, source)
+                assert takes >= 1  # the settled cycle leaves the working set
+                assert "power iteration stopped at 4 sweeps" in caplog.text
+                if source == "profile":
+                    assert io[e + 1] == io[e + 2] == 0.0  # e's followees: the even split
+                    assert "123 of 125 nodes lack profile counts" in caplog.text
+        assert g.out_degrees[:12].min() >= 8
+        singleton = rank_all_communities(g, p)[1]
+        assert singleton.values.tolist() == [1.0] and singleton.io.tolist() == [0.0]
+
+
+class TestRanksWriterIo:
+    @given(ranking_cases(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_same_bytes_with_or_without_io_on_the_vectors(self, case, data):
+        g, p, cfg, profiles, source = case
+        vectors = rank_all_communities(g, p, cfg, profiles, source)
+        stripped = {c: dataclasses.replace(v, io=None) if data.draw(st.booleans()) else v
+                    for c, v in vectors.items()}
+        if data.draw(st.booleans()):  # a community no vector covers reads pagerank 0, true
+            cid = data.draw(st.sampled_from(sorted(vectors)))
+            del stripped[cid]
+            vectors = {**vectors, cid: dataclasses.replace(
+                vectors[cid], values=np.zeros(len(vectors[cid].members)), converged=True)}
+        texts = []
+        for given_vectors in (vectors, stripped):
+            buf = io.StringIO()
+            write_ranks_csv(buf, g, p, given_vectors, profiles, source)
+            texts.append(buf.getvalue())
+        assert texts[0] == texts[1]

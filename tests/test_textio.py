@@ -21,13 +21,13 @@ from zombiescan.community import (_partition_columns, _partition_rows, read_part
 from zombiescan.detect import (ZombieReport, _report_columns, _report_rows, read_report_csv,
                                write_report_csv)
 from zombiescan.ingest import _profile_columns, _profile_rows, _profile_table
-from zombiescan.rank import (ImportanceVector, _intra_arcs, _io_scores, _ranks_columns,
-                             _ranks_rows, read_ranks_csv, write_ranks_csv)
+from zombiescan.rank import (ImportanceVector, _ranks_columns, _ranks_rows, read_ranks_csv,
+                             write_ranks_csv)
 from zombiescan.synth import _truth_columns, _truth_rows, read_truth_csv
 from zombiescan.textio import int_column, read_text, render_ints
 
 from conftest import profile_table
-from oracles import partition_csv_rows, ranks_csv_rows, report_csv_rows
+from oracles import io_reference, partition_csv_rows, ranks_csv_rows, report_csv_rows
 
 # tokens the column path must leave to the row loop, or read exactly as it does
 ODD_TOKENS = ["", " 7", "7 ", "+7", "-7", "07", "7.5", '"7"', "٧", "x", "1e3", "nan",
@@ -272,6 +272,26 @@ def test_every_odd_token_in_every_column(reader):
     check_column_path(columns, rows, text.rstrip("\n"), True, same)
 
 
+# each reader, and a valid first row; a text stream keeps a lone CR, which
+# csv.reader refuses to split
+STREAM_READERS = {
+    "partition": (lambda s: read_partition_csv(s, 2), "node_id,community_id", "0,0"),
+    "truth": (read_truth_csv, "node_id,block_id,is_zombie,region", "0,0,1,a"),
+    "ranks": (read_ranks_csv, "node_id,community_id,io,pagerank,converged",
+              "0,0,0.5,1.0,true"),
+    "report": (read_report_csv, "node_id,community_id,pagerank,threshold,label",
+               "0,0,1.0,,normal"),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(STREAM_READERS))
+def test_lone_cr_in_a_text_stream_is_a_bad_row(reader):
+    read, header, row = STREAM_READERS[reader]
+    for text, line in ((f"{header}\r{row}\r", 1), (f"{header}\n{row}\r{row}\n", 2)):
+        with pytest.raises(ValidationError, match=f"^bad {reader} row on line {line}: "):
+            read(io.StringIO(text))
+
+
 @pytest.mark.parametrize("line,uid,name", [
     ("u1 \tamy", "u1", "amy"), (" u1\tamy", "u1", "amy"), ("u1\tamy\u3000", "u1", "amy"),
     ("北京\t\u3000amy", "北京", "amy"), ("u1\tamy\r", "u1", "amy"), ("u 1\ta my", "u 1", "a my")])
@@ -368,7 +388,7 @@ class TestWriters:
         profiles = profile_table(n, followers=[data.draw(st.none() | st.integers(0, 9))
                                                for _ in range(n)],
                                  followees=[3] * n)
-        io_col = _io_scores(n, *_intra_arcs(g, part), source, profiles).values
+        io_col = io_reference(g, part.assignment, source, profiles)
         pagerank = np.zeros(n)
         converged = np.ones(n, dtype=bool)
         for vec in vectors.values():

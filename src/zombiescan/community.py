@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .graph import UndirectedGraph
-from .textio import UTF8, csv_columns, csv_rows, int64, int_column, read_text, text_stream
+from .textio import UTF8, int_column, read_text, repeats, split_csv, text_stream
 
 __all__ = [
     "Partition",
@@ -355,44 +355,19 @@ def write_partition_csv(p: Partition, destination, uids: list[str] | None = None
 
 def read_partition_csv(source, node_count: int) -> Partition:
     """Read a partition written by write_partition_csv; a `uid` column is ignored."""
-    text = read_text(source, UTF8)
-    assignment = _partition_columns(text, node_count)
-    if assignment is None:
-        assignment = _partition_rows(text, node_count)
-    return Partition(assignment)
-
-
-def _partition_columns(text: str, node_count: int) -> np.ndarray | None:
-    """The assignment from one split of the whole text, or None for the row loop."""
-    columns = (csv_columns(text, _PARTITION_HEADER)
-               or csv_columns(text, _PARTITION_HEADER + ("uid",)))
-    if columns is None:
-        return None
-    nodes, comms = int_column(columns[0]), int_column(columns[1])
-    if nodes is None or comms is None or nodes.shape[0] != node_count:
-        return None
-    # node_count distinct ids below node_count cover every node once
-    if node_count and (nodes.max() >= node_count
-                       or np.bincount(nodes, minlength=node_count).max() > 1):
-        return None
+    rows = split_csv(read_text(source, UTF8), "partition", _PARTITION_HEADER,
+                     _PARTITION_HEADER + ("uid",))
+    nodes, bad_nodes = int_column(rows.columns[0])
+    comms, bad_comms = int_column(rows.columns[1])
+    rows.check((bad_nodes | bad_comms, lambda i: f"bad partition row: {rows.row(i)!r}"),
+               ((nodes < 0) | (nodes >= node_count),
+                lambda i: f"node id {nodes[i]} outside [0, {node_count})"),
+               (repeats(nodes), lambda i: f"node {nodes[i]} assigned twice"))
+    if nodes.shape[0] < node_count:
+        assigned = np.zeros(node_count, dtype=bool)
+        assigned[nodes] = True
+        raise ValidationError(f"partition does not cover node {int(np.argmin(assigned))}")
     assignment = np.empty(node_count, dtype=np.int64)
     assignment[nodes] = comms
-    return assignment
-
-
-def _partition_rows(text: str, node_count: int) -> np.ndarray:
-    assignment = np.zeros(node_count, dtype=np.int64)
-    assigned = np.zeros(node_count, dtype=bool)
-    for row in csv_rows(text, "partition", _PARTITION_HEADER, _PARTITION_HEADER + ("uid",)):
-        try:
-            node, comm = int(row[0]), int64(row[1])
-        except (ValueError, IndexError):
-            raise ValidationError(f"bad partition row: {row!r}") from None
-        if not 0 <= node < node_count:
-            raise ValidationError(f"node id {node} outside [0, {node_count})")
-        if assigned[node]:
-            raise ValidationError(f"node {node} assigned twice")
-        assignment[node], assigned[node] = comm, True
-    if not assigned.all():
-        raise ValidationError(f"partition does not cover node {int(np.argmin(assigned))}")
-    return assignment
+    del rows  # frees the split text before the relabel allocates
+    return Partition(assignment)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .rank import ImportanceVector
-from .textio import (ASCII, csv_columns, csv_rows, float_reprs, int_column, read_text,
+from .textio import (ASCII, code_column, float_reprs, int_column, read_text, repeats, split_csv,
                      text_stream)
 
 __all__ = [
@@ -167,39 +167,12 @@ def write_report_csv(report: ZombieReport, destination) -> None:
 def read_report_csv(source) -> dict[int, bool]:
     """Predicted labels {node_id: is_zombie} from a report CSV; rejects labels
     other than zombie/normal and repeated nodes."""
-    text = read_text(source, ASCII)
-    labels = _report_columns(text)
-    return labels if labels is not None else _report_rows(text)
-
-
-def _report_columns(text: str) -> dict[int, bool] | None:
-    """The labels from one split of the whole text, or None for the row loop."""
-    columns = csv_columns(text, _REPORT_HEADER)
-    if columns is None:
-        return None
-    nodes = int_column(columns[0])
-    labels = list(map(_LABELS.get, columns[4]))
-    if nodes is None or None in labels:
-        return None
-    ordered = np.sort(nodes)
-    if (ordered[1:] == ordered[:-1]).any():
-        return None
-    return dict(zip(nodes.tolist(), labels))
-
-
-def _report_rows(text: str) -> dict[int, bool]:
-    labels: dict[int, bool] = {}
-    for row in csv_rows(text, "report", _REPORT_HEADER):
-        try:
-            node, label = int(row[0]), row[4]
-        except (ValueError, IndexError):
-            raise ValidationError(f"bad report row: {row!r}") from None
-        if label not in _LABELS:
-            raise ValidationError(f"bad report row: {row!r}")
-        if node in labels:
-            raise ValidationError(f"node {node} listed twice in the report")
-        labels[node] = _LABELS[label]
-    return labels
+    rows = split_csv(read_text(source, ASCII), "report", _REPORT_HEADER)
+    nodes, bad_nodes = int_column(rows.columns[0])
+    labels = code_column(rows.columns[4], _LABELS)
+    rows.check((bad_nodes | (labels < 0), lambda i: f"bad report row: {rows.row(i)!r}"),
+               (repeats(nodes), lambda i: f"node {nodes[i]} listed twice in the report"))
+    return dict(zip(nodes.tolist(), (labels > 0).tolist()))
 
 
 def write_summary_json(report: ZombieReport, destination,

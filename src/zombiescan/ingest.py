@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import CacheError, ParseError, ValidationError
 from .graph import DirectedGraph, _build_graph, _index_dtype, _pair_keys
-from .textio import (ASCII, INT64_MAX, UTF8, decode, int64, int_column, read_text,
+from .textio import (ASCII, INT64_MAX, UTF8, decode, int_column, read_text,
                      render_ints, split_fields, text_stream)
 
 log = logging.getLogger(__name__)
@@ -268,24 +268,17 @@ def _flagged_arcs(g: DirectedGraph) -> RawNetwork:
 
 
 def parse_uidlist(source) -> list[tuple[int, str]]:
-    """Read one external uid per line (UTF-8); line i maps to node id i."""
-    fh = io.StringIO(read_text(source, UTF8))
-    out: list[tuple[int, str]] = []
-    lineno = 0
-    while True:
-        line = fh.readline()
-        if not line:
-            break
-        lineno += 1
-        uid = line.strip()
-        if not uid:
-            if fh.read(1):
-                raise ParseError("blank line inside uid list", lineno)
-            break
-        out.append((len(out), uid))
-    if not out:
+    """Read one external uid per line (UTF-8); line i maps to node id i.
+
+    Blank lines may end the list; one followed by a uid is an error."""
+    uids = [line.strip() for line in read_text(source, UTF8).split("\n")]
+    while uids and not uids[-1]:
+        uids.pop()
+    if not uids:
         raise ParseError("uid list is empty", 1)
-    return out
+    if "" in uids:
+        raise ParseError("blank line inside uid list", uids.index("") + 1)
+    return list(enumerate(uids))
 
 
 def write_uidlist(uids: list[str], destination) -> None:
@@ -419,33 +412,18 @@ def _profile_table(n: int, columns: dict[str, list]) -> tuple[ProfileTable, int]
     counts = {}
     bad_numbers = 0
     for name in _PROFILE_INT_FIELDS:
-        values, missing, bad = _count_column(columns.get(name), n)
+        column = columns.get(name)
+        if column is None:
+            values, missing = np.zeros(n, dtype=np.int64), np.ones(n, dtype=bool)
+        else:
+            values, missing = int_column(column)
+            # a record without the field holds None there: missing, not tallied
+            if missing.any():
+                bad_numbers += int(missing.sum()) - column.count(None)
         counts[name], counts[name + "_missing"] = values, missing
-        bad_numbers += bad
     text = {name: columns.get(name, [""] * n) for name in _PROFILE_TEXT_FIELDS
             if name != "region"}
     return ProfileTable(**text, region_codes=codes, region_names=names, **counts), bad_numbers
-
-
-def _count_column(column: list | None, n: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """int64 values, missing mask and bad-value tally of one count column.
-
-    A None entry is a record without the field, missing but not tallied."""
-    if column is not None and None not in column:
-        values = int_column(column)
-        if values is not None:
-            return values, np.zeros(n, dtype=bool), 0
-    values = np.zeros(n, dtype=np.int64)
-    missing = np.ones(n, dtype=bool)
-    bad = 0
-    for row, field in enumerate(column or ()):
-        if field is None:
-            continue
-        try:
-            values[row], missing[row] = int64(field), False
-        except ValueError:
-            bad += 1
-    return values, missing, bad
 
 
 def write_profiles(profiles: ProfileTable, destination,

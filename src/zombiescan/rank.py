@@ -25,7 +25,6 @@ exactly as it would alone. A whole graph is the layout of one community.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,7 @@ import numpy as np
 from .community import Partition
 from .errors import ValidationError
 from .graph import DirectedGraph
-from .textio import (ASCII, csv_columns, csv_rows, float_reprs, int64, int_column, read_text,
+from .textio import (ASCII, code_column, float_reprs, int_column, read_text, repeats, split_csv,
                      text_stream)
 
 log = logging.getLogger(__name__)
@@ -285,16 +284,6 @@ def _rank(blocks: _Blocks, order: np.ndarray, cfg: RankConfig, io=None) -> list[
     return vectors
 
 
-def _power_iterate(g: DirectedGraph, arc_weights: np.ndarray, damping: float):
-    """Yield (vector, l1_residual) after each sweep of g as one community, from uniform."""
-    blocks, _ = _whole(g)
-    blocks.weights = arc_weights  # the layout of one community keeps the CSR order
-    x = np.full(g.node_count, 1.0 / g.node_count)
-    while True:
-        x, residual = blocks.sweep(x, damping)
-        yield x, float(residual[0])
-
-
 def pagerank(g: DirectedGraph, cfg: RankConfig | None = None, io=None) -> ImportanceVector:
     """Importance of every node of g taken as one community; values sum to 1.
 
@@ -353,39 +342,26 @@ def write_ranks_csv(destination, g: DirectedGraph, p: Partition,
 def read_ranks_csv(source) -> dict[int, ImportanceVector]:
     """Rebuild per-community vectors from a ranks CSV; rejects non-finite
     scores, repeated nodes and `converged` values other than true/false."""
-    text = read_text(source, ASCII)
-    vectors = _ranks_columns(text)
-    return vectors if vectors is not None else _ranks_rows(text)
-
-
-def _ranks_columns(text: str) -> dict[int, ImportanceVector] | None:
-    """The vectors from one split of the whole text, or None for the row loop."""
-    columns = csv_columns(text, _RANKS_HEADER)
-    if columns is None:
-        return None
-    nodes, cids = int_column(columns[0]), int_column(columns[1])
-    flags = list(map(_CONVERGED.get, columns[4]))
-    if nodes is None or cids is None or None in flags:
-        return None
-    try:
-        values = np.array(list(map(float, columns[3])), dtype=np.float64)
-    except ValueError:
-        return None
-    ordered = np.sort(nodes)
-    if not np.isfinite(values).all() or (ordered[1:] == ordered[:-1]).any():
-        return None
+    rows = split_csv(read_text(source, ASCII), "ranks", _RANKS_HEADER)
+    nodes, bad_nodes = int_column(rows.columns[0])
+    cids, bad_cids = int_column(rows.columns[1])
+    values, bad_values = _float_column(rows.columns[3])
+    flags = code_column(rows.columns[4], _CONVERGED)
+    rows.check((bad_nodes | bad_cids | bad_values | ~np.isfinite(values) | (flags < 0),
+                lambda i: f"bad ranks row: {rows.row(i)!r}"),
+               (repeats(nodes), lambda i: f"node {nodes[i]} listed twice in the ranks file"))
     vectors: dict[int, ImportanceVector] = {}
-    if not nodes.shape[0]:
+    if not len(rows):
         return vectors
     # rows by community, then node; communities in order of first appearance
     order = np.lexsort((nodes, cids))
     ids, starts = np.unique(cids[order], return_index=True)
     bounds = np.append(starts, order.shape[0]).tolist()
     first_row = np.minimum.reduceat(order, starts)
-    converged = np.logical_and.reduceat(np.array(flags, dtype=bool)[order], starts)
+    converged = np.logical_and.reduceat(flags[order] > 0, starts)
     for k in np.argsort(first_row).tolist():
-        rows = order[bounds[k]:bounds[k + 1]]
-        vectors[int(ids[k])] = ImportanceVector(values[rows], nodes[rows], 0, 0.0,
+        members = order[bounds[k]:bounds[k + 1]]
+        vectors[int(ids[k])] = ImportanceVector(values[members], nodes[members], 0, 0.0,
                                                 bool(converged[k]))
     return vectors
 
@@ -393,24 +369,17 @@ def _ranks_columns(text: str) -> dict[int, ImportanceVector] | None:
 _CONVERGED = {"true": True, "false": False}
 
 
-def _ranks_rows(text: str) -> dict[int, ImportanceVector]:
-    groups: dict[int, list[tuple[int, float, bool]]] = {}
-    seen: set[int] = set()
-    for row in csv_rows(text, "ranks", _RANKS_HEADER):
+def _float_column(column: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """float() of each field, and the mask of the fields it refuses (which read 0)."""
+    try:
+        return np.array(list(map(float, column)), dtype=np.float64), np.zeros(len(column), bool)
+    except ValueError:
+        pass
+    values = np.zeros(len(column))
+    bad = np.zeros(len(column), dtype=bool)
+    for row, token in enumerate(column):
         try:
-            node, cid, value, flag = int64(row[0]), int(row[1]), float(row[3]), row[4]
-        except (ValueError, IndexError):
-            raise ValidationError(f"bad ranks row: {row!r}") from None
-        if not math.isfinite(value) or flag not in _CONVERGED:
-            raise ValidationError(f"bad ranks row: {row!r}")
-        if node in seen:
-            raise ValidationError(f"node {node} listed twice in the ranks file")
-        seen.add(node)
-        groups.setdefault(cid, []).append((node, value, flag == "true"))
-
-    vectors: dict[int, ImportanceVector] = {}
-    for cid, entries in groups.items():
-        members, values, flags = zip(*sorted(entries))
-        vectors[cid] = ImportanceVector(np.asarray(values), np.asarray(members, dtype=np.int64),
-                                        0, 0.0, all(flags))
-    return vectors
+            values[row] = float(token)
+        except ValueError:
+            bad[row] = True
+    return values, bad

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ValidationError
 from .graph import DirectedGraph, _build_graph, _dedup_pairs
 from .ingest import ProfileTable, write_profiles, write_uidlist, write_weibo_network
-from .textio import UTF8, csv_columns, csv_rows, int64, int_column, read_text, text_stream
+from .textio import UTF8, code_column, int_column, read_text, split_csv, text_stream
 
 log = logging.getLogger(__name__)
 
@@ -248,44 +248,16 @@ def write_truth_csv(truth: GroundTruth, destination) -> None:
 
 def read_truth_csv(source) -> GroundTruth:
     """Read a truth file (UTF-8); `is_zombie` must be one of 0/1/true/false/True/False."""
-    text = read_text(source, UTF8)
-    truth = _truth_columns(text)
-    return truth if truth is not None else _truth_rows(text)
-
-
-def _truth_columns(text: str) -> GroundTruth | None:
-    """The truth file from one split of the whole text, or None for the row loop."""
-    columns = csv_columns(text, _TRUTH_HEADER)
-    if columns is None or not columns[0]:
-        return None
-    nodes, blocks = int_column(columns[0]), int_column(columns[1])
-    flags = list(map(_TRUTH_FLAGS.get, columns[2]))
-    if (nodes is None or blocks is None or None in flags
-            or (nodes != np.arange(nodes.shape[0])).any()):
-        return None
-    return GroundTruth(blocks, np.array(flags, dtype=bool), columns[3])
-
-
-def _truth_rows(text: str) -> GroundTruth:
-    blocks: list[int] = []
-    zombies: list[bool] = []
-    regions: list[str] = []
-    for row in csv_rows(text, "truth", _TRUTH_HEADER):
-        try:
-            node = int(row[0])
-            if node != len(blocks):
-                raise ValueError
-            if row[2] not in _TRUTH_FLAGS:
-                raise ValueError
-            blocks.append(int64(row[1]))
-            zombies.append(_TRUTH_FLAGS[row[2]])
-            regions.append(row[3])
-        except (ValueError, IndexError):
-            raise ValidationError(f"bad truth row: {row!r}") from None
-    if not blocks:
+    rows = split_csv(read_text(source, UTF8), "truth", _TRUTH_HEADER)
+    nodes, bad_nodes = int_column(rows.columns[0])
+    blocks, bad_blocks = int_column(rows.columns[1])
+    flags = code_column(rows.columns[2], _TRUTH_FLAGS)
+    # a row without a region field is short; the other fields refuse ""
+    rows.check((bad_nodes | bad_blocks | (flags < 0) | (rows.widths < 4)
+                | (nodes != np.arange(len(rows))), lambda i: f"bad truth row: {rows.row(i)!r}"))
+    if not len(rows):
         raise ValidationError("truth file is empty")
-    return GroundTruth(np.asarray(blocks, dtype=np.int64),
-                       np.asarray(zombies, dtype=bool), regions)
+    return GroundTruth(blocks, flags > 0, rows.columns[3])
 
 
 def emit_weibo_format(g: DirectedGraph, truth: GroundTruth,

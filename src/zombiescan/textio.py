@@ -4,11 +4,13 @@ Files with text columns (profiles, uid lists, truth, regions and the uid
 column of a partition) are UTF-8; the numeric files (network, ranks,
 report, JSON) are ASCII. A reader takes its whole input at once:
 `read_text` decodes it, with universal newlines as a text-mode open()
-would apply them, and `csv_columns` splits a plain CSV into columns in one
-pass. `csv_columns` and `int_column` return None for any input they cannot
-convert exactly as the row-by-row readers would (quotes, CR, another field
-count, a token that is not plain digits); the caller then runs its row
-loop over `csv_rows`, which reports the first failing row.
+would apply them. `split_csv` splits a stage CSV into string columns once:
+a plain file in one pass, any other (quotes, a lone CR, blank lines, rows
+wider or narrower than the header) through the csv module. The reader then
+converts whole columns (`int_column`, `code_column`) into values and masks
+of the rows at fault, and `CsvRows.check` raises the message of the first
+faulty row. Every integer column is int64: a token int() refuses, or one
+outside 64 bits, is a fault of its row.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 from contextlib import contextmanager
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -89,44 +92,115 @@ def split_fields(body: str, delimiter: str, width: int) -> list[str] | None:
     return body[:-1].replace("\n", delimiter).split(delimiter)
 
 
-def csv_columns(text: str, header: tuple[str, ...]) -> list[list[str]] | None:
-    """The columns of a CSV whose first line is `header` and whose every other
-    line holds len(header) unquoted fields; None for any other text."""
+class CsvRows:
+    """The rows of a CSV after its header, split once by `split_csv`.
+
+    columns[j] holds field j of every row, "" where a row is shorter (a
+    field that every integer, float and code column refuses), and widths
+    each row's field count; row(i) is row i's fields as csv.reader reads
+    them. error is the "bad <kind> row on line N: ..." message of a
+    csv.Error that ended the split after these rows, or None.
+    """
+
+    __slots__ = ("columns", "widths", "row", "error")
+
+    def __init__(self, columns: list[list[str]], widths: np.ndarray, row, error=None):
+        self.columns, self.widths, self.row, self.error = columns, widths, row, error
+
+    def __len__(self) -> int:
+        return int(self.widths.shape[0])
+
+    def check(self, *faults) -> None:
+        """Raise the ValidationError of the first row with a fault, then the
+        pending csv.Error. Each fault is (mask over the rows, message of row
+        i), listed in the order a row's values are checked."""
+        hits = [(int(np.argmax(mask)), k) for k, (mask, _) in enumerate(faults) if mask.any()]
+        if hits:
+            row, k = min(hits)
+            raise ValidationError(faults[k][1](row))
+        if self.error is not None:
+            raise ValidationError(self.error)
+
+
+def split_csv(text: str, kind: str, *headers: tuple[str, ...]) -> CsvRows:
+    """The nonblank rows of a CSV text after its header, which must be one of
+    `headers`. A file whose first line is a header and whose every other
+    line holds that many unquoted fields is split in one pass; any other
+    goes through csv.reader."""
     head, _, body = text.partition("\n")
-    if head != ",".join(header) or any(c in body for c in '"\r\0'):
-        return None
+    for header in headers:
+        if head == ",".join(header):
+            fields = _plain_fields(body, len(header))
+            if fields is not None:
+                width = len(header)
+                return CsvRows([fields[j::width] for j in range(width)],
+                               np.full(len(fields) // width, width, dtype=np.int64),
+                               lambda i: fields[i * width:(i + 1) * width])
+    return _csv_module_rows(text, kind, headers)
+
+
+def _plain_fields(body: str, width: int) -> list[str] | None:
+    """The fields of `body`, row by row, when each line holds `width` fields
+    that csv.reader would read as they stand; None otherwise."""
     if not body:
-        return [[] for _ in header]
-    fields = split_fields(body, ",", len(header))
-    if fields is None:
+        return []
+    if any(c in body for c in '"\r\0'):
         return None
+    fields = split_fields(body, ",", width)
     # csv.reader refuses a field longer than its size limit
     limit = csv.field_size_limit()
-    if len(body) > limit and max(map(len, fields)) > limit:
+    if fields is not None and len(body) > limit and max(map(len, fields)) > limit:
         return None
-    return [fields[j::len(header)] for j in range(len(header))]
+    return fields
 
 
-def csv_rows(text: str, kind: str, *headers: tuple[str, ...]):
-    """The nonblank rows of a CSV text after its header, which must be one of
-    `headers`. Text the csv module cannot split raises the "bad <kind> row"
-    ValidationError that the callers raise for a row with a bad value."""
+def _csv_module_rows(text: str, kind: str, headers) -> CsvRows:
     reader = csv.reader(io.StringIO(text))
+    rows: list[list[str]] = []
+    width, error = len(headers[0]), None
     try:
-        if next(reader, None) not in [list(h) for h in headers]:
+        head = next(reader, None)
+        if head not in [list(h) for h in headers]:
             raise ValidationError(f"{kind} file must start with '{','.join(headers[0])}'")
-        yield from filter(None, reader)
+        width = len(head)
+        for row in reader:
+            if row:  # a blank line
+                rows.append(row)
     except csv.Error as exc:
-        raise ValidationError(f"bad {kind} row on line {reader.line_num}: {exc}") from None
+        error = f"bad {kind} row on line {reader.line_num}: {exc}"
+    columns = [[row[j] if j < len(row) else "" for row in rows] for j in range(width)]
+    widths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    return CsvRows(columns, widths, rows.__getitem__, error)
 
 
-def int_column(column: list[str]) -> np.ndarray | None:
+def int_column(column: list) -> tuple[np.ndarray, np.ndarray]:
+    """int64 of each field, and the mask of the fields that are not an
+    integer int() reads within int64 (None included); those read 0."""
+    values = _digit_column(column)
+    if values is not None:
+        return values, np.zeros(len(column), dtype=bool)
+    values = np.zeros(len(column), dtype=np.int64)
+    bad = np.zeros(len(column), dtype=bool)
+    for row, token in enumerate(column):
+        try:
+            values[row] = int64(token)
+        except (TypeError, ValueError):
+            bad[row] = True
+    return values, bad
+
+
+def _digit_column(column: list) -> np.ndarray | None:
     """The fields as int64 when each is a nonempty run of ASCII digits that
     fits; None otherwise."""
     if not column:
         return np.zeros(0, dtype=np.int64)
-    joined = ",".join(column)
-    if "" in column or not joined.isascii():
+    if "" in column:
+        return None
+    try:
+        joined = ",".join(column)
+    except TypeError:  # a None field
+        return None
+    if not joined.isascii():
         return None
     raw = joined.encode(ASCII)
     if raw.translate(None, b"0123456789,"):
@@ -134,7 +208,7 @@ def int_column(column: list[str]) -> np.ndarray | None:
     if raw.count(b",") != len(column) - 1:  # a field holds the separator
         return None
     values = np.fromstring(raw, dtype=np.int64, sep=",")
-    # an oversized token clamps to INT64_MAX; the row loop reads it exactly
+    # an oversized token clamps to INT64_MAX; int64() reads it exactly
     if values.shape[0] != len(column) or (values == INT64_MAX).any():
         return None
     return values
@@ -146,6 +220,23 @@ def int64(token: str) -> int:
     if not -INT64_MAX - 1 <= value <= INT64_MAX:
         raise ValueError(f"{token!r} does not fit 64 bits")
     return value
+
+
+def repeats(values: np.ndarray) -> np.ndarray:
+    """The mask of the entries equal to an earlier entry."""
+    mask = np.zeros(values.shape[0], dtype=bool)
+    if (values[1:] > values[:-1]).all():  # node order, as the writers leave it
+        return mask
+    ordered = np.sort(values)
+    if (ordered[1:] == ordered[:-1]).any():
+        order = np.argsort(values, kind="stable")
+        mask[order[1:]] = values[order[1:]] == values[order[:-1]]
+    return mask
+
+
+def code_column(column: list[str], codes: dict[str, int]) -> np.ndarray:
+    """codes[field] of each field as int8, -1 where the field is not a key."""
+    return np.fromiter(map(codes.get, column, repeat(-1)), dtype=np.int8, count=len(column))
 
 
 def float_reprs(values: np.ndarray, nan: str = "nan") -> list[str]:

@@ -631,3 +631,110 @@ def report_csv_rows(report) -> str:
                       for n, c, v, t, z in zip(report.node_ids, report.community_ids,
                                                report.values, report.thresholds,
                                                report.is_zombie)])
+
+
+# ---- CSV readers as row loops over csv.reader -------------------------------
+
+
+def _int64(token: str) -> int:
+    """int(token); a value outside int64 is refused like a token int() refuses."""
+    value = int(token)
+    if not -2 ** 63 <= value < 2 ** 63:
+        raise ValueError(token)
+    return value
+
+
+def _csv_reader_rows(text: str, kind: str, *headers):
+    """The nonblank rows after a header that must be one of `headers`; a
+    csv.Error is the "bad <kind> row on line N" error of the row it stops at."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        if next(reader, None) not in [list(h) for h in headers]:
+            raise ValidationError(f"{kind} file must start with '{','.join(headers[0])}'")
+        yield from filter(None, reader)
+    except csv.Error as exc:
+        raise ValidationError(f"bad {kind} row on line {reader.line_num}: {exc}") from None
+
+
+def read_partition_rows(text: str, node_count: int) -> np.ndarray:
+    """The community id of each node, before relabelling."""
+    assignment = np.zeros(node_count, dtype=np.int64)
+    assigned = np.zeros(node_count, dtype=bool)
+    header = ("node_id", "community_id")
+    for row in _csv_reader_rows(text, "partition", header, header + ("uid",)):
+        try:
+            node, comm = _int64(row[0]), _int64(row[1])
+        except (ValueError, IndexError):
+            raise ValidationError(f"bad partition row: {row!r}") from None
+        if not 0 <= node < node_count:
+            raise ValidationError(f"node id {node} outside [0, {node_count})")
+        if assigned[node]:
+            raise ValidationError(f"node {node} assigned twice")
+        assignment[node], assigned[node] = comm, True
+    if not assigned.all():
+        raise ValidationError(f"partition does not cover node {int(np.argmin(assigned))}")
+    return assignment
+
+
+TRUTH_FLAGS = {"0": False, "1": True, "true": True, "false": False, "True": True,
+               "False": False}
+
+
+def read_truth_rows(text: str) -> tuple[list[int], list[bool], list[str]]:
+    """(block ids, zombie flags, regions) of the rows in node order."""
+    blocks: list[int] = []
+    zombies: list[bool] = []
+    regions: list[str] = []
+    for row in _csv_reader_rows(text, "truth", ("node_id", "block_id", "is_zombie", "region")):
+        try:
+            if _int64(row[0]) != len(blocks) or row[2] not in TRUTH_FLAGS:
+                raise ValueError
+            blocks.append(_int64(row[1]))
+            zombies.append(TRUTH_FLAGS[row[2]])
+            regions.append(row[3])
+        except (ValueError, IndexError):
+            raise ValidationError(f"bad truth row: {row!r}") from None
+    if not blocks:
+        raise ValidationError("truth file is empty")
+    return blocks, zombies, regions
+
+
+def read_ranks_rows(text: str) -> dict[int, tuple[np.ndarray, np.ndarray, bool]]:
+    """{community id: (members, values, all converged)}, communities in order
+    of first appearance, members sorted."""
+    groups: dict[int, list[tuple[int, float, bool]]] = {}
+    seen: set[int] = set()
+    header = ("node_id", "community_id", "io", "pagerank", "converged")
+    for row in _csv_reader_rows(text, "ranks", header):
+        try:
+            node, cid, value, flag = _int64(row[0]), _int64(row[1]), float(row[3]), row[4]
+        except (ValueError, IndexError):
+            raise ValidationError(f"bad ranks row: {row!r}") from None
+        if not math.isfinite(value) or flag not in ("true", "false"):
+            raise ValidationError(f"bad ranks row: {row!r}")
+        if node in seen:
+            raise ValidationError(f"node {node} listed twice in the ranks file")
+        seen.add(node)
+        groups.setdefault(cid, []).append((node, value, flag == "true"))
+    vectors = {}
+    for cid, entries in groups.items():
+        members, values, flags = zip(*sorted(entries))
+        vectors[cid] = (np.asarray(members, dtype=np.int64), np.asarray(values), all(flags))
+    return vectors
+
+
+def read_report_rows(text: str) -> dict[int, bool]:
+    """{node id: is zombie} in row order."""
+    labels: dict[int, bool] = {}
+    header = ("node_id", "community_id", "pagerank", "threshold", "label")
+    for row in _csv_reader_rows(text, "report", header):
+        try:
+            node, label = _int64(row[0]), row[4]
+        except (ValueError, IndexError):
+            raise ValidationError(f"bad report row: {row!r}") from None
+        if label not in ("zombie", "normal"):
+            raise ValidationError(f"bad report row: {row!r}")
+        if node in labels:
+            raise ValidationError(f"node {node} listed twice in the report")
+        labels[node] = label == "zombie"
+    return labels

@@ -227,6 +227,17 @@ class TestRankAndDetect:
         assert data["proportion"] == 0.0
         assert "zombie_proportion: 0.0" in capsys.readouterr().out
 
+    def test_detect_on_oversized_community_id_exits_2(self, tmp_path, capsys):
+        ranks = tmp_path / "ranks.csv"
+        ranks.write_text("node_id,community_id,io,pagerank,converged\n"
+                         "0,99999999999999999999,0.5,1.0,true\n")
+        out = tmp_path / "out"
+        assert main(["detect", str(ranks), "-o", str(out / "report.csv"),
+                     "--summary", str(out / "summary.json")]) == 2
+        assert ("error: bad ranks row: ['0', '99999999999999999999', '0.5', '1.0', 'true']"
+                in capsys.readouterr().err)
+        assert not out.exists() or not files_under(out)
+
     def test_summary_names_manifest(self, tmp_path):
         ranks = tmp_path / "ranks.csv"
         rows = ["node_id,community_id,io,pagerank,converged"]

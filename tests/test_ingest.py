@@ -268,8 +268,12 @@ class TestUidlist:
             parse_uidlist(io.StringIO(""))
 
     def test_blank_line_mid_file_rejected(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="^line 2: blank line inside uid list$"):
             parse_uidlist(io.StringIO("a\n\nb\n"))
+
+    @pytest.mark.parametrize("tail", ["\n", "\n\n", "\n\n\n", "\n \n\t\n", ""])
+    def test_trailing_blank_lines_end_the_list(self, tail):
+        assert parse_uidlist(io.StringIO("a\nb" + tail)) == [(0, "a"), (1, "b")]
 
 
 class TestProfiles:

@@ -1,13 +1,16 @@
 """Whole-buffer readers and format-and-join writers against their references.
 
-Each reader's one-split column path must agree with its row loop: the same
-values, or, where the row loop raises, no result, so that the reader raises
-the row loop's error. Each writer must equal csv.writer byte for byte.
+Each CSV reader must agree with its row loop over csv.reader in
+tests/oracles.py: the same values, or the same error type and message. A
+clean file must be read in one pass, without csv.reader and without the
+per-token integer loop. Each writer must equal csv.writer byte for byte.
 """
 
 import csv
 import io
 import logging
+from contextlib import contextmanager, nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,20 +19,19 @@ from hypothesis import strategies as st
 
 from zombiescan import (ParseError, Partition, ProfileSchema, ValidationError, build_graph,
                         parse_profiles)
-from zombiescan.community import (_partition_columns, _partition_rows, read_partition_csv,
-                                  write_partition_csv)
-from zombiescan.detect import (ZombieReport, _report_columns, _report_rows, read_report_csv,
-                               write_report_csv)
+from zombiescan.cli import main
+from zombiescan.community import read_partition_csv, write_partition_csv
+from zombiescan.detect import ZombieReport, read_report_csv, write_report_csv
 from zombiescan.ingest import _profile_columns, _profile_rows, _profile_table
-from zombiescan.rank import (ImportanceVector, _ranks_columns, _ranks_rows, read_ranks_csv,
-                             write_ranks_csv)
-from zombiescan.synth import _truth_columns, _truth_rows, read_truth_csv
-from zombiescan.textio import int_column, read_text, render_ints
+from zombiescan.rank import ImportanceVector, read_ranks_csv, write_ranks_csv
+from zombiescan.synth import read_truth_csv
+from zombiescan.textio import _digit_column, int_column, read_text, render_ints
 
-from conftest import profile_table
-from oracles import io_reference, partition_csv_rows, ranks_csv_rows, report_csv_rows
+from conftest import DATA, profile_table
+from oracles import (io_reference, partition_csv_rows, ranks_csv_rows, read_partition_rows,
+                     read_ranks_rows, read_report_rows, read_truth_rows, report_csv_rows)
 
-# tokens the column path must leave to the row loop, or read exactly as it does
+# tokens the readers must read exactly as the row loops do
 ODD_TOKENS = ["", " 7", "7 ", "+7", "-7", "07", "7.5", '"7"', "٧", "x", "1e3", "nan",
               "inf", "-0.0", "99999999999999999999", "9223372036854775807", "true", "false",
               "True", "zombie", "normal", "a,b", "\x00"]
@@ -80,20 +82,53 @@ def outcome(read):
         return type(exc), str(exc)
 
 
-def check_column_path(columns, rows, text, clean, same):
-    """The column path agrees with the row loop, and takes every clean input."""
-    got = columns(text)
-    kind, want = outcome(lambda: rows(text))
-    if kind != "ok":
-        assert got is None, want
-    elif got is not None:
-        assert same(got, want)
-    if clean:
-        assert got is not None
+@contextmanager
+def one_pass():
+    """Fail on any call of csv.reader or of the per-token integer loop."""
+    def refuse(*args):
+        raise AssertionError("a clean file left the one-pass path")
+
+    with mock.patch("csv.reader", refuse), mock.patch("zombiescan.textio.int64", refuse):
+        yield
+
+
+def check_reader(read, oracle, text, clean):
+    """The reader returns what the row loop returns, or raises its error; a
+    clean file takes the one-pass path."""
+    with one_pass() if clean else nullcontext():
+        got = outcome(lambda: read(text))
+    assert got == outcome(lambda: oracle(text))
 
 
 def permutation(draw, n):
     return draw(st.permutations(range(n)))
+
+
+def flat_truth(truth):
+    return truth.block_ids.tolist(), truth.is_zombie.tolist(), truth.regions
+
+
+def flat_ranks(vectors):
+    return [(cid, v.members.tolist(), v.members.dtype, v.values.tobytes(), v.values.dtype,
+             v.converged, v.iterations, v.residual) for cid, v in vectors.items()]
+
+
+def flat_ranks_rows(vectors):
+    return [(cid, members.tolist(), members.dtype, values.tobytes(), values.dtype, converged,
+             0, 0.0) for cid, (members, values, converged) in vectors.items()]
+
+
+# (reader, row loop) of each CSV kind, both returning comparable values
+def partition_readers(n):
+    return (lambda t: read_partition_csv(io.StringIO(t), n).assignment.tolist(),
+            lambda t: Partition(read_partition_rows(t, n)).assignment.tolist())
+
+
+TRUTH = (lambda t: flat_truth(read_truth_csv(io.StringIO(t))), read_truth_rows)
+RANKS = (lambda t: flat_ranks(read_ranks_csv(io.StringIO(t))),
+         lambda t: flat_ranks_rows(read_ranks_rows(t)))
+REPORT = (lambda t: list(read_report_csv(io.StringIO(t)).items()),
+          lambda t: list(read_report_rows(t).items()))
 
 
 class TestReaders:
@@ -107,11 +142,7 @@ class TestReaders:
                 for node in permutation(data.draw, n)]
         header = ["node_id", "community_id"] + (["uid"] if with_uids else [])
         text, clean = data.draw(csv_text(header, rows))
-        check_column_path(lambda t: _partition_columns(t, n),
-                          lambda t: _partition_rows(t, n), text, clean,
-                          lambda a, b: a.tolist() == b.tolist())
-        assert outcome(lambda: read_partition_csv(io.StringIO(text), n).assignment.tolist()) \
-            == outcome(lambda: Partition(_partition_rows(text, n)).assignment.tolist())
+        check_reader(*partition_readers(n), text, clean)
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -121,18 +152,7 @@ class TestReaders:
         rows = [[str(i), str(data.draw(st.integers(0, 3))), data.draw(flags),
                  data.draw(st.text("ab 北京", max_size=3))] for i in range(n)]
         text, clean = data.draw(csv_text(["node_id", "block_id", "is_zombie", "region"], rows))
-
-        def flat(truth):
-            return truth.block_ids.tolist(), truth.is_zombie.tolist(), truth.regions
-
-        def columns(t):
-            truth = _truth_columns(t)
-            return None if truth is None else flat(truth)
-
-        check_column_path(columns, lambda t: flat(_truth_rows(t)), text, clean and n > 0,
-                          lambda a, b: a == b)
-        assert outcome(lambda: flat(read_truth_csv(io.StringIO(text)))) == \
-            outcome(lambda: flat(_truth_rows(text)))
+        check_reader(*TRUTH, text, clean)
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -145,16 +165,7 @@ class TestReaders:
                 for node in permutation(data.draw, n)]
         header = ["node_id", "community_id", "io", "pagerank", "converged"]
         text, clean = data.draw(csv_text(header, rows))
-
-        def flat(vectors):
-            return [(cid, v.members.tolist(), v.members.dtype, v.values.tobytes(),
-                     v.values.dtype, v.converged, v.iterations, v.residual)
-                    for cid, v in vectors.items()]
-
-        check_column_path(_ranks_columns, _ranks_rows, text, clean,
-                          lambda a, b: flat(a) == flat(b))
-        assert outcome(lambda: flat(read_ranks_csv(io.StringIO(text)))) == \
-            outcome(lambda: flat(_ranks_rows(text)))
+        check_reader(*RANKS, text, clean)
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -166,10 +177,7 @@ class TestReaders:
                 for node in permutation(data.draw, n)]
         header = ["node_id", "community_id", "pagerank", "threshold", "label"]
         text, clean = data.draw(csv_text(header, rows))
-        check_column_path(_report_columns, _report_rows, text, clean,
-                          lambda a, b: list(a.items()) == list(b.items()))
-        assert outcome(lambda: list(read_report_csv(io.StringIO(text)).items())) == \
-            outcome(lambda: list(_report_rows(text).items()))
+        check_reader(*REPORT, text, clean)
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -224,39 +232,29 @@ class TestReaders:
             assert fast is not None
 
 
-# (column path, row loop, valid rows) of each CSV reader
+# (reader, row loop, valid rows) of each CSV kind
 READERS = {
-    "partition": (lambda t: _partition_columns(t, 3), lambda t: _partition_rows(t, 3),
-                  "node_id,community_id\n2,0\n0,1\n1,1\n"),
-    "truth": (_truth_columns, _truth_rows,
-              "node_id,block_id,is_zombie,region\n0,0,1,a\n1,0,0,b\n2,1,True,\n"),
-    "ranks": (_ranks_columns, _ranks_rows, "node_id,community_id,io,pagerank,converged\n"
+    "partition": (*partition_readers(3), "node_id,community_id\n2,0\n0,1\n1,1\n"),
+    "truth": (*TRUTH, "node_id,block_id,is_zombie,region\n0,0,1,a\n1,0,0,b\n2,1,True,\n"),
+    "ranks": (*RANKS, "node_id,community_id,io,pagerank,converged\n"
               "2,1,0.5,0.25,true\n0,0,0.5,1.0,false\n1,1,0.5,0.75,true\n"),
-    "report": (_report_columns, _report_rows, "node_id,community_id,pagerank,threshold,label\n"
+    "report": (*REPORT, "node_id,community_id,pagerank,threshold,label\n"
                "2,0,0.25,,zombie\n0,0,0.5,0.1,normal\n1,1,0.25,-0.0,normal\n"),
 }
 
 
 @pytest.mark.parametrize("reader", sorted(READERS))
 def test_every_odd_token_in_every_column(reader):
-    columns, rows, text = READERS[reader]
-    flat = {"partition": lambda a: a.tolist(),
-            "truth": lambda t: (t.block_ids.tolist(), t.is_zombie.tolist(), t.regions),
-            "ranks": lambda v: [(c, x.members.tolist(), x.values.tobytes(), x.converged)
-                                for c, x in v.items()],
-            "report": lambda labels: list(labels.items())}[reader]
-    def same(a, b):
-        return flat(a) == flat(b)
-
+    read, rows, text = READERS[reader]
     lines = text.split("\n")
-    check_column_path(columns, rows, text, True, same)
+    check_reader(read, rows, text, True)
     for row in (1, 3):
         fields = lines[row].split(",")
         for col in range(len(fields)):
             for token in ODD_TOKENS:
                 odd = fields[:col] + [token] + fields[col + 1:]
                 changed = "\n".join(lines[:row] + [",".join(odd)] + lines[row + 1:])
-                check_column_path(columns, rows, changed, False, same)
+                check_reader(read, rows, changed, False)
     head, first, second, third, _ = lines
     repeated = ",".join(second.split(",")[:1] + third.split(",")[1:])
     for changed in (
@@ -266,10 +264,13 @@ def test_every_odd_token_in_every_column(reader):
             [head, first, second, repeated],  # a node twice, another missing
             [head, first, first, second, third],
             [head, first, third]):
-        check_column_path(columns, rows, "\n".join(changed) + "\n", False, same)
+        check_reader(read, rows, "\n".join(changed) + "\n", False)
     for newline in ("\r\n", "\r"):
-        check_column_path(columns, rows, text.replace("\n", newline), False, same)
-    check_column_path(columns, rows, text.rstrip("\n"), True, same)
+        check_reader(read, rows, text.replace("\n", newline), False)
+        # a text stream can hold CRs after an LF-ended header
+        check_reader(read, rows, head + "\n" + text.partition("\n")[2].replace("\n", newline),
+                     False)
+    check_reader(read, rows, text.rstrip("\n"), True)
 
 
 # each reader, and a valid first row; a text stream keeps a lone CR, which
@@ -290,6 +291,46 @@ def test_lone_cr_in_a_text_stream_is_a_bad_row(reader):
     for text, line in ((f"{header}\r{row}\r", 1), (f"{header}\n{row}\r{row}\n", 2)):
         with pytest.raises(ValidationError, match=f"^bad {reader} row on line {line}: "):
             read(io.StringIO(text))
+
+
+# each reader, its header, a valid row and the columns it reads as integers
+INT_COLUMNS = {
+    "partition": (lambda s: read_partition_csv(s, 1), "node_id,community_id", "0,0", (0, 1)),
+    "truth": (read_truth_csv, "node_id,block_id,is_zombie,region", "0,0,1,a", (0, 1)),
+    "ranks": (read_ranks_csv, "node_id,community_id,io,pagerank,converged",
+              "0,0,0.5,1.0,true", (0, 1)),
+    "report": (read_report_csv, "node_id,community_id,pagerank,threshold,label",
+               "0,0,1.0,,normal", (0,)),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(INT_COLUMNS))
+def test_integer_outside_int64_is_a_bad_row(reader):
+    read, header, row, columns = INT_COLUMNS[reader]
+    for column in columns:
+        for token in ("99999999999999999999", "9223372036854775808", "-9223372036854775809"):
+            fields = row.split(",")
+            fields[column] = token
+            with pytest.raises(ValidationError) as err:
+                read(io.StringIO(f"{header}\n{','.join(fields)}\n"))
+            assert str(err.value) == f"bad {reader} row: {fields!r}"
+    # the bounds themselves read
+    for token in ("9223372036854775807", "-9223372036854775808"):
+        fields = row.split(",")
+        fields[columns[-1]] = token
+        read(io.StringIO(f"{header}\n{','.join(fields)}\n"))
+
+
+def test_committed_files_are_read_in_one_pass(tmp_path):
+    for name in ("planted_4x50", "zombie_5x500"):
+        run = tmp_path / name
+        assert main(["pipeline", f"{DATA}/{name}", "-o", str(run)]) == 0
+        node_count = len((run / "ranks.csv").read_text().splitlines()) - 1
+        with one_pass():
+            read_truth_csv(f"{DATA}/{name}/truth.csv")
+            read_partition_csv(run / "partition.csv", node_count)
+            read_ranks_csv(run / "ranks.csv")
+            read_report_csv(run / "report.csv")
 
 
 @pytest.mark.parametrize("line,uid,name", [
@@ -342,7 +383,10 @@ def test_record_without_count_fields_masks_them_untallied(caplog):
 
 @pytest.mark.parametrize("column", [["1,234", "5", ","], ["1,2", "3"], [",", "4"], [","]])
 def test_int_column_leaves_fields_holding_the_separator_to_the_row_loop(column):
-    assert int_column(column) is None
+    assert _digit_column(column) is None
+    values, bad = int_column(column)
+    assert bad.tolist() == ["," in field for field in column]
+    assert values.tolist() == [0 if "," in field else int(field) for field in column]
 
 
 class TestDecoding:

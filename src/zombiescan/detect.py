@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .rank import ImportanceVector
-from .textio import (ASCII, code_column, float_reprs, int_column, read_text, repeats, split_csv,
-                     text_stream)
+from .textio import (ASCII, code_column, float_column, float_reprs, int_column, read_text,
+                     repeats, split_csv, text_stream)
 
 __all__ = [
     "QUARTILE_METHODS",
@@ -165,12 +165,18 @@ def write_report_csv(report: ZombieReport, destination) -> None:
 
 
 def read_report_csv(source) -> dict[int, bool]:
-    """Predicted labels {node_id: is_zombie} from a report CSV; rejects labels
-    other than zombie/normal and repeated nodes."""
+    """Predicted labels {node_id: is_zombie} from a report CSV; rejects a bad
+    value in any column (ids int64, scores finite) and repeated nodes."""
     rows = split_csv(read_text(source, ASCII), "report", _REPORT_HEADER)
     nodes, bad_nodes = int_column(rows.columns[0])
+    _, bad_cids = int_column(rows.columns[1])
+    values, bad_values = float_column(rows.columns[2])
+    # a blank threshold is a community too small to fence
+    thresholds, bad_thresholds = float_column([t or "0" for t in rows.columns[3]])
     labels = code_column(rows.columns[4], _LABELS)
-    rows.check((bad_nodes | (labels < 0), lambda i: f"bad report row: {rows.row(i)!r}"),
+    rows.check((bad_nodes | bad_cids | bad_values | ~np.isfinite(values)
+                | bad_thresholds | ~np.isfinite(thresholds) | (labels < 0),
+                lambda i: f"bad report row: {rows.row(i)!r}"),
                (repeats(nodes), lambda i: f"node {nodes[i]} listed twice in the report"))
     return dict(zip(nodes.tolist(), (labels > 0).tolist()))
 

@@ -4,6 +4,8 @@ The network file layout: a header line "N M", then N adjacency lines. Each
 adjacency line is "v1 k" followed by 2k integers alternating target id and
 relationship flag, where flag 1 marks a reciprocal follow. Any run of ASCII
 whitespace separates tokens. Adjacency lines may appear in any node order.
+The parser reads the tokens as one column and checks the records as masks
+over it; only a token holding a byte other than a digit goes through int().
 
 The binary cache stores a parsed graph so the text parse runs once; the
 layout is documented next to the reader below.
@@ -11,8 +13,8 @@ layout is documented next to the reader below.
 
 from __future__ import annotations
 
-import io
 import logging
+import re
 import struct
 import zlib
 from dataclasses import dataclass
@@ -22,7 +24,7 @@ import numpy as np
 
 from .errors import CacheError, ParseError, ValidationError
 from .graph import DirectedGraph, _build_graph, _index_dtype, _pair_keys
-from .textio import (ASCII, INT64_MAX, UTF8, decode, int_column, read_text,
+from .textio import (ASCII, INT64_MAX, UTF8, decode, int_column, read_input, read_text,
                      render_ints, split_fields, text_stream)
 
 log = logging.getLogger(__name__)
@@ -60,157 +62,146 @@ class RawNetwork:
         return _build_graph(self.sources, self.targets, self.flags, self.node_count)
 
 
-def _ints(line: str, lineno: int) -> list[int]:
-    try:
-        return [int(tok) for tok in line.split()]
-    except ValueError:
-        raise ParseError("non-integer token", lineno) from None
-
-
-# the only bytes the whole-buffer parse accepts; anything else goes line by line
-_FAST_CHARSET = b"0123456789 \t\n"
-
-
 def parse_weibo_network(source) -> RawNetwork:
-    """Parse a network file into a RawNetwork.
+    """Parse a network file into a RawNetwork; the first faulty line raises a
+    ParseError naming it.
 
-    The input is read once. A file of digits, spaces, tabs and LFs whose
-    records all check out is converted as one buffer; any other file (CR
-    line ends, signs, other whitespace, a malformed record) is parsed line
-    by line, which accepts what the fast path leaves out and reports the
-    failing line. Both give the same arrays.
+    The input is read once and must be ASCII. A path or binary stream has
+    its CR and CRLF line ends made LF; a text stream is taken as it reads,
+    so a CR there is whitespace.
 
     A mismatch between the declared edge count and the number of parsed
     arcs is logged as a warning, not raised; published counts for the same
     crawl are known to disagree with each other.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as fh:
-            data = fh.read()
-    else:
-        data = source.read()
+    data = read_input(source)
     if isinstance(data, str):
-        raw = _parse_buffer(data.encode("ascii")) if data.isascii() else None
-    else:
-        raw = _parse_buffer(data)
-    if raw is None:
-        # a text stream has already applied its own newline handling; bytes are
-        # read as open() in text mode reads them: ASCII, universal newlines
-        raw = _parse_lines(io.StringIO(data if isinstance(data, str) else decode(data, ASCII)))
+        try:
+            data = data.encode(ASCII)
+        except UnicodeEncodeError as exc:
+            raise ParseError(f"character {data[exc.start]!r} is not ASCII text",
+                             data.count("\n", 0, exc.start) + 1) from None
+    elif not data.isascii():
+        decode(data, ASCII)  # raises the ParseError of the first non-ASCII byte
+    elif b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    raw = _parse(data)
     if raw.arc_count != raw.declared_edge_count:
         log.warning("network declares %d relationships but %d arcs were parsed",
                     raw.declared_edge_count, raw.arc_count)
     return raw
 
 
-def _parse_buffer(buf: bytes) -> RawNetwork | None:
-    """Whole-buffer parse; None when the file needs the line-aware parser."""
-    if not buf or buf.translate(None, _FAST_CHARSET):
-        return None
-    chars = np.frombuffer(buf, dtype=np.uint8)
-    # a token starts at a digit (the only bytes above space here) after whitespace
-    digit = chars > 32
-    first = np.empty_like(digit)
-    first[0] = digit[0]
-    np.greater(digit[1:], digit[:-1], out=first[1:])
-    del digit
-    token_pos = np.flatnonzero(first)
-    del first
-    # tokens before each LF; line i holds tokens [ends[i - 1], ends[i])
-    ends = np.searchsorted(token_pos, np.flatnonzero(chars == 10))
-    token_count = token_pos.shape[0]
-    del token_pos
-    bounds = np.concatenate([[0], ends, [token_count]])
-    counts = np.diff(bounds)
-    if counts[0] != 2:
-        return None
-    values = np.fromstring(buf, dtype=np.int64, sep=" ")
-    if values.shape[0] != token_count:
-        return None
-    n, declared_m = int(values[0]), int(values[1])
-    if INT64_MAX in (n, declared_m):  # an oversized token clamps to INT64_MAX
-        return None
+# a file of digits and the whitespace np.fromstring skips tells tokens by `byte > 32`
+_PLAIN = b"0123456789 \t\n\x0b\x0c\r"
+# any other by the whitespace of str.split()
+_SPACE = b" \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f"
+_TOKEN_BYTE = np.array([byte not in _SPACE for byte in range(256)])
+_TOKEN = re.compile(b"[^" + _SPACE + b"]+")
 
-    records = np.flatnonzero(counts[1:]) + 1  # nonblank lines after the header
-    if records.shape[0] != n:
-        return None
-    widths, heads = counts[records], bounds[records]
-    if (widths < 2).any() or (widths % 2).any():
-        return None
-    # each record is `v1 k` then k (target, flag) pairs; no value here is negative
-    v1, k = values[heads], values[heads + 1]
-    if (k != widths // 2 - 1).any() or (v1 >= n).any():
-        return None
-    pairs = values[2:].reshape(-1, 2)
+
+def _parse(buf: bytes) -> RawNetwork:
+    chars = np.frombuffer(buf, dtype=np.uint8)
+    end = buf.find(b"\n")  # the header is read exactly, from the first line only
+    header = (buf if end < 0 else buf[:end]).decode(ASCII).split()
+    if not header:
+        raise ParseError("empty file", 1)
+    try:
+        head = [int(tok) for tok in header]
+    except ValueError:
+        raise ParseError("non-integer token", 1) from None
+    if len(head) != 2:
+        raise ParseError("header must be two integers: node count and edge count", 1)
+    n, declared_m = head
+    if n < 0 or declared_m < 0:
+        raise ParseError("negative count in header", 1)
+    if n > INT64_MAX:
+        raise ParseError(f"node count {n} does not fit a 64-bit id", 1)
+
+    plain = not buf.translate(None, _PLAIN)
+    token = chars > 32 if plain else _TOKEN_BYTE[chars]
+    first = np.empty_like(token)
+    first[0] = token[0]
+    np.greater(token[1:], token[:-1], out=first[1:])
+    if plain:
+        numbers, odd = buf, np.zeros(0, dtype=np.int64)
+    else:
+        # whitespace reads as a space, a token byte other than a digit as a zero
+        odd = np.flatnonzero(token & ((chars < 48) | (chars > 57)))
+        numbers = np.where(token, chars, np.uint8(32))
+        numbers[odd] = 48
+        numbers = numbers.tobytes()
+    starts = np.flatnonzero(first)
+    del first
+    lf = np.flatnonzero(chars == 10)
+    del token
+    # line i holds tokens [bounds[i], bounds[i + 1]); bounds[1:-1] counts those before each LF
+    bounds = np.concatenate([[0], np.searchsorted(starts, lf), [starts.shape[0]]])
+    counts = np.diff(bounds)
+    lines = np.flatnonzero(counts[1:]) + 1  # the nonblank lines after the header
+    records = lines[:n]
+    odd = np.searchsorted(starts, odd, side="right") - 1  # the token of each such byte
+    odd = odd[np.diff(odd, prepend=-1) > 0]  # each once, to be read again below
+    odd_starts = starts[odd].tolist()
+    del starts
+    values = np.fromstring(numbers, dtype=np.int64, sep=" ")  # oversized reads INT64_MAX
+    del numbers
+    refused = np.zeros(counts.shape[0], dtype=bool)  # lines with a token int() refuses
+    for tok, start in zip(odd.tolist(), odd_starts):
+        try:
+            values[tok] = _clamped_int(_TOKEN.match(buf, start)[0])
+        except ValueError:
+            refused[np.searchsorted(bounds, tok, side="right") - 1] = True
+
+    m = records.shape[0]
+    heads, widths = bounds[records], counts[records]
+    v1 = values[heads]
+    k = values[np.minimum(heads + 1, values.shape[0] - 1)]  # read only where widths >= 2
+    faults = np.stack([refused[records], widths < 2, (v1 < 0) | (v1 >= n), k < 0,
+                       (widths % 2 == 1) | (k != widths // 2 - 1)])
+    malformed = faults.any(axis=0)
+    good = int(np.argmax(malformed)) if malformed.any() else m
+    fault = (good, int(np.argmax(faults[:, good]))) if good < m else None
+    del faults, malformed, refused
+
+    # the records before the first malformed one are `v1 k` and k (target, flag) pairs
+    pairs = values[2:2 + int(widths[:good].sum())].reshape(-1, 2)
     arc = np.ones(pairs.shape[0], dtype=bool)
-    arc[(heads - 2) // 2] = False
-    targets = pairs[arc, 0]
-    flags = pairs[arc, 1]
-    if targets.shape[0] and (targets.max() >= n or flags.max() > 1):
-        return None
+    arc[(heads[:good] - 2) // 2] = False
+    targets, flags = pairs[arc, 0], pairs[arc, 1]
+    # viewed unsigned, a negative value is above every valid one
+    if targets.shape[0] and (targets.view(np.uint64).max() >= n
+                             or flags.view(np.uint64).max() > 1):
+        ends_at = np.cumsum(k[:good])
+        fault = min((int(np.searchsorted(ends_at, np.argmax(bad), side="right")), code)
+                    for code, bad in ((5, targets.view(np.uint64) >= n),
+                                      (6, flags.view(np.uint64) > 1)) if bad.any())
+    if fault is not None:  # (record, check), checks in the order of their messages
+        lineno = int(records[fault[0]])  # counted from 0, so it ends at LF lf[lineno]
+        line = buf[lf[lineno - 1] + 1:lf[lineno] if lineno < lf.shape[0] else None]
+        nums = [int(tok) for tok in line.decode(ASCII).split()] if fault[1] else []
+        node, degree = (nums + [0, 0])[:2]
+        raise ParseError((
+            "non-integer token",
+            "adjacency record needs at least 'node_id k'",
+            f"node id {node} outside [0, {n})",
+            f"negative neighbor count {degree}",
+            f"record for node {node} declares {degree} neighbors but carries "
+            f"{len(nums) - 2} trailing numbers (expected {2 * degree})",
+            f"target id outside [0, {n})",
+            "relationship flag must be 0 or 1")[fault[1]], lineno + 1)
+    if m < n:  # the line after the last
+        raise ParseError(f"expected {n} adjacency records, found {m}",
+                         lf.shape[0] + (not buf.endswith(b"\n")) + 1)
+    if lines.shape[0] > n:
+        raise ParseError("trailing content after the declared adjacency records",
+                         (int(records[-1]) if m else 0) + 2)
     return RawNetwork(n, declared_m, np.repeat(v1, k), targets, flags)
 
 
-def _parse_lines(source) -> RawNetwork:
-    """Line-by-line parse; raises ParseError with the line of the first fault."""
-    with text_stream(source) as fh:
-        header = fh.readline()
-        if not header or not header.strip():
-            raise ParseError("empty file", 1)
-        head = _ints(header, 1)
-        if len(head) != 2:
-            raise ParseError("header must be two integers: node count and edge count", 1)
-        n, declared_m = head
-        if n < 0 or declared_m < 0:
-            raise ParseError("negative count in header", 1)
-        if n > INT64_MAX:
-            raise ParseError(f"node count {n} does not fit a 64-bit id", 1)
-
-        sources: list[np.ndarray] = []
-        targets: list[np.ndarray] = []
-        flags: list[np.ndarray] = []
-        records = 0
-        lineno = 1
-        while records < n:
-            line = fh.readline()
-            lineno += 1
-            if not line:
-                raise ParseError(f"expected {n} adjacency records, found {records}", lineno)
-            if not line.strip():
-                continue
-            nums = _ints(line, lineno)
-            if len(nums) < 2:
-                raise ParseError("adjacency record needs at least 'node_id k'", lineno)
-            v1, k = nums[0], nums[1]
-            if not 0 <= v1 < n:
-                raise ParseError(f"node id {v1} outside [0, {n})", lineno)
-            if k < 0:
-                raise ParseError(f"negative neighbor count {k}", lineno)
-            if len(nums) != 2 + 2 * k:
-                raise ParseError(
-                    f"record for node {v1} declares {k} neighbors but carries "
-                    f"{len(nums) - 2} trailing numbers (expected {2 * k})", lineno)
-            if k:
-                # range-check the Python ints, so no value overflows int64 below
-                ids, fl = nums[2::2], nums[3::2]
-                if min(ids) < 0 or max(ids) >= n:
-                    raise ParseError(f"target id outside [0, {n})", lineno)
-                if min(fl) < 0 or max(fl) > 1:
-                    raise ParseError("relationship flag must be 0 or 1", lineno)
-                tail = np.asarray(nums[2:], dtype=np.int64).reshape(k, 2)
-                sources.append(np.full(k, v1, dtype=np.int64))
-                targets.append(tail[:, 0])
-                flags.append(tail[:, 1])
-            records += 1
-        rest = fh.read()
-        if rest and rest.strip():
-            raise ParseError("trailing content after the declared adjacency records",
-                             lineno + 1)
-
-    src = np.concatenate(sources) if sources else np.zeros(0, dtype=np.int64)
-    dst = np.concatenate(targets) if targets else np.zeros(0, dtype=np.int64)
-    fl = np.concatenate(flags) if flags else np.zeros(0, dtype=np.int64)
-    return RawNetwork(n, declared_m, src, dst, fl)
+def _clamped_int(token: bytes) -> int:
+    """int(token) clamped to int64: the value of a token with a non-digit byte."""
+    return min(max(int(token), -INT64_MAX - 1), INT64_MAX)
 
 
 _RENDER_CHUNK = 1 << 18  # tokens rendered at a time, to bound the temporaries

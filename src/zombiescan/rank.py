@@ -32,8 +32,8 @@ import numpy as np
 from .community import Partition
 from .errors import ValidationError
 from .graph import DirectedGraph
-from .textio import (ASCII, code_column, float_reprs, int_column, read_text, repeats, split_csv,
-                     text_stream)
+from .textio import (ASCII, code_column, float_column, float_reprs, int_column, read_text,
+                     repeats, split_csv, text_stream)
 
 log = logging.getLogger(__name__)
 
@@ -340,14 +340,17 @@ def write_ranks_csv(destination, g: DirectedGraph, p: Partition,
 
 
 def read_ranks_csv(source) -> dict[int, ImportanceVector]:
-    """Rebuild per-community vectors from a ranks CSV; rejects non-finite
-    scores, repeated nodes and `converged` values other than true/false."""
+    """Rebuild per-community vectors, io included, from a ranks CSV; rejects io
+    outside [0, 1], a non-finite score, a bad `converged` and repeated nodes."""
     rows = split_csv(read_text(source, ASCII), "ranks", _RANKS_HEADER)
     nodes, bad_nodes = int_column(rows.columns[0])
     cids, bad_cids = int_column(rows.columns[1])
-    values, bad_values = _float_column(rows.columns[3])
+    io, bad_io = float_column(rows.columns[2])
+    values, bad_values = float_column(rows.columns[3])
     flags = code_column(rows.columns[4], _CONVERGED)
-    rows.check((bad_nodes | bad_cids | bad_values | ~np.isfinite(values) | (flags < 0),
+    # NaN fails both comparisons
+    rows.check((bad_nodes | bad_cids | bad_io | ~((io >= 0) & (io <= 1)) | bad_values
+                | ~np.isfinite(values) | (flags < 0),
                 lambda i: f"bad ranks row: {rows.row(i)!r}"),
                (repeats(nodes), lambda i: f"node {nodes[i]} listed twice in the ranks file"))
     vectors: dict[int, ImportanceVector] = {}
@@ -362,24 +365,8 @@ def read_ranks_csv(source) -> dict[int, ImportanceVector]:
     for k in np.argsort(first_row).tolist():
         members = order[bounds[k]:bounds[k + 1]]
         vectors[int(ids[k])] = ImportanceVector(values[members], nodes[members], 0, 0.0,
-                                                bool(converged[k]))
+                                                bool(converged[k]), io[members])
     return vectors
 
 
 _CONVERGED = {"true": True, "false": False}
-
-
-def _float_column(column: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """float() of each field, and the mask of the fields it refuses (which read 0)."""
-    try:
-        return np.array(list(map(float, column)), dtype=np.float64), np.zeros(len(column), bool)
-    except ValueError:
-        pass
-    values = np.zeros(len(column))
-    bad = np.zeros(len(column), dtype=bool)
-    for row, token in enumerate(column):
-        try:
-            values[row] = float(token)
-        except ValueError:
-            bad[row] = True
-    return values, bad

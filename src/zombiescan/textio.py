@@ -7,10 +7,10 @@ report, JSON) are ASCII. A reader takes its whole input at once:
 would apply them. `split_csv` splits a stage CSV into string columns once:
 a plain file in one pass, any other (quotes, a lone CR, blank lines, rows
 wider or narrower than the header) through the csv module. The reader then
-converts whole columns (`int_column`, `code_column`) into values and masks
-of the rows at fault, and `CsvRows.check` raises the message of the first
-faulty row. Every integer column is int64: a token int() refuses, or one
-outside 64 bits, is a fault of its row.
+converts whole columns (`int_column`, `float_column`, `code_column`) into
+values and masks of the rows at fault, and `CsvRows.check` raises the
+message of the first faulty row. Every integer column is int64: a token
+int() refuses, or one outside 64 bits, is a fault of its row.
 """
 
 from __future__ import annotations
@@ -47,14 +47,15 @@ def text_stream(source, mode: str = "r", encoding: str = ASCII):
             wrapper.detach()
 
 
+def read_input(source) -> bytes | str:
+    """The whole input: the bytes of a path or binary stream, the text of a text stream."""
+    return Path(source).read_bytes() if isinstance(source, (str, Path)) else source.read()
+
+
 def read_text(source, encoding: str) -> str:
     """The whole input as text. A path or binary stream is decoded (see
     `decode`); a text stream is taken as it reads, newlines included."""
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as fh:
-            data = fh.read()
-    else:
-        data = source.read()
+    data = read_input(source)
     return data if isinstance(data, str) else decode(data, encoding)
 
 
@@ -80,7 +81,8 @@ def split_fields(body: str, delimiter: str, width: int) -> list[str] | None:
     included."""
     if not body.endswith("\n"):
         body += "\n"
-    if body.startswith("\n") or "\n\n" in body:
+    # wider rows need no scan: a blank line breaks their delimiter pattern below
+    if width == 1 and (body.startswith("\n") or "\n\n" in body):
         return None
     chars = np.frombuffer(body.encode(UTF8), dtype=np.uint8)
     seps = chars[(chars == ord(delimiter)) | (chars == 10)]
@@ -179,14 +181,7 @@ def int_column(column: list) -> tuple[np.ndarray, np.ndarray]:
     values = _digit_column(column)
     if values is not None:
         return values, np.zeros(len(column), dtype=bool)
-    values = np.zeros(len(column), dtype=np.int64)
-    bad = np.zeros(len(column), dtype=bool)
-    for row, token in enumerate(column):
-        try:
-            values[row] = int64(token)
-        except (TypeError, ValueError):
-            bad[row] = True
-    return values, bad
+    return _token_by_token(column, int64, np.int64)
 
 
 def _digit_column(column: list) -> np.ndarray | None:
@@ -212,6 +207,25 @@ def _digit_column(column: list) -> np.ndarray | None:
     if values.shape[0] != len(column) or (values == INT64_MAX).any():
         return None
     return values
+
+
+def float_column(column: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """float() of each field, and the mask of the fields it refuses (which read 0)."""
+    try:
+        return np.array(list(map(float, column)), dtype=np.float64), np.zeros(len(column), bool)
+    except ValueError:
+        return _token_by_token(column, float, np.float64)
+
+
+def _token_by_token(column: list, convert, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """convert() of each field, and the mask of the fields it refuses (which read 0)."""
+    values, bad = np.zeros(len(column), dtype=dtype), np.zeros(len(column), dtype=bool)
+    for row, token in enumerate(column):
+        try:
+            values[row] = convert(token)
+        except (TypeError, ValueError):
+            bad[row] = True
+    return values, bad
 
 
 def int64(token: str) -> int:

@@ -1,7 +1,8 @@
 """Independent reference implementations used to check the library.
 
 Everything here works on dense matrices with explicit loops or plain
-formulas, deliberately sharing no code with the package under test.
+formulas, deliberately sharing no code with the package under test beyond
+its error and result types and `text_stream`, which opens a source.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ import math
 
 import numpy as np
 
-from zombiescan import ValidationError  # the error type the package raises, no logic
+from zombiescan import ParseError, ValidationError  # the error types the package raises
+from zombiescan.ingest import RawNetwork  # the result type, no logic
+from zombiescan.textio import text_stream  # opens a path or stream, no parsing
 
 
 def dense_adjacency(und) -> np.ndarray:
@@ -699,27 +702,30 @@ def read_truth_rows(text: str) -> tuple[list[int], list[bool], list[str]]:
     return blocks, zombies, regions
 
 
-def read_ranks_rows(text: str) -> dict[int, tuple[np.ndarray, np.ndarray, bool]]:
-    """{community id: (members, values, all converged)}, communities in order
-    of first appearance, members sorted."""
-    groups: dict[int, list[tuple[int, float, bool]]] = {}
+def read_ranks_rows(text: str) -> dict[int, tuple[np.ndarray, np.ndarray, bool, np.ndarray]]:
+    """{community id: (members, values, all converged, io)}, communities in
+    order of first appearance, members sorted."""
+    groups: dict[int, list[tuple[int, float, bool, float]]] = {}
     seen: set[int] = set()
     header = ("node_id", "community_id", "io", "pagerank", "converged")
     for row in _csv_reader_rows(text, "ranks", header):
         try:
-            node, cid, value, flag = _int64(row[0]), _int64(row[1]), float(row[3]), row[4]
+            node, cid, io_value, value, flag = (_int64(row[0]), _int64(row[1]), float(row[2]),
+                                                float(row[3]), row[4])
         except (ValueError, IndexError):
             raise ValidationError(f"bad ranks row: {row!r}") from None
-        if not math.isfinite(value) or flag not in ("true", "false"):
+        if (not 0.0 <= io_value <= 1.0 or not math.isfinite(value)
+                or flag not in ("true", "false")):
             raise ValidationError(f"bad ranks row: {row!r}")
         if node in seen:
             raise ValidationError(f"node {node} listed twice in the ranks file")
         seen.add(node)
-        groups.setdefault(cid, []).append((node, value, flag == "true"))
+        groups.setdefault(cid, []).append((node, value, flag == "true", io_value))
     vectors = {}
     for cid, entries in groups.items():
-        members, values, flags = zip(*sorted(entries))
-        vectors[cid] = (np.asarray(members, dtype=np.int64), np.asarray(values), all(flags))
+        members, values, flags, io_values = zip(*sorted(entries))
+        vectors[cid] = (np.asarray(members, dtype=np.int64), np.asarray(values), all(flags),
+                        np.asarray(io_values))
     return vectors
 
 
@@ -729,12 +735,88 @@ def read_report_rows(text: str) -> dict[int, bool]:
     header = ("node_id", "community_id", "pagerank", "threshold", "label")
     for row in _csv_reader_rows(text, "report", header):
         try:
-            node, label = _int64(row[0]), row[4]
+            node, _, value, label = _int64(row[0]), _int64(row[1]), float(row[2]), row[4]
+            threshold = float(row[3]) if row[3] else 0.0  # blank: a community too small
         except (ValueError, IndexError):
             raise ValidationError(f"bad report row: {row!r}") from None
-        if label not in ("zombie", "normal"):
+        if (not math.isfinite(value) or not math.isfinite(threshold)
+                or label not in ("zombie", "normal")):
             raise ValidationError(f"bad report row: {row!r}")
         if node in labels:
             raise ValidationError(f"node {node} listed twice in the report")
         labels[node] = label == "zombie"
     return labels
+
+
+# ---- the network file, line by line -------------------------------------------
+
+INT64_MAX = 2 ** 63 - 1
+
+
+def _ints(line: str, lineno: int) -> list[int]:
+    try:
+        return [int(tok) for tok in line.split()]
+    except ValueError:
+        raise ParseError("non-integer token", lineno) from None
+
+
+def _parse_lines(source) -> RawNetwork:
+    """Line-by-line parse; raises ParseError with the line of the first fault."""
+    with text_stream(source) as fh:
+        header = fh.readline()
+        if not header or not header.strip():
+            raise ParseError("empty file", 1)
+        head = _ints(header, 1)
+        if len(head) != 2:
+            raise ParseError("header must be two integers: node count and edge count", 1)
+        n, declared_m = head
+        if n < 0 or declared_m < 0:
+            raise ParseError("negative count in header", 1)
+        if n > INT64_MAX:
+            raise ParseError(f"node count {n} does not fit a 64-bit id", 1)
+
+        sources: list[np.ndarray] = []
+        targets: list[np.ndarray] = []
+        flags: list[np.ndarray] = []
+        records = 0
+        lineno = 1
+        while records < n:
+            line = fh.readline()
+            lineno += 1
+            if not line:
+                raise ParseError(f"expected {n} adjacency records, found {records}", lineno)
+            if not line.strip():
+                continue
+            nums = _ints(line, lineno)
+            if len(nums) < 2:
+                raise ParseError("adjacency record needs at least 'node_id k'", lineno)
+            v1, k = nums[0], nums[1]
+            if not 0 <= v1 < n:
+                raise ParseError(f"node id {v1} outside [0, {n})", lineno)
+            if k < 0:
+                raise ParseError(f"negative neighbor count {k}", lineno)
+            if len(nums) != 2 + 2 * k:
+                raise ParseError(
+                    f"record for node {v1} declares {k} neighbors but carries "
+                    f"{len(nums) - 2} trailing numbers (expected {2 * k})", lineno)
+            if k:
+                # range-check the Python ints, so no value overflows int64 below
+                ids, fl = nums[2::2], nums[3::2]
+                if min(ids) < 0 or max(ids) >= n:
+                    raise ParseError(f"target id outside [0, {n})", lineno)
+                if min(fl) < 0 or max(fl) > 1:
+                    raise ParseError("relationship flag must be 0 or 1", lineno)
+                tail = np.asarray(nums[2:], dtype=np.int64).reshape(k, 2)
+                sources.append(np.full(k, v1, dtype=np.int64))
+                targets.append(tail[:, 0])
+                flags.append(tail[:, 1])
+            records += 1
+        rest = fh.read()
+        if rest and rest.strip():
+            raise ParseError("trailing content after the declared adjacency records",
+                             lineno + 1)
+
+    src = np.concatenate(sources) if sources else np.zeros(0, dtype=np.int64)
+    dst = np.concatenate(targets) if targets else np.zeros(0, dtype=np.int64)
+    fl = np.concatenate(flags) if flags else np.zeros(0, dtype=np.int64)
+    return RawNetwork(n, declared_m, src, dst, fl)

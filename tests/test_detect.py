@@ -187,6 +187,11 @@ class TestReportFiles:
         (["0,0,0.1,,zombie", "1,0,0.1,,garbage"], "bad report row"),
         (["0,0,0.1,,zombie", "1,0,0.1,,Zombie"], "bad report row"),
         (["0,0,0.1,,normal", "0,0,0.1,,zombie"], "listed twice"),
+        (["0,x,y,z,normal"], "bad report row"),
+        (["0,99999999999999999999,0.1,,normal"], "bad report row"),
+        (["0,0,nan,,normal"], "bad report row"),
+        (["0,0,0.1,inf,normal"], "bad report row"),
+        (["0,0,0.1,z,normal"], "bad report row"),
     ])
     def test_unknown_label_or_repeated_node_rejected(self, tmp_path, rows, match):
         path = tmp_path / "report.csv"

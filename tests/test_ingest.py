@@ -3,7 +3,9 @@ import struct
 import tempfile
 import time
 import zlib
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,12 +15,11 @@ from hypothesis import strategies as st
 from zombiescan import (CacheError, ParseError, ValidationError, build_graph, cache_load,
                         cache_save, parse_profiles, parse_uidlist,
                         parse_weibo_network)
-from zombiescan.ingest import (ProfileSchema, RawNetwork, _parse_buffer,
-                               _parse_lines, write_profiles, write_uidlist,
+from zombiescan.ingest import (ProfileSchema, RawNetwork, write_profiles, write_uidlist,
                                write_weibo_network)
 
 from conftest import DATA, profile_table, random_graph
-from oracles import build_graph_lexsort
+from oracles import _parse_lines, build_graph_lexsort
 
 GOLDEN_RECIPROCAL = "2 2\n0 1 1 1\n1 1 0 1\n"
 GOLDEN_FANOUT = "3 2\n0 2 1 0 2 0\n1 0\n2 0\n"
@@ -77,6 +78,9 @@ class TestParseWeiboNetwork:
         ("2 1\n0 1 5 0\n1 0\n", "target id"),
         ("1 0\n5 0\n", "node id"),
         ("1 0\n0 0\n0 0\n", "trailing"),
+        ("1 0\n0\x000\n", "non-integer"),  # str.split() keeps a NUL inside the token
+        ("2 1\n0 1 -1 0\n1 0\n", "target id"),
+        ("2 1\n0 1 1 -1\n1 0\n", "flag"),
     ])
     def test_malformed_inputs(self, text, match):
         with pytest.raises(ParseError, match=match):
@@ -88,8 +92,7 @@ class TestParseWeiboNetwork:
         assert err.value.line == 2
 
 
-INT64_MAX = 2**63 - 1
-HUGE = "99999999999999999999"  # 20 digits, above INT64_MAX
+HUGE = "99999999999999999999"  # 20 digits, above the int64 maximum
 
 
 def outcome(parse, source):
@@ -153,31 +156,54 @@ def network_texts(draw):
     return "".join(out)
 
 
+@contextmanager
+def digit_tokens_only():
+    """Fail on any call of the per-token int() conversion of the network parser."""
+    def refuse(token):
+        raise AssertionError(f"token {token!r} left the column conversion")
+
+    with mock.patch("zombiescan.ingest._clamped_int", refuse):
+        yield
+
+
 class TestFastParse:
-    """The whole-buffer parse gives what the line-aware parser gives."""
+    """The column parse gives what the line-by-line reference parser gives."""
 
     @given(network_texts())
     @settings(max_examples=300, deadline=None)
     def test_matches_line_parser(self, text):
+        def parse(source):
+            # a file whose tokens are all digit runs never reads a token with int()
+            with digit_tokens_only() if not set(text) & set("+-x") else nullcontext():
+                return outcome(parse_weibo_network, source)
+
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "net.txt"
             path.write_bytes(text.encode("ascii"))
             expected = outcome(_parse_lines, path)
-            assert outcome(parse_weibo_network, path) == expected
-            assert outcome(parse_weibo_network,
-                           io.BytesIO(text.encode("ascii"))) == expected
-        expected = outcome(_parse_lines, io.StringIO(text))
-        assert outcome(parse_weibo_network, io.StringIO(text)) == expected
-        # a valid file in the fast charset never needs the line-aware parser
-        if (expected[0] != "ParseError" and set(text) <= set("0123456789 \t\n")
-                and expected[1] < INT64_MAX):
-            assert outcome(_parse_buffer, text.encode("ascii")) == expected
+            assert parse(path) == expected
+            assert parse(io.BytesIO(text.encode("ascii"))) == expected
+        assert parse(io.StringIO(text)) == outcome(_parse_lines, io.StringIO(text))
 
     @pytest.mark.parametrize("name", ["planted_4x50", "zombie_5x500"])
-    def test_committed_corpora(self, name):
+    def test_committed_corpora(self, name, tmp_path):
         path = Path(DATA) / name / "weibo_network.txt"
-        assert _parse_buffer(path.read_bytes()) is not None
-        assert outcome(parse_weibo_network, path) == outcome(_parse_lines, path)
+        expected = outcome(_parse_lines, path)
+        assert expected[0] != "ParseError"
+        for eol in (b"\n", b"\r\n", b"\r"):
+            copy = tmp_path / "net.txt"
+            copy.write_bytes(path.read_bytes().replace(b"\n", eol))
+            with digit_tokens_only():
+                assert outcome(parse_weibo_network, copy) == expected
+                assert outcome(parse_weibo_network, io.BytesIO(copy.read_bytes())) == expected
+
+    def test_text_stream_must_be_ascii(self):
+        with pytest.raises(ParseError, match="is not ASCII text") as err:
+            parse_str("1 0\n\u0660 0\n")
+        assert err.value.line == 2
+        # the same text as bytes
+        with pytest.raises(ParseError, match="^line 2: byte 0xd9 is not ASCII text$"):
+            parse_weibo_network(io.BytesIO("1 0\n\u0660 0\n".encode()))
 
     @pytest.mark.parametrize("text", [
         "3 3\r\n0 2 1 1 2 0\r\n1 1 0 1\r\n2 0\r\n",
@@ -195,6 +221,8 @@ class TestFastParse:
         (f"2 1\n0 1 1 {HUGE}\n1 0\n", "flag"),
         (f"2 1\n{HUGE} 1 1 0\n1 0\n", "node id"),
         (f"2 1\n0 {HUGE} 1 0\n1 0\n", "declares"),
+        (f"2 1\n0 1 +{HUGE} 0\n1 0\n", "target id"),
+        (f"2 1\n0 1 -{HUGE} 0\n1 0\n", "target id"),
     ])
     def test_oversized_token_is_parse_error(self, text, match):
         with pytest.raises(ParseError, match=match) as err:

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from zombiescan import (Partition, RankConfig, ValidationError, build_graph, io_scores_for,
-                        pagerank, rank_all_communities, transition_weights)
+from zombiescan import (Partition, RankConfig, ValidationError, build_graph, cache_load,
+                        io_scores_for, pagerank, rank_all_communities, transition_weights)
+from zombiescan.cli import main
+from zombiescan.community import read_partition_csv
 from zombiescan.rank import _whole, read_ranks_csv, write_ranks_csv
 
-from conftest import profile_table, random_graph
+from conftest import DATA, profile_table, random_graph
 from oracles import io_score, pagerank_dense, pagerank_sweeps, rank_reference
 
 
@@ -289,13 +291,30 @@ class TestRanksCsv:
             assert np.array_equal(loaded[cid].members, vec.members)
             assert np.array_equal(loaded[cid].values, vec.values)
             assert loaded[cid].converged == vec.converged
+            assert np.array_equal(loaded[cid].io, vec.io)
+
+    def test_committed_ranks_rewrite_byte_for_byte(self, tmp_path):
+        # profile io differs from the local-degree io the writer would compute
+        run = tmp_path / "run"
+        assert main(["pipeline", f"{DATA}/zombie_5x500", "-o", str(run),
+                     "--io-source", "profile"]) == 0
+        g = cache_load(run / "graph.bin")
+        p = read_partition_csv(run / "partition.csv", g.node_count)
+        out = tmp_path / "ranks.csv"
+        write_ranks_csv(out, g, p, read_ranks_csv(run / "ranks.csv"))
+        assert out.read_bytes() == (run / "ranks.csv").read_bytes()
 
     @pytest.mark.parametrize("rows", [
         ["0,0,0.5,nan,true", "1,0,0.5,0.5,true"],
         ["0,0,0.5,0.5,true", "1,0,0.5,inf,true"],
         ["0,0,0.5,0.5,true", "0,0,0.5,0.5,true"],
         ["0,0,0.5,0.5,true", "1,0,0.5,0.5,yes"],
-    ], ids=["nan", "inf", "node-twice", "converged-not-boolean"])
+        ["0,0,banana,1.0,true"],
+        ["0,0,1.5,1.0,true"],
+        ["0,0,-0.5,1.0,true"],
+        ["0,0,nan,1.0,true"],
+    ], ids=["nan", "inf", "node-twice", "converged-not-boolean", "io-not-a-number",
+            "io-above-one", "io-negative", "io-nan"])
     def test_bad_rows_rejected(self, tmp_path, rows):
         path = tmp_path / "ranks.csv"
         path.write_text("\n".join(["node_id,community_id,io,pagerank,converged", *rows]) + "\n")

@@ -25,7 +25,7 @@ from zombiescan.detect import ZombieReport, read_report_csv, write_report_csv
 from zombiescan.ingest import _profile_columns, _profile_rows, _profile_table
 from zombiescan.rank import ImportanceVector, read_ranks_csv, write_ranks_csv
 from zombiescan.synth import read_truth_csv
-from zombiescan.textio import _digit_column, int_column, read_text, render_ints
+from zombiescan.textio import _digit_column, int_column, read_text, render_ints, split_fields
 
 from conftest import DATA, profile_table
 from oracles import (io_reference, partition_csv_rows, ranks_csv_rows, read_partition_rows,
@@ -110,12 +110,14 @@ def flat_truth(truth):
 
 def flat_ranks(vectors):
     return [(cid, v.members.tolist(), v.members.dtype, v.values.tobytes(), v.values.dtype,
-             v.converged, v.iterations, v.residual) for cid, v in vectors.items()]
+             v.converged, v.iterations, v.residual, v.io.tobytes(), v.io.dtype)
+            for cid, v in vectors.items()]
 
 
 def flat_ranks_rows(vectors):
     return [(cid, members.tolist(), members.dtype, values.tobytes(), values.dtype, converged,
-             0, 0.0) for cid, (members, values, converged) in vectors.items()]
+             0, 0.0, io_values.tobytes(), io_values.dtype)
+            for cid, (members, values, converged, io_values) in vectors.items()]
 
 
 # (reader, row loop) of each CSV kind, both returning comparable values
@@ -300,7 +302,7 @@ INT_COLUMNS = {
     "ranks": (read_ranks_csv, "node_id,community_id,io,pagerank,converged",
               "0,0,0.5,1.0,true", (0, 1)),
     "report": (read_report_csv, "node_id,community_id,pagerank,threshold,label",
-               "0,0,1.0,,normal", (0,)),
+               "0,0,1.0,,normal", (0, 1)),
 }
 
 
@@ -387,6 +389,16 @@ def test_int_column_leaves_fields_holding_the_separator_to_the_row_loop(column):
     values, bad = int_column(column)
     assert bad.tolist() == ["," in field for field in column]
     assert values.tolist() == [0 if "," in field else int(field) for field in column]
+
+
+@pytest.mark.parametrize("width", [1, 2, 8])
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_split_fields_refuses_a_blank_line(width, at):
+    rows = [",".join(f"{row}{j}" for j in range(width)) for row in "ab"]
+    assert split_fields("\n".join(rows) + "\n", ",", width) == \
+        [f"{row}{j}" for row in "ab" for j in range(width)]
+    blank = rows[:at] + [""] + rows[at:]  # at the start, in the middle, at the end
+    assert split_fields("\n".join(blank) + "\n", ",", width) is None
 
 
 class TestDecoding:

@@ -14,8 +14,8 @@ from .evaluate import (ConfusionMatrix, MetricSet, confusion, degree_histogram,
 from .graph import DirectedGraph, UndirectedGraph, build_graph, symmetrize
 from .ingest import (ProfileSchema, ProfileTable, RawNetwork, cache_load, cache_save,
                      parse_profiles, parse_uidlist, parse_weibo_network)
-from .rank import (ImportanceVector, IOScores, RankConfig, io_scores_for,
-                   pagerank, rank_all_communities, transition_weights)
+from .rank import (ImportanceVector, IOScores, RankConfig, io_scores_for, pagerank,
+                   rank_all_communities)
 from .synth import GroundTruth, SynthConfig, emit_weibo_format, generate
 
 __version__ = "0.1.0"
@@ -28,7 +28,7 @@ __all__ = [
     "cache_save", "cache_load", "RawNetwork", "ProfileTable", "ProfileSchema",
     "louvain", "modularity", "move_gain",
     "Partition", "LouvainConfig", "Dendrogram",
-    "io_scores_for", "transition_weights", "pagerank",
+    "io_scores_for", "pagerank",
     "rank_all_communities", "IOScores", "RankConfig", "ImportanceVector",
     "quartiles", "iqr_threshold", "detect_zombies", "ZombieReport",
     "confusion", "metrics", "region_distribution", "degree_histogram",

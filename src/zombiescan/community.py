@@ -54,10 +54,12 @@ class Partition:
     """Assignment of every node to exactly one community.
 
     Community ids are dense in [0, C) and ordered by first appearance in
-    node order, so equal groupings always compare equal.
+    node order, so equal groupings always compare equal; partitions are
+    unhashable. The members of community c are
+    `np.flatnonzero(assignment == c)`.
     """
 
-    __slots__ = ("assignment", "community_count", "_members")
+    __slots__ = ("assignment", "community_count")
 
     def __init__(self, assignment: np.ndarray):
         assignment = np.asarray(assignment, dtype=np.int64)
@@ -71,7 +73,6 @@ class Partition:
         rank[np.argsort(first_pos, kind="stable")] = np.arange(uniq.shape[0])
         self.assignment = rank[dense]
         self.community_count = int(uniq.shape[0])
-        self._members: list[np.ndarray] | None = None
 
     @classmethod
     def singletons(cls, node_count: int) -> "Partition":
@@ -81,26 +82,10 @@ class Partition:
     def node_count(self) -> int:
         return int(self.assignment.shape[0])
 
-    def members(self, community: int) -> np.ndarray:
-        """Sorted node ids of one community."""
-        if self._members is None:
-            order = np.argsort(self.assignment, kind="stable")
-            bounds = np.searchsorted(self.assignment[order],
-                                     np.arange(self.community_count + 1))
-            self._members = [order[bounds[c]:bounds[c + 1]]
-                             for c in range(self.community_count)]
-        return self._members[community]
-
-    def sizes(self) -> np.ndarray:
-        return np.bincount(self.assignment, minlength=self.community_count)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Partition):
             return NotImplemented
         return np.array_equal(self.assignment, other.assignment)
-
-    def __hash__(self):
-        return id(self)
 
     def __repr__(self) -> str:
         return f"Partition(nodes={self.node_count}, communities={self.community_count})"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,7 +82,6 @@ class ZombieReport:
     min_community_size: int
     communities: int
     skipped_small_communities: int = 0
-    per_community_threshold: dict[int, float] = field(default_factory=dict)
 
     @property
     def total(self) -> int:
@@ -105,11 +104,16 @@ class ZombieReport:
 
 def detect_zombies(ranks: dict[int, ImportanceVector], min_community_size: int = 5,
                    method: str = "linear") -> ZombieReport:
-    """Label every ranked node; zombie means strictly below its community fence."""
+    """Label every ranked node; zombie means strictly below its community fence.
+
+    Rejects an unknown quartile method and a node that the vectors list twice.
+    """
     if not ranks:
         raise ValidationError("no communities to scan")
     if min_community_size < 1:
         raise ValidationError("min_community_size must be at least 1")
+    if method not in QUARTILE_METHODS:
+        raise ValidationError(f"unknown quartile method {method!r}")
 
     nodes: list[np.ndarray] = []
     comms: list[np.ndarray] = []
@@ -117,7 +121,6 @@ def detect_zombies(ranks: dict[int, ImportanceVector], min_community_size: int =
     thrs: list[np.ndarray] = []
     flags: list[np.ndarray] = []
     skipped = 0
-    per_comm: dict[int, float] = {}
     for cid in sorted(ranks):
         vec = ranks[cid]
         size = vec.values.shape[0]
@@ -126,7 +129,6 @@ def detect_zombies(ranks: dict[int, ImportanceVector], min_community_size: int =
         vals.append(vec.values)
         if size >= min_community_size:
             threshold = iqr_threshold(vec.values, method)
-            per_comm[cid] = threshold
             thrs.append(np.full(size, threshold))
             flags.append(vec.values < threshold)
         else:
@@ -136,8 +138,12 @@ def detect_zombies(ranks: dict[int, ImportanceVector], min_community_size: int =
 
     node_ids = np.concatenate(nodes)
     order = np.argsort(node_ids, kind="stable")
+    node_ids = node_ids[order]
+    twice = repeats(node_ids)
+    if twice.any():
+        raise ValidationError(f"node {node_ids[np.argmax(twice)]} listed twice in the ranks")
     return ZombieReport(
-        node_ids=node_ids[order],
+        node_ids=node_ids,
         community_ids=np.concatenate(comms)[order],
         values=np.concatenate(vals)[order],
         thresholds=np.concatenate(thrs)[order],
@@ -146,7 +152,6 @@ def detect_zombies(ranks: dict[int, ImportanceVector], min_community_size: int =
         min_community_size=min_community_size,
         communities=len(ranks),
         skipped_small_communities=skipped,
-        per_community_threshold=per_comm,
     )
 
 

@@ -76,11 +76,13 @@ def _csr_from_arcs(sources: np.ndarray, targets: np.ndarray, node_count: int):
 class DirectedGraph:
     """Immutable directed graph over dense integer node ids [0, N).
 
-    Holds the out-adjacency; the in-adjacency is built from it on first use
-    (`in_indptr`, `in_indices`, `in_neighbors`, `in_degree`), since no
-    pipeline stage reads it. No self-loops, no duplicate arcs. Construction
-    goes through :func:`build_graph` or the cache loader; instances are safe
-    for concurrent reads.
+    Holds the out-adjacency as CSR arrays (`out_indptr`, `out_indices`); a
+    node's followees are a slice of them. `out_degrees` and `in_degrees`
+    are whole arrays. The in-adjacency (`in_indptr`, `in_indices`) is sorted
+    from the out-adjacency on first use, since no pipeline stage reads it.
+    No self-loops, no duplicate arcs. Equal graphs compare equal and are
+    unhashable. Construction goes through :func:`build_graph` or the cache
+    loader; instances are safe for concurrent reads.
     """
 
     __slots__ = ("_n", "out_indptr", "out_indices", "_in_csr",
@@ -116,24 +118,6 @@ class DirectedGraph:
     def edge_count(self) -> int:
         return int(self.out_indices.shape[0])
 
-    def out_neighbors(self, u: int) -> np.ndarray:
-        return self.out_indices[self.out_indptr[u]:self.out_indptr[u + 1]]
-
-    def in_neighbors(self, u: int) -> np.ndarray:
-        return self.in_indices[self.in_indptr[u]:self.in_indptr[u + 1]]
-
-    def out_degree(self, u: int) -> int:
-        return int(self.out_indptr[u + 1] - self.out_indptr[u])
-
-    def in_degree(self, u: int) -> int:
-        return int(self.in_indptr[u + 1] - self.in_indptr[u])
-
-    def degrees(self, u: int) -> tuple[int, int]:
-        """(in_degree, out_degree) of node u."""
-        if not 0 <= u < self._n:
-            raise ValidationError(f"node id {u} out of range [0, {self._n})")
-        return self.in_degree(u), self.out_degree(u)
-
     @property
     def out_degrees(self) -> np.ndarray:
         return np.diff(self.out_indptr)
@@ -141,11 +125,6 @@ class DirectedGraph:
     @property
     def in_degrees(self) -> np.ndarray:
         return np.bincount(self.out_indices, minlength=self._n)
-
-    def has_arc(self, u: int, v: int) -> bool:
-        row = self.out_neighbors(u)
-        i = np.searchsorted(row, v)
-        return i < row.shape[0] and row[i] == v
 
     def arc_sources(self) -> np.ndarray:
         """Source node of every arc, aligned with out_indices."""
@@ -157,9 +136,6 @@ class DirectedGraph:
         return (self._n == other._n
                 and np.array_equal(self.out_indptr, other.out_indptr)
                 and np.array_equal(self.out_indices, other.out_indices))
-
-    def __hash__(self):
-        return id(self)
 
     def __repr__(self) -> str:
         return f"DirectedGraph(nodes={self._n}, arcs={self.edge_count})"
@@ -274,10 +250,6 @@ class UndirectedGraph:
     @property
     def node_count(self) -> int:
         return self._n
-
-    @property
-    def m(self) -> float:
-        return self.total_weight
 
     def neighbors(self, u: int) -> tuple[np.ndarray, np.ndarray]:
         """(neighbor ids, weights) of u's row; may include u itself."""

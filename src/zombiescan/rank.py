@@ -37,8 +37,8 @@ from .textio import (ASCII, code_column, float_column, float_reprs, int_column, 
 
 log = logging.getLogger(__name__)
 
-__all__ = ["IOScores", "RankConfig", "ImportanceVector", "io_scores_for", "transition_weights",
-           "pagerank", "rank_all_communities", "write_ranks_csv", "read_ranks_csv"]
+__all__ = ["IOScores", "RankConfig", "ImportanceVector", "io_scores_for", "pagerank",
+           "rank_all_communities", "write_ranks_csv", "read_ranks_csv"]
 
 
 @dataclass
@@ -227,12 +227,6 @@ def _whole(g: DirectedGraph, io=None) -> tuple[_Blocks, np.ndarray]:
         if io.shape[0] != g.node_count:
             raise ValidationError("io scores must cover every node")
     return _layout(g.out_indices, g.out_degrees, np.zeros(g.node_count, dtype=np.int64), 1, io)
-
-
-def transition_weights(g: DirectedGraph, io) -> np.ndarray:
-    """Arc weights K aligned with g's out-adjacency, split by io (evenly for
-    io=None); rows of non-dangling nodes sum to 1."""
-    return _whole(g, io)[0].weights
 
 
 def _iterate(blocks: _Blocks, cfg: RankConfig):

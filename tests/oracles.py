@@ -190,15 +190,20 @@ def io_score(fan_num: int, follow_num: int) -> float:
     return fan_num / total if total else 0.0
 
 
+def out_row(g, u: int) -> np.ndarray:
+    """Sorted followees of u: u's slice of a DirectedGraph's out-CSR arrays."""
+    return g.out_indices[g.out_indptr[u]:g.out_indptr[u + 1]]
+
+
 def is_reciprocal(g, u: int, v: int) -> bool:
     """True when a DirectedGraph holds both u->v and v->u."""
-    return v in g.out_neighbors(u).tolist() and u in g.out_neighbors(v).tolist()
+    return v in out_row(g, u).tolist() and u in out_row(g, v).tolist()
 
 
 def arcs_with_flags(g) -> list[tuple[int, int, int]]:
     """(source, target, reciprocal flag) for every arc, source-major."""
     return [(u, int(v), int(is_reciprocal(g, u, int(v))))
-            for u in range(g.node_count) for v in g.out_neighbors(u)]
+            for u in range(g.node_count) for v in out_row(g, u)]
 
 
 def self_weight(und, u: int) -> float:

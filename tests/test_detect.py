@@ -64,12 +64,12 @@ class TestDetectZombies:
         report = detect_zombies({0: vec([0.24, 0.24, 0.24, 0.24, 0.04])})
         assert report.zombie_count == 1
         assert list(report.zombie_nodes()) == [4]
-        assert report.per_community_threshold[0] == 0.24
+        assert report.thresholds.tolist() == [0.24] * 5
 
     def test_negative_threshold_flags_nothing(self):
         report = detect_zombies({0: vec([1, 2, 3, 4, 5])})
         assert report.zombie_count == 0
-        assert report.per_community_threshold[0] == -1.0
+        assert report.thresholds.tolist() == [-1.0] * 5
 
     def test_small_communities_skipped(self):
         report = detect_zombies({0: vec([0.9, 0.05, 0.05], members=[0, 1, 2]),
@@ -100,14 +100,26 @@ class TestDetectZombies:
         with pytest.raises(ValidationError):
             detect_zombies({})
 
+    def test_unknown_method_rejected_before_fencing(self):
+        # 2 members are below the floor of 5: no community is fenced
+        with pytest.raises(ValidationError, match="unknown quartile method 'bogus'"):
+            detect_zombies({0: vec([0.5, 0.5])}, 5, "bogus")
+
+    @pytest.mark.parametrize("ranks", [
+        {0: vec([0.5, 0.5], members=[0, 1]), 1: vec([0.5, 0.5], members=[1, 2])},
+        {0: vec([0.5, 0.5, 0.5], members=[1, 2, 1])},
+    ], ids=["two-vectors", "one-vector"])
+    def test_node_listed_twice_rejected(self, ranks):
+        with pytest.raises(ValidationError, match="node 1 listed twice in the ranks"):
+            detect_zombies(ranks, min_community_size=2)
+
     def test_scale_equivariance_spot_check(self):
         values = [0.24, 0.24, 0.24, 0.24, 0.04]
         base = detect_zombies({0: vec(values)})
         for c in (3.0, 0.125, 1024.0):
             scaled = detect_zombies({0: vec([v * c for v in values])})
             assert np.array_equal(scaled.is_zombie, base.is_zombie)
-            assert scaled.per_community_threshold[0] == \
-                pytest.approx(base.per_community_threshold[0] * c, rel=1e-12)
+            assert scaled.thresholds[0] == pytest.approx(base.thresholds[0] * c, rel=1e-12)
 
     @given(st.lists(st.integers(0, 1000), min_size=5, max_size=40),
            st.integers(-8, 8))

@@ -8,21 +8,21 @@ from zombiescan.graph import UndirectedGraph, _csr_from_arcs, _dedup_pairs, _pai
 
 from conftest import random_graph
 from oracles import (arcs_with_flags, build_graph_lexsort, csr_from_arcs_lexsort,
-                     dedup_pairs_lexsort, from_edges_lexsort, is_reciprocal,
+                     dedup_pairs_lexsort, from_edges_lexsort, is_reciprocal, out_row,
                      symmetrize_lexsort)
 
 
 class TestBuildGraph:
     def test_two_cycle(self, two_cycle):
         assert two_cycle.edge_count == 2
-        assert two_cycle.degrees(0) == (1, 1)
-        assert two_cycle.degrees(1) == (1, 1)
+        assert two_cycle.in_degrees.tolist() == [1, 1]
+        assert two_cycle.out_degrees.tolist() == [1, 1]
 
     def test_in_adjacency_built_on_first_use(self):
         g = build_graph([(0, 1, 0), (2, 1, 1)], 3)
         assert g.in_degrees.tolist() == [0, 2, 1]
         assert g._in_csr is None  # counting in-degrees needs no in-adjacency
-        assert g.in_neighbors(1).tolist() == [0, 2]
+        assert g.in_indices[g.in_indptr[1]:g.in_indptr[2]].tolist() == [0, 2]
         assert g._in_csr is not None
         assert g.in_degrees.dtype == np.diff(g.in_indptr).dtype
 
@@ -34,7 +34,7 @@ class TestBuildGraph:
     def test_reciprocal_flag_materializes_reverse_arc(self):
         g = build_graph([(0, 1, 1)], 2)
         assert g.edge_count == 2
-        assert g.has_arc(0, 1) and g.has_arc(1, 0)
+        assert out_row(g, 0).tolist() == [1] and out_row(g, 1).tolist() == [0]
         assert is_reciprocal(g, 0, 1)
 
     def test_duplicates_dropped_and_counted(self):
@@ -62,10 +62,16 @@ class TestBuildGraph:
         g, _ = random_graph(3, 20, 0.15)
         assert g.in_degrees.sum() == g.out_degrees.sum() == g.edge_count
 
+    def test_equal_graphs_are_unhashable(self):
+        a, b = build_graph([(0, 1, 0)], 2), build_graph([(0, 1, 0)], 2)
+        assert a == b
+        with pytest.raises(TypeError):
+            hash(a)
+
     def test_empty_graph(self):
         g = build_graph([], 3)
         assert g.edge_count == 0
-        assert g.degrees(2) == (0, 0)
+        assert (g.in_degrees[2], g.out_degrees[2]) == (0, 0)
 
 
 class TestSymmetrize:
@@ -98,15 +104,10 @@ class TestSymmetrize:
             assert und.degree_weights[u] == len(neighbors[u])
 
 
-def test_degrees_validates_node_id(two_cycle):
-    with pytest.raises(ValidationError):
-        two_cycle.degrees(5)
-
-
 def test_star_degrees():
     g = build_graph([(i, 0, 0) for i in range(1, 6)], 6)
-    assert g.degrees(0) == (5, 0)
-    assert g.degrees(1) == (0, 1)
+    assert (g.in_degrees[0], g.out_degrees[0]) == (5, 0)
+    assert (g.in_degrees[1], g.out_degrees[1]) == (0, 1)
 
 
 def assert_same_arrays(got, expected):

@@ -1,0 +1,62 @@
+"""Package-level contracts: the public names resolve, and numpy is the only
+runtime dependency."""
+
+import ast
+import importlib
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+import zombiescan
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "zombiescan"
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
+
+# members the types do not offer: the pipeline reads the arrays (`in_degrees`,
+# `out_degrees`, the CSR slices, `assignment`, `thresholds`, `total_weight`)
+DELETED = {"in_neighbors", "in_degree", "degrees", "out_neighbors", "out_degree", "has_arc",
+           "m", "members", "sizes", "per_community_threshold", "transition_weights"}
+
+
+@pytest.mark.parametrize("name", ["zombiescan"] + [f"zombiescan.{m}" for m in MODULES])
+def test_all_resolves_and_lists_no_deleted_name(name):
+    module = importlib.import_module(name)
+    public = getattr(module, "__all__", [])
+    assert len(public) == len(set(public))
+    assert not [n for n in public if not hasattr(module, n)]
+    assert not DELETED & set(public)
+
+
+@pytest.mark.parametrize("owner", [zombiescan.DirectedGraph, zombiescan.UndirectedGraph,
+                                   zombiescan.Partition, zombiescan.ZombieReport])
+def test_deleted_members_are_gone(owner):
+    assert not [n for n in DELETED if hasattr(owner, n)]
+    assert not [n for n in DELETED if n in getattr(owner, "__dataclass_fields__", {})]
+
+
+def absolute_imports(path: Path) -> set[str]:
+    """Top-level package of every absolute import in a source file."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+@pytest.mark.parametrize("stem", ["__init__"] + MODULES)
+def test_imports_only_stdlib_and_numpy(stem):
+    imported = absolute_imports(PACKAGE / f"{stem}.py")
+    assert imported - set(sys.stdlib_module_names) - {"numpy"} == set()
+
+
+def test_pyproject_depends_on_numpy_only():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    names = [re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower()
+             for dep in pyproject["project"]["dependencies"]]
+    assert names == ["numpy"]

@@ -8,17 +8,22 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from zombiescan import (Partition, RankConfig, ValidationError, build_graph, cache_load,
-                        io_scores_for, pagerank, rank_all_communities, transition_weights)
+                        io_scores_for, pagerank, rank_all_communities)
 from zombiescan.cli import main
 from zombiescan.community import read_partition_csv
 from zombiescan.rank import _whole, read_ranks_csv, write_ranks_csv
 
 from conftest import DATA, profile_table, random_graph
-from oracles import io_score, pagerank_dense, pagerank_sweeps, rank_reference
+from oracles import io_score, out_row, pagerank_dense, pagerank_sweeps, rank_reference
 
 
 def whole_graph(arcs, n):
     return build_graph([(u, v, 0) for u, v in arcs], n)
+
+
+def weights_of(g, io):
+    """Arc weights aligned with g's out-adjacency, split by io (evenly for None)."""
+    return _whole(g, io)[0].weights
 
 
 def power_iterate(g, arc_weights, damping):
@@ -72,7 +77,7 @@ class TestIoScoresFor:
         g, _ = random_graph(31, 5, 0.5)
         scores = io_scores_for(g).values
         for u in range(5):
-            fans, follows = g.in_degree(u), g.out_degree(u)
+            fans, follows = g.in_degrees[u], g.out_degrees[u]
             assert scores[u] == io_score(fans, follows)
 
     def test_profile_source(self):
@@ -93,25 +98,25 @@ class TestIoScoresFor:
 class TestTransitionWeights:
     def test_proportional_split(self):
         g = whole_graph([(0, 1), (0, 2)], 3)
-        w = transition_weights(g, np.array([0.0, 0.6, 0.2]))
-        row = dict(zip(g.out_neighbors(0), w[:2]))
+        w = weights_of(g, np.array([0.0, 0.6, 0.2]))
+        row = dict(zip(out_row(g, 0), w[:2]))
         assert row[1] == pytest.approx(0.75)
         assert row[2] == pytest.approx(0.25)
 
     def test_zero_denominator_even_fallback(self):
         g = whole_graph([(0, 1), (0, 2)], 3)
-        w = transition_weights(g, np.array([0.0, 0.0, 0.0]))
+        w = weights_of(g, np.array([0.0, 0.0, 0.0]))
         assert list(w[:2]) == [0.5, 0.5]
 
     def test_single_followee_gets_everything(self):
         g = whole_graph([(0, 1)], 2)
-        w = transition_weights(g, np.array([0.0, 0.4]))
+        w = weights_of(g, np.array([0.0, 0.4]))
         assert w[0] == 1.0
 
     def test_rows_are_stochastic(self):
         g, _ = random_graph(41, 25, 0.2)
         rng = np.random.Generator(np.random.PCG64(1))
-        w = transition_weights(g, rng.random(25))
+        w = weights_of(g, rng.random(25))
         for u in range(25):
             lo, hi = g.out_indptr[u], g.out_indptr[u + 1]
             if hi > lo:
@@ -143,7 +148,7 @@ class TestPagerank:
 
     def test_every_iterate_sums_to_one(self):
         g, arcs = random_graph(51, 12, 0.2)
-        weights = transition_weights(g, io_scores_for(g).values)
+        weights = weights_of(g, io_scores_for(g).values)
         for i, (x, _) in enumerate(power_iterate(g, weights, 0.85)):
             assert x.sum() == pytest.approx(1.0, abs=1e-10)
             if i > 20:
@@ -152,7 +157,7 @@ class TestPagerank:
     def test_residual_non_increasing(self):
         for seed in (60, 61, 62):
             g, _ = random_graph(seed, 15, 0.15)
-            weights = transition_weights(g, io_scores_for(g).values)
+            weights = weights_of(g, io_scores_for(g).values)
             residuals = []
             for _, r in power_iterate(g, weights, 0.85):
                 residuals.append(r)
@@ -219,7 +224,7 @@ class TestRankAllCommunities:
         vectors = rank_all_communities(g, p, RankConfig(tolerance=1e-12))
         arcset = set(arcs)
         for cid in range(p.community_count):
-            members = list(p.members(cid))
+            members = np.flatnonzero(p.assignment == cid).tolist()
             local_arcs = community_arcs(arcset, members)
             io = io_scores_for(whole_graph(local_arcs, len(members))).values
             oracle = pagerank_dense(len(members), local_arcs, 0.85, io)
@@ -254,7 +259,7 @@ class TestRankAllCommunities:
 
         capped, wide_dangling = [], 0
         for cid in range(p.community_count):
-            members = p.members(cid)
+            members = np.flatnonzero(p.assignment == cid)
             local_arcs = community_arcs(arcs, members.tolist())
             alone_graph = whole_graph(local_arcs, len(members))
             io = io_scores_for(alone_graph)
@@ -276,7 +281,7 @@ class TestRankAllCommunities:
         # one community runs on alone after the others stop, from a later position
         assert len(capped) == 1 and capped[0] > 0
         assert wide_dangling == 1
-        assert min(len(p.members(c)) for c in range(p.community_count)) == 1
+        assert np.bincount(p.assignment).min() == 1
 
 
 class TestRanksCsv:

@@ -75,8 +75,8 @@ class TestGenerate:
         lo, hi = cfg.zombie_out_degree
         for z in truth.zombie_nodes():
             z = int(z)
-            assert lo <= g.out_degree(z) <= hi
-            assert g.in_degree(z) <= cfg.zombie_max_in_degree
+            assert lo <= g.out_degrees[z] <= hi
+            assert g.in_degrees[z] <= cfg.zombie_max_in_degree
 
     def test_no_cross_block_components_when_p_out_zero(self):
         from zombiescan import symmetrize
@@ -102,8 +102,8 @@ class TestGenerate:
         cfg = small_config(seed=11)
         g, truth, profiles = generate(cfg)
         for i in (0, 17, 59):
-            assert profiles.followers[i] == g.in_degree(i)
-            assert profiles.followees[i] == g.out_degree(i)
+            assert profiles.followers[i] == g.in_degrees[i]
+            assert profiles.followees[i] == g.out_degrees[i]
             assert profiles.regions[i] == truth.regions[i]
 
     def test_infeasible_zombie_out_degree_rejected(self):

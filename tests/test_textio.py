@@ -436,9 +436,10 @@ class TestWriters:
         g = build_graph(data.draw(st.lists(st.tuples(node, node, st.just(0)), max_size=12)), n)
         part = Partition(np.asarray(data.draw(st.lists(st.integers(0, 2), min_size=n,
                                                        max_size=n))))
+        members = [np.flatnonzero(part.assignment == c) for c in range(part.community_count)]
         vectors = {c: ImportanceVector(
-            np.asarray([data.draw(SPECIAL_FLOATS) for _ in part.members(c)]),
-            part.members(c), 1, 0.0, data.draw(st.booleans()))
+            np.asarray([data.draw(SPECIAL_FLOATS) for _ in members[c]]),
+            members[c], 1, 0.0, data.draw(st.booleans()))
             for c in range(part.community_count)}
         source = data.draw(st.sampled_from(["local", "profile"]))
         profiles = profile_table(n, followers=[data.draw(st.none() | st.integers(0, 9))

@@ -108,7 +108,7 @@ def region_distribution(report, profiles) -> dict[str, int]:
     names = ["unknown"]
     codes = np.full(flagged.shape[0], -1, dtype=np.int64)
     if profiles is not None:
-        known = flagged < len(profiles)
+        known = (flagged >= 0) & (flagged < len(profiles))
         codes[known] = profiles.region_codes[flagged[known]]
         names += profiles.region_names
     counts: dict[str, int] = {}

@@ -155,6 +155,10 @@ def build_graph(arcs, node_count: int) -> DirectedGraph:
         triples = triples.reshape(0, 3)
     if triples.ndim != 2 or triples.shape[1] != 3:
         raise ValidationError("arcs must be (source, target, flag) triples")
+    bad = (triples[:, 2] != 0) & (triples[:, 2] != 1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValidationError(f"arc #{i} has relationship flag {triples[i, 2]}; it must be 0 or 1")
     return _build_graph(triples[:, 0], triples[:, 1], triples[:, 2], node_count)
 
 
@@ -208,11 +212,11 @@ class UndirectedGraph:
         self.indptr = indptr
         self.indices = indices
         self.weights = weights
-        # weighted degree k_u = sum of u's row (self-loop counted once)
-        self.degree_weights = np.zeros(node_count, dtype=np.float64)
-        if indices.shape[0]:
-            np.add.at(self.degree_weights,
-                      np.repeat(np.arange(node_count), np.diff(indptr)), weights)
+        # weighted degree k_u = sum of u's row (self-loop counted once); a
+        # bincount over no entries is integer, hence the cast
+        rows = np.repeat(np.arange(node_count), np.diff(indptr))
+        self.degree_weights = np.bincount(rows, weights, minlength=node_count).astype(
+            np.float64, copy=False)
         self.total_weight = float(self.degree_weights.sum()) / 2.0  # m
 
     @classmethod
@@ -226,26 +230,18 @@ class UndirectedGraph:
         v = np.asarray(v, dtype=np.int64)
         w = np.asarray(w, dtype=np.float64)
         lo, hi = np.minimum(u, v), np.maximum(u, v)
-        if lo.shape[0]:
-            # stable, so parallel entries sum their weights in input order
-            keys = _pair_keys(lo, hi, node_count)
-            order = np.argsort(keys, kind="stable")
-            keys, w = keys[order], w[order]
-            first = np.ones(keys.shape[0], dtype=bool)
-            first[1:] = keys[1:] != keys[:-1]
-            wsum = np.bincount(np.cumsum(first) - 1, weights=w)
-            lo, hi = np.divmod(keys[first], node_count)
-        else:
-            wsum = w
-        # expand to row entries: off-diagonal edges in both rows, loops once
-        diag = lo == hi
-        rows = np.concatenate([lo[~diag], hi[~diag], lo[diag]])
-        cols = np.concatenate([hi[~diag], lo[~diag], lo[diag]])
-        vals = np.concatenate([wsum[~diag], wsum[~diag], wsum[diag]])
-        keys = _pair_keys(rows, cols, node_count)
+        # row entries: every edge as (lo, hi), then the off-diagonal ones as (hi, lo)
+        off = lo != hi
+        keys = np.concatenate([_pair_keys(lo, hi, node_count),
+                               _pair_keys(hi[off], lo[off], node_count)])
+        # stable, so the entries of one pair, all from one block, sum in input order
         order = np.argsort(keys, kind="stable")
-        indptr, indices = _csr_from_keys(keys[order], node_count)
-        return cls(node_count, indptr, indices, vals[order])
+        keys = keys[order]
+        first = np.ones(keys.shape[0], dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        sums = np.bincount(np.cumsum(first) - 1, np.concatenate([w, w[off]])[order])
+        indptr, indices = _csr_from_keys(keys[first], node_count)
+        return cls(node_count, indptr, indices, sums.astype(np.float64, copy=False))
 
     @property
     def node_count(self) -> int:

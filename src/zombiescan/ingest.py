@@ -439,42 +439,34 @@ def write_profiles(profiles: ProfileTable, destination,
         fh.write("".join(row + "\n" for row in map(schema.delimiter.join, zip(*columns))))
 
 
-# Binary cache layout (little-endian):
+# Binary cache layout (little-endian), the graph's out-CSR exactly as held:
 #   magic "ZGC1" | u32 version | u32 crc32 | u64 node_count | u64 edge_count
-#   u64 out_indptr[node_count + 1]
-#   u32 (or u64 when node_count > 2^32) deltas[edge_count]:
-#     per out-adjacency row, first entry absolute, the rest successive
-#     differences of the sorted target ids.
+#   i8 out_indptr[node_count + 1]
+#   out_indices[edge_count] in _index_dtype(node_count): i4 below 2^31 nodes, else i8
 # crc32 is zlib's CRC-32 of everything after the header; the file length
 # pins node_count and edge_count.
 _CACHE_MAGIC = b"ZGC1"
-_CACHE_VERSION = 2
+_CACHE_VERSION = 3
 _HEADER = struct.Struct("<4sIIQQ")
-
-
-def _cache_index_dtype(node_count: int) -> np.dtype:
-    return np.dtype("<u4") if node_count <= 0xFFFFFFFF else np.dtype("<u8")
 
 
 def cache_save(g: DirectedGraph, path) -> None:
     """Write a graph to a versioned binary cache file."""
-    deltas = g.out_indices.astype(np.int64, copy=True)
-    if deltas.shape[0]:
-        deltas[1:] -= g.out_indices[:-1]
-        degrees = np.diff(g.out_indptr)
-        starts = g.out_indptr[:-1][degrees > 0]
-        deltas[starts] = g.out_indices[starts]
-    indptr = g.out_indptr.astype("<u8", copy=False).tobytes()
-    deltas = deltas.astype(_cache_index_dtype(g.node_count)).tobytes()
-    crc = zlib.crc32(deltas, zlib.crc32(indptr))
+    indptr = np.ascontiguousarray(g.out_indptr, dtype="<i8")
+    indices = np.ascontiguousarray(g.out_indices,
+                                   dtype=_index_dtype(g.node_count).newbyteorder("<"))
+    crc = zlib.crc32(indices, zlib.crc32(indptr))
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, crc, g.node_count, g.edge_count))
         fh.write(indptr)
-        fh.write(deltas)
+        fh.write(indices)
 
 
 def cache_load(path) -> DirectedGraph:
-    """Load a graph written by cache_save; raises CacheError on any mismatch."""
+    """Load a graph written by cache_save; raises CacheError on any mismatch.
+
+    The graph's arrays are read-only views of the file's bytes.
+    """
     try:
         blob = Path(path).read_bytes()
     except OSError as exc:
@@ -486,39 +478,26 @@ def cache_load(path) -> DirectedGraph:
         raise CacheError("not a graph cache file")
     if version != _CACHE_VERSION:
         raise CacheError(f"unsupported cache version {version}")
-    n, m = int(n), int(m)
-    idx_dtype = _cache_index_dtype(n)
-    expected = _HEADER.size + 8 * (n + 1) + idx_dtype.itemsize * m
+    index = _index_dtype(n).newbyteorder("<")
+    expected = _HEADER.size + 8 * (n + 1) + index.itemsize * m
     if len(blob) != expected:
         raise CacheError(f"cache file truncated: {len(blob)} bytes, expected {expected}")
     if zlib.crc32(memoryview(blob)[_HEADER.size:]) != crc:
         raise CacheError("cache checksum mismatch")
-    offset = _HEADER.size
-    indptr = np.frombuffer(blob, dtype="<u8", count=n + 1, offset=offset).astype(np.int64)
-    offset += 8 * (n + 1)
+    indptr = np.frombuffer(blob, dtype="<i8", count=n + 1, offset=_HEADER.size)
+    indices = np.frombuffer(blob, dtype=index, count=m, offset=_HEADER.size + 8 * (n + 1))
     degrees = np.diff(indptr)
     if indptr[0] != 0 or indptr[-1] != m or (degrees < 0).any():
         raise CacheError("corrupt adjacency offsets")
-    # a delta too large for the index dtype turns negative here and is rejected
-    indices = np.frombuffer(blob, dtype=idx_dtype, count=m, offset=offset).astype(
-        _index_dtype(n))
     if m:
-        starts = indptr[:-1][degrees > 0]
-        if (indices < 0).any():
+        if indices.min() < 0 or indices.max() >= n:
             raise CacheError("corrupt adjacency indices")
-        # after a row's first target, a zero delta repeats the previous target
-        repeats = indices == 0
-        repeats[starts] = False
-        if repeats.any():
-            raise CacheError("corrupt adjacency: duplicate arcs")
-        # rows increase strictly, so a row's sum of deltas is its largest target
-        last = np.add.reduceat(indices, starts, dtype=np.int64)
-        if (last >= n).any():
-            raise CacheError("corrupt adjacency indices")
-        # rebase each row's first target on the previous row's last, then one
-        # running sum decodes every row
-        indices[starts[1:]] -= last[:-1]
-        np.cumsum(indices, dtype=indices.dtype, out=indices)
-        if (indices == np.repeat(np.arange(n, dtype=indices.dtype), degrees)).any():
+        # targets rise strictly within a row; the step from one row into the next is free
+        rises = indices[1:] > indices[:-1]
+        ends = indptr[1:-1]
+        rises[ends[(ends > 0) & (ends < m)] - 1] = True
+        if not rises.all():
+            raise CacheError("corrupt adjacency: duplicate arcs or an unsorted row")
+        if (indices == np.repeat(np.arange(n, dtype=index), degrees)).any():
             raise CacheError("corrupt adjacency: self-loop")
     return DirectedGraph(n, indptr, indices)

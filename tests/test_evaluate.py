@@ -105,6 +105,12 @@ class TestRegionDistribution:
         profiles = profile_table(10, regions=[None] * 10)
         assert region_distribution(report, profiles) == {"unknown": 1}
 
+    def test_ids_outside_the_profiles_go_to_unknown(self):
+        # the last row's region must not count a negative id
+        profiles = profile_table(3, regions=["Shanghai", "Shanghai", "Beijing"])
+        flagged = {-1: True, 3: True, 0: True, 2: False}
+        assert region_distribution(flagged, profiles) == {"unknown": 2, "Shanghai": 1}
+
     def test_counts_match_generator(self):
         rng = np.random.Generator(np.random.PCG64(7))
         regions = ["Beijing", "Shanghai", "Chengdu"]

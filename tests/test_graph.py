@@ -51,6 +51,11 @@ class TestBuildGraph:
         with pytest.raises(ValidationError, match="arc #1"):
             build_graph([(0, 1, 0), (0, 2, 0)], 2)
 
+    @pytest.mark.parametrize("flag", [2, -1])
+    def test_flag_other_than_0_or_1_rejected(self, flag):
+        with pytest.raises(ValidationError, match=f"arc #1 has relationship flag {flag}"):
+            build_graph([(0, 1, 0), (1, 2, flag)], 3)
+
     def test_reingestion_is_idempotent(self):
         g, _ = random_graph(7, 15, 0.2)
         again = build_graph(arcs_with_flags(g), g.node_count)

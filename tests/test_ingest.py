@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from zombiescan import (CacheError, ParseError, ValidationError, build_graph, cache_load,
                         cache_save, parse_profiles, parse_uidlist,
                         parse_weibo_network)
+from zombiescan.graph import _index_dtype
 from zombiescan.ingest import (ProfileSchema, RawNetwork, write_profiles, write_uidlist,
                                write_weibo_network)
 
@@ -449,21 +450,59 @@ class TestCache:
         path = tmp_path / "g.bin"
         cache_save(g, path)
         blob = bytearray(path.read_bytes())
-        second_delta = CACHE_HEADER + 8 * 4 + 4  # header, indptr, row 0's second u32 delta
-        assert blob[second_delta:second_delta + 4] == (1).to_bytes(4, "little")
-        blob[second_delta:second_delta + 4] = bytes(4)  # row 0 becomes [1, 1]
+        second = CACHE_HEADER + 8 * 4 + 4  # header, indptr, row 0's second i4 target
+        assert blob[second:second + 4] == (2).to_bytes(4, "little")
+        blob[second:second + 4] = (1).to_bytes(4, "little")  # row 0 becomes [1, 1]
         path.write_bytes(sealed(blob))
         with pytest.raises(CacheError, match="duplicate"):
+            cache_load(path)
+
+    def test_decreasing_row_rejected(self, tmp_path):
+        path = tmp_path / "g.bin"
+        # three nodes, row 0 holds targets [2, 1]
+        path.write_bytes(sealed(struct.pack("<4sIIQQ", b"ZGC1", 3, 0, 3, 2)
+                                + np.array([0, 2, 2, 2], dtype="<i8").tobytes()
+                                + np.array([2, 1], dtype="<i4").tobytes()))
+        with pytest.raises(CacheError, match="unsorted"):
             cache_load(path)
 
     def test_self_loop_rejected(self, tmp_path):
         path = tmp_path / "g.bin"
         # two nodes, one arc 0 -> 0
-        path.write_bytes(sealed(struct.pack("<4sIIQQ", b"ZGC1", 2, 0, 2, 1)
-                                + np.array([0, 1, 1], dtype="<u8").tobytes()
-                                + np.array([0], dtype="<u4").tobytes()))
+        path.write_bytes(sealed(struct.pack("<4sIIQQ", b"ZGC1", 3, 0, 2, 1)
+                                + np.array([0, 1, 1], dtype="<i8").tobytes()
+                                + np.array([0], dtype="<i4").tobytes()))
         with pytest.raises(CacheError, match="self-loop"):
             cache_load(path)
+
+    def test_version_2_cache_rejected(self, tmp_path):
+        path = tmp_path / "g.bin"
+        # the version 2 layout stored u32 deltas per row: two nodes, one arc 0 -> 1
+        path.write_bytes(sealed(struct.pack("<4sIIQQ", b"ZGC1", 2, 0, 2, 1)
+                                + np.array([0, 1, 1], dtype="<u8").tobytes()
+                                + np.array([1], dtype="<u4").tobytes()))
+        with pytest.raises(CacheError, match="unsupported cache version 2"):
+            cache_load(path)
+
+    @pytest.mark.parametrize("arcs, n", [([(1, 0, 0)], 2), ([(1, 0, 0)], 3),
+                                         ([(1, 0, 0), (1, 2, 0), (3, 1, 0)], 5)])
+    def test_graph_with_empty_first_rows_round_trips(self, arcs, n, tmp_path):
+        g = build_graph(arcs, n)
+        path = tmp_path / "g.bin"
+        cache_save(g, path)
+        assert cache_load(path) == g
+
+    def test_loaded_arrays_are_read_only_with_the_graph_dtypes(self, tmp_path):
+        g, _ = random_graph(7, 30, 0.2)
+        path = tmp_path / "g.bin"
+        cache_save(g, path)
+        loaded = cache_load(path)
+        assert loaded.out_indptr.dtype == np.int64 == g.out_indptr.dtype
+        assert loaded.out_indices.dtype == _index_dtype(30) == g.out_indices.dtype
+        for array in (loaded.out_indptr, loaded.out_indices):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
 
     def test_version_1_cache_rejected(self, tmp_path):
         path = tmp_path / "g.bin"
@@ -479,7 +518,7 @@ class TestCache:
         path = tmp_path / "g.bin"
         cache_save(g, path)
         blob = bytearray(path.read_bytes())
-        blob[-4] ^= 1  # the last delta's low byte: a target moves by one
+        blob[-4] ^= 1  # the last target's low byte: it moves by one
         path.write_bytes(bytes(blob))
         with pytest.raises(CacheError, match="checksum"):
             cache_load(path)

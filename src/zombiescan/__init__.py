@@ -12,8 +12,8 @@ from .errors import CacheError, ParseError, ValidationError
 from .evaluate import (ConfusionMatrix, MetricSet, confusion, degree_histogram,
                        metrics, region_distribution)
 from .graph import DirectedGraph, UndirectedGraph, build_graph, symmetrize
-from .ingest import (ProfileSchema, ProfileTable, RawNetwork, cache_load, cache_save,
-                     parse_profiles, parse_uidlist, parse_weibo_network)
+from .ingest import (ProfileTable, RawNetwork, cache_load, cache_save, parse_profiles,
+                     parse_uidlist, parse_weibo_network)
 from .rank import (ImportanceVector, IOScores, RankConfig, io_scores_for, pagerank,
                    rank_all_communities)
 from .synth import GroundTruth, SynthConfig, emit_weibo_format, generate
@@ -25,7 +25,7 @@ __all__ = [
     "build_graph", "symmetrize",
     "DirectedGraph", "UndirectedGraph",
     "parse_weibo_network", "parse_uidlist", "parse_profiles",
-    "cache_save", "cache_load", "RawNetwork", "ProfileTable", "ProfileSchema",
+    "cache_save", "cache_load", "RawNetwork", "ProfileTable",
     "louvain", "modularity", "move_gain",
     "Partition", "LouvainConfig", "Dendrogram",
     "io_scores_for", "pagerank",

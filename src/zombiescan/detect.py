@@ -171,7 +171,8 @@ def write_report_csv(report: ZombieReport, destination) -> None:
 
 def read_report_csv(source) -> dict[int, bool]:
     """Predicted labels {node_id: is_zombie} from a report CSV; rejects a bad
-    value in any column (ids int64, scores finite) and repeated nodes."""
+    value in any column (ids int64, pagerank finite and non-negative, threshold
+    finite) and repeated nodes."""
     rows = split_csv(read_text(source, ASCII), "report", _REPORT_HEADER)
     nodes, bad_nodes = int_column(rows.columns[0])
     _, bad_cids = int_column(rows.columns[1])
@@ -179,7 +180,7 @@ def read_report_csv(source) -> dict[int, bool]:
     # a blank threshold is a community too small to fence
     thresholds, bad_thresholds = float_column([t or "0" for t in rows.columns[3]])
     labels = code_column(rows.columns[4], _LABELS)
-    rows.check((bad_nodes | bad_cids | bad_values | ~np.isfinite(values)
+    rows.check((bad_nodes | bad_cids | bad_values | ~np.isfinite(values) | (values < 0)
                 | bad_thresholds | ~np.isfinite(thresholds) | (labels < 0),
                 lambda i: f"bad report row: {rows.row(i)!r}"),
                (repeats(nodes), lambda i: f"node {nodes[i]} listed twice in the report"))

@@ -32,13 +32,11 @@ log = logging.getLogger(__name__)
 __all__ = [
     "RawNetwork",
     "ProfileTable",
-    "ProfileSchema",
     "parse_weibo_network",
     "write_weibo_network",
     "parse_uidlist",
     "write_uidlist",
     "parse_profiles",
-    "write_profiles",
     "cache_save",
     "cache_load",
 ]
@@ -211,25 +209,30 @@ def write_weibo_network(raw_or_graph, destination) -> None:
     """Serialize a RawNetwork or DirectedGraph in the network text layout.
 
     Rows are emitted for every node in id order; a graph's flags mark the
-    arcs whose reverse arc is also present.
+    arcs whose reverse arc is also present. An arc with an endpoint outside
+    [0, node_count) or a flag other than 0 or 1 raises a ValidationError.
     """
     raw = raw_or_graph if isinstance(raw_or_graph, RawNetwork) else _flagged_arcs(raw_or_graph)
     n = raw.node_count
-    sources, targets = raw.sources, raw.targets
+    sources, targets, flags = raw.sources, raw.targets, raw.flags
+    outside = (sources < 0) | (sources >= n) | (targets < 0) | (targets >= n)
+    bad = outside | ((flags != 0) & (flags != 1))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValidationError(
+            f"arc #{i} ({sources[i]}->{targets[i]}) has an endpoint outside [0, {n})"
+            if outside[i] else f"arc #{i} has relationship flag {flags[i]}; it must be 0 or 1")
     order = np.lexsort((targets, sources))
     bounds = np.searchsorted(sources[order], np.arange(n + 1))
-    order = order[bounds[0]:bounds[-1]]  # the arcs whose source is a node id
     degrees = np.diff(bounds)
     # row u is `u k` and its k (target, flag) pairs; its first token is at row_start[u]
-    row_start = 2 * np.arange(n) + 2 * (bounds[:-1] - bounds[0])
+    row_start = 2 * np.arange(n) + 2 * bounds[:-1]
     tokens = np.empty(2 * n + 2 * order.shape[0], dtype=np.int64)
     tokens[row_start] = np.arange(n)
     tokens[row_start + 1] = degrees
     pairs = np.ones(tokens.shape[0], dtype=bool)
     pairs[row_start] = pairs[row_start + 1] = False
-    tokens[pairs] = np.stack([targets[order], raw.flags[order]], axis=1).ravel()
-    if tokens.shape[0] and tokens.min() < 0:
-        raise ValidationError("network ids and flags must be non-negative")
+    tokens[pairs] = np.stack([targets[order], flags[order]], axis=1).ravel()
     separators = np.full(tokens.shape[0], ord(" "), dtype=np.uint8)
     separators[row_start + 1 + 2 * degrees] = ord("\n")
     with text_stream(destination, "w") as fh:
@@ -277,166 +280,85 @@ def write_uidlist(uids: list[str], destination) -> None:
         fh.write("".join(uid + "\n" for uid in uids))
 
 
-_PROFILE_TEXT_FIELDS = ("uid", "name", "gender", "verification", "region")
-_PROFILE_INT_FIELDS = ("followers", "followees", "tweets")
-
-
 @dataclass(eq=False)
 class ProfileTable:
-    """Profile records as columns, one row per node in file order.
+    """The profile fields the pipeline reads, as columns, one row per node in
+    file order.
 
-    Text columns hold "" where a record leaves the field blank or lacks it.
-    Each count column is int64, beside a mask of the rows whose value is
-    blank, unparseable, outside int64 or absent; a masked entry reads 0.
-    Regions are codes into `region_names`, -1 where blank.
+    Regions are codes into `region_names`, -1 where blank. Each count column
+    is int64, beside a mask of the rows whose value is blank, negative,
+    unparseable, outside int64 or absent; a masked entry reads 0.
     """
 
-    uid: list[str]
-    name: list[str]
-    gender: list[str]
-    verification: list[str]
     region_codes: np.ndarray
     region_names: list[str]
     followers: np.ndarray
     followers_missing: np.ndarray
     followees: np.ndarray
     followees_missing: np.ndarray
-    tweets: np.ndarray
-    tweets_missing: np.ndarray
 
     def __len__(self) -> int:
         return int(self.region_codes.shape[0])
 
-    @property
-    def regions(self) -> list[str]:
-        """The region of each row, "" where blank."""
-        return np.array(self.region_names + [""], dtype=object)[self.region_codes].tolist()
+
+# uid name gender verification region followers followees tweets
+_PROFILE_WIDTH = 8
+_REGION, _FOLLOWERS, _FOLLOWEES = 4, 5, 6  # the fields the pipeline reads
 
 
-@dataclass
-class ProfileSchema:
-    """Column order and delimiter of a profile file.
+def parse_profiles(source) -> ProfileTable:
+    """Parse tab-separated profile records (UTF-8), one per node in file order:
+    `uid name gender verification region followers followees tweets`.
 
-    The on-disk encoding is not standardized, so callers supply the layout.
-    Use "_" for columns to ignore.
+    Blank lines are skipped. Only region, followers and followees are read,
+    each stripped of surrounding whitespace. A blank, negative or
+    unparseable count is masked as missing and tallied in a warning; one a
+    short record lacks is masked untallied.
     """
-
-    fields: tuple[str, ...] = ("uid", "name", "gender", "verification", "region",
-                               "followers", "followees", "tweets")
-    delimiter: str = "\t"
-
-    def __post_init__(self):
-        known = set(_PROFILE_TEXT_FIELDS) | set(_PROFILE_INT_FIELDS) | {"_"}
-        for f in self.fields:
-            if f not in known:
-                raise ValidationError(f"unknown profile field {f!r}")
-        named = [f for f in self.fields if f != "_"]
-        if len(set(named)) != len(named):
-            raise ValidationError("a profile field is listed twice")
-        if not self.delimiter or "\n" in self.delimiter:
-            raise ValidationError("the profile delimiter must be nonempty and hold no newline")
-
-
-def parse_profiles(source, schema: ProfileSchema | None = None,
-                   uidlist: list[tuple[int, str]] | None = None) -> ProfileTable:
-    """Parse delimiter-separated profile records (UTF-8), one per node in file order.
-
-    Blank lines are skipped and fields are stripped of surrounding
-    whitespace. Blank or unparseable numeric fields are masked as missing and
-    tallied in a warning. When a uidlist is supplied the record count must
-    match it.
-    """
-    schema = schema or ProfileSchema()
     text = read_text(source, UTF8)
-    split = _profile_columns(text, schema)
-    n, columns = split if split is not None else _profile_rows(text, schema)
-    table, bad_numbers = _profile_table(n, columns)
-    uid_mismatches = 0
-    if uidlist is not None:
-        if n != len(uidlist):
-            raise ValidationError(
-                f"profile file has {n} records but uid list has {len(uidlist)}")
-        uid_mismatches = sum(1 for uid, (_, listed) in zip(table.uid, uidlist)
-                             if uid and uid != listed)
+    table, bad_numbers = _profile_table(*(_profile_columns(text) or _profile_rows(text)))
     if bad_numbers:
-        log.warning("%d numeric profile fields were blank or unparseable", bad_numbers)
-    if uid_mismatches:
-        log.warning("%d profile uids disagree with the uid list", uid_mismatches)
+        log.warning("%d numeric profile fields were blank, negative or unparseable",
+                    bad_numbers)
     return table
 
 
-def _profile_columns(text: str, schema: ProfileSchema):
-    """(records, {field: stripped values}) from one split of the whole text, or
-    None unless every line holds exactly len(schema.fields) fields."""
-    delimiter, width = schema.delimiter, len(schema.fields)
-    if len(delimiter) != 1 or not delimiter.isascii() or not width:
-        return None
-    named = [(j, name) for j, name in enumerate(schema.fields) if name != "_"]
-    if not text:
-        return 0, {name: [] for _, name in named}
-    split = split_fields(text, delimiter, width)
+def _profile_columns(text: str):
+    """The stripped region, followers and followees columns from one split of
+    the whole text, or None unless every line holds exactly 8 fields."""
+    split = split_fields(text, "\t", _PROFILE_WIDTH)
     if split is None:
         return None
-    return len(split) // width, {name: list(map(str.strip, split[j::width]))
-                                 for j, name in named}
+    return [list(map(str.strip, split[j::_PROFILE_WIDTH]))
+            for j in (_REGION, _FOLLOWERS, _FOLLOWEES)]
 
 
-def _profile_rows(text: str, schema: ProfileSchema):
-    """(records, {field: stripped values}) line by line; a record without a
-    count field holds None there, one without a text field holds ""."""
-    rows = [line.split(schema.delimiter) for line in text.split("\n") if line]
-    columns = {}
-    for j, name in enumerate(schema.fields):
-        if name != "_":
-            absent = None if name in _PROFILE_INT_FIELDS else ""
-            columns[name] = [row[j].strip() if j < len(row) else absent for row in rows]
-    return len(rows), columns
+def _profile_rows(text: str):
+    """The same columns line by line; a record without a count holds None
+    there, one without a region holds ""."""
+    rows = [line.split("\t") for line in text.split("\n") if line]
+    return [[row[j].strip() if j < len(row) else absent for row in rows]
+            for j, absent in ((_REGION, ""), (_FOLLOWERS, None), (_FOLLOWEES, None))]
 
 
-def _profile_table(n: int, columns: dict[str, list]) -> tuple[ProfileTable, int]:
-    """The table of split profile columns, and the count of blank or bad numbers."""
-    region = columns.get("region", [""] * n)
+def _profile_table(region: list[str], followers: list,
+                   followees: list) -> tuple[ProfileTable, int]:
+    """The table of split profile columns, and the count of blank, negative or
+    bad counts."""
     names = [r for r in dict.fromkeys(region) if r]
     index = dict(zip(names, range(len(names))))
     index[""] = -1
-    codes = np.fromiter(map(index.__getitem__, region), dtype=np.int64, count=n)
-    counts = {}
+    codes = np.fromiter(map(index.__getitem__, region), dtype=np.int64, count=len(region))
+    counts = []
     bad_numbers = 0
-    for name in _PROFILE_INT_FIELDS:
-        column = columns.get(name)
-        if column is None:
-            values, missing = np.zeros(n, dtype=np.int64), np.ones(n, dtype=bool)
-        else:
-            values, missing = int_column(column)
-            # a record without the field holds None there: missing, not tallied
-            if missing.any():
-                bad_numbers += int(missing.sum()) - column.count(None)
-        counts[name], counts[name + "_missing"] = values, missing
-    text = {name: columns.get(name, [""] * n) for name in _PROFILE_TEXT_FIELDS
-            if name != "region"}
-    return ProfileTable(**text, region_codes=codes, region_names=names, **counts), bad_numbers
-
-
-def write_profiles(profiles: ProfileTable, destination,
-                   schema: ProfileSchema | None = None) -> None:
-    """Write one delimiter-separated record per row (UTF-8); missing values stay blank."""
-    schema = schema or ProfileSchema()
-    n = len(profiles)
-    columns = []
-    for name in schema.fields:
-        if name == "_":
-            columns.append([""] * n)
-        elif name == "region":
-            columns.append(profiles.regions)
-        elif name in _PROFILE_INT_FIELDS:
-            column = list(map(str, getattr(profiles, name).tolist()))
-            for row in np.flatnonzero(getattr(profiles, name + "_missing")).tolist():
-                column[row] = ""
-            columns.append(column)
-        else:
-            columns.append(getattr(profiles, name))
-    with text_stream(destination, "w", UTF8) as fh:
-        fh.write("".join(row + "\n" for row in map(schema.delimiter.join, zip(*columns))))
+    for column in (followers, followees):
+        values, missing = int_column(column)
+        missing |= values < 0
+        values[missing] = 0
+        # a record without the field holds None there: missing, not tallied
+        bad_numbers += int(missing.sum()) - column.count(None)
+        counts += [values, missing]
+    return ProfileTable(codes, names, *counts), bad_numbers
 
 
 # Binary cache layout (little-endian), the graph's out-CSR exactly as held:

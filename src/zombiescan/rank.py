@@ -335,7 +335,8 @@ def write_ranks_csv(destination, g: DirectedGraph, p: Partition,
 
 def read_ranks_csv(source) -> dict[int, ImportanceVector]:
     """Rebuild per-community vectors, io included, from a ranks CSV; rejects io
-    outside [0, 1], a non-finite score, a bad `converged` and repeated nodes."""
+    outside [0, 1], a negative or non-finite score, a bad `converged` and
+    repeated nodes."""
     rows = split_csv(read_text(source, ASCII), "ranks", _RANKS_HEADER)
     nodes, bad_nodes = int_column(rows.columns[0])
     cids, bad_cids = int_column(rows.columns[1])
@@ -344,7 +345,7 @@ def read_ranks_csv(source) -> dict[int, ImportanceVector]:
     flags = code_column(rows.columns[4], _CONVERGED)
     # NaN fails both comparisons
     rows.check((bad_nodes | bad_cids | bad_io | ~((io >= 0) & (io <= 1)) | bad_values
-                | ~np.isfinite(values) | (flags < 0),
+                | ~np.isfinite(values) | (values < 0) | (flags < 0),
                 lambda i: f"bad ranks row: {rows.row(i)!r}"),
                (repeats(nodes), lambda i: f"node {nodes[i]} listed twice in the ranks file"))
     vectors: dict[int, ImportanceVector] = {}

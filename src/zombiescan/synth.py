@@ -18,13 +18,14 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import cycle
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError
 from .graph import DirectedGraph, _build_graph, _dedup_pairs
-from .ingest import ProfileTable, write_profiles, write_uidlist, write_weibo_network
+from .ingest import ProfileTable, write_uidlist, write_weibo_network
 from .textio import UTF8, code_column, int_column, read_text, split_csv, text_stream
 
 log = logging.getLogger(__name__)
@@ -32,6 +33,7 @@ log = logging.getLogger(__name__)
 __all__ = ["SynthConfig", "GroundTruth", "generate", "emit_weibo_format",
            "write_truth_csv", "read_truth_csv"]
 
+_FIRST_UID = 1_000_000
 _DEFAULT_REGIONS = {"Beijing": 5.0, "Shanghai": 4.0, "Guangzhou": 3.0,
                     "Chengdu": 2.0, "Harbin": 1.0}
 
@@ -221,14 +223,9 @@ def generate(cfg: SynthConfig) -> tuple[DirectedGraph, GroundTruth, ProfileTable
     graph = _build_graph(all_src, all_dst, np.zeros_like(all_src), n)
     truth = GroundTruth(block_ids, is_zombie, [labels[i] for i in region_codes.tolist()])
     known = np.zeros(n, dtype=bool)
-    profiles = ProfileTable(
-        uid=list(map(str, range(1_000_000, 1_000_000 + n))),
-        name=list(map("user_{}".format, range(n))),
-        gender=(["m", "f"] * (n // 2 + 1))[:n], verification=["no"] * n,
-        region_codes=region_codes.astype(np.int64), region_names=labels,
-        followers=graph.in_degrees.astype(np.int64), followers_missing=known,
-        followees=graph.out_degrees.astype(np.int64), followees_missing=known.copy(),
-        tweets=np.zeros(n, dtype=np.int64), tweets_missing=known.copy())
+    profiles = ProfileTable(region_codes.astype(np.int64), labels,
+                            graph.in_degrees.astype(np.int64), known,
+                            graph.out_degrees.astype(np.int64), known.copy())
     return graph, truth, profiles
 
 
@@ -262,7 +259,11 @@ def read_truth_csv(source) -> GroundTruth:
 
 def emit_weibo_format(g: DirectedGraph, truth: GroundTruth,
                       profiles: ProfileTable, out_dir) -> dict[str, Path]:
-    """Write the network/uidlist/profile/truth files for a generated corpus."""
+    """Write the network/uidlist/profile/truth files for a generated corpus.
+
+    Node i gets uid 1000000 + i, name user_i, gender m or f in turn, no
+    verification and no tweets; its region and counts come from `profiles`.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -272,7 +273,16 @@ def emit_weibo_format(g: DirectedGraph, truth: GroundTruth,
         "truth": out / "truth.csv",
     }
     write_weibo_network(g, paths["network"])
-    write_uidlist([uid or str(i) for i, uid in enumerate(profiles.uid)], paths["uidlist"])
-    write_profiles(profiles, paths["profiles"])
+    n = len(profiles)
+    uids = range(_FIRST_UID, _FIRST_UID + n)
+    write_uidlist(list(map(str, uids)), paths["uidlist"])
+    regions = np.array(profiles.region_names + [""], dtype=object)[profiles.region_codes]
+    # a masked count is written blank
+    counts = [np.where(missing, "", values.astype(str)).tolist() for values, missing in
+              ((profiles.followers, profiles.followers_missing),
+               (profiles.followees, profiles.followees_missing))]
+    rows = zip(uids, range(n), cycle("mf"), regions.tolist(), *counts)
+    with text_stream(paths["profiles"], "w", UTF8) as fh:
+        fh.write("".join(map("%d\tuser_%d\t%s\tno\t%s\t%s\t%s\t0\n".__mod__, rows)))
     write_truth_csv(truth, paths["truth"])
     return paths

@@ -23,7 +23,7 @@ def random_graph(seed: int, n: int, p: float):
     return build_graph(arcs, n), [(u, v) for u, v, _ in arcs]
 
 
-def profile_table(n, uids=None, regions=None, followers=None, followees=None):
+def profile_table(n, regions=None, followers=None, followees=None):
     """A ProfileTable of n rows from per-row values; None marks a blank value."""
     names = [r for r in dict.fromkeys(regions or []) if r]
     codes = [names.index(r) if r else -1 for r in regions or [None] * n]
@@ -33,12 +33,5 @@ def profile_table(n, uids=None, regions=None, followers=None, followees=None):
         return (np.array([v or 0 for v in values], dtype=np.int64),
                 np.array([v is None for v in values], dtype=bool))
 
-    fans, fans_missing = counts(followers)
-    follows, follows_missing = counts(followees)
-    tweets, tweets_missing = counts(None)
-    return ProfileTable(uid=[u or "" for u in uids or [None] * n], name=[""] * n,
-                        gender=[""] * n, verification=[""] * n,
-                        region_codes=np.array(codes, dtype=np.int64), region_names=names,
-                        followers=fans, followers_missing=fans_missing,
-                        followees=follows, followees_missing=follows_missing,
-                        tweets=tweets, tweets_missing=tweets_missing)
+    return ProfileTable(np.array(codes, dtype=np.int64), names, *counts(followers),
+                        *counts(followees))

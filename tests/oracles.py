@@ -719,7 +719,7 @@ def read_ranks_rows(text: str) -> dict[int, tuple[np.ndarray, np.ndarray, bool, 
                                                 float(row[3]), row[4])
         except (ValueError, IndexError):
             raise ValidationError(f"bad ranks row: {row!r}") from None
-        if (not 0.0 <= io_value <= 1.0 or not math.isfinite(value)
+        if (not 0.0 <= io_value <= 1.0 or not math.isfinite(value) or value < 0
                 or flag not in ("true", "false")):
             raise ValidationError(f"bad ranks row: {row!r}")
         if node in seen:
@@ -744,7 +744,7 @@ def read_report_rows(text: str) -> dict[int, bool]:
             threshold = float(row[3]) if row[3] else 0.0  # blank: a community too small
         except (ValueError, IndexError):
             raise ValidationError(f"bad report row: {row!r}") from None
-        if (not math.isfinite(value) or not math.isfinite(threshold)
+        if (not math.isfinite(value) or value < 0 or not math.isfinite(threshold)
                 or label not in ("zombie", "normal")):
             raise ValidationError(f"bad report row: {row!r}")
         if node in labels:

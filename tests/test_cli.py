@@ -411,6 +411,30 @@ class TestPipeline:
             manifest = json.loads((run / "manifest.json").read_text())
             assert manifest["summary"]["communities"] == 4
 
+    def test_negative_profile_count_falls_back_to_local_degrees(self, tmp_path, caplog):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name in ("weibo_network.txt", "user_profile.txt", "truth.csv"):
+            (corpus / name).write_bytes((Path(PLANTED) / name).read_bytes())
+        lines = (corpus / "user_profile.txt").read_text().split("\n")
+        fields = lines[3].split("\t")
+        fields[5:7] = ["-5", "10"]  # node 3: followers, followees
+        lines[3] = "\t".join(fields)
+        (corpus / "user_profile.txt").write_text("\n".join(lines))
+        runs = {}
+        for source in ("local", "profile"):
+            runs[source] = tmp_path / source
+            assert main(["pipeline", str(corpus), "-o", str(runs[source]),
+                         "--io-source", source]) == 0
+        assert "1 numeric profile fields were blank, negative or unparseable" in caplog.text
+        assert "1 of 200 nodes lack profile counts" in caplog.text
+        io = {source: (run / "ranks.csv").read_text().split("\n")[4].split(",")[2]
+              for source, run in runs.items()}
+        assert io["profile"] == io["local"]
+        out = tmp_path / "detect"
+        assert main(["detect", str(runs["profile"] / "ranks.csv"), "-o", str(out / "report.csv"),
+                     "--summary", str(out / "summary.json")]) == 0
+
 
 class TestTextEncoding:
     def copy_planted(self, tmp_path, replace):

@@ -16,10 +16,9 @@ from zombiescan import (CacheError, ParseError, ValidationError, build_graph, ca
                         cache_save, parse_profiles, parse_uidlist,
                         parse_weibo_network)
 from zombiescan.graph import _index_dtype
-from zombiescan.ingest import (ProfileSchema, RawNetwork, write_profiles, write_uidlist,
-                               write_weibo_network)
+from zombiescan.ingest import RawNetwork, write_uidlist, write_weibo_network
 
-from conftest import DATA, profile_table, random_graph
+from conftest import DATA, random_graph
 from oracles import _parse_lines, build_graph_lexsort, out_row
 
 GOLDEN_RECIPROCAL = "2 2\n0 1 1 1\n1 1 0 1\n"
@@ -277,6 +276,21 @@ class TestRoundTrip:
         write_weibo_network(raw, buf)
         assert buf.getvalue() == "2 0\n0 0\n1 0\n"
 
+    @pytest.mark.parametrize("sources,targets,flags,match", [
+        ([0], [5], [0], r"^arc #0 \(0->5\) has an endpoint outside \[0, 2\)$"),
+        ([0, 7], [1, 0], [0, 0], r"^arc #1 \(7->0\) has an endpoint outside \[0, 2\)$"),
+        ([1, -1], [0, 1], [0, 0], r"^arc #1 \(-1->1\) has an endpoint outside"),
+        ([0, 1], [1, 0], [1, 3], r"^arc #1 has relationship flag 3; it must be 0 or 1$"),
+        ([0], [1], [-1], r"^arc #0 has relationship flag -1"),
+    ], ids=["target-outside", "source-outside", "negative-source", "flag-3", "negative-flag"])
+    def test_arcs_the_parser_refuses_are_not_written(self, sources, targets, flags, match):
+        raw = RawNetwork(2, len(sources), *(np.array(c, dtype=np.int64)
+                                            for c in (sources, targets, flags)))
+        buf = io.StringIO()
+        with pytest.raises(ValidationError, match=match):
+            write_weibo_network(raw, buf)
+        assert buf.getvalue() == ""
+
 
 class TestUidlist:
     def test_two_lines(self):
@@ -305,13 +319,17 @@ class TestUidlist:
         assert parse_uidlist(io.StringIO("a\nb" + tail)) == [(0, "a"), (1, "b")]
 
 
+def regions_of(profiles) -> list[str]:
+    return np.array(profiles.region_names + [""], dtype=object)[profiles.region_codes].tolist()
+
+
 class TestProfiles:
     def test_single_record(self):
         text = "1001\tamy\tf\tyes\tBeijing\t10\t3\t7\n"
         profs = parse_profiles(io.StringIO(text))
         assert len(profs) == 1
-        assert (profs.uid[0], profs.regions[0], profs.followers[0], profs.followees[0]) == \
-            ("1001", "Beijing", 10, 3)
+        assert (regions_of(profs), profs.followers.tolist(), profs.followees.tolist()) == \
+            (["Beijing"], [10], [3])
 
     def test_blank_numeric_field_tallied(self, caplog):
         text = "1001\tamy\tf\tyes\tBeijing\t\t3\t7\n"
@@ -330,35 +348,30 @@ class TestProfiles:
             rows.append(f"u{i}\tname{i}\tm\tno\t{region}\t{i}\t{2 * i}\t0")
         profs = parse_profiles(io.StringIO("\n".join(rows) + "\n"))
         assert len(profs) == 100
-        got: dict[str, int] = {}
-        for region in profs.regions:
-            got[region] = got.get(region, 0) + 1
-        assert got == expected
+        assert profs.region_names == regions
+        assert np.bincount(profs.region_codes).tolist() == [expected[r] for r in regions]
+        assert profs.followees.tolist() == [2 * i for i in range(100)]
 
-    def test_record_count_checked_against_uidlist(self):
-        with pytest.raises(ValidationError, match="uid list"):
-            parse_profiles(io.StringIO("u0\tn\tm\tno\tX\t1\t1\t0\n"),
-                           uidlist=[(0, "u0"), (1, "u1")])
+    @pytest.mark.parametrize("ragged", [False, True])
+    def test_negative_count_is_missing_and_tallied(self, ragged, caplog):
+        text = "1001\tamy\tf\tyes\tBeijing\t-5\t10\t7\n1002\tbob\tm\tno\tHarbin\t4\t-0\t0\n"
+        if ragged:  # the row path
+            text += "1003\tcat\n"
+        with caplog.at_level("WARNING"):
+            profs = parse_profiles(io.StringIO(text))
+        assert profs.followers.tolist()[:2] == [0, 4]
+        assert profs.followers_missing.tolist()[:2] == [True, False]
+        assert profs.followees.tolist()[:2] == [10, 0]
+        assert profs.followees_missing.tolist()[:2] == [False, False]
+        assert "1 numeric profile fields were blank, negative or unparseable" in caplog.text
 
-    def test_custom_schema_with_skips(self):
-        schema = ProfileSchema(fields=("uid", "_", "followers"), delimiter=",")
-        profs = parse_profiles(io.StringIO("u9,junk,42\n"), schema)
-        assert profs.followers[0] == 42
-        assert profs.name[0] == ""
-
-    def test_unknown_schema_field_rejected(self):
-        with pytest.raises(ValidationError):
-            ProfileSchema(fields=("uid", "shoe_size"))
-
-    def test_write_then_parse(self):
-        original = profile_table(2, uids=["u0", "u1"], regions=["Beijing", "Harbin"],
-                                 followers=[4, 0], followees=[2, 9])
-        buf = io.StringIO()
-        write_profiles(original, buf)
-        profs = parse_profiles(io.StringIO(buf.getvalue()))
-        assert list(zip(profs.uid, profs.regions, profs.followers.tolist(),
-                        profs.followees.tolist())) == \
-            [("u0", "Beijing", 4, 2), ("u1", "Harbin", 0, 9)]
+    def test_uid_and_tweets_are_not_read(self, caplog):
+        text = "\tamy\tf\tyes\tBeijing\t1\t2\tmany\nx y\tbob\tm\tno\tHarbin\t3\t4\t-1\n"
+        with caplog.at_level("WARNING"):
+            profs = parse_profiles(io.StringIO(text))
+        assert profs.followers.tolist() == [1, 3]
+        assert not profs.followers_missing.any() and not profs.followees_missing.any()
+        assert "profile" not in caplog.text
 
 
 @st.composite

@@ -3,6 +3,7 @@ runtime dependency."""
 
 import ast
 import importlib
+import inspect
 import re
 import sys
 from pathlib import Path
@@ -16,9 +17,12 @@ PACKAGE = ROOT / "src" / "zombiescan"
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
 
 # members the types do not offer: the pipeline reads the arrays (`in_degrees`,
-# `out_degrees`, the CSR slices, `assignment`, `thresholds`, `total_weight`)
+# `out_degrees`, the CSR slices, `assignment`, `thresholds`, `total_weight`,
+# `region_codes`), and profiles have one fixed layout
 DELETED = {"in_neighbors", "in_degree", "degrees", "out_neighbors", "out_degree", "has_arc",
-           "m", "members", "sizes", "per_community_threshold", "transition_weights"}
+           "m", "members", "sizes", "per_community_threshold", "transition_weights",
+           "uid", "name", "gender", "verification", "tweets", "tweets_missing", "regions",
+           "ProfileSchema", "write_profiles"}
 
 
 @pytest.mark.parametrize("name", ["zombiescan"] + [f"zombiescan.{m}" for m in MODULES])
@@ -31,10 +35,15 @@ def test_all_resolves_and_lists_no_deleted_name(name):
 
 
 @pytest.mark.parametrize("owner", [zombiescan.DirectedGraph, zombiescan.UndirectedGraph,
-                                   zombiescan.Partition, zombiescan.ZombieReport])
+                                   zombiescan.Partition, zombiescan.ZombieReport,
+                                   zombiescan.ProfileTable])
 def test_deleted_members_are_gone(owner):
     assert not [n for n in DELETED if hasattr(owner, n)]
     assert not [n for n in DELETED if n in getattr(owner, "__dataclass_fields__", {})]
+
+
+def test_parse_profiles_takes_only_its_source():
+    assert list(inspect.signature(zombiescan.parse_profiles).parameters) == ["source"]
 
 
 def absolute_imports(path: Path) -> set[str]:

@@ -104,7 +104,7 @@ class TestGenerate:
         for i in (0, 17, 59):
             assert profiles.followers[i] == g.in_degrees[i]
             assert profiles.followees[i] == g.out_degrees[i]
-            assert profiles.regions[i] == truth.regions[i]
+            assert profiles.region_names[profiles.region_codes[i]] == truth.regions[i]
 
     def test_infeasible_zombie_out_degree_rejected(self):
         with pytest.raises(ValidationError, match="targets"):
@@ -128,9 +128,29 @@ class TestEmission:
         assert raw.to_graph() == g
         uids = parse_uidlist(paths["uidlist"])
         assert len(uids) == g.node_count
-        parsed_profiles = parse_profiles(paths["profiles"], uidlist=uids)
+        parsed_profiles = parse_profiles(paths["profiles"])
         assert len(parsed_profiles) == g.node_count
         assert parsed_profiles.followers[5] == profiles.followers[5]
+
+    def test_profile_lines_hold_eight_fields_and_parse_back(self, tmp_path):
+        g, truth, profiles = generate(small_config(seed=19))
+        profiles.followees_missing[3] = True  # a masked count is written blank
+        paths = emit_weibo_format(g, truth, profiles, tmp_path / "corpus")
+        lines = paths["profiles"].read_text(encoding="utf-8").splitlines()
+        assert len(lines) == g.node_count
+        assert all(line.count("\t") == 7 for line in lines)
+        assert lines[0] == f"1000000\tuser_0\tm\tno\t{truth.regions[0]}\t" \
+            f"{g.in_degrees[0]}\t{g.out_degrees[0]}\t0"
+        assert lines[3].split("\t")[6] == ""
+        parsed = parse_profiles(paths["profiles"])
+
+        def columns(t):
+            regions = np.array(t.region_names + [""], dtype=object)[t.region_codes].tolist()
+            return (regions, t.followers.tolist(), t.followers_missing.tolist(),
+                    t.followees.tolist(), t.followees_missing.tolist())
+
+        profiles.followees[3] = 0  # a masked entry reads 0
+        assert columns(parsed) == columns(profiles)
 
     def test_reciprocal_pair_flagged_both_ways(self, tmp_path):
         cfg = SynthConfig(block_sizes=(3,), p_in=1.0, reciprocity=1.0, seed=3)

@@ -17,8 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zombiescan import (ParseError, Partition, ProfileSchema, ValidationError, build_graph,
-                        parse_profiles)
+from zombiescan import ParseError, Partition, ValidationError, build_graph, parse_profiles
 from zombiescan.cli import main
 from zombiescan.community import read_partition_csv, write_partition_csv
 from zombiescan.detect import ZombieReport, read_report_csv, write_report_csv
@@ -184,21 +183,14 @@ class TestReaders:
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_profiles(self, data):
-        named = data.draw(st.lists(st.sampled_from(
-            ["uid", "name", "gender", "verification", "region", "followers", "followees",
-             "tweets"]), unique=True, min_size=1))
-        fields = data.draw(st.permutations(named + ["_"] * data.draw(st.integers(0, 2))))
-        schema = ProfileSchema(tuple(fields), data.draw(st.sampled_from(
-            ["\t", ",", ";", " ", "|", "::"])))
         count = st.integers(0, 10 ** 6).map(str) | st.sampled_from(
             ["", " 5", "5 ", "x", "5.0", "-3", "+4", "٣", "99999999999999999999", " ",
              "1,234", ","])
         text_value = st.text(st.sampled_from("ab 1\t北京　\r,"), max_size=4)
         lines = []
         for _ in range(data.draw(st.integers(0, 5))):
-            values = [data.draw(count if f in ("followers", "followees", "tweets")
-                                else text_value) for f in fields]
-            lines.append(schema.delimiter.join(values))
+            # uid name gender verification region, then followers followees tweets
+            lines.append("\t".join(data.draw(text_value if j < 5 else count) for j in range(8)))
         for fault in data.draw(st.lists(st.sampled_from(["blank", "short", "long", "crlf"]),
                                         max_size=2)):
             at = data.draw(st.integers(0, len(lines)))
@@ -206,8 +198,8 @@ class TestReaders:
                 lines.insert(at, "")
             elif lines and fault in ("short", "long"):
                 at = min(at, len(lines) - 1)
-                lines[at] = (lines[at].rpartition(schema.delimiter)[0] if fault == "short"
-                             else lines[at] + schema.delimiter + "7")
+                lines[at] = (lines[at].rpartition("\t")[0] if fault == "short"
+                             else lines[at] + "\t7")
             elif lines:
                 lines[min(at, len(lines) - 1)] += "\r"
         text = "".join(line + "\n" for line in lines)
@@ -215,22 +207,20 @@ class TestReaders:
             text = text.rstrip("\n")
 
         def flat(t):
-            return (t.uid, t.name, t.gender, t.verification, t.regions, t.region_names,
-                    t.region_codes.tolist(), t.followers.tolist(), t.followers_missing.tolist(),
-                    t.followees.tolist(), t.followees_missing.tolist(), t.tweets.tolist(),
-                    t.tweets_missing.tolist())
+            return (t.region_names, t.region_codes.tolist(), t.followers.tolist(),
+                    t.followers_missing.tolist(), t.followees.tolist(),
+                    t.followees_missing.tolist())
 
         def table(split):
             t, bad = _profile_table(*split)
             return flat(t) + (bad,)
 
-        want = table(_profile_rows(text, schema))
-        assert flat(parse_profiles(io.StringIO(text), schema)) == want[:-1]
-        fast = _profile_columns(text, schema)
+        want = table(_profile_rows(text))
+        assert flat(parse_profiles(io.StringIO(text))) == want[:-1]
+        fast = _profile_columns(text)
         if fast is not None:
             assert table(fast) == want
-        if len(schema.delimiter) == 1 and "\n\n" not in "\n" + text + "\n" and all(
-                line.count(schema.delimiter) == len(fields) - 1 for line in lines):
+        if "\n\n" not in "\n" + text + "\n" and all(line.count("\t") == 7 for line in lines):
             assert fast is not None
 
 
@@ -295,6 +285,22 @@ def test_lone_cr_in_a_text_stream_is_a_bad_row(reader):
             read(io.StringIO(text))
 
 
+@pytest.mark.parametrize("reader", ["ranks", "report"])
+def test_negative_pagerank_is_a_bad_row(reader):
+    read, header, row = STREAM_READERS[reader]
+    fields = row.split(",")
+    fields[header.split(",").index("pagerank")] = "-0.5"
+    text = f"{header}\n{','.join(fields)}\n"
+    with pytest.raises(ValidationError, match=f"^bad {reader} row: "):
+        read(io.StringIO(text))
+    check_reader(*READERS[reader][:2], text, False)  # the row loop refuses it too
+
+
+def test_negative_threshold_reads():
+    text = "node_id,community_id,pagerank,threshold,label\n0,0,1.0,-0.5,normal\n"
+    assert read_report_csv(io.StringIO(text)) == read_report_rows(text) == {0: False}
+
+
 # each reader, its header, a valid row and the columns it reads as integers
 INT_COLUMNS = {
     "partition": (lambda s: read_partition_csv(s, 1), "node_id,community_id", "0,0", (0, 1)),
@@ -335,51 +341,56 @@ def test_committed_files_are_read_in_one_pass(tmp_path):
             read_report_csv(run / "report.csv")
 
 
-@pytest.mark.parametrize("line,uid,name", [
-    ("u1 \tamy", "u1", "amy"), (" u1\tamy", "u1", "amy"), ("u1\tamy\u3000", "u1", "amy"),
-    ("北京\t\u3000amy", "北京", "amy"), ("u1\tamy\r", "u1", "amy"), ("u 1\ta my", "u 1", "a my")])
-def test_profile_fields_are_stripped_on_the_column_path(line, uid, name):
-    schema = ProfileSchema(("uid", "name"))
-    text = line + "\nu2\tbob\n"
-    assert _profile_columns(text, schema) is not None
-    table = parse_profiles(io.StringIO(text), schema)
-    assert (table.uid, table.name) == ([uid, "u2"], [name, "bob"])
+@pytest.mark.parametrize("region,followers,followees,want", [
+    ("Beijing ", "5", "3", "Beijing"), (" Beijing", " 5", "3 ", "Beijing"),
+    ("Beijing\u3000", "5", "3", "Beijing"), ("\u3000北京", "5", "3", "北京"),
+    ("Beijing\r", "5\r", "\r3", "Beijing"), ("Inner Mongolia", "5", "3", "Inner Mongolia")],
+    ids=["trailing-space", "leading-space", "trailing-wide-space", "leading-wide-space",
+         "carriage-return", "inner-space-kept"])
+def test_profile_fields_are_stripped_on_the_column_path(region, followers, followees, want):
+    text = f"u1\tamy\tf\tno\t{region}\t{followers}\t{followees}\t0\nu2\tbob\tm\tno\tHarbin\t1\t2\t0\n"
+    assert _profile_columns(text) is not None
+    table = parse_profiles(io.StringIO(text))
+    assert regions_of(table) == [want, "Harbin"]
+    assert (table.followers.tolist(), table.followees.tolist()) == ([5, 1], [3, 2])
+    assert not (table.followers_missing.any() or table.followees_missing.any())
+
+
+def regions_of(profiles) -> list[str]:
+    return np.array(profiles.region_names + [""], dtype=object)[profiles.region_codes].tolist()
 
 
 class TestProfileWarnings:
     TEXT = ("u0\tamy\tf\tno\tBeijing\t\t3\t0\n"        # blank followers
-            "u9\tbob\tm\tno\t\tx\t2\t0\n"              # bad followers, uid mismatch
-            "u2\tcat\tf\tno\tHarbin\t4\t99999999999999999999\t\n")  # too big, blank
+            "u1\tbob\tm\tno\t\tx\t2\t0\n"              # bad followers
+            "u2\tcat\tf\tno\tHarbin\t4\t99999999999999999999\t\n")  # too big; tweets unread
 
     def test_row_loop_tallies_equal_the_column_path(self, caplog, monkeypatch):
-        uidlist = [(0, "u0"), (1, "u1"), (2, "u2")]
         with caplog.at_level(logging.WARNING):
-            columns = parse_profiles(io.StringIO(self.TEXT), uidlist=uidlist)
+            columns = parse_profiles(io.StringIO(self.TEXT))
         column_log = caplog.text
         caplog.clear()
-        monkeypatch.setattr("zombiescan.ingest._profile_columns", lambda text, schema: None)
+        monkeypatch.setattr("zombiescan.ingest._profile_columns", lambda text: None)
         with caplog.at_level(logging.WARNING):
-            rows = parse_profiles(io.StringIO(self.TEXT), uidlist=uidlist)
+            rows = parse_profiles(io.StringIO(self.TEXT))
         assert caplog.text == column_log
-        assert "4 numeric profile fields were blank or unparseable" in column_log
-        assert "1 profile uids disagree with the uid list" in column_log
-        for name in ("followers", "followees", "tweets"):
+        assert "3 numeric profile fields were blank, negative or unparseable" in column_log
+        for name in ("followers", "followees"):
             for suffix in ("", "_missing"):
                 assert getattr(rows, name + suffix).tolist() == \
                     getattr(columns, name + suffix).tolist()
         assert columns.followees_missing.tolist() == [False, False, True]
-        assert columns.regions == rows.regions == ["Beijing", "", "Harbin"]
+        assert regions_of(columns) == regions_of(rows) == ["Beijing", "", "Harbin"]
 
 
 def test_record_without_count_fields_masks_them_untallied(caplog):
-    text = "1001\tamy\tf\tyes\tBeijing\t10\t3\n1002\tbob\tm\tno\tHarbin\t4\t5\t6\n"
+    text = "1001\tamy\tf\tyes\tBeijing\t10\n1002\tbob\tm\tno\tHarbin\t4\t5\t6\n"
     with caplog.at_level(logging.WARNING):
         table = parse_profiles(io.StringIO(text))
-    assert table.uid == ["1001", "1002"]
-    assert table.tweets.tolist() == [0, 6]
-    assert table.tweets_missing.tolist() == [True, False]
-    assert table.followees.tolist() == [3, 5]
-    assert not table.followees_missing.any()
+    assert table.followers.tolist() == [10, 4]
+    assert not table.followers_missing.any()
+    assert table.followees.tolist() == [0, 5]
+    assert table.followees_missing.tolist() == [True, False]
     assert "unparseable" not in caplog.text
 
 

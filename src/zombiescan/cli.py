@@ -14,6 +14,7 @@ community failed to converge (outputs are still written), 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -208,7 +209,7 @@ def _cmd_evaluate(run: Run, args) -> None:
 
 def _cmd_synth(run: Run, args) -> None:
     cfg = SynthConfig.from_json(run.input(args.config))
-    run.data["config"] = cfg.to_json_dict()
+    run.data["config"] = dataclasses.asdict(cfg)
     run.stage("synth", _synth, cfg, Path(args.output))
 
 

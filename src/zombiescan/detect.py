@@ -115,43 +115,32 @@ def detect_zombies(ranks: dict[int, ImportanceVector], min_community_size: int =
     if method not in QUARTILE_METHODS:
         raise ValidationError(f"unknown quartile method {method!r}")
 
-    nodes: list[np.ndarray] = []
-    comms: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    thrs: list[np.ndarray] = []
-    flags: list[np.ndarray] = []
-    skipped = 0
-    for cid in sorted(ranks):
-        vec = ranks[cid]
-        size = vec.values.shape[0]
-        nodes.append(vec.members)
-        comms.append(np.full(size, cid, dtype=np.int64))
-        vals.append(vec.values)
-        if size >= min_community_size:
-            threshold = iqr_threshold(vec.values, method)
-            thrs.append(np.full(size, threshold))
-            flags.append(vec.values < threshold)
-        else:
-            skipped += 1
-            thrs.append(np.full(size, np.nan))
-            flags.append(np.zeros(size, dtype=bool))
+    cids = np.array(sorted(ranks), dtype=np.int64)
+    vectors = [ranks[cid] for cid in cids.tolist()]
+    sizes = np.array([vec.values.shape[0] for vec in vectors])
+    # a NaN fence flags nobody: no value compares below it
+    fences = np.array([iqr_threshold(vec.values, method) if size >= min_community_size
+                       else np.nan for vec, size in zip(vectors, sizes.tolist())])
 
-    node_ids = np.concatenate(nodes)
+    node_ids = np.concatenate([vec.members for vec in vectors])
     order = np.argsort(node_ids, kind="stable")
     node_ids = node_ids[order]
     twice = repeats(node_ids)
     if twice.any():
         raise ValidationError(f"node {node_ids[np.argmax(twice)]} listed twice in the ranks")
+    community = np.repeat(np.arange(cids.shape[0]), sizes)[order]  # position in `cids`
+    values = np.concatenate([vec.values for vec in vectors])[order]
+    thresholds = fences[community]
     return ZombieReport(
         node_ids=node_ids,
-        community_ids=np.concatenate(comms)[order],
-        values=np.concatenate(vals)[order],
-        thresholds=np.concatenate(thrs)[order],
-        is_zombie=np.concatenate(flags)[order],
+        community_ids=cids[community],
+        values=values,
+        thresholds=thresholds,
+        is_zombie=values < thresholds,
         method=method,
         min_community_size=min_community_size,
         communities=len(ranks),
-        skipped_small_communities=skipped,
+        skipped_small_communities=int((sizes < min_community_size).sum()),
     )
 
 

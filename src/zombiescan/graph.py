@@ -191,12 +191,6 @@ def _build_graph(src: np.ndarray, dst: np.ndarray, flag: np.ndarray,
                          dropped_self_loops, dropped_duplicates)
 
 
-def _dedup_pairs(src: np.ndarray, dst: np.ndarray,
-                 node_count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unique int64 (src, dst) pairs over nodes [0, node_count), sorted by (src, dst)."""
-    return np.divmod(_unique_keys(_pair_keys(src, dst, node_count)), node_count)
-
-
 class UndirectedGraph:
     """Weighted undirected graph in CSR form, used for community detection.
 

@@ -208,8 +208,9 @@ _RENDER_CHUNK = 1 << 18  # tokens rendered at a time, to bound the temporaries
 def write_weibo_network(raw_or_graph, destination) -> None:
     """Serialize a RawNetwork or DirectedGraph in the network text layout.
 
-    Rows are emitted for every node in id order; a graph's flags mark the
-    arcs whose reverse arc is also present. An arc with an endpoint outside
+    Rows are emitted for every node in id order, each row's arcs by target,
+    repeated arcs in their input order; a graph's flags mark the arcs whose
+    reverse arc is also present. An arc with an endpoint outside
     [0, node_count) or a flag other than 0 or 1 raises a ValidationError.
     """
     raw = raw_or_graph if isinstance(raw_or_graph, RawNetwork) else _flagged_arcs(raw_or_graph)
@@ -222,7 +223,8 @@ def write_weibo_network(raw_or_graph, destination) -> None:
         raise ValidationError(
             f"arc #{i} ({sources[i]}->{targets[i]}) has an endpoint outside [0, {n})"
             if outside[i] else f"arc #{i} has relationship flag {flags[i]}; it must be 0 or 1")
-    order = np.lexsort((targets, sources))
+    # stable, so repeated pairs keep their input order
+    order = np.argsort(_pair_keys(sources, targets, n), kind="stable")
     bounds = np.searchsorted(sources[order], np.arange(n + 1))
     degrees = np.diff(bounds)
     # row u is `u k` and its k (target, flag) pairs; its first token is at row_start[u]
@@ -362,14 +364,15 @@ def _profile_table(region: list[str], followers: list,
 
 
 # Binary cache layout (little-endian), the graph's out-CSR exactly as held:
-#   magic "ZGC1" | u32 version | u32 crc32 | u64 node_count | u64 edge_count
+#   magic "ZGC1" | u32 version | u32 crc32 | u64 node_count | u64 edge_count | 4 zero bytes
 #   i8 out_indptr[node_count + 1]
 #   out_indices[edge_count] in _index_dtype(node_count): i4 below 2^31 nodes, else i8
 # crc32 is zlib's CRC-32 of everything after the header; the file length
-# pins node_count and edge_count.
+# pins node_count and edge_count. The pad makes the header 32 bytes, so the
+# arrays start 8-byte aligned.
 _CACHE_MAGIC = b"ZGC1"
-_CACHE_VERSION = 3
-_HEADER = struct.Struct("<4sIIQQ")
+_CACHE_VERSION = 4
+_HEADER = struct.Struct("<4sIIQQ4x")
 
 
 def cache_save(g: DirectedGraph, path) -> None:
@@ -400,6 +403,8 @@ def cache_load(path) -> DirectedGraph:
         raise CacheError("not a graph cache file")
     if version != _CACHE_VERSION:
         raise CacheError(f"unsupported cache version {version}")
+    if blob[:_HEADER.size] != _HEADER.pack(magic, version, crc, n, m):
+        raise CacheError("corrupt cache header: nonzero padding")
     index = _index_dtype(n).newbyteorder("<")
     expected = _HEADER.size + 8 * (n + 1) + index.itemsize * m
     if len(blob) != expected:

@@ -17,14 +17,15 @@ import csv
 import json
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import cycle
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
-from .graph import DirectedGraph, _build_graph, _dedup_pairs
+from .errors import ParseError, ValidationError
+from .graph import DirectedGraph, _build_graph
 from .ingest import ProfileTable, write_uidlist, write_weibo_network
 from .textio import UTF8, code_column, int_column, read_text, split_csv, text_stream
 
@@ -36,6 +37,14 @@ __all__ = ["SynthConfig", "GroundTruth", "generate", "emit_weibo_format",
 _FIRST_UID = 1_000_000
 _DEFAULT_REGIONS = {"Beijing": 5.0, "Shanghai": 4.0, "Guangzhou": 3.0,
                     "Chengdu": 2.0, "Harbin": 1.0}
+
+
+def _integral(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -51,22 +60,30 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.block_sizes or min(self.block_sizes) < 1:
-            raise ValidationError("block_sizes must be positive integers")
-        for name, p in (("p_in", self.p_in), ("p_out", self.p_out),
-                        ("reciprocity", self.reciprocity)):
-            if not 0.0 <= p <= 1.0:
-                raise ValidationError(f"{name} must be in [0, 1]")
-        if not 0.0 <= self.zombie_fraction < 1.0:
-            raise ValidationError("zombie_fraction must be in [0, 1)")
-        lo, hi = self.zombie_out_degree
-        if lo < 0 or hi < lo:
-            raise ValidationError("zombie_out_degree must be a (lo, hi) range with lo <= hi")
-        if self.zombie_max_in_degree < 0:
-            raise ValidationError("zombie_max_in_degree must be non-negative")
-        if not self.regions or min(self.regions.values()) < 0 \
-                or sum(self.regions.values()) <= 0:
-            raise ValidationError("regions need non-negative weights summing above 0")
+        # each type is checked before its range, so every comparison is between numbers
+        sizes, degrees, regions = self.block_sizes, self.zombie_out_degree, self.regions
+        if not (isinstance(sizes, tuple) and sizes
+                and all(_integral(s) and s >= 1 for s in sizes)):
+            raise ValidationError("block_sizes must be a nonempty list of positive integers")
+        for name in ("p_in", "p_out", "reciprocity", "zombie_fraction"):
+            p = getattr(self, name)
+            if not (_real(p) and 0 <= p <= 1):
+                raise ValidationError(f"{name} must be a number in [0, 1]")
+        if self.zombie_fraction == 1:
+            raise ValidationError("zombie_fraction must be below 1")
+        if not (isinstance(degrees, tuple) and len(degrees) == 2
+                and all(map(_integral, degrees)) and 0 <= degrees[0] <= degrees[1]):
+            raise ValidationError("zombie_out_degree must be a (lo, hi) pair of integers "
+                                  "with 0 <= lo <= hi")
+        for name in ("zombie_max_in_degree", "seed"):
+            value = getattr(self, name)
+            if not (_integral(value) and value >= 0):
+                raise ValidationError(f"{name} must be a non-negative integer")
+        if not (isinstance(regions, dict) and all(isinstance(r, str) for r in regions)
+                and all(_real(w) and 0 <= w < math.inf for w in regions.values())
+                and sum(regions.values()) > 0):
+            raise ValidationError("regions must map names to finite non-negative weights "
+                                  "summing above 0")
 
     @property
     def node_count(self) -> int:
@@ -74,30 +91,21 @@ class SynthConfig:
 
     @classmethod
     def from_json(cls, source) -> "SynthConfig":
-        data = json.loads(Path(source).read_text()) if isinstance(source, (str, Path)) \
-            else json.load(source)
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        """The config of a JSON object (UTF-8) keyed by field name; a list
+        stands for a tuple. Invalid JSON is a ParseError naming its line."""
+        try:
+            data = json.loads(read_text(source, UTF8))
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno) from None
+        if not isinstance(data, dict):
+            raise ValidationError("synth config must be a JSON object")
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValidationError(f"unknown synth config keys: {sorted(unknown)}")
-        if "block_sizes" in data:
-            data["block_sizes"] = tuple(data["block_sizes"])
-        if "zombie_out_degree" in data:
-            data["zombie_out_degree"] = tuple(data["zombie_out_degree"])
+        for name in ("block_sizes", "zombie_out_degree"):
+            if isinstance(data.get(name), list):
+                data[name] = tuple(data[name])
         return cls(**data)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "block_sizes": list(self.block_sizes),
-            "p_in": self.p_in,
-            "p_out": self.p_out,
-            "reciprocity": self.reciprocity,
-            "zombie_fraction": self.zombie_fraction,
-            "zombie_out_degree": list(self.zombie_out_degree),
-            "zombie_max_in_degree": self.zombie_max_in_degree,
-            "regions": dict(self.regions),
-            "seed": self.seed,
-        }
 
 
 @dataclass
@@ -210,10 +218,9 @@ def generate(cfg: SynthConfig) -> tuple[DirectedGraph, GroundTruth, ProfileTable
                 srcs.append(followers)
                 dsts.append(np.full(fans, zombie, dtype=np.int64))
 
-    # reciprocation can resample an arc that already exists; drop repeats here
-    # so the built graph carries no warning tallies
-    all_src, all_dst = _dedup_pairs(np.concatenate(srcs).astype(np.int64),
-                                    np.concatenate(dsts).astype(np.int64), n)
+    # reciprocation can resample an arc that already exists; the build drops repeats
+    all_src = np.concatenate(srcs).astype(np.int64)
+    all_dst = np.concatenate(dsts).astype(np.int64)
 
     # 4) regions
     labels = sorted(cfg.regions)

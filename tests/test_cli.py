@@ -436,6 +436,45 @@ class TestPipeline:
                      "--summary", str(out / "summary.json")]) == 0
 
 
+# each config next to the start of its one-line error
+MALFORMED_SYNTH_CONFIGS = {
+    "invalid-json": (b"{", "line 1: invalid JSON"),
+    "not-utf8": (b"\xff", "line 1: byte 0xff is not UTF-8 text"),
+    "top-level-list": (b"[1]", "synth config must be a JSON object"),
+    "regions-list": (b'{"regions": ["a"]}', "regions must map names to finite"),
+    "block-size-string": (b'{"block_sizes": ["a"]}', "block_sizes must be a nonempty list"),
+    "block-sizes-number": (b'{"block_sizes": 5}', "block_sizes must be a nonempty list"),
+    "block-size-float": (b'{"block_sizes": [3, 2.5]}', "block_sizes must be a nonempty list"),
+    "p-in-string": (b'{"p_in": "x"}', "p_in must be a number"),
+    "seed-string": (b'{"seed": "1"}', "seed must be a non-negative integer"),
+    "degree-range-short": (b'{"zombie_out_degree": [1]}',
+                           "zombie_out_degree must be a (lo, hi) pair"),
+    "degree-float": (b'{"zombie_out_degree": [1.5, 2]}',
+                     "zombie_out_degree must be a (lo, hi) pair"),
+}
+
+
+class TestSynth:
+    @pytest.mark.parametrize("name", ["planted_4x50", "zombie_5x500"])
+    def test_regenerates_committed_corpus(self, tmp_path, name):
+        out = tmp_path / name
+        assert main(["synth", f"{DATA}/{name}.config.json", "-o", str(out)]) == 0
+        for file in ("weibo_network.txt", "uidlist.txt", "user_profile.txt", "truth.csv"):
+            assert (out / file).read_bytes() == Path(f"{DATA}/{name}/{file}").read_bytes(), file
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config == json.loads(Path(f"{DATA}/{name}/manifest.json").read_text())["config"]
+
+    @pytest.mark.parametrize("text, error", MALFORMED_SYNTH_CONFIGS.values(),
+                             ids=MALFORMED_SYNTH_CONFIGS.keys())
+    def test_malformed_config_exits_2(self, tmp_path, capsys, text, error):
+        cfg = tmp_path / "c.json"
+        cfg.write_bytes(text)
+        assert main(["synth", str(cfg), "-o", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {error}") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
 class TestTextEncoding:
     def copy_planted(self, tmp_path, replace):
         corpus = tmp_path / "corpus"

@@ -4,12 +4,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zombiescan import ValidationError, build_graph, symmetrize
-from zombiescan.graph import UndirectedGraph, _csr_from_arcs, _dedup_pairs, _pair_keys
+from zombiescan.graph import UndirectedGraph, _csr_from_arcs, _pair_keys
 
 from conftest import random_graph
 from oracles import (arcs_with_flags, build_graph_lexsort, csr_from_arcs_lexsort,
-                     dedup_pairs_lexsort, from_edges_lexsort, is_reciprocal, out_row,
-                     symmetrize_lexsort)
+                     from_edges_lexsort, is_reciprocal, out_row, symmetrize_lexsort)
 
 
 class TestBuildGraph:
@@ -145,13 +144,6 @@ def weighted_edges(draw):
 
 class TestKeyedSorts:
     """One sort of src * node_count + dst gives the lexsort builds exactly."""
-
-    @given(arc_triples())
-    @settings(max_examples=60, deadline=None)
-    def test_dedup_pairs_matches_lexsort(self, case):
-        n, triples = case
-        src, dst = triples[:, 0], triples[:, 1]
-        assert_same_arrays(_dedup_pairs(src, dst, n), dedup_pairs_lexsort(src, dst))
 
     @given(arc_triples())
     @settings(max_examples=60, deadline=None)

@@ -270,6 +270,25 @@ class TestRoundTrip:
         write_weibo_network(parse_weibo_network(committed), out)
         assert out.read_bytes() == committed.read_bytes()
 
+    def test_rows_hold_arcs_stably_sorted_by_pair(self):
+        rng = np.random.Generator(np.random.PCG64(8))
+        n, m = 12, 300  # 300 arcs over 132 pairs: many pairs repeat
+        sources, targets = rng.integers(0, n, m), rng.integers(0, n, m)
+        flags = rng.integers(0, 2, m)
+        arcs = list(zip(sources.tolist(), targets.tolist(), flags.tolist()))
+        pair_flags = {}
+        for u, v, f in arcs:
+            pair_flags.setdefault((u, v), set()).add(f)
+        assert any(len(seen) == 2 for seen in pair_flags.values())
+        buf = io.StringIO()
+        write_weibo_network(RawNetwork(n, m, sources, targets, flags), buf)
+        rows = {u: [] for u in range(n)}
+        for u, v, f in sorted(arcs, key=lambda arc: arc[:2]):  # sorted() is stable
+            rows[u] += [v, f]
+        expected = [f"{n} {m}"] + [" ".join(map(str, [u, len(row) // 2, *row]))
+                                   for u, row in rows.items()]
+        assert buf.getvalue().splitlines() == expected
+
     def test_empty_graph_emission_layout(self):
         raw = parse_str("2 0\n0 0\n1 0\n")
         buf = io.StringIO()
@@ -393,7 +412,7 @@ def assert_graph_invariants(g):
         assert all(0 <= v < n and v != u for v in row)
 
 
-CACHE_HEADER = 28  # magic, version, crc32, node count, edge count
+CACHE_HEADER = 32  # magic, version, crc32, node count, edge count, 4 zero bytes
 
 
 def sealed(blob: bytes) -> bytes:
@@ -473,7 +492,7 @@ class TestCache:
     def test_decreasing_row_rejected(self, tmp_path):
         path = tmp_path / "g.bin"
         # three nodes, row 0 holds targets [2, 1]
-        path.write_bytes(sealed(struct.pack("<4sIIQQ", b"ZGC1", 3, 0, 3, 2)
+        path.write_bytes(sealed(struct.pack("<4sIIQQ4x", b"ZGC1", 4, 0, 3, 2)
                                 + np.array([0, 2, 2, 2], dtype="<i8").tobytes()
                                 + np.array([2, 1], dtype="<i4").tobytes()))
         with pytest.raises(CacheError, match="unsorted"):
@@ -482,7 +501,7 @@ class TestCache:
     def test_self_loop_rejected(self, tmp_path):
         path = tmp_path / "g.bin"
         # two nodes, one arc 0 -> 0
-        path.write_bytes(sealed(struct.pack("<4sIIQQ", b"ZGC1", 3, 0, 2, 1)
+        path.write_bytes(sealed(struct.pack("<4sIIQQ4x", b"ZGC1", 4, 0, 2, 1)
                                 + np.array([0, 1, 1], dtype="<i8").tobytes()
                                 + np.array([0], dtype="<i4").tobytes()))
         with pytest.raises(CacheError, match="self-loop"):
@@ -495,6 +514,25 @@ class TestCache:
                                 + np.array([0, 1, 1], dtype="<u8").tobytes()
                                 + np.array([1], dtype="<u4").tobytes()))
         with pytest.raises(CacheError, match="unsupported cache version 2"):
+            cache_load(path)
+
+    def test_version_3_cache_rejected(self, tmp_path):
+        path = tmp_path / "g.bin"
+        # the version 3 layout had a 28-byte header: two nodes, one arc 0 -> 1
+        payload = (np.array([0, 1, 1], dtype="<i8").tobytes()
+                   + np.array([1], dtype="<i4").tobytes())
+        path.write_bytes(struct.pack("<4sIIQQ", b"ZGC1", 3, zlib.crc32(payload), 2, 1) + payload)
+        with pytest.raises(CacheError, match="unsupported cache version 3"):
+            cache_load(path)
+
+    def test_nonzero_padding_rejected(self, two_cycle, tmp_path):
+        path = tmp_path / "g.bin"
+        cache_save(two_cycle, path)
+        blob = bytearray(path.read_bytes())
+        assert blob[CACHE_HEADER - 4:CACHE_HEADER] == bytes(4)
+        blob[CACHE_HEADER - 1] = 1
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CacheError, match="padding"):
             cache_load(path)
 
     @pytest.mark.parametrize("arcs, n", [([(1, 0, 0)], 2), ([(1, 0, 0)], 3),
@@ -516,6 +554,14 @@ class TestCache:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0
+
+    def test_loaded_arrays_are_aligned(self, tmp_path):
+        g = build_graph([(0, 1, 1), (1, 2, 0)], 3)
+        path = tmp_path / "g.bin"
+        cache_save(g, path)
+        loaded = cache_load(path)
+        assert loaded.out_indptr.flags.aligned
+        assert loaded.out_indices.flags.aligned
 
     def test_version_1_cache_rejected(self, tmp_path):
         path = tmp_path / "g.bin"

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 
@@ -23,7 +24,7 @@ def small_config(**overrides):
 class TestConfig:
     def test_round_trips_through_json(self):
         cfg = small_config()
-        again = SynthConfig.from_json(io.StringIO(json.dumps(cfg.to_json_dict())))
+        again = SynthConfig.from_json(io.StringIO(json.dumps(dataclasses.asdict(cfg))))
         assert again == cfg
 
     def test_unknown_key_rejected(self):

@@ -49,14 +49,25 @@ def _pair_keys(src: np.ndarray, dst: np.ndarray, node_count: int) -> np.ndarray:
 
 
 def _unique_keys(keys: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of `keys`, which is sorted in place.
+    """Sorted distinct values of `keys`, which is sorted in place and returned
+    itself when it holds no repeat.
 
     np.unique does the same but is far slower on int64.
     """
     keys.sort()
     keep = np.ones(keys.shape[0], dtype=bool)
     keep[1:] = keys[1:] != keys[:-1]
-    return keys[keep]
+    return keys if keep.all() else keys[keep]
+
+
+def _sorted_member(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Mask of the `queries` found in `keys`; both are sorted, so the binary
+    searches walk `keys` in order and stay cache-local."""
+    if not keys.shape[0]:
+        return np.zeros(queries.shape[0], dtype=bool)
+    pos = np.searchsorted(keys, queries)
+    np.minimum(pos, keys.shape[0] - 1, out=pos)
+    return keys[pos] == queries
 
 
 def _csr_from_keys(keys: np.ndarray, node_count: int):
@@ -164,7 +175,8 @@ def build_graph(arcs, node_count: int) -> DirectedGraph:
 
 def _build_graph(src: np.ndarray, dst: np.ndarray, flag: np.ndarray,
                  node_count: int) -> DirectedGraph:
-    """:func:`build_graph` on separate int64 source, target and flag columns."""
+    """:func:`build_graph` on separate integer source, target and flag columns,
+    of any width."""
     if node_count < 0:
         raise ValidationError("node_count must be non-negative")
     bad = (src < 0) | (src >= node_count) | (dst < 0) | (dst >= node_count)
@@ -172,19 +184,31 @@ def _build_graph(src: np.ndarray, dst: np.ndarray, flag: np.ndarray,
         i = int(np.argmax(bad))
         raise ValidationError(
             f"arc #{i} ({src[i]}->{dst[i]}) has an endpoint outside [0, {node_count})")
+    del bad  # each mask is dropped once used: the build's peak is the lookup below
 
-    loops = src == dst
-    dropped_self_loops = int(loops.sum())
-    src, dst, flag = src[~loops], dst[~loops], flag[~loops]
+    keep = src != dst
+    dropped_self_loops = int(keep.shape[0] - np.count_nonzero(keep))
+    if dropped_self_loops:
+        src, dst, flag = src[keep], dst[keep], flag[keep]
+    del keep
 
     explicit = _unique_keys(_pair_keys(src, dst, node_count))
     dropped_duplicates = int(src.shape[0] - explicit.shape[0])
 
+    # the reverse of a flagged arc is added unless it is listed, as it is
+    # throughout a file written from a graph
     rec = flag == 1
-    if rec.any():
-        keys = _unique_keys(np.concatenate([explicit, _pair_keys(dst[rec], src[rec], node_count)]))
+    reverse = _pair_keys(dst[rec], src[rec], node_count)
+    del rec
+    reverse.sort()
+    missing = reverse[~_sorted_member(explicit, reverse)]
+    del reverse
+    if missing.shape[0]:
+        missing = _unique_keys(missing)
+        keys = np.insert(explicit, np.searchsorted(explicit, missing), missing)
     else:
         keys = explicit
+    del explicit
 
     out_indptr, out_indices = _csr_from_keys(keys, node_count)
     return DirectedGraph(node_count, out_indptr, out_indices,

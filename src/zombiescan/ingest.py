@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CacheError, ParseError, ValidationError
-from .graph import DirectedGraph, _build_graph, _index_dtype, _pair_keys
+from .graph import DirectedGraph, _build_graph, _index_dtype, _pair_keys, _sorted_member
 from .textio import (ASCII, INT64_MAX, UTF8, decode, int_column, read_input, read_text,
                      render_ints, split_fields, text_stream)
 
@@ -44,7 +44,11 @@ __all__ = [
 
 @dataclass
 class RawNetwork:
-    """Arc list as read from a network file, before graph construction."""
+    """Arc list as read from a network file, before graph construction.
+
+    The parser gives `sources` and `targets` in the graph's index dtype and
+    `flags` as uint8; `to_graph` takes integer columns of any width.
+    """
 
     node_count: int
     declared_edge_count: int
@@ -116,11 +120,9 @@ def _parse(buf: bytes) -> RawNetwork:
     if n > INT64_MAX:
         raise ParseError(f"node count {n} does not fit a 64-bit id", 1)
 
+    lf = np.flatnonzero(chars == 10)
     plain = not buf.translate(None, _PLAIN)
     token = chars > 32 if plain else _TOKEN_BYTE[chars]
-    first = np.empty_like(token)
-    first[0] = token[0]
-    np.greater(token[1:], token[:-1], out=first[1:])
     if plain:
         numbers, odd = buf, np.zeros(0, dtype=np.int64)
     else:
@@ -129,10 +131,12 @@ def _parse(buf: bytes) -> RawNetwork:
         numbers = np.where(token, chars, np.uint8(32))
         numbers[odd] = 48
         numbers = numbers.tobytes()
+    first = np.empty_like(token)
+    first[0] = token[0]
+    np.greater(token[1:], token[:-1], out=first[1:])
+    del token  # one byte mask is alive beside the offsets, the largest array so far
     starts = np.flatnonzero(first)
     del first
-    lf = np.flatnonzero(chars == 10)
-    del token
     # line i holds tokens [bounds[i], bounds[i + 1]); bounds[1:-1] counts those before each LF
     bounds = np.concatenate([[0], np.searchsorted(starts, lf), [starts.shape[0]]])
     counts = np.diff(bounds)
@@ -166,14 +170,15 @@ def _parse(buf: bytes) -> RawNetwork:
     pairs = values[2:2 + int(widths[:good].sum())].reshape(-1, 2)
     arc = np.ones(pairs.shape[0], dtype=bool)
     arc[(heads[:good] - 2) // 2] = False
-    targets, flags = pairs[arc, 0], pairs[arc, 1]
-    # viewed unsigned, a negative value is above every valid one
-    if targets.shape[0] and (targets.view(np.uint64).max() >= n
-                             or flags.view(np.uint64).max() > 1):
+    # viewed unsigned, a negative value is above every valid one; the checks read
+    # the int64 values, so none out of range can wrap into range when narrowed
+    unsigned = pairs.view(np.uint64)
+    if pairs.shape[0] and (unsigned[:, 0].max(where=arc, initial=0) >= n
+                           or unsigned[:, 1].max(where=arc, initial=0) > 1):
         ends_at = np.cumsum(k[:good])
         fault = min((int(np.searchsorted(ends_at, np.argmax(bad), side="right")), code)
-                    for code, bad in ((5, targets.view(np.uint64) >= n),
-                                      (6, flags.view(np.uint64) > 1)) if bad.any())
+                    for code, bad in ((5, unsigned[arc, 0] >= n),
+                                      (6, unsigned[arc, 1] > 1)) if bad.any())
     if fault is not None:  # (record, check), checks in the order of their messages
         lineno = int(records[fault[0]])  # counted from 0, so it ends at LF lf[lineno]
         line = buf[lf[lineno - 1] + 1:lf[lineno] if lineno < lf.shape[0] else None]
@@ -194,7 +199,12 @@ def _parse(buf: bytes) -> RawNetwork:
     if lines.shape[0] > n:
         raise ParseError("trailing content after the declared adjacency records",
                          (int(records[-1]) if m else 0) + 2)
-    return RawNetwork(n, declared_m, np.repeat(v1, k), targets, flags)
+    # one column narrowed at a time; a `v1 k` head may wrap, but it is not an arc
+    index = _index_dtype(n)
+    targets = pairs[:, 0].astype(index)[arc]
+    flags = pairs[:, 1].astype(np.uint8)[arc]
+    del values, pairs, unsigned
+    return RawNetwork(n, declared_m, np.repeat(v1.astype(index), k), targets, flags)
 
 
 def _clamped_int(token: bytes) -> int:
@@ -248,18 +258,13 @@ def _flagged_arcs(g: DirectedGraph) -> RawNetwork:
     """A graph's arcs as a RawNetwork, flag 1 where the reverse arc exists."""
     n = g.node_count
     sources = g.arc_sources()
-    # the out-CSR lists arcs sorted by (source, target), so their keys are sorted;
-    # looking the reverse keys up in sorted order keeps the binary searches
-    # cache-local, and the hits are scattered back to arc order
-    keys = _pair_keys(sources, g.out_indices, n)
+    # the out-CSR lists arcs sorted by (source, target), so their keys are
+    # sorted; the reverse keys are looked up in sorted order and the hits
+    # scattered back to arc order
     reverse = _pair_keys(g.out_indices, sources, n)
     order = np.argsort(reverse)
-    reverse = reverse[order]
-    pos = np.searchsorted(keys, reverse)
-    found = pos < keys.shape[0]
-    found[found] = keys[pos[found]] == reverse[found]
-    flags = np.empty(keys.shape[0], dtype=np.int64)
-    flags[order] = found
+    flags = np.empty(reverse.shape[0], dtype=np.uint8)
+    flags[order] = _sorted_member(_pair_keys(sources, g.out_indices, n), reverse[order])
     return RawNetwork(n, g.edge_count, sources, g.out_indices, flags)
 
 

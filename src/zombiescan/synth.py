@@ -92,11 +92,15 @@ class SynthConfig:
     @classmethod
     def from_json(cls, source) -> "SynthConfig":
         """The config of a JSON object (UTF-8) keyed by field name; a list
-        stands for a tuple. Invalid JSON is a ParseError naming its line."""
+        stands for a tuple. Invalid JSON is a ParseError naming its line, and
+        JSON nested too deeply to decode is one on line 1."""
+        text = read_text(source, UTF8)
         try:
-            data = json.loads(read_text(source, UTF8))
+            data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno) from None
+        except RecursionError:
+            raise ParseError("invalid JSON: nested too deeply", 1) from None
         if not isinstance(data, dict):
             raise ValidationError("synth config must be a JSON object")
         unknown = set(data) - set(cls.__dataclass_fields__)

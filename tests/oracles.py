@@ -821,7 +821,9 @@ def _parse_lines(source) -> RawNetwork:
             raise ParseError("trailing content after the declared adjacency records",
                              lineno + 1)
 
-    src = np.concatenate(sources) if sources else np.zeros(0, dtype=np.int64)
-    dst = np.concatenate(targets) if targets else np.zeros(0, dtype=np.int64)
-    fl = np.concatenate(flags) if flags else np.zeros(0, dtype=np.int64)
-    return RawNetwork(n, declared_m, src, dst, fl)
+    # ids in the graph's index dtype and flags in one byte, each checked in range above
+    index = _index_dtype(n)
+    empty = np.zeros(0, dtype=np.int64)
+    return RawNetwork(n, declared_m, np.concatenate([empty, *sources]).astype(index),
+                      np.concatenate([empty, *targets]).astype(index),
+                      np.concatenate([empty, *flags]).astype(np.uint8))

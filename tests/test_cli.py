@@ -440,6 +440,8 @@ class TestPipeline:
 MALFORMED_SYNTH_CONFIGS = {
     "invalid-json": (b"{", "line 1: invalid JSON"),
     "not-utf8": (b"\xff", "line 1: byte 0xff is not UTF-8 text"),
+    "nested-too-deeply": (b"[" * 100_000 + b"]" * 100_000,
+                          "line 1: invalid JSON: nested too deeply"),
     "top-level-list": (b"[1]", "synth config must be a JSON object"),
     "regions-list": (b'{"regions": ["a"]}', "regions must map names to finite"),
     "block-size-string": (b'{"block_sizes": ["a"]}', "block_sizes must be a nonempty list"),

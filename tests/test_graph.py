@@ -4,7 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zombiescan import ValidationError, build_graph, symmetrize
-from zombiescan.graph import UndirectedGraph, _csr_from_arcs, _pair_keys
+from zombiescan.graph import (UndirectedGraph, _build_graph, _csr_from_arcs, _pair_keys,
+                              _sorted_member)
 
 from conftest import random_graph
 from oracles import (arcs_with_flags, build_graph_lexsort, csr_from_arcs_lexsort,
@@ -130,6 +131,43 @@ def arc_triples(draw, max_nodes=12, max_arcs=80):
     return n, np.array(rows, dtype=np.int64).reshape(-1, 3)
 
 
+def narrow_build(triples: np.ndarray, node_count: int):
+    """_build_graph on int32 ids and uint8 flags, the columns a parse returns."""
+    return _build_graph(triples[:, 0].astype(np.int32), triples[:, 1].astype(np.int32),
+                        triples[:, 2].astype(np.uint8), node_count)
+
+
+class TestNarrowColumns:
+    """Narrow columns build the graph that the int64 triples build."""
+
+    @given(arc_triples())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_int64_triples(self, case):
+        n, triples = case
+        g, wide = narrow_build(triples, n), build_graph(triples, n)
+        assert_same_arrays((g.out_indptr, g.out_indices), (wide.out_indptr, wide.out_indices))
+        assert (g.dropped_self_loops, g.dropped_duplicates) == \
+            (wide.dropped_self_loops, wide.dropped_duplicates)
+
+    @pytest.mark.parametrize("rows", [
+        # every flagged arc's reverse is listed, so no key is merged
+        [(0, 1, 1), (1, 0, 1), (1, 2, 0), (2, 3, 1), (3, 2, 1)],
+        # 1->0 and 1->2 are missing; 1->0 is asked for twice by a repeated arc
+        [(0, 1, 1), (0, 1, 1), (2, 1, 1), (3, 2, 0), (3, 0, 1), (0, 3, 0)],
+        # 0->3 is missing before every listed key and 3->2 after them
+        [(3, 0, 1), (1, 2, 0), (2, 3, 1)],
+        # self-loops, one of them flagged, beside a missing reverse
+        [(0, 0, 1), (1, 2, 1), (2, 2, 0), (3, 1, 0), (3, 3, 0)],
+    ], ids=["all-reverses-listed", "reverses-missing-one-twice", "missing-at-both-ends",
+            "self-loops"])
+    def test_matches_reference(self, rows):
+        triples = np.array(rows, dtype=np.int64)
+        g = narrow_build(triples, 4)
+        *arrays, loops, duplicates = build_graph_lexsort(triples, 4)
+        assert_same_arrays((g.out_indptr, g.out_indices, g.in_indptr, g.in_indices), arrays)
+        assert (g.dropped_self_loops, g.dropped_duplicates) == (loops, duplicates)
+
+
 # summed left to right these give different doubles in different orders
 ORDER_SENSITIVE = [0.1, 0.2, 0.7, 0.3, 1.0]
 
@@ -168,6 +206,13 @@ class TestKeyedSorts:
         g = build_graph(triples, n)
         und = symmetrize(g)
         assert_same_arrays((und.indptr, und.indices, und.weights), symmetrize_lexsort(g))
+
+    @given(st.lists(st.integers(0, 30), unique=True), st.lists(st.integers(-2, 40)))
+    @settings(max_examples=60, deadline=None)
+    def test_sorted_member_matches_isin(self, keys, queries):
+        keys = np.sort(np.array(keys, dtype=np.int64))
+        queries = np.sort(np.array(queries, dtype=np.int64))
+        assert _sorted_member(keys, queries).tolist() == np.isin(queries, keys).tolist()
 
     @given(weighted_edges())
     @settings(max_examples=80, deadline=None)

@@ -1,13 +1,15 @@
-"""Package-level contracts: the public names resolve, and numpy is the only
-runtime dependency."""
+"""Package-level contracts: the public names resolve, numpy is the only
+runtime dependency, and importing the package fixes glibc's mmap threshold."""
 
 import ast
+import ctypes
 import importlib
 import inspect
 import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import zombiescan
@@ -69,3 +71,25 @@ def test_pyproject_depends_on_numpy_only():
     names = [re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower()
              for dep in pyproject["project"]["dependencies"]]
     assert names == ["numpy"]
+
+
+class _MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in ("arena", "ordblks", "smblks", "hblks",
+                                                     "hblkhd", "usmblks", "fsmblks",
+                                                     "uordblks", "fordblks", "keepcost")]
+
+
+def test_freed_block_does_not_move_later_arrays_to_the_heap():
+    """After a 16 MiB array is freed, a 2 MiB one still gets its own mapping,
+    so freeing it returns its pages (glibc only)."""
+    if not sys.platform.startswith("linux"):
+        pytest.skip("glibc only")
+    mallinfo2 = getattr(ctypes.CDLL(None), "mallinfo2", None)
+    if mallinfo2 is None:
+        pytest.skip("no mallinfo2 (glibc < 2.33 or another libc)")
+    mallinfo2.restype = _MallInfo2
+    big = np.ones(2 << 20)
+    del big
+    mapped = mallinfo2().hblkhd
+    mid = np.ones(1 << 18)
+    assert mallinfo2().hblkhd - mapped >= mid.nbytes

@@ -99,6 +99,9 @@ class Run:
         if self.manifest_path is not None:
             with open(self.output(self.manifest_path), "w", encoding="utf-8") as fh:
                 fh.write(json.dumps(self.data, indent=2) + "\n")
+            # a kill between two replaces then leaves no manifest vouching
+            # for an earlier run's files beside this run's
+            self.manifest_path.unlink(missing_ok=True)
         for final, staged in self.staged.items():  # the manifest comes last
             os.replace(staged, final)
 

@@ -50,6 +50,26 @@ def modularity_dense(a: np.ndarray, labels, include_diagonal: bool) -> float:
     return q / two_m
 
 
+def modularity_row_index(g, labels, variant: str) -> float:
+    """Modularity from an int64 row index of every adjacency entry, summing
+    the same entries in the same order as the package, so the bits agree."""
+    comm = np.asarray(labels, dtype=np.int64)
+    count = int(comm.max()) + 1
+    two_m = 2.0 * g.total_weight
+    k = g.degree_weights
+    rows = np.repeat(np.arange(g.node_count), np.diff(g.indptr))
+    cols = g.indices
+    same = comm[rows] == comm[cols]
+    intra = np.bincount(comm[rows[same]], weights=g.weights[same], minlength=count)
+    tot = np.bincount(comm, weights=k, minlength=count)
+    if variant == "standard":
+        return float(np.sum(intra / two_m - (tot / two_m) ** 2))
+    loops = same & (rows == cols)
+    diag = np.bincount(comm[rows[loops]], weights=g.weights[loops], minlength=count)
+    sq = np.bincount(comm, weights=k * k, minlength=count)
+    return float(np.sum((intra - diag) / two_m - (tot * tot - sq) / (two_m * two_m)))
+
+
 def modularity_dense_fast(a: np.ndarray, labels) -> float:
     """Vectorized from-scratch modularity (diagonal included), for bulk checks."""
     labels = np.asarray(labels)

@@ -389,6 +389,33 @@ class TestPipeline:
                      "manifest.json"):
             assert not (out / name).exists(), name
 
+    def test_run_killed_during_its_commit_leaves_no_stale_manifest(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["pipeline", PLANTED, "-o", str(out)]) == 0
+        # a second run with other ranks kills itself once ranks.csv is in place
+        code = ("import os, signal, sys\n"
+                "import zombiescan.cli as cli\n"
+                "real, done = os.replace, []\n"
+                "def replace(src, dst):\n"
+                "    real(src, dst)\n"
+                "    done.append(dst)\n"
+                "    if len(done) == 3:\n"
+                "        os.kill(os.getpid(), signal.SIGKILL)\n"
+                "os.replace = replace\n"
+                f"sys.exit(cli.main(['pipeline', {PLANTED!r}, '-o', {str(out)!r},"
+                " '--damping', '0.5']))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        before = (out / "ranks.csv").read_bytes()
+        proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+        assert proc.returncode == -signal.SIGKILL
+        assert (out / "ranks.csv").read_bytes() != before  # the directory is mixed
+        if (out / "manifest.json").exists():
+            manifest = json.loads((out / "manifest.json").read_text())
+            for entry in manifest["outputs"]:
+                digest = hashlib.sha256(Path(entry["path"]).read_bytes()).hexdigest()
+                assert entry["sha256"] == digest, entry["path"]
+
     def test_network_file_without_truth_skips_evaluate(self, tmp_path):
         corpus = write_corpus(tmp_path)
         lone = tmp_path / "lone"

@@ -8,13 +8,22 @@ from zombiescan.graph import UndirectedGraph
 
 from conftest import random_graph
 from oracles import (aggregate_lexsort, dense_adjacency, flattened, modularity_dense,
-                     one_level_numpy_scalars, one_level_queue_numpy_scalars, self_weight)
+                     modularity_row_index, one_level_numpy_scalars,
+                     one_level_queue_numpy_scalars, self_weight)
 
 TWO_TRIANGLES = [(0, 1, 0), (1, 2, 0), (2, 0, 0), (3, 4, 0), (4, 5, 0), (5, 3, 0)]
 
 
 def und_from_arcs(arcs, n):
     return symmetrize(build_graph(arcs, n))
+
+
+def random_weighted_graph(rng):
+    """Repeated pairs and self-loops, weights whose sums depend on order."""
+    n = int(rng.integers(2, 40))
+    m = int(rng.integers(1, 4 * n))
+    return UndirectedGraph.from_edges(n, rng.integers(0, n, m), rng.integers(0, n, m),
+                                      rng.choice([0.1, 0.2, 0.7, 1.5], size=m))
 
 
 def clique_arcs(nodes):
@@ -56,6 +65,26 @@ class TestModularity:
             p = Partition(rng.integers(0, 4, size=n))
             expected = modularity_dense(dense_adjacency(und), p.assignment, diag)
             assert modularity(und, p, variant) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("variant", ["standard", "distinct-pairs"])
+    def test_bits_match_the_row_index_sums(self, variant):
+        rng = np.random.Generator(np.random.PCG64(31))
+        for _ in range(40):
+            und = random_weighted_graph(rng)
+            p = Partition(rng.integers(0, 4, size=und.node_count))
+            got = modularity(und, p, variant)
+            assert got.hex() == modularity_row_index(und, p.assignment, variant).hex()
+
+    def test_self_loop_entries_are_the_diagonal_entries(self):
+        from zombiescan.community import _self_loop_entries
+
+        rng = np.random.Generator(np.random.PCG64(32))
+        for _ in range(40):
+            und = random_weighted_graph(rng)
+            rows = np.repeat(np.arange(und.node_count), np.diff(und.indptr))
+            assert _self_loop_entries(und).tolist() == np.flatnonzero(
+                rows == und.indices).tolist()
+        assert _self_loop_entries(symmetrize(build_graph([], 3))).tolist() == []
 
     def test_standard_range_bounds(self):
         und = und_from_arcs(TWO_TRIANGLES, 6)
@@ -208,6 +237,23 @@ def corpus_graph(name):
     return symmetrize(parse_weibo_network(f"{DATA}/{name}/weibo_network.txt").to_graph())
 
 
+@pytest.fixture
+def tallies(monkeypatch):
+    """The Counter tallies of the local moves, one entry per visit that counted."""
+    from collections import Counter
+
+    import zombiescan.community as community
+
+    counted = []
+
+    def spy(items):
+        counted.append(None)
+        return Counter(items)
+
+    monkeypatch.setattr(community, "Counter", spy)
+    return counted
+
+
 class TestLocalMoves:
     """The queue-driven local moves reproduce the numpy-scalar queue oracle
     exactly, and on the committed corpora also the full-sweep oracle."""
@@ -258,12 +304,46 @@ class TestLocalMoves:
     def test_random_weighted_graphs_with_self_loops(self):
         rng = np.random.Generator(np.random.PCG64(21))
         for seed in range(20):
-            n = int(rng.integers(2, 40))
-            m = int(rng.integers(1, 4 * n))
-            und = UndirectedGraph.from_edges(n, rng.integers(0, n, m), rng.integers(0, n, m),
-                                             rng.choice([0.1, 0.2, 0.7, 1.5], size=m))
+            und = random_weighted_graph(rng)
             self.assert_same_as_queue_oracle(und, seed,
                                              resolution=float(rng.choice([0.5, 1.0, 2.0])))
+
+    @pytest.mark.parametrize("resolution", [0.5, 2.0])
+    def test_unit_weight_graphs_count_their_tallies(self, tallies, resolution):
+        for seed in range(10):
+            before = len(tallies)
+            self.assert_same_as_queue_oracle(
+                symmetrize(random_graph(seed + 200, 30, 0.15)[0]), seed, resolution)
+            assert len(tallies) > before
+        # in a run only level 0 counts: the aggregated level carries self-loops
+        del tallies[:]
+        dend = louvain(corpus_graph("planted_4x50"), LouvainConfig(resolution=resolution))
+        assert len(tallies) == dend.levels[0].visits
+
+    def test_a_self_loop_takes_the_weighted_tally(self, tallies):
+        und = symmetrize(random_graph(7, 30, 0.15)[0])
+        rows = np.repeat(np.arange(30), np.diff(und.indptr))
+        upper = rows < und.indices
+        # the same unit-weight edges plus a unit self-loop at node 0
+        looped = UndirectedGraph.from_edges(30, np.r_[rows[upper], 0],
+                                            np.r_[und.indices[upper], 0],
+                                            np.ones(int(upper.sum()) + 1))
+        assert (looped.weights == 1.0).all() and self_weight(looped, 0) == 1.0
+        for seed in range(5):
+            self.assert_same_as_queue_oracle(looped, seed)
+        assert not tallies
+
+    def test_one_weight_other_than_one_takes_the_weighted_tally(self, tallies):
+        und = symmetrize(random_graph(8, 30, 0.15)[0])
+        rows = np.repeat(np.arange(30), np.diff(und.indptr))
+        weights = und.weights.copy()
+        u, v = rows[0], und.indices[0]
+        weights[((rows == u) & (und.indices == v)) | ((rows == v) & (und.indices == u))] = 1.5
+        heavy = UndirectedGraph(und.node_count, und.indptr, und.indices, weights)
+        assert np.count_nonzero(heavy.weights != 1.0) == 2  # one edge, in both rows
+        for seed in range(5):
+            self.assert_same_as_queue_oracle(heavy, seed)
+        assert not tallies
 
     def test_queue_fixed_point_can_leave_a_full_sweep_move(self):
         from random import Random

@@ -17,8 +17,7 @@ from .evaluate import (ConfusionMatrix, MetricSet, confusion, degree_histogram,
 from .graph import DirectedGraph, UndirectedGraph, build_graph, symmetrize
 from .ingest import (ProfileTable, RawNetwork, cache_load, cache_save, parse_profiles,
                      parse_uidlist, parse_weibo_network)
-from .rank import (ImportanceVector, IOScores, RankConfig, io_scores_for, pagerank,
-                   rank_all_communities)
+from .rank import ImportanceVector, RankConfig, io_scores_for, pagerank, rank_all_communities
 from .synth import GroundTruth, SynthConfig, emit_weibo_format, generate
 
 # glibc's M_MMAP_THRESHOLD: blocks of this size or more get their own mapping
@@ -59,7 +58,7 @@ __all__ = [
     "louvain", "modularity", "move_gain",
     "Partition", "LouvainConfig", "Dendrogram",
     "io_scores_for", "pagerank",
-    "rank_all_communities", "IOScores", "RankConfig", "ImportanceVector",
+    "rank_all_communities", "RankConfig", "ImportanceVector",
     "quartiles", "iqr_threshold", "detect_zombies", "ZombieReport",
     "confusion", "metrics", "region_distribution", "degree_histogram",
     "ConfusionMatrix", "MetricSet",

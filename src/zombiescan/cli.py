@@ -38,6 +38,7 @@ from .ingest import (cache_load, cache_save, parse_profiles, parse_uidlist,
                      parse_weibo_network)
 from .rank import RankConfig, rank_all_communities, read_ranks_csv, write_ranks_csv
 from .synth import SynthConfig, emit_weibo_format, generate, read_truth_csv
+from .textio import write_json
 
 EXIT_OK, EXIT_INPUT, EXIT_NONCONVERGED, EXIT_IO = 0, 2, 3, 4
 
@@ -97,8 +98,7 @@ class Run:
         self.data["outputs"] = [{"path": str(final), "sha256": _sha256(staged)}
                                 for final, staged in self.staged.items()]
         if self.manifest_path is not None:
-            with open(self.output(self.manifest_path), "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(self.data, indent=2) + "\n")
+            write_json(self.data, self.output(self.manifest_path))
             # a kill between two replaces then leaves no manifest vouching
             # for an earlier run's files beside this run's
             self.manifest_path.unlink(missing_ok=True)
@@ -156,10 +156,10 @@ def _detect(run: Run, args, vectors, out, summary_out):
                     "zombie_proportion": report.proportion}
 
 
-def _evaluate(run: Run, predicted: dict[int, bool], truth, profiles, out, regions_out):
+def _evaluate(run: Run, predicted, truth, profiles, out, regions_out):
     labels = truth.labels()
-    # a truth file may label a subsample of the nodes: score that subsample
-    predicted = {n: z for n, z in predicted.items() if n in labels}
+    # a truth file may label the first nodes only: score those
+    predicted = predicted[:len(labels)]
     cm = confusion(predicted, labels)
     ms = metrics(cm)
     write_metrics_json(cm, ms, run.output(out), run.manifest_path.name)

@@ -9,7 +9,6 @@ say nothing.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -18,7 +17,7 @@ import numpy as np
 from .errors import ValidationError
 from .rank import ImportanceVector
 from .textio import (ASCII, code_column, float_column, float_reprs, int_column, read_text,
-                     repeats, split_csv, text_stream)
+                     repeats, split_csv, text_stream, write_json)
 
 __all__ = [
     "QUARTILE_METHODS",
@@ -69,11 +68,11 @@ def iqr_threshold(values, method: str = "linear") -> float:
 class ZombieReport:
     """Per-node labels plus the aggregate zombie proportion.
 
-    Arrays are aligned and sorted by node id. thresholds holds the fence of
-    each node's community (NaN for communities below the size floor).
+    Row i of every array is node i, and the rows cover every node.
+    thresholds holds the fence of each node's community (NaN for
+    communities below the size floor).
     """
 
-    node_ids: np.ndarray
     community_ids: np.ndarray
     values: np.ndarray
     thresholds: np.ndarray
@@ -85,7 +84,7 @@ class ZombieReport:
 
     @property
     def total(self) -> int:
-        return int(self.node_ids.shape[0])
+        return int(self.is_zombie.shape[0])
 
     @property
     def zombie_count(self) -> int:
@@ -95,18 +94,18 @@ class ZombieReport:
     def proportion(self) -> float:
         return self.zombie_count / self.total if self.total else 0.0
 
-    def zombie_nodes(self) -> np.ndarray:
-        return self.node_ids[self.is_zombie]
-
-    def labels(self) -> dict[int, bool]:
-        return dict(zip(self.node_ids.tolist(), self.is_zombie.tolist()))
+    def labels(self) -> np.ndarray:
+        """is_zombie: the label of each node, by node id."""
+        return self.is_zombie
 
 
 def detect_zombies(ranks: dict[int, ImportanceVector], min_community_size: int = 5,
                    method: str = "linear") -> ZombieReport:
     """Label every ranked node; zombie means strictly below its community fence.
 
-    Rejects an unknown quartile method and a node that the vectors list twice.
+    The vectors must list each node 0..n-1 exactly once, n being their total
+    member count. Rejects an unknown quartile method, a node listed twice,
+    and a node outside that range, naming the node it leaves without a rank.
     """
     if not ranks:
         raise ValidationError("no communities to scan")
@@ -122,17 +121,21 @@ def detect_zombies(ranks: dict[int, ImportanceVector], min_community_size: int =
     fences = np.array([iqr_threshold(vec.values, method) if size >= min_community_size
                        else np.nan for vec, size in zip(vectors, sizes.tolist())])
 
-    node_ids = np.concatenate([vec.members for vec in vectors])
-    order = np.argsort(node_ids, kind="stable")
-    node_ids = node_ids[order]
-    twice = repeats(node_ids)
-    if twice.any():
-        raise ValidationError(f"node {node_ids[np.argmax(twice)]} listed twice in the ranks")
-    community = np.repeat(np.arange(cids.shape[0]), sizes)[order]  # position in `cids`
-    values = np.concatenate([vec.values for vec in vectors])[order]
+    members = np.concatenate([vec.members for vec in vectors])
+    n = members.shape[0]
+    inside = (members >= 0) & (members < n)
+    listed = np.bincount(members[inside], minlength=n)
+    if (listed > 1).any():
+        raise ValidationError(f"node {np.argmax(listed > 1)} listed twice in the ranks")
+    if not inside.all():  # n members, none twice: one outside 0..n-1 leaves a gap
+        raise ValidationError(f"no rank for node {np.argmin(listed)}; node "
+                              f"{members[np.argmin(inside)]} is outside 0..{n - 1}")
+    community = np.empty(n, dtype=np.intp)  # position in `cids`
+    community[members] = np.repeat(np.arange(cids.shape[0]), sizes)
+    values = np.empty(n)
+    values[members] = np.concatenate([vec.values for vec in vectors])
     thresholds = fences[community]
     return ZombieReport(
-        node_ids=node_ids,
         community_ids=cids[community],
         values=values,
         thresholds=thresholds,
@@ -151,17 +154,18 @@ _LABELS = {"zombie": True, "normal": False}
 def write_report_csv(report: ZombieReport, destination) -> None:
     """Emit `node_id,community_id,pagerank,threshold,label` rows."""
     labels = np.array(["normal", "zombie"], dtype=object)[report.is_zombie.astype(np.intp)]
-    rows = zip(report.node_ids.tolist(), report.community_ids.tolist(),
+    rows = zip(range(report.total), report.community_ids.tolist(),
                float_reprs(report.values), float_reprs(report.thresholds, nan=""),
                labels.tolist())
     with text_stream(destination, "w") as fh:
         fh.write(",".join(_REPORT_HEADER) + "\n" + "".join(map("%d,%d,%s,%s,%s\n".__mod__, rows)))
 
 
-def read_report_csv(source) -> dict[int, bool]:
-    """Predicted labels {node_id: is_zombie} from a report CSV; rejects a bad
-    value in any column (ids int64, pagerank finite and non-negative, threshold
-    finite) and repeated nodes."""
+def read_report_csv(source) -> np.ndarray:
+    """Predicted labels from a report CSV, as is_zombie by node id. The rows,
+    in any order, must list nodes 0..rows-1; rejects a bad value in any
+    column (ids int64, pagerank finite and non-negative, threshold finite),
+    a node outside that range and repeated nodes, so no node goes missing."""
     rows = split_csv(read_text(source, ASCII), "report", _REPORT_HEADER)
     nodes, bad_nodes = int_column(rows.columns[0])
     _, bad_cids = int_column(rows.columns[1])
@@ -172,8 +176,12 @@ def read_report_csv(source) -> dict[int, bool]:
     rows.check((bad_nodes | bad_cids | bad_values | ~np.isfinite(values) | (values < 0)
                 | bad_thresholds | ~np.isfinite(thresholds) | (labels < 0),
                 lambda i: f"bad report row: {rows.row(i)!r}"),
+               ((nodes < 0) | (nodes >= len(rows)),
+                lambda i: f"node {nodes[i]} outside 0..{len(rows) - 1}, the report's rows"),
                (repeats(nodes), lambda i: f"node {nodes[i]} listed twice in the report"))
-    return dict(zip(nodes.tolist(), (labels > 0).tolist()))
+    is_zombie = np.empty(len(rows), dtype=bool)
+    is_zombie[nodes] = labels > 0
+    return is_zombie
 
 
 def write_summary_json(report: ZombieReport, destination,
@@ -189,6 +197,4 @@ def write_summary_json(report: ZombieReport, destination,
     }
     if manifest_name is not None:
         summary["manifest"] = manifest_name
-    with text_stream(destination, "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    write_json(summary, destination)

@@ -8,15 +8,13 @@ silently coerced to 0, and serialize to JSON null.
 from __future__ import annotations
 
 import csv
-import json
-from itertools import compress
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 from .graph import DirectedGraph
-from .textio import UTF8, text_stream
+from .textio import UTF8, text_stream, write_json
 
 __all__ = [
     "ConfusionMatrix",
@@ -57,31 +55,19 @@ class MetricSet:
     f1: float | None
 
 
-def confusion(predicted: dict[int, bool], truth: dict[int, bool]) -> ConfusionMatrix:
+def confusion(predicted: np.ndarray, truth: np.ndarray) -> ConfusionMatrix:
     """Count (truth, prediction) pairs with zombie as the positive class.
 
-    Both maps must cover exactly the same node ids.
+    Both are is_zombie by node id and must cover the same nodes.
     """
-    if predicted.keys() != truth.keys():
-        missing_truth = sorted(set(predicted) - set(truth))
-        missing_pred = sorted(set(truth) - set(predicted))
-        parts = []
-        if missing_pred:
-            parts.append(f"no prediction for {_preview(missing_pred)}")
-        if missing_truth:
-            parts.append(f"no truth for {_preview(missing_truth)}")
-        raise ValidationError("label sets differ: " + "; ".join(parts))
-    zombies = list(compress(truth, truth.values()))
-    tp = sum(map(bool, map(predicted.__getitem__, zombies)))
-    fp = sum(map(bool, predicted.values())) - tp
-    return ConfusionMatrix(tp, len(zombies) - tp, fp, len(truth) - len(zombies) - fp)
-
-
-def _preview(ids: list[int], limit: int = 10) -> str:
-    shown = ", ".join(str(i) for i in ids[:limit])
-    if len(ids) > limit:
-        shown += f", ... ({len(ids)} total)"
-    return shown
+    predicted, truth = np.asarray(predicted, dtype=bool), np.asarray(truth, dtype=bool)
+    if predicted.shape != truth.shape:
+        p, t = predicted.shape[0], truth.shape[0]
+        raise ValidationError(f"label sets differ: no {'prediction' if p < t else 'truth'} "
+                              f"for {min(p, t)} ({p} predicted nodes, {t} true)")
+    zombies, tp = int(np.count_nonzero(truth)), int(np.count_nonzero(predicted & truth))
+    fp = int(np.count_nonzero(predicted)) - tp
+    return ConfusionMatrix(tp, zombies - tp, fp, truth.shape[0] - zombies - fp)
 
 
 def metrics(cm: ConfusionMatrix) -> MetricSet:
@@ -101,14 +87,13 @@ def metrics(cm: ConfusionMatrix) -> MetricSet:
 def region_distribution(report, profiles) -> dict[str, int]:
     """Zombie counts per region string; nodes without a region go to "unknown".
 
-    `report` is a ZombieReport or a {node_id: is_zombie} map.
+    `report` is a ZombieReport or its labels, is_zombie by node id.
     """
-    flagged = np.asarray(list(compress(report, report.values())) if isinstance(report, dict)
-                         else report.zombie_nodes(), dtype=np.int64)
+    flagged = np.flatnonzero(getattr(report, "is_zombie", report))
     names = ["unknown"]
     codes = np.full(flagged.shape[0], -1, dtype=np.int64)
     if profiles is not None:
-        known = (flagged >= 0) & (flagged < len(profiles))
+        known = flagged < len(profiles)
         codes[known] = profiles.region_codes[flagged[known]]
         names += profiles.region_names
     counts: dict[str, int] = {}
@@ -144,9 +129,7 @@ def write_metrics_json(cm: ConfusionMatrix, ms: MetricSet, destination,
     }
     if manifest_name is not None:
         payload["manifest"] = manifest_name
-    with text_stream(destination, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(payload, destination)
 
 
 def write_regions_csv(counts: dict[str, int], destination) -> None:

@@ -37,16 +37,8 @@ from .textio import (ASCII, code_column, float_column, float_reprs, int_column, 
 
 log = logging.getLogger(__name__)
 
-__all__ = ["IOScores", "RankConfig", "ImportanceVector", "io_scores_for", "pagerank",
+__all__ = ["RankConfig", "ImportanceVector", "io_scores_for", "pagerank",
            "rank_all_communities", "write_ranks_csv", "read_ranks_csv"]
-
-
-@dataclass
-class IOScores:
-    """Per-node credibility values in [0, 1], aligned with node ids."""
-
-    values: np.ndarray
-    fallback_count: int = 0  # nodes scored from local degrees for lack of profile data
 
 
 @dataclass(frozen=True)
@@ -99,13 +91,13 @@ def _intra(g: DirectedGraph, assignment: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def _io_scores(n: int, targets: np.ndarray, follows: np.ndarray, source: str,
-               profiles) -> IOScores:
-    """IO scores of nodes 0..n-1, local degrees counted over the given arcs only."""
+               profiles) -> np.ndarray:
+    """IO scores in [0, 1] of nodes 0..n-1, local degrees counted over the
+    given arcs only."""
     if source not in ("local", "profile"):
         raise ValidationError("io source must be 'local' or 'profile'")
     fans = np.bincount(targets, minlength=n).astype(np.float64)
     follows = follows.astype(np.float64)
-    fallback = 0
     if source == "profile":
         if profiles is None:
             raise ValidationError("profile io source requires profiles")
@@ -117,16 +109,15 @@ def _io_scores(n: int, targets: np.ndarray, follows: np.ndarray, source: str,
         if fallback:
             log.warning("%d of %d nodes lack profile counts; used local degrees", fallback, n)
     total = fans + follows
-    values = np.divide(fans, total, out=np.zeros(n), where=total > 0)
-    return IOScores(values, fallback)
+    return np.divide(fans, total, out=np.zeros(n), where=total > 0)
 
 
-def io_scores_for(g: DirectedGraph, source: str = "local", profiles=None) -> IOScores:
+def io_scores_for(g: DirectedGraph, source: str = "local", profiles=None) -> np.ndarray:
     """IO scores for all nodes of g taken as one community.
 
     source "local" uses in/out degrees within g; "profile" uses global
     follower/followee counts, falling back to local degrees node by node
-    when counts are missing (tallied on the result).
+    when counts are missing (tallied in a warning).
     """
     return _io_scores(g.node_count, g.out_indices, g.out_degrees, source, profiles)
 
@@ -223,7 +214,7 @@ def _layout(targets: np.ndarray, follows: np.ndarray, assignment: np.ndarray, co
 def _whole(g: DirectedGraph, io=None) -> tuple[_Blocks, np.ndarray]:
     """g taken as one community: positions are node ids, arcs keep the CSR order."""
     if io is not None:
-        io = np.asarray(io.values if isinstance(io, IOScores) else io, dtype=np.float64)
+        io = np.asarray(io, dtype=np.float64)
         if io.shape[0] != g.node_count:
             raise ValidationError("io scores must cover every node")
     return _layout(g.out_indices, g.out_degrees, np.zeros(g.node_count, dtype=np.int64), 1, io)
@@ -300,7 +291,7 @@ def rank_all_communities(g: DirectedGraph, p: Partition, cfg: RankConfig | None 
     cfg = cfg or RankConfig()
     assignment = _assignment(g, p)
     targets, follows = _intra(g, assignment)
-    io = _io_scores(g.node_count, targets, follows, io_source, profiles).values
+    io = _io_scores(g.node_count, targets, follows, io_source, profiles)
     blocks, order = _layout(targets, follows, assignment, p.community_count,
                             io if cfg.mode == "uneven" else None)
     return dict(enumerate(_rank(blocks, order, cfg, io)))
@@ -325,7 +316,7 @@ def write_ranks_csv(destination, g: DirectedGraph, p: Partition,
             io_col[vec.members], scored[vec.members] = vec.io, True
     if not scored.all():
         io_col[~scored] = _io_scores(n, *_intra(g, assignment), io_source,
-                                     profiles).values[~scored]
+                                     profiles)[~scored]
     converged = np.array(["false", "true"], dtype=object)[conv_col.astype(np.intp)].tolist()
     rows = zip(range(n), assignment.tolist(), float_reprs(io_col), float_reprs(pr_col),
                converged)

@@ -124,11 +124,9 @@ class GroundTruth:
     def node_count(self) -> int:
         return int(self.block_ids.shape[0])
 
-    def zombie_nodes(self) -> np.ndarray:
-        return np.flatnonzero(self.is_zombie)
-
-    def labels(self) -> dict[int, bool]:
-        return dict(enumerate(self.is_zombie.tolist()))
+    def labels(self) -> np.ndarray:
+        """is_zombie: the label of each node, by node id."""
+        return self.is_zombie
 
 
 def _zombie_allocation(cfg: SynthConfig) -> list[int]:

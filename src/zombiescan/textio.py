@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 from contextlib import contextmanager
 from itertools import repeat
 from pathlib import Path
@@ -45,6 +46,12 @@ def text_stream(source, mode: str = "r", encoding: str = ASCII):
             yield wrapper
         finally:
             wrapper.detach()
+
+
+def write_json(payload, destination) -> None:
+    """`payload` as JSON indented by 2, with a final newline."""
+    with text_stream(destination, "w") as fh:
+        fh.write(json.dumps(payload, indent=2) + "\n")
 
 
 def read_input(source) -> bytes | str:

@@ -654,11 +654,11 @@ def ranks_csv_rows(assignment, io_values, pagerank, converged) -> str:
 
 def report_csv_rows(report) -> str:
     return _csv_text(["node_id", "community_id", "pagerank", "threshold", "label"],
-                     [[int(n), int(c), repr(float(v)), "" if math.isnan(t) else repr(float(t)),
+                     [[n, int(c), repr(float(v)), "" if math.isnan(t) else repr(float(t)),
                        "zombie" if z else "normal"]
-                      for n, c, v, t, z in zip(report.node_ids, report.community_ids,
-                                               report.values, report.thresholds,
-                                               report.is_zombie)])
+                      for n, (c, v, t, z) in enumerate(zip(report.community_ids,
+                                                           report.values, report.thresholds,
+                                                           report.is_zombie))])
 
 
 # ---- CSV readers as row loops over csv.reader -------------------------------
@@ -754,11 +754,20 @@ def read_ranks_rows(text: str) -> dict[int, tuple[np.ndarray, np.ndarray, bool, 
     return vectors
 
 
-def read_report_rows(text: str) -> dict[int, bool]:
-    """{node id: is zombie} in row order."""
-    labels: dict[int, bool] = {}
+def read_report_rows(text: str) -> list[bool]:
+    """is zombie by node id; the rows, in any order, must list nodes 0 to
+    their count - 1. A csv module error comes after the faults of the rows
+    before it, and the rows before it are all the rows there are."""
     header = ("node_id", "community_id", "pagerank", "threshold", "label")
-    for row in _csv_reader_rows(text, "report", header):
+    rows: list[list[str]] = []
+    pending = None
+    try:
+        for row in _csv_reader_rows(text, "report", header):
+            rows.append(row)
+    except ValidationError as exc:
+        pending = exc
+    labels: dict[int, bool] = {}
+    for row in rows:
         try:
             node, _, value, label = _int64(row[0]), _int64(row[1]), float(row[2]), row[4]
             threshold = float(row[3]) if row[3] else 0.0  # blank: a community too small
@@ -767,10 +776,14 @@ def read_report_rows(text: str) -> dict[int, bool]:
         if (not math.isfinite(value) or value < 0 or not math.isfinite(threshold)
                 or label not in ("zombie", "normal")):
             raise ValidationError(f"bad report row: {row!r}")
+        if not 0 <= node < len(rows):
+            raise ValidationError(f"node {node} outside 0..{len(rows) - 1}, the report's rows")
         if node in labels:
             raise ValidationError(f"node {node} listed twice in the report")
         labels[node] = label == "zombie"
-    return labels
+    if pending is not None:
+        raise pending
+    return [labels[node] for node in range(len(rows))]
 
 
 # ---- the network file, line by line -------------------------------------------

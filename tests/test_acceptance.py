@@ -152,7 +152,7 @@ def test_06_detection_arithmetic():
         vec = ImportanceVector(np.array([0.24, 0.24, 0.24, 0.24, 0.04]),
                                np.arange(5), 1, 0.0, True)
         report = detect_zombies({0: vec})
-        assert list(report.zombie_nodes()) == [4]
+        assert list(np.flatnonzero(report.labels())) == [4]
         assert report.zombie_count == 1
 
 

@@ -238,6 +238,20 @@ class TestRankAndDetect:
                 in capsys.readouterr().err)
         assert not out.exists() or not files_under(out)
 
+    def test_detect_on_ranks_without_a_node_exits_2(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert main(["pipeline", PLANTED, "-o", str(run)]) == 0
+        lines = (run / "ranks.csv").read_text().splitlines(keepends=True)
+        assert lines[1].startswith("0,")
+        ranks = tmp_path / "ranks.csv"
+        ranks.write_text(lines[0] + "".join(lines[2:]))  # no row for node 0
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["detect", str(ranks), "-o", str(out / "report.csv"),
+                     "--summary", str(out / "summary.json")]) == 2
+        assert "error: no rank for node 0; " in capsys.readouterr().err
+        assert not out.exists() or not files_under(out)
+
     def test_summary_names_manifest(self, tmp_path):
         ranks = tmp_path / "ranks.csv"
         rows = ["node_id,community_id,io,pagerank,converged"]
@@ -284,6 +298,19 @@ class TestEvaluate:
         assert main(["evaluate", str(report), str(truth), "-o", str(out)]) == 0
         data = json.loads(out.read_text())
         assert data["tp"] == 1 and data["tn"] == 0
+
+    def test_report_that_skips_a_node_exits_2(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert main(["pipeline", PLANTED, "-o", str(run)]) == 0
+        lines = (run / "report.csv").read_text().splitlines(keepends=True)
+        report = tmp_path / "report.csv"
+        report.write_text("".join(lines[:6] + lines[7:]))  # no row for node 5
+        metrics_path = tmp_path / "metrics.json"
+        capsys.readouterr()
+        assert main(["evaluate", str(report), f"{PLANTED}/truth.csv",
+                     "-o", str(metrics_path)]) == 2
+        assert "error: node 199 outside 0..198, the report's rows" in capsys.readouterr().err
+        assert not metrics_path.exists()
 
     def test_region_breakdown(self, tmp_path):
         corpus = write_corpus(tmp_path)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,7 +65,7 @@ class TestDetectZombies:
     def test_zero_iqr_with_genuine_outlier(self):
         report = detect_zombies({0: vec([0.24, 0.24, 0.24, 0.24, 0.04])})
         assert report.zombie_count == 1
-        assert list(report.zombie_nodes()) == [4]
+        assert list(np.flatnonzero(report.labels())) == [4]
         assert report.thresholds.tolist() == [0.24] * 5
 
     def test_negative_threshold_flags_nothing(self):
@@ -81,7 +83,8 @@ class TestDetectZombies:
 
     def test_default_min_size_shields_tiny_communities(self):
         # 4 members max under the default floor of 5: never any zombie
-        ranks = {c: vec(np.linspace(0.01, 1.0, c + 1), members=range(10 * c, 10 * c + c + 1))
+        ranks = {c: vec(np.linspace(0.01, 1.0, c + 1),
+                        members=range(c * (c + 1) // 2, (c + 1) * (c + 2) // 2))
                  for c in range(4)}
         report = detect_zombies(ranks)
         assert report.zombie_count == 0
@@ -91,10 +94,11 @@ class TestDetectZombies:
         assert report.proportion == report.zombie_count / report.total == 0.2
 
     def test_rows_sorted_by_node_id(self):
-        report = detect_zombies({0: vec([0.5, 0.5], members=[4, 9]),
-                                 1: vec([0.5, 0.5], members=[1, 7])},
+        report = detect_zombies({0: vec([0.1, 0.4], members=[1, 3]),
+                                 1: vec([0.3, 0.2], members=[2, 0])},
                                 min_community_size=2)
-        assert list(report.node_ids) == [1, 4, 7, 9]
+        assert report.community_ids.tolist() == [1, 0, 1, 0]
+        assert report.values.tolist() == [0.2, 0.1, 0.3, 0.4]
 
     def test_empty_ranks_rejected(self):
         with pytest.raises(ValidationError):
@@ -111,6 +115,19 @@ class TestDetectZombies:
     ], ids=["two-vectors", "one-vector"])
     def test_node_listed_twice_rejected(self, ranks):
         with pytest.raises(ValidationError, match="node 1 listed twice in the ranks"):
+            detect_zombies(ranks, min_community_size=2)
+
+    @pytest.mark.parametrize("ranks,message", [
+        ({0: vec([0.5, 0.5], members=[0, 2]), 1: vec([0.5], members=[3])},
+         "no rank for node 1; node 3 is outside 0..2"),
+        ({0: vec([0.5, 0.5, 0.5], members=[-1, 0, 1])},
+         "no rank for node 2; node -1 is outside 0..2"),
+        ({0: vec([0.5, 0.5, 0.5], members=[0, 1, 2 ** 40])},
+         f"no rank for node 2; node {2 ** 40} is outside 0..2"),
+    ], ids=["gap", "negative", "huge"])
+    def test_node_without_a_rank_rejected(self, ranks, message):
+        # n members cover nodes 0..n-1, so a member outside leaves a node out
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             detect_zombies(ranks, min_community_size=2)
 
     def test_scale_equivariance_spot_check(self):
@@ -160,8 +177,8 @@ def test_planted_zombies_in_one_community_are_recalled():
     io = io_scores_for(g)
     vector = pagerank(g, RankConfig(), io)
     report = detect_zombies({0: vector})
-    planted = {int(z) for z in truth.zombie_nodes()}
-    flagged = {int(n) for n in report.zombie_nodes()}
+    planted = {int(z) for z in np.flatnonzero(truth.labels())}
+    flagged = {int(n) for n in np.flatnonzero(report.labels())}
     recall = len(flagged & planted) / len(planted)
     assert recall >= 0.8
 
@@ -172,7 +189,14 @@ class TestReportFiles:
         path = tmp_path / "report.csv"
         write_report_csv(report, path)
         labels = read_report_csv(path)
-        assert labels == {0: False, 1: False, 2: False, 3: False, 4: True}
+        assert labels.dtype == bool
+        assert labels.tolist() == [False, False, False, False, True]
+
+    def test_rows_read_in_any_order(self, tmp_path):
+        path = tmp_path / "report.csv"
+        path.write_text("node_id,community_id,pagerank,threshold,label\n"
+                        "2,0,0.1,,zombie\n0,0,0.1,,normal\n1,0,0.1,,zombie\n")
+        assert read_report_csv(path).tolist() == [False, True, True]
 
     def test_summary_json(self, tmp_path):
         import json
@@ -204,6 +228,8 @@ class TestReportFiles:
         (["0,0,nan,,normal"], "bad report row"),
         (["0,0,0.1,inf,normal"], "bad report row"),
         (["0,0,0.1,z,normal"], "bad report row"),
+        (["1,0,0.1,,normal", "2,0,0.1,,normal"], r"node 2 outside 0\.\.1, "),  # no node 0
+        (["0,0,0.1,,normal", "-1,0,0.1,,normal"], r"node -1 outside 0\.\.1, "),
     ])
     def test_unknown_label_or_repeated_node_rejected(self, tmp_path, rows, match):
         path = tmp_path / "report.csv"

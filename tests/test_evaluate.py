@@ -17,14 +17,14 @@ LABELED_SAMPLE = ConfusionMatrix(tp=41, fn=17, fp=9, tn=33)
 
 class TestConfusion:
     def test_perfect_predictions(self):
-        truth = {i: i < 4 for i in range(10)}
+        truth = np.arange(10) < 4
         cm = confusion(truth, truth)
         assert (cm.fp, cm.fn) == (0, 0)
         assert cm.tp == 4 and cm.tn == 6
 
     def test_all_predicted_normal(self):
-        truth = {i: i < 3 for i in range(10)}
-        predicted = {i: False for i in range(10)}
+        truth = np.arange(10) < 3
+        predicted = np.zeros(10, dtype=bool)
         cm = confusion(predicted, truth)
         assert (cm.tp, cm.fn, cm.fp, cm.tn) == (0, 3, 0, 7)
 
@@ -33,12 +33,16 @@ class TestConfusion:
 
     def test_node_set_mismatch_lists_ids(self):
         with pytest.raises(ValidationError, match="no prediction for 2"):
-            confusion({0: True, 1: False}, {0: True, 1: False, 2: True})
+            confusion(np.array([True, False]), np.array([True, False, True]))
+
+    def test_missing_truth_names_the_first_node(self):
+        with pytest.raises(ValidationError, match="no truth for 1 "):
+            confusion(np.array([True, False, True]), np.array([True]))
 
     def test_swapping_maps_transposes(self):
         rng = np.random.Generator(np.random.PCG64(12))
-        predicted = {i: bool(rng.integers(2)) for i in range(40)}
-        truth = {i: bool(rng.integers(2)) for i in range(40)}
+        predicted = rng.integers(2, size=40).astype(bool)
+        truth = rng.integers(2, size=40).astype(bool)
         cm = confusion(predicted, truth)
         swapped = confusion(truth, predicted)
         assert swapped == transposed(cm)
@@ -47,8 +51,7 @@ class TestConfusion:
     @given(st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=60))
     @settings(max_examples=50, deadline=None)
     def test_counts_sum_to_node_count(self, pairs):
-        predicted = {i: p for i, (p, _) in enumerate(pairs)}
-        truth = {i: t for i, (_, t) in enumerate(pairs)}
+        predicted, truth = np.array(pairs, dtype=bool).T
         assert confusion(predicted, truth).total == len(pairs)
 
 
@@ -106,10 +109,16 @@ class TestRegionDistribution:
         assert region_distribution(report, profiles) == {"unknown": 1}
 
     def test_ids_outside_the_profiles_go_to_unknown(self):
-        # the last row's region must not count a negative id
         profiles = profile_table(3, regions=["Shanghai", "Shanghai", "Beijing"])
-        flagged = {-1: True, 3: True, 0: True, 2: False}
+        flagged = np.array([True, False, False, True, True])
         assert region_distribution(flagged, profiles) == {"unknown": 2, "Shanghai": 1}
+
+    def test_report_and_its_labels_count_alike(self):
+        report = report_with_zombies([1, 4, 11], 16)
+        profiles = profile_table(10, regions=["Beijing", "Shanghai"] * 5)
+        counts = region_distribution(report, profiles)
+        assert counts == region_distribution(report.labels(), profiles)
+        assert counts == {"Shanghai": 1, "Beijing": 1, "unknown": 1}
 
     def test_counts_match_generator(self):
         rng = np.random.Generator(np.random.PCG64(7))

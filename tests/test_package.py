@@ -24,7 +24,7 @@ MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__i
 DELETED = {"in_neighbors", "in_degree", "degrees", "out_neighbors", "out_degree", "has_arc",
            "m", "members", "sizes", "per_community_threshold", "transition_weights",
            "uid", "name", "gender", "verification", "tweets", "tweets_missing", "regions",
-           "ProfileSchema", "write_profiles"}
+           "ProfileSchema", "write_profiles", "IOScores", "node_ids", "zombie_nodes"}
 
 
 @pytest.mark.parametrize("name", ["zombiescan"] + [f"zombiescan.{m}" for m in MODULES])
@@ -38,10 +38,12 @@ def test_all_resolves_and_lists_no_deleted_name(name):
 
 @pytest.mark.parametrize("owner", [zombiescan.DirectedGraph, zombiescan.UndirectedGraph,
                                    zombiescan.Partition, zombiescan.ZombieReport,
-                                   zombiescan.ProfileTable])
+                                   zombiescan.ProfileTable, zombiescan.GroundTruth])
 def test_deleted_members_are_gone(owner):
-    assert not [n for n in DELETED if hasattr(owner, n)]
-    assert not [n for n in DELETED if n in getattr(owner, "__dataclass_fields__", {})]
+    # the truth file's region column stays on GroundTruth
+    deleted = DELETED - {"regions"} if owner is zombiescan.GroundTruth else DELETED
+    assert not [n for n in deleted if hasattr(owner, n)]
+    assert not [n for n in deleted if n in getattr(owner, "__dataclass_fields__", {})]
 
 
 def test_parse_profiles_takes_only_its_source():

@@ -65,34 +65,37 @@ class TestIoScore:
 class TestIoScoresFor:
     def test_two_cycle_symmetric(self):
         g = whole_graph([(0, 1), (1, 0)], 2)
-        assert list(io_scores_for(g).values) == [0.5, 0.5]
+        assert list(io_scores_for(g)) == [0.5, 0.5]
 
     def test_star_hub_is_one_leaves_zero(self):
         g = whole_graph([(i, 0) for i in range(1, 5)], 5)
-        scores = io_scores_for(g).values
+        scores = io_scores_for(g)
         assert scores[0] == 1.0
         assert list(scores[1:]) == [0.0] * 4
 
     def test_matches_scalar_recomputation(self):
         g, _ = random_graph(31, 5, 0.5)
-        scores = io_scores_for(g).values
+        scores = io_scores_for(g)
         for u in range(5):
             fans, follows = g.in_degrees[u], g.out_degrees[u]
             assert scores[u] == io_score(fans, follows)
 
-    def test_profile_source(self):
+    def test_profile_source(self, caplog):
         g = whole_graph([(0, 1), (1, 0)], 2)
         profiles = profile_table(2, followers=[30, 100], followees=[70, 0])
-        scores = io_scores_for(g, "profile", profiles)
-        assert list(scores.values) == [0.3, 1.0]
-        assert scores.fallback_count == 0
+        with caplog.at_level(logging.WARNING):
+            scores = io_scores_for(g, "profile", profiles)
+        assert list(scores) == [0.3, 1.0]
+        assert messages(caplog, "zombiescan.rank") == []
 
-    def test_profile_fallback_tallied(self):
+    def test_profile_fallback_tallied(self, caplog):
         g = whole_graph([(0, 1), (1, 0)], 2)
         profiles = profile_table(2, followers=[30, None], followees=[70, None])
-        scores = io_scores_for(g, "profile", profiles)
-        assert scores.values[1] == 0.5  # local degrees of the 2-cycle
-        assert scores.fallback_count == 1
+        with caplog.at_level(logging.WARNING):
+            scores = io_scores_for(g, "profile", profiles)
+        assert scores[1] == 0.5  # local degrees of the 2-cycle
+        assert messages(caplog, "zombiescan.rank") == [
+            "1 of 2 nodes lack profile counts; used local degrees"]
 
 
 class TestTransitionWeights:
@@ -148,7 +151,7 @@ class TestPagerank:
 
     def test_every_iterate_sums_to_one(self):
         g, arcs = random_graph(51, 12, 0.2)
-        weights = weights_of(g, io_scores_for(g).values)
+        weights = weights_of(g, io_scores_for(g))
         for i, (x, _) in enumerate(power_iterate(g, weights, 0.85)):
             assert x.sum() == pytest.approx(1.0, abs=1e-10)
             if i > 20:
@@ -157,7 +160,7 @@ class TestPagerank:
     def test_residual_non_increasing(self):
         for seed in (60, 61, 62):
             g, _ = random_graph(seed, 15, 0.15)
-            weights = weights_of(g, io_scores_for(g).values)
+            weights = weights_of(g, io_scores_for(g))
             residuals = []
             for _, r in power_iterate(g, weights, 0.85):
                 residuals.append(r)
@@ -226,7 +229,7 @@ class TestRankAllCommunities:
         for cid in range(p.community_count):
             members = np.flatnonzero(p.assignment == cid).tolist()
             local_arcs = community_arcs(arcset, members)
-            io = io_scores_for(whole_graph(local_arcs, len(members))).values
+            io = io_scores_for(whole_graph(local_arcs, len(members)))
             oracle = pagerank_dense(len(members), local_arcs, 0.85, io)
             assert np.abs(vectors[cid].values - oracle).max() < 1e-8
             assert vectors[cid].values.sum() == pytest.approx(1.0, abs=1e-10)
@@ -265,7 +268,7 @@ class TestRankAllCommunities:
             io = io_scores_for(alone_graph)
             alone = pagerank(alone_graph, cfg, io)
             reference, sweeps = pagerank_sweeps(len(members), local_arcs, cfg.damping,
-                                                io.values, cfg.tolerance, cfg.max_iterations)
+                                                io, cfg.tolerance, cfg.max_iterations)
             assert np.array_equal(alone.values, reference) and alone.iterations == sweeps
             assert np.array_equal(vectors[cid].members, members)
             assert np.array_equal(vectors[cid].values, alone.values)
@@ -274,7 +277,7 @@ class TestRankAllCommunities:
                 capped.append(cid)
             if (alone_graph.out_degrees == 0).sum() >= 8:
                 # here np.sum's pairwise order and a running sum give different bytes
-                running, _ = pagerank_sweeps(len(members), local_arcs, cfg.damping, io.values,
+                running, _ = pagerank_sweeps(len(members), local_arcs, cfg.damping, io,
                                              cfg.tolerance, cfg.max_iterations, True)
                 assert not np.array_equal(running, reference)
                 wide_dangling += 1

@@ -74,8 +74,7 @@ class TestGenerate:
         cfg = small_config(seed=7)
         g, truth, _ = generate(cfg)
         lo, hi = cfg.zombie_out_degree
-        for z in truth.zombie_nodes():
-            z = int(z)
+        for z in np.flatnonzero(truth.labels()).tolist():
             assert lo <= g.out_degrees[z] <= hi
             assert g.in_degrees[z] <= cfg.zombie_max_in_degree
 
@@ -184,4 +183,4 @@ class TestEmission:
     def test_known_is_zombie_values_read(self, tmp_path, value, expected):
         path = tmp_path / "truth.csv"
         path.write_text(f"node_id,block_id,is_zombie,region\n0,0,{value},Beijing\n")
-        assert read_truth_csv(path).labels() == {0: expected}
+        assert read_truth_csv(path).labels().tolist() == [expected]

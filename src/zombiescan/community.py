@@ -26,7 +26,6 @@ self-loop) and the optimizer repeats on the smaller graph.
 
 from __future__ import annotations
 
-import csv
 from collections import Counter, deque
 from dataclasses import dataclass
 from random import Random
@@ -35,8 +34,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .graph import UndirectedGraph
-from .textio import (ASCII, UTF8, int_column, read_text, render_ints, repeats, split_csv,
-                     text_stream)
+from .textio import UTF8, int_column, read_text, repeats, split_csv, write_csv
 
 __all__ = [
     "Partition",
@@ -356,21 +354,13 @@ _PARTITION_HEADER = ("node_id", "community_id")
 
 def write_partition_csv(p: Partition, destination, uids: list[str] | None = None) -> None:
     """Emit `node_id,community_id` rows, plus a `uid` column (UTF-8) when uids are given."""
-    if uids is None:
-        # node id and community id of each row, interleaved
-        tokens = np.stack([np.arange(p.node_count), p.assignment], axis=1).ravel()
-        separators = np.tile(np.array([ord(","), ord("\n")], dtype=np.uint8), p.node_count)
-        with text_stream(destination, "w", UTF8) as fh:
-            fh.write(",".join(_PARTITION_HEADER) + "\n"
-                     + render_ints(tokens, separators).decode(ASCII))
-        return
-    if len(uids) != p.node_count:
-        raise ValidationError(
-            f"uid list has {len(uids)} entries, partition has {p.node_count} nodes")
-    with text_stream(destination, "w", UTF8) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_PARTITION_HEADER + ("uid",))
-        writer.writerows(zip(range(p.node_count), p.assignment.tolist(), uids))
+    header, columns = _PARTITION_HEADER, [range(p.node_count), p.assignment]
+    if uids is not None:
+        if len(uids) != p.node_count:
+            raise ValidationError(
+                f"uid list has {len(uids)} entries, partition has {p.node_count} nodes")
+        header, columns = header + ("uid",), columns + [uids]
+    write_csv(destination, header, columns)
 
 
 def read_partition_csv(source, node_count: int) -> Partition:

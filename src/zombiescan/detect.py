@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ValidationError
 from .rank import ImportanceVector
 from .textio import (ASCII, code_column, float_column, float_reprs, int_column, read_text,
-                     repeats, split_csv, text_stream, write_json)
+                     repeats, split_csv, write_csv, write_json)
 
 __all__ = [
     "QUARTILE_METHODS",
@@ -154,18 +154,16 @@ _LABELS = {"zombie": True, "normal": False}
 def write_report_csv(report: ZombieReport, destination) -> None:
     """Emit `node_id,community_id,pagerank,threshold,label` rows."""
     labels = np.array(["normal", "zombie"], dtype=object)[report.is_zombie.astype(np.intp)]
-    rows = zip(range(report.total), report.community_ids.tolist(),
-               float_reprs(report.values), float_reprs(report.thresholds, nan=""),
-               labels.tolist())
-    with text_stream(destination, "w") as fh:
-        fh.write(",".join(_REPORT_HEADER) + "\n" + "".join(map("%d,%d,%s,%s,%s\n".__mod__, rows)))
+    write_csv(destination, _REPORT_HEADER,
+              [range(report.total), report.community_ids, report.values,
+               float_reprs(report.thresholds, nan=""), labels.tolist()])
 
 
 def read_report_csv(source) -> np.ndarray:
     """Predicted labels from a report CSV, as is_zombie by node id. The rows,
     in any order, must list nodes 0..rows-1; rejects a bad value in any
     column (ids int64, pagerank finite and non-negative, threshold finite),
-    a node outside that range and repeated nodes, so no node goes missing."""
+    repeated nodes and a node outside that range, naming one left without a row."""
     rows = split_csv(read_text(source, ASCII), "report", _REPORT_HEADER)
     nodes, bad_nodes = int_column(rows.columns[0])
     _, bad_cids = int_column(rows.columns[1])
@@ -173,11 +171,14 @@ def read_report_csv(source) -> np.ndarray:
     # a blank threshold is a community too small to fence
     thresholds, bad_thresholds = float_column([t or "0" for t in rows.columns[3]])
     labels = code_column(rows.columns[4], _LABELS)
+    inside = ~bad_nodes & (nodes >= 0) & (nodes < len(rows))
     rows.check((bad_nodes | bad_cids | bad_values | ~np.isfinite(values) | (values < 0)
                 | bad_thresholds | ~np.isfinite(thresholds) | (labels < 0),
                 lambda i: f"bad report row: {rows.row(i)!r}"),
-               ((nodes < 0) | (nodes >= len(rows)),
-                lambda i: f"node {nodes[i]} outside 0..{len(rows) - 1}, the report's rows"),
+               # n rows, one of them outside 0..n-1, leave a node without a row
+               (~inside, lambda i: "no row for node %d; node %d is outside 0..%d" % (
+                   np.argmin(np.bincount(nodes[inside], minlength=len(rows))), nodes[i],
+                   len(rows) - 1)),
                (repeats(nodes), lambda i: f"node {nodes[i]} listed twice in the report"))
     is_zombie = np.empty(len(rows), dtype=bool)
     is_zombie[nodes] = labels > 0

@@ -7,14 +7,13 @@ silently coerced to 0, and serialize to JSON null.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 from .graph import DirectedGraph
-from .textio import UTF8, text_stream, write_json
+from .textio import write_csv, write_json
 
 __all__ = [
     "ConfusionMatrix",
@@ -134,16 +133,11 @@ def write_metrics_json(cm: ConfusionMatrix, ms: MetricSet, destination,
 
 def write_regions_csv(counts: dict[str, int], destination) -> None:
     """Emit `region,count` (UTF-8) sorted by count descending, then name."""
-    with text_stream(destination, "w", UTF8) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["region", "count"])
-        for region, count in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])):
-            writer.writerow([region, count])
+    regions = sorted(counts, key=lambda region: (-counts[region], region))
+    write_csv(destination, ("region", "count"),
+              [regions, np.array([counts[r] for r in regions], dtype=np.int64)])
 
 
 def write_histogram_csv(hist: list[tuple[int, int]], destination) -> None:
-    with text_stream(destination, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["bin_lower", "count"])
-        for lower, count in hist:
-            writer.writerow([lower, count])
+    lower, count = np.array(hist, dtype=np.int64).reshape(-1, 2).T
+    write_csv(destination, ("bin_lower", "count"), [lower, count])

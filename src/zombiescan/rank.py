@@ -32,8 +32,8 @@ import numpy as np
 from .community import Partition
 from .errors import ValidationError
 from .graph import DirectedGraph
-from .textio import (ASCII, code_column, float_column, float_reprs, int_column, read_text,
-                     repeats, split_csv, text_stream)
+from .textio import (ASCII, code_column, float_column, int_column, read_text, repeats,
+                     split_csv, write_csv)
 
 log = logging.getLogger(__name__)
 
@@ -245,7 +245,7 @@ def _iterate(blocks: _Blocks, cfg: RankConfig):
         x[where[finished]] = work_x[finished]
         live &= ~done
         size = work.sizes + work.arc_counts
-        if 2 * size[live].sum() < size.sum():
+        if live.any() and 2 * size[live].sum() < size.sum():
             keep = np.flatnonzero(live)
             work, nodes = work.take(keep)
             work_x, where, ids = work_x[nodes], where[nodes], ids[keep]
@@ -318,10 +318,7 @@ def write_ranks_csv(destination, g: DirectedGraph, p: Partition,
         io_col[~scored] = _io_scores(n, *_intra(g, assignment), io_source,
                                      profiles)[~scored]
     converged = np.array(["false", "true"], dtype=object)[conv_col.astype(np.intp)].tolist()
-    rows = zip(range(n), assignment.tolist(), float_reprs(io_col), float_reprs(pr_col),
-               converged)
-    with text_stream(destination, "w") as fh:
-        fh.write(",".join(_RANKS_HEADER) + "\n" + "".join(map("%d,%d,%s,%s,%s\n".__mod__, rows)))
+    write_csv(destination, _RANKS_HEADER, [range(n), assignment, io_col, pr_col, converged])
 
 
 def read_ranks_csv(source) -> dict[int, ImportanceVector]:

@@ -13,11 +13,11 @@ corpora are the durable reference.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import math
 import numbers
+import re
 from dataclasses import dataclass, field
 from itertools import cycle
 from pathlib import Path
@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ParseError, ValidationError
 from .graph import DirectedGraph, _build_graph
 from .ingest import ProfileTable, write_uidlist, write_weibo_network
-from .textio import UTF8, code_column, int_column, read_text, split_csv, text_stream
+from .textio import UTF8, code_column, int_column, read_text, split_csv, text_stream, write_csv
 
 log = logging.getLogger(__name__)
 
@@ -84,6 +84,10 @@ class SynthConfig:
                 and sum(regions.values()) > 0):
             raise ValidationError("regions must map names to finite non-negative weights "
                                   "summing above 0")
+        for name in regions:  # as parse_profiles reads it back: UTF-8, split and stripped
+            if name != name.strip() or not re.fullmatch("[^\t\r\n\ud800-\udfff]+", name):
+                raise ValidationError(f"region name {name!r} must be nonempty UTF-8 without a "
+                                      "tab, CR, LF or surrounding whitespace")
 
     @property
     def node_count(self) -> int:
@@ -151,14 +155,11 @@ def generate(cfg: SynthConfig) -> tuple[DirectedGraph, GroundTruth, ProfileTable
     starts = np.concatenate([[0], np.cumsum(cfg.block_sizes)])
     block_ids = np.repeat(np.arange(len(cfg.block_sizes)), cfg.block_sizes)
 
+    lo, hi = cfg.zombie_out_degree
     zombie_counts = _zombie_allocation(cfg)
     is_zombie = np.zeros(n, dtype=bool)
     for b, z in enumerate(zombie_counts):
-        if z:
-            is_zombie[starts[b + 1] - z:starts[b + 1]] = True  # last z ids of the block
-
-    lo, hi = cfg.zombie_out_degree
-    for b, z in enumerate(zombie_counts):
+        is_zombie[starts[b + 1] - z:starts[b + 1]] = True  # last z ids of the block
         normals_in_block = cfg.block_sizes[b] - z
         if z and hi > normals_in_block:
             raise ValidationError(
@@ -170,8 +171,8 @@ def generate(cfg: SynthConfig) -> tuple[DirectedGraph, GroundTruth, ProfileTable
                 f"allow up to {cfg.zombie_max_in_degree} fans")
 
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    src_parts: list[np.ndarray] = []
-    dst_parts: list[np.ndarray] = []
+    src_parts = [np.zeros(0, dtype=np.int64)]  # never empty, so it concatenates
+    dst_parts = [np.zeros(0, dtype=np.int64)]
 
     normal_by_block = [np.flatnonzero(~is_zombie & (block_ids == b))
                        for b in range(len(cfg.block_sizes))]
@@ -191,12 +192,7 @@ def generate(cfg: SynthConfig) -> tuple[DirectedGraph, GroundTruth, ProfileTable
             dst_parts.append(cols[j])
 
     # 2) reciprocation of the Bernoulli arcs
-    if src_parts:
-        src = np.concatenate(src_parts)
-        dst = np.concatenate(dst_parts)
-    else:
-        src = np.zeros(0, dtype=np.int64)
-        dst = np.zeros(0, dtype=np.int64)
+    src, dst = np.concatenate(src_parts), np.concatenate(dst_parts)
     if cfg.reciprocity > 0 and src.size:
         back = rng.random(src.size) < cfg.reciprocity
         src, dst = np.concatenate([src, dst[back]]), np.concatenate([dst, src[back]])
@@ -245,11 +241,9 @@ _TRUTH_FLAGS = {"0": False, "1": True, "true": True, "false": False, "True": Tru
 
 def write_truth_csv(truth: GroundTruth, destination) -> None:
     """Emit `node_id,block_id,is_zombie,region` rows (UTF-8)."""
-    with text_stream(destination, "w", UTF8) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_TRUTH_HEADER)
-        writer.writerows(zip(range(truth.node_count), truth.block_ids.tolist(),
-                             truth.is_zombie.astype(np.int64).tolist(), truth.regions))
+    write_csv(destination, _TRUTH_HEADER,
+              [range(truth.node_count), truth.block_ids, truth.is_zombie.astype(np.int64),
+               truth.regions])
 
 
 def read_truth_csv(source) -> GroundTruth:

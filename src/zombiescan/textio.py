@@ -11,6 +11,7 @@ converts whole columns (`int_column`, `float_column`, `code_column`) into
 values and masks of the rows at fault, and `CsvRows.check` raises the
 message of the first faulty row. Every integer column is int64: a token
 int() refuses, or one outside 64 bits, is a fault of its row.
+`write_csv` writes every stage table, as csv.writer would.
 """
 
 from __future__ import annotations
@@ -270,6 +271,28 @@ def float_reprs(values: np.ndarray, nan: str = "nan") -> list[str]:
     if nan != "nan":
         reprs = [nan if r == "nan" else r for r in reprs]
     return np.array(reprs, dtype=object)[inverse].tolist()
+
+
+def write_csv(destination, header: tuple[str, ...], columns) -> None:
+    """Write `header` and the rows of `columns` (two or more, of equal length)
+    in UTF-8 as csv.writer writes them with LF line ends: an integer array or
+    a range in decimal, a float64 array through `float_reprs`, any other column
+    (a list of str) as it stands, quoted where a field holds ',', '"' or LF."""
+    fields = []
+    for column in columns:
+        if isinstance(column, np.ndarray) and column.dtype.kind in "iu":
+            column = column.tolist()
+        elif isinstance(column, np.ndarray) and column.dtype == np.float64:
+            column = float_reprs(column)
+        elif not isinstance(column, range):
+            joined = "".join(column)  # one scan tells whether any field needs quotes
+            if "," in joined or '"' in joined or "\n" in joined:
+                column = ['"%s"' % f.replace('"', '""') if "," in f or '"' in f or "\n" in f
+                          else f for f in column]
+        fields.append(column)
+    row = ",".join(["%s"] * len(fields)) + "\n"
+    with text_stream(destination, "w", UTF8) as fh:
+        fh.write(",".join(header) + "\n" + "".join(map(row.__mod__, zip(*fields))))
 
 
 def render_ints(values: np.ndarray, separators: np.ndarray) -> bytes:

@@ -754,6 +754,17 @@ def read_ranks_rows(text: str) -> dict[int, tuple[np.ndarray, np.ndarray, bool, 
     return vectors
 
 
+def _nodes(rows) -> set[int]:
+    """The node ids that the rows' first fields name."""
+    nodes = set()
+    for row in rows:
+        try:
+            nodes.add(_int64(row[0]))
+        except (ValueError, IndexError):
+            pass
+    return nodes
+
+
 def read_report_rows(text: str) -> list[bool]:
     """is zombie by node id; the rows, in any order, must list nodes 0 to
     their count - 1. A csv module error comes after the faults of the rows
@@ -777,7 +788,8 @@ def read_report_rows(text: str) -> list[bool]:
                 or label not in ("zombie", "normal")):
             raise ValidationError(f"bad report row: {row!r}")
         if not 0 <= node < len(rows):
-            raise ValidationError(f"node {node} outside 0..{len(rows) - 1}, the report's rows")
+            raise ValidationError(f"no row for node {min(set(range(len(rows))) - _nodes(rows))}; "
+                                  f"node {node} is outside 0..{len(rows) - 1}")
         if node in labels:
             raise ValidationError(f"node {node} listed twice in the report")
         labels[node] = label == "zombie"

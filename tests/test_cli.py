@@ -309,7 +309,7 @@ class TestEvaluate:
         capsys.readouterr()
         assert main(["evaluate", str(report), f"{PLANTED}/truth.csv",
                      "-o", str(metrics_path)]) == 2
-        assert "error: node 199 outside 0..198, the report's rows" in capsys.readouterr().err
+        assert "error: no row for node 5; node 199 is outside 0..198" in capsys.readouterr().err
         assert not metrics_path.exists()
 
     def test_region_breakdown(self, tmp_path):

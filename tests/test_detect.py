@@ -228,8 +228,9 @@ class TestReportFiles:
         (["0,0,nan,,normal"], "bad report row"),
         (["0,0,0.1,inf,normal"], "bad report row"),
         (["0,0,0.1,z,normal"], "bad report row"),
-        (["1,0,0.1,,normal", "2,0,0.1,,normal"], r"node 2 outside 0\.\.1, "),  # no node 0
-        (["0,0,0.1,,normal", "-1,0,0.1,,normal"], r"node -1 outside 0\.\.1, "),
+        (["1,0,0.1,,normal", "2,0,0.1,,normal"], r"no row for node 0; node 2 is outside 0\.\.1$"),
+        (["0,0,0.1,,normal", "-1,0,0.1,,normal"],
+         r"no row for node 1; node -1 is outside 0\.\.1$"),
     ])
     def test_unknown_label_or_repeated_node_rejected(self, tmp_path, rows, match):
         path = tmp_path / "report.csv"

@@ -67,6 +67,12 @@ def test_imports_only_stdlib_and_numpy(stem):
     assert imported - set(sys.stdlib_module_names) - {"numpy"} == set()
 
 
+def test_only_textio_imports_csv():
+    # every stage table goes out through textio.write_csv and in through split_csv
+    assert [stem for stem in MODULES if "csv" in absolute_imports(PACKAGE / f"{stem}.py")] == \
+        ["textio"]
+
+
 def test_pyproject_depends_on_numpy_only():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import logging
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from zombiescan import (Partition, RankConfig, ValidationError, build_graph, cac
                         io_scores_for, pagerank, rank_all_communities)
 from zombiescan.cli import main
 from zombiescan.community import read_partition_csv
-from zombiescan.rank import _whole, read_ranks_csv, write_ranks_csv
+from zombiescan.rank import _Blocks, _whole, read_ranks_csv, write_ranks_csv
 
 from conftest import DATA, profile_table, random_graph
 from oracles import io_score, out_row, pagerank_dense, pagerank_sweeps, rank_reference
@@ -410,6 +411,30 @@ class TestLayoutAgainstReference:
         assert g.out_degrees[:12].min() >= 8
         singleton = rank_all_communities(g, p)[1]
         assert singleton.values.tolist() == [1.0] and singleton.io.tolist() == [0.0]
+
+
+class TestWorkingSet:
+    @staticmethod
+    def kept(rank):
+        """The `keep` argument of every `_Blocks.take` while `rank` runs."""
+        with mock.patch.object(_Blocks, "take", autospec=True, side_effect=_Blocks.take) as take:
+            rank()
+        return [c.args[1].tolist() for c in take.call_args_list]
+
+    @given(ranking_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_never_shrinks_to_nothing(self, case):
+        assert [] not in self.kept(lambda: rank_all_communities(*case))
+
+    def test_drops_the_settled_community_only(self):
+        # community 0, a 100-node cycle, settles after one sweep; community 1,
+        # 12 nodes with uneven in-degrees, stops at the cap
+        arcs = [(i, (i + 1) % 100) for i in range(100)]
+        arcs += [(100 + u, 100 + v) for u in range(12) for v in range(u)[-3:]]
+        p = Partition(np.repeat([0, 1], [100, 12]))
+        cfg = RankConfig(mode="even", max_iterations=4)
+        assert self.kept(lambda: rank_all_communities(whole_graph(arcs, 112), p, cfg)) == [[1]]
+        assert self.kept(lambda: pagerank(whole_graph(arcs, 112), cfg)) == []
 
 
 class TestRanksWriterIo:

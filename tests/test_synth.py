@@ -1,9 +1,12 @@
 import dataclasses
 import io
 import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zombiescan import SynthConfig, ValidationError, generate
 from zombiescan.ingest import parse_profiles, parse_uidlist, parse_weibo_network
@@ -168,6 +171,29 @@ class TestEmission:
         assert np.array_equal(again.block_ids, truth.block_ids)
         assert np.array_equal(again.is_zombie, truth.is_zombie)
         assert again.regions == truth.regions
+
+    @given(st.dictionaries(st.text(max_size=4) | st.text(st.sampled_from(
+        ' a\t\r\n\x0b\x85\u3000,"\x00北\ud800'), max_size=3), st.just(1.0), min_size=1, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_region_names_are_refused_or_read_back(self, regions):
+        try:
+            cfg = SynthConfig(block_sizes=(8,), p_in=0.3, regions=regions, seed=5)
+        except ValidationError:  # synth exits 2
+            return
+        g, truth, profiles = generate(cfg)
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = emit_weibo_format(g, truth, profiles, tmp)
+            table = parse_profiles(paths["profiles"])
+            again = read_truth_csv(paths["truth"])
+        assert [table.region_names[c] for c in table.region_codes] == truth.regions
+        assert again.regions == truth.regions
+
+    def test_region_names_that_read_back_are_kept(self, tmp_path):
+        regions = {"北京": 1.0, 'a, "b"': 1.0, "x\x00y": 1.0, "New York": 1.0}
+        g, truth, profiles = generate(SynthConfig(block_sizes=(40,), regions=regions, seed=2))
+        paths = emit_weibo_format(g, truth, profiles, tmp_path)
+        assert sorted(parse_profiles(paths["profiles"]).region_names) == sorted(regions)
+        assert read_truth_csv(paths["truth"]).regions == truth.regions
 
     @pytest.mark.parametrize("value", ["2", "yes", "TRUE", ""])
     def test_unknown_is_zombie_value_rejected(self, tmp_path, value):

@@ -23,8 +23,9 @@ from zombiescan.community import read_partition_csv, write_partition_csv
 from zombiescan.detect import ZombieReport, read_report_csv, write_report_csv
 from zombiescan.ingest import _profile_columns, _profile_rows, _profile_table
 from zombiescan.rank import ImportanceVector, read_ranks_csv, write_ranks_csv
-from zombiescan.synth import read_truth_csv
-from zombiescan.textio import _digit_column, int_column, read_text, render_ints, split_fields
+from zombiescan.synth import GroundTruth, read_truth_csv, write_truth_csv
+from zombiescan.textio import (_digit_column, float_column, int_column, read_text, render_ints,
+                               split_csv, split_fields, write_csv)
 
 from conftest import DATA, profile_table
 from oracles import (io_reference, partition_csv_rows, ranks_csv_rows, read_partition_rows,
@@ -488,3 +489,112 @@ class TestWriters:
         separators = np.frombuffer("".join(s for _, s in tokens).encode(), dtype=np.uint8)
         assert render_ints(values, separators) == \
             "".join(f"{v}{s}" for v, s in tokens).encode()
+
+
+# what the stage files carry: text of every kind but CR (no uid list, region
+# name or label holds one), and the floats each reader accepts
+FIELD_TEXT = st.text(st.sampled_from('ab 1,\t"\n北京　'), max_size=4)
+SHARE = st.sampled_from([-0.0, 0.0, 5e-324, 1e-05, 0.1, 1 / 3, 1.0]) | st.floats(0, 1)
+
+
+def same_floats(got, want) -> bool:
+    """Equal bit for bit, any NaN matching any NaN."""
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    nan = np.isnan(want)
+    return (np.isnan(got) == nan).all() and \
+        got[~nan].view(np.int64).tolist() == want[~nan].view(np.int64).tolist()
+
+
+def written(write) -> str:
+    buf = io.StringIO()
+    write(buf)
+    return buf.getvalue()
+
+
+class TestRoundTrips:
+    """Each reader returns what its writer wrote."""
+
+    @given(st.integers(0, 6), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_write_csv_and_split_csv(self, n, data):
+        ints = np.asarray(data.draw(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=n,
+                                             max_size=n)), dtype=np.int64)
+        floats = np.asarray(data.draw(st.lists(SPECIAL_FLOATS, min_size=n, max_size=n)))
+        text = data.draw(st.lists(FIELD_TEXT, min_size=n, max_size=n))
+        header = ("i", "f", "t")
+        rows = split_csv(written(lambda buf: write_csv(buf, header, [ints, floats, text])),
+                         "table", header)
+        assert int_column(rows.columns[0])[0].tolist() == ints.tolist()
+        assert same_floats(float_column(rows.columns[1])[0], floats)
+        assert rows.columns[2] == text
+
+    @given(st.lists(st.integers(0, 5), max_size=8), st.booleans(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_partition(self, assignment, with_uids, data):
+        part = Partition(np.asarray(assignment, dtype=np.int64))
+        uids = data.draw(st.lists(FIELD_TEXT, min_size=len(assignment),
+                                  max_size=len(assignment))) if with_uids else None
+        text = written(lambda buf: write_partition_csv(part, buf, uids))
+        again = read_partition_csv(io.StringIO(text), part.node_count)
+        assert again.assignment.tolist() == part.assignment.tolist()
+        if with_uids:
+            header = ("node_id", "community_id", "uid")
+            assert split_csv(text, "partition", header).columns[2] == uids
+
+    @given(st.integers(1, 6), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_ranks(self, n, data):
+        part = Partition(np.asarray(data.draw(st.lists(st.integers(0, 2), min_size=n,
+                                                       max_size=n))))
+        vectors = {}
+        for c in range(part.community_count):
+            members = np.flatnonzero(part.assignment == c)
+            shares = st.lists(SHARE | st.floats(0, 1e300), min_size=members.shape[0],
+                              max_size=members.shape[0])
+            vectors[c] = ImportanceVector(np.asarray(data.draw(shares)), members, 0, 0.0,
+                                          data.draw(st.booleans()),
+                                          np.asarray(data.draw(shares)).clip(0, 1))
+        again = read_ranks_csv(io.StringIO(written(
+            lambda buf: write_ranks_csv(buf, build_graph([], n), part, vectors))))
+        assert sorted(again) == sorted(vectors)
+        for c, vec in vectors.items():
+            assert again[c].members.tolist() == vec.members.tolist()
+            assert same_floats(again[c].values, vec.values)
+            assert same_floats(again[c].io, vec.io)
+            assert again[c].converged == vec.converged
+
+    @given(st.integers(0, 8), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_report(self, n, data):
+        def floats(values):
+            return np.asarray(data.draw(st.lists(values, min_size=n, max_size=n)),
+                              dtype=np.float64)
+
+        report = ZombieReport(
+            community_ids=np.asarray(
+                data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=np.int64),
+            values=floats(SHARE | st.floats(0, 1e300)),
+            thresholds=floats(st.floats(allow_infinity=False)),  # NaN: a community too small
+            is_zombie=np.asarray(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+                                 dtype=bool),
+            method="linear", min_community_size=5, communities=4)
+        text = written(lambda buf: write_report_csv(report, buf))
+        assert read_report_csv(io.StringIO(text)).tolist() == report.is_zombie.tolist()
+        rows = split_csv(text, "report", ("node_id", "community_id", "pagerank", "threshold",
+                                          "label"))
+        assert same_floats(float_column(rows.columns[2])[0], report.values)
+        assert same_floats(float_column([t or "nan" for t in rows.columns[3]])[0],
+                           report.thresholds)
+
+    @given(st.integers(1, 6), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_truth(self, n, data):
+        truth = GroundTruth(
+            np.asarray(data.draw(st.lists(st.integers(0, 2 ** 63 - 1), min_size=n,
+                                          max_size=n)), dtype=np.int64),
+            np.asarray(data.draw(st.lists(st.booleans(), min_size=n, max_size=n))),
+            data.draw(st.lists(FIELD_TEXT, min_size=n, max_size=n)))
+        again = read_truth_csv(io.StringIO(written(lambda buf: write_truth_csv(truth, buf))))
+        assert again.block_ids.tolist() == truth.block_ids.tolist()
+        assert again.is_zombie.tolist() == truth.is_zombie.tolist()
+        assert again.regions == truth.regions

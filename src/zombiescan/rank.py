@@ -14,12 +14,14 @@ probability vector.
 
 Communities never exchange weight, so one sweep over all intra-community
 arcs advances every community at once (the local step of Kamvar et al.
-2003, "BlockRank"). One pass over the out-CSR lays them out: nodes take
-positions community by community, and their intra-community out-rows
-follow in that order, in CSR order within a row, so a sweep reads source
-weights as `np.repeat(x, degrees)` and stores no arc sources. Per-community
-sums run over contiguous slices so each community rounds, and stops,
-exactly as it would alone. A whole graph is the layout of one community.
+2003, "BlockRank"). The arcs keep their CSR order and nodes their ids: a
+sweep reads source weights as `np.repeat(x, degrees)` and scatters them
+with `np.bincount` over the targets, so it stores no arc sources and
+makes one arc-length array. Every arc into a node comes from the node's
+own community, so its inflow adds up in the order it would for that
+community alone; the per-community sums run over the nodes gathered
+community by community, in id order, so each community rounds, and
+stops, exactly as it would alone. A whole graph is one community.
 """
 
 from __future__ import annotations
@@ -83,11 +85,11 @@ def _assignment(g: DirectedGraph, p: Partition) -> np.ndarray:
 
 
 def _intra(g: DirectedGraph, assignment: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Targets of the arcs inside one community, in CSR order, and each
-    node's count of them (its intra out-degree)."""
+    """Targets of the arcs inside one community, in CSR order as intp, and
+    each node's count of them (its intra out-degree)."""
     inside = np.repeat(assignment, g.out_degrees) == assignment[g.out_indices]
     before = np.concatenate(([0], np.cumsum(inside)))[g.out_indptr]  # intra arcs before each row
-    return g.out_indices[inside], np.diff(before)
+    return g.out_indices[inside].astype(np.intp), np.diff(before)
 
 
 def _io_scores(n: int, targets: np.ndarray, follows: np.ndarray, source: str,
@@ -123,9 +125,9 @@ def io_scores_for(g: DirectedGraph, source: str = "local", profiles=None) -> np.
 
 
 def _walk_weights(targets: np.ndarray, degrees: np.ndarray, io=None) -> np.ndarray:
-    """Walk weight of each laid-out arc: an even split without io, else
-    io[v] / sum of io over u's followees for arc u->v (summed in arc order),
-    or an even split where that sum is 0 so no walk weight is lost."""
+    """Walk weight of each arc, rows in node order: an even split without io,
+    else io[v] / sum of io over u's followees for arc u->v (summed in arc
+    order), or an even split where that sum is 0 so no walk weight is lost."""
     n = degrees.shape[0]
     share = 1.0 / np.maximum(degrees, 1)  # of an even split
     if io is None:
@@ -139,101 +141,80 @@ def _walk_weights(targets: np.ndarray, degrees: np.ndarray, io=None) -> np.ndarr
     return weights
 
 
-def _slices(counts: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the kept consecutive slices of sizes `counts`, concatenated,
-    and how far each kept slice moves down."""
-    lengths = counts[keep]
-    shift = (np.cumsum(counts) - counts)[keep] - (np.cumsum(lengths) - lengths)
-    return np.arange(int(lengths.sum())) + np.repeat(shift, lengths), shift
-
-
 def _segment_sums(a: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Sum of each consecutive slice of a, in np.sum's own summation order."""
     ends = np.cumsum(counts).tolist()
     return np.array([a[lo:hi].sum() for lo, hi in zip([0] + ends[:-1], ends)])
 
 
-@dataclass
-class _Blocks:
-    """Communities laid out one after another.
+class _Communities:
+    """Communities ranked side by side, their nodes numbered 0..n-1.
 
-    Community c owns the next sizes[c] node positions, arc_counts[c] arcs
-    and dangling_counts[c] entries of `dangling` (positions without an
-    out-arc, ascending); position i owns the next degrees[i] arcs, whose
-    targets are positions.
+    Node i belongs to community[i] and owns the next degrees[i] arcs, in
+    CSR order; arc targets are node numbers and weights the walk weights.
+    `order` lists the nodes community by community, in number order, and
+    `dangling` those of them without an out-arc.
     """
 
-    sizes: np.ndarray
-    degrees: np.ndarray
-    targets: np.ndarray
-    weights: np.ndarray
-    arc_counts: np.ndarray
-    dangling: np.ndarray
-    dangling_counts: np.ndarray
+    def __init__(self, community: np.ndarray, count: int, degrees: np.ndarray,
+                 targets: np.ndarray, weights: np.ndarray):
+        self.community, self.degrees = community, degrees
+        self.targets, self.weights = targets, weights
+        self.sizes = np.bincount(community, minlength=count)
+        self.arc_counts = np.bincount(community, degrees, count).astype(np.int64)
+        self.order = np.argsort(community, kind="stable")
+        self.dangling = self.order[degrees[self.order] == 0]
+        self.dangling_counts = np.bincount(community[self.dangling], minlength=count)
 
-    def take(self, keep: np.ndarray) -> tuple["_Blocks", np.ndarray]:
-        """The communities at indices `keep`, and the old position of each new one."""
-        nodes, shift = _slices(self.sizes, keep)
-        arcs, _ = _slices(self.arc_counts, keep)
-        dangling, _ = _slices(self.dangling_counts, keep)
-        return _Blocks(self.sizes[keep], self.degrees[nodes],
-                       self.targets[arcs] - np.repeat(shift, self.arc_counts[keep]),
-                       self.weights[arcs], self.arc_counts[keep],
-                       self.dangling[dangling] - np.repeat(shift, self.dangling_counts[keep]),
-                       self.dangling_counts[keep]), nodes
+    def take(self, keep: np.ndarray) -> tuple["_Communities", np.ndarray]:
+        """The communities at indices `keep` (ascending), and which nodes stay."""
+        kept = np.zeros(self.sizes.shape[0], dtype=bool)
+        kept[keep] = True
+        nodes = kept[self.community]
+        arcs = np.repeat(nodes, self.degrees)
+        number = np.cumsum(nodes) - 1  # of each staying node, in the new set
+        return _Communities((np.cumsum(kept) - 1)[self.community[nodes]], keep.shape[0],
+                            self.degrees[nodes], number[self.targets[arcs]],
+                            self.weights[arcs]), nodes
 
     def sweep(self, x: np.ndarray, damping: float) -> tuple[np.ndarray, np.ndarray]:
         """One damped step of every community: the new x and each community's L1 change."""
-        inflow = np.bincount(self.targets, weights=self.weights * np.repeat(x, self.degrees),
-                             minlength=x.shape[0])
+        flow = np.repeat(x, self.degrees)
+        flow *= self.weights
+        inflow = np.bincount(self.targets, flow, minlength=x.shape[0])
+        del flow  # freed before the node-length arrays below are made
         mass = _segment_sums(x[self.dangling], self.dangling_counts)
-        new_x = (np.repeat((1.0 - damping) / self.sizes, self.sizes)
-                 + damping * (inflow + np.repeat(mass / self.sizes, self.sizes)))
-        return new_x, _segment_sums(np.abs(new_x - x), self.sizes)
+        new_x = (((1.0 - damping) / self.sizes)[self.community]
+                 + damping * (inflow + (mass / self.sizes)[self.community]))
+        return new_x, _segment_sums(np.abs(new_x - x)[self.order], self.sizes)
 
 
-def _layout(targets: np.ndarray, follows: np.ndarray, assignment: np.ndarray, count: int,
-            io=None) -> tuple[_Blocks, np.ndarray]:
-    """Lay out the intra arcs (from `_intra`) by community, weighted by io or
-    split evenly; also returns the node id at each position."""
-    n = assignment.shape[0]
-    order = np.argsort(assignment, kind="stable")
-    position = np.empty(n, dtype=np.int64)
-    position[order] = np.arange(n)
-    arcs, _ = _slices(follows, order)  # the intra out-rows of `order`, in turn
-    degrees = follows[order]
-    targets = position[targets[arcs]]
-    sizes = np.bincount(assignment, minlength=count)
-    arc_ends = np.concatenate(([0], np.cumsum(degrees)))[np.cumsum(sizes)]  # per community
-    dangling = np.flatnonzero(degrees == 0)
-    weights = _walk_weights(targets, degrees, None if io is None else io[order])
-    return _Blocks(sizes, degrees, targets, weights, np.diff(arc_ends, prepend=0), dangling,
-                   np.bincount(assignment[order[dangling]], minlength=count)), order
-
-
-def _whole(g: DirectedGraph, io=None) -> tuple[_Blocks, np.ndarray]:
-    """g taken as one community: positions are node ids, arcs keep the CSR order."""
+def _whole(g: DirectedGraph, io=None) -> _Communities:
+    """g taken as one community, weighted by io or split evenly."""
     if io is not None:
         io = np.asarray(io, dtype=np.float64)
         if io.shape[0] != g.node_count:
             raise ValidationError("io scores must cover every node")
-    return _layout(g.out_indices, g.out_degrees, np.zeros(g.node_count, dtype=np.int64), 1, io)
+    targets, degrees = g.out_indices.astype(np.intp), g.out_degrees
+    return _Communities(np.zeros(g.node_count, dtype=np.intp), 1, degrees, targets,
+                        _walk_weights(targets, degrees, io))
 
 
-def _iterate(blocks: _Blocks, cfg: RankConfig):
+def _iterate(work: _Communities, cfg: RankConfig):
     """Sweep from uniform until each community converges or hits the cap.
 
-    Returns x by position and each community's sweep count and last
-    residual. The working set drops stopped communities once they hold
-    half its nodes and arcs, so a slow community sweeps little else.
+    Returns x by node and each community's sweep count and last residual.
+    The working set drops stopped communities once they hold half its
+    nodes and arcs, so a slow community sweeps little else.
     """
-    x = np.repeat(1.0 / blocks.sizes, blocks.sizes)
-    iterations = np.zeros(blocks.sizes.shape[0], dtype=np.int64)
-    residuals = np.full(blocks.sizes.shape[0], np.inf)
-    work, work_x = blocks, x
-    ids = np.arange(blocks.sizes.shape[0])  # id of each working community
-    where = np.arange(x.shape[0])  # position of each working node
-    live = np.ones(ids.shape[0], dtype=bool)
+    count = work.sizes.shape[0]
+    x = 1.0 / work.sizes[work.community]
+    iterations = np.zeros(count, dtype=np.int64)
+    residuals = np.full(count, np.inf)
+    work_x = x
+    ids = np.arange(count)  # id of each working community
+    where = np.arange(x.shape[0])  # node id of each working node
+    live = np.ones(count, dtype=bool)
     while live.any():
         work_x, residual = work.sweep(work_x, cfg.damping)
         iterations[ids[live]] += 1
@@ -241,7 +222,7 @@ def _iterate(blocks: _Blocks, cfg: RankConfig):
         done = live & ((residual < cfg.tolerance) | (iterations[ids] >= cfg.max_iterations))
         if not done.any():
             continue
-        finished = np.repeat(done, work.sizes)
+        finished = done[work.community]
         x[where[finished]] = work_x[finished]
         live &= ~done
         size = work.sizes + work.arc_counts
@@ -253,18 +234,17 @@ def _iterate(blocks: _Blocks, cfg: RankConfig):
     return x, iterations, residuals
 
 
-def _rank(blocks: _Blocks, order: np.ndarray, cfg: RankConfig, io=None) -> list[ImportanceVector]:
-    """Rank every laid-out community; io by node id, if given, rides along."""
-    x, iterations, residuals = _iterate(blocks, cfg)
-    bounds = np.cumsum(blocks.sizes)[:-1]
+def _rank(work: _Communities, cfg: RankConfig, io=None) -> list[ImportanceVector]:
+    """Rank every community; io by node id, if given, rides along."""
+    x, iterations, residuals = _iterate(work, cfg)
     vectors = []
-    for values, members, sweeps, residual in zip(np.split(x, bounds), np.split(order, bounds),
-                                                 iterations.tolist(), residuals.tolist()):
+    for members, sweeps, residual in zip(np.split(work.order, np.cumsum(work.sizes)[:-1]),
+                                         iterations.tolist(), residuals.tolist()):
         converged = residual < cfg.tolerance
         if not converged:
             log.warning("power iteration stopped at %d sweeps with residual %.3g",
                         sweeps, residual)
-        vectors.append(ImportanceVector(values, members, sweeps, residual, converged,
+        vectors.append(ImportanceVector(x[members], members, sweeps, residual, converged,
                                         None if io is None else io[members]))
     return vectors
 
@@ -280,7 +260,7 @@ def pagerank(g: DirectedGraph, cfg: RankConfig | None = None, io=None) -> Import
         raise ValidationError("cannot rank an empty graph")
     if cfg.mode == "uneven" and io is None:
         raise ValidationError("uneven mode requires io scores")
-    return _rank(*_whole(g, io if cfg.mode == "uneven" else None), cfg)[0]
+    return _rank(_whole(g, io if cfg.mode == "uneven" else None), cfg)[0]
 
 
 def rank_all_communities(g: DirectedGraph, p: Partition, cfg: RankConfig | None = None,
@@ -292,9 +272,9 @@ def rank_all_communities(g: DirectedGraph, p: Partition, cfg: RankConfig | None 
     assignment = _assignment(g, p)
     targets, follows = _intra(g, assignment)
     io = _io_scores(g.node_count, targets, follows, io_source, profiles)
-    blocks, order = _layout(targets, follows, assignment, p.community_count,
-                            io if cfg.mode == "uneven" else None)
-    return dict(enumerate(_rank(blocks, order, cfg, io)))
+    weights = _walk_weights(targets, follows, io if cfg.mode == "uneven" else None)
+    return dict(enumerate(_rank(_Communities(assignment, p.community_count, follows, targets,
+                                             weights), cfg, io)))
 
 
 _RANKS_HEADER = ("node_id", "community_id", "io", "pagerank", "converged")

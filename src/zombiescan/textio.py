@@ -277,15 +277,20 @@ def write_csv(destination, header: tuple[str, ...], columns) -> None:
     """Write `header` and the rows of `columns` (two or more, of equal length)
     in UTF-8 as csv.writer writes them with LF line ends: an integer array or
     a range in decimal, a float64 array through `float_reprs`, any other column
-    (a list of str) as it stands, quoted where a field holds ',', '"' or LF."""
+    (a list of str) as it stands, quoted where a field holds ',', '"' or LF.
+    A text field holding CR is refused: every reader turns it into LF."""
     fields = []
-    for column in columns:
+    for name, column in zip(header, columns):
         if isinstance(column, np.ndarray) and column.dtype.kind in "iu":
             column = column.tolist()
         elif isinstance(column, np.ndarray) and column.dtype == np.float64:
             column = float_reprs(column)
         elif not isinstance(column, range):
             joined = "".join(column)  # one scan tells whether any field needs quotes
+            if "\r" in joined:
+                row = next(i for i, f in enumerate(column) if "\r" in f)
+                raise ValidationError(f"{name} {column[row]!r} in row {row} holds a CR, "
+                                      "which no reader gives back")
             if "," in joined or '"' in joined or "\n" in joined:
                 column = ['"%s"' % f.replace('"', '""') if "," in f or '"' in f or "\n" in f
                           else f for f in column]

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import logging
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,8 @@ from zombiescan import (Partition, RankConfig, ValidationError, build_graph, cac
                         io_scores_for, pagerank, rank_all_communities)
 from zombiescan.cli import main
 from zombiescan.community import read_partition_csv
-from zombiescan.rank import _Blocks, _whole, read_ranks_csv, write_ranks_csv
+from zombiescan.rank import (_Communities, _intra, _walk_weights, _whole, read_ranks_csv,
+                             write_ranks_csv)
 
 from conftest import DATA, profile_table, random_graph
 from oracles import io_score, out_row, pagerank_dense, pagerank_sweeps, rank_reference
@@ -24,16 +26,16 @@ def whole_graph(arcs, n):
 
 def weights_of(g, io):
     """Arc weights aligned with g's out-adjacency, split by io (evenly for None)."""
-    return _whole(g, io)[0].weights
+    return _walk_weights(g.out_indices, g.out_degrees, io)
 
 
 def power_iterate(g, arc_weights, damping):
     """Yield (vector, l1_residual) after each sweep of g as one community, from uniform."""
-    blocks, _ = _whole(g)
-    blocks.weights = arc_weights  # the layout of one community keeps the CSR order
+    work = _whole(g)
+    work.weights = arc_weights
     x = np.full(g.node_count, 1.0 / g.node_count)
     while True:
-        x, residual = blocks.sweep(x, damping)
+        x, residual = work.sweep(x, damping)
         yield x, float(residual[0])
 
 
@@ -412,12 +414,46 @@ class TestLayoutAgainstReference:
         singleton = rank_all_communities(g, p)[1]
         assert singleton.values.tolist() == [1.0] and singleton.io.tolist() == [0.0]
 
+    def test_interleaved_mid_size_communities(self, caplog):
+        # three ~1000-node communities with rows of 8+ arcs settle within the
+        # cap; a 13-node hub and its leaves, which oscillate, stop at it and
+        # run on alone; ids interleave, and about 3000 arcs join communities
+        rng = np.random.Generator(np.random.PCG64(23))
+        n = 3013
+        community = np.repeat([0, 1, 2, 3], [1000, 1000, 1000, 13])[rng.permutation(n)]
+        members = [np.flatnonzero(community == c) for c in range(4)]
+        arcs = {(int(u), int(v)) for c in range(3) for u in members[c]
+                for v in rng.choice(members[c], size=int(rng.integers(9, 20)), replace=False)}
+        hub, leaves = int(members[3][0]), members[3][1:].tolist()
+        arcs |= {(hub, v) for v in leaves} | {(v, hub) for v in leaves}
+        ends = rng.integers(0, n, size=(2, 6000))
+        cross = ends[:, community[ends[0]] != community[ends[1]]][:, :3000]
+        arcs |= set(zip(cross[0].tolist(), cross[1].tolist()))
+        g = whole_graph(sorted((u, v) for u, v in arcs if u != v), n)
+        p = Partition(community)
+        known = rng.random(n) < 0.5
+        profiles = profile_table(n, followers=[int(c) if k else None for c, k in
+                                               zip(rng.integers(0, 50, size=n), known)],
+                                 followees=[int(c) if k else None for c, k in
+                                            zip(rng.integers(0, 50, size=n), known)])
+        for mode in ("even", "uneven"):
+            for source in ("local", "profile"):
+                cfg = RankConfig(mode=mode, max_iterations=40)
+                _, takes = assert_ranks_like_reference(caplog, g, p, cfg, profiles, source)
+                assert takes >= 1
+                stopped = [m for m in messages(caplog, "zombiescan.rank")
+                           if m.startswith("power iteration stopped")]
+                assert len(stopped) == 1 and "at 40 sweeps" in stopped[0]
+        _, follows = _intra(g, p.assignment)
+        assert follows[community < 3].min() >= 8 and cross.shape[1] == 3000
+
 
 class TestWorkingSet:
     @staticmethod
     def kept(rank):
-        """The `keep` argument of every `_Blocks.take` while `rank` runs."""
-        with mock.patch.object(_Blocks, "take", autospec=True, side_effect=_Blocks.take) as take:
+        """The `keep` argument of every `_Communities.take` while `rank` runs."""
+        with mock.patch.object(_Communities, "take", autospec=True,
+                               side_effect=_Communities.take) as take:
             rank()
         return [c.args[1].tolist() for c in take.call_args_list]
 
@@ -435,6 +471,36 @@ class TestWorkingSet:
         cfg = RankConfig(mode="even", max_iterations=4)
         assert self.kept(lambda: rank_all_communities(whole_graph(arcs, 112), p, cfg)) == [[1]]
         assert self.kept(lambda: pagerank(whole_graph(arcs, 112), cfg)) == []
+
+
+class TestMemory:
+    @pytest.mark.parametrize("mode", ["even", "uneven"])
+    def test_peak_is_three_arrays_of_intra_arcs(self, mode):
+        # at a sweep only the targets (intp), the walk weights and one flow
+        # array are as long as the intra arcs, 24 B per arc in all
+        rng = np.random.Generator(np.random.PCG64(31))
+        n = 5000
+        community = rng.integers(0, 5, size=n)
+        order = np.argsort(community, kind="stable")
+        sizes = np.bincount(community)
+        sources = np.repeat(np.arange(n), 40)
+        c = community[sources]
+        targets = order[(np.cumsum(sizes) - sizes)[c] + rng.integers(0, sizes[c])]
+        cross = rng.integers(0, n, size=(2, 10_000))
+        g = build_graph(np.column_stack([np.concatenate([sources, cross[0]]),
+                                         np.concatenate([targets, cross[1]]),
+                                         np.zeros(sources.shape[0] + 10_000, dtype=np.int64)]),
+                        n)
+        p = Partition(community)
+        intra = int((np.repeat(p.assignment, g.out_degrees) == p.assignment[g.out_indices]).sum())
+        assert intra > 190_000
+        tracemalloc.start()
+        try:
+            rank_all_communities(g, p, RankConfig(mode=mode))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * intra + 128 * n
 
 
 class TestRanksWriterIo:

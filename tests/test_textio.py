@@ -435,7 +435,8 @@ class TestWriters:
     @settings(max_examples=100, deadline=None)
     def test_partition_matches_csv_writer(self, assignment, with_uids, data):
         part = Partition(np.asarray(assignment, dtype=np.int64))
-        uids = [data.draw(TEXT | st.text("\n,\"x")) for _ in assignment] if with_uids else None
+        uids = ([data.draw(FIELD_TEXT | st.text("\n,\"x")) for _ in assignment] if with_uids
+                else None)
         buf = io.StringIO()
         write_partition_csv(part, buf, uids)
         assert buf.getvalue() == partition_csv_rows(part.assignment.tolist(), uids)
@@ -527,6 +528,16 @@ class TestRoundTrips:
         assert int_column(rows.columns[0])[0].tolist() == ints.tolist()
         assert same_floats(float_column(rows.columns[1])[0], floats)
         assert rows.columns[2] == text
+
+    @pytest.mark.parametrize("uids", [["a\rb", "c"], ["a", "\r"], ["a", "b\r\n"]])
+    def test_a_text_field_holding_cr_is_refused(self, tmp_path, uids):
+        path = tmp_path / "partition.csv"
+        row = next(i for i, u in enumerate(uids) if "\r" in u)
+        with pytest.raises(ValidationError) as refused:
+            write_partition_csv(Partition([0, 1]), path, uids)
+        assert str(refused.value) == f"uid {uids[row]!r} in row {row} holds a CR, which no " \
+            "reader gives back"
+        assert not path.exists()
 
     @given(st.lists(st.integers(0, 5), max_size=8), st.booleans(), st.data())
     @settings(max_examples=100, deadline=None)

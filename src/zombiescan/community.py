@@ -90,26 +90,6 @@ class Partition:
         return f"Partition(nodes={self.node_count}, communities={self.community_count})"
 
 
-def _self_loop_entries(g: UndirectedGraph) -> np.ndarray:
-    """Positions of the self-loop entries, in entry order.
-
-    Each row's indices are sorted, so one binary search of every row at
-    once for its own id finds them with arrays of node length only.
-    """
-    indptr, indices = g.indptr, g.indices
-    lo, hi = indptr[:-1].copy(), indptr[1:].copy()
-    rows = np.flatnonzero(lo < hi)  # the rows still searched; row u is node u's
-    while rows.shape[0]:
-        mid = (lo[rows] + hi[rows]) // 2
-        below = indices[mid] < rows
-        lo[rows[below]] = mid[below] + 1
-        hi[rows[~below]] = mid[~below]
-        rows = rows[lo[rows] < hi[rows]]
-    # lo[u] is the first entry of row u that is not below u
-    inside = np.flatnonzero(lo < indptr[1:])
-    return lo[inside[indices[lo[inside]] == inside]]
-
-
 def modularity(g: UndirectedGraph, p: Partition, variant: str = "standard") -> float:
     """Modularity of a partition; variant is "standard" or "distinct-pairs"."""
     if p.node_count != g.node_count:
@@ -131,11 +111,8 @@ def modularity(g: UndirectedGraph, p: Partition, variant: str = "standard") -> f
     tot = np.bincount(comm, weights=k, minlength=p.community_count)
     if variant == "standard":
         return float(np.sum(intra / two_m - (tot / two_m) ** 2))
-    # exclude the i = j terms per community so singletons score exactly zero;
-    # a self-loop entry's row is its column
-    loops = _self_loop_entries(g)
-    diag = np.bincount(comm[g.indices[loops]], weights=g.weights[loops],
-                       minlength=p.community_count)
+    # exclude the i = j terms per community so singletons score exactly zero
+    diag = np.bincount(comm, weights=g.loop_weights, minlength=p.community_count)
     sq = np.bincount(comm, weights=k * k, minlength=p.community_count)
     return float(np.sum((intra - diag) / two_m - (tot * tot - sq) / (two_m * two_m)))
 
@@ -148,6 +125,13 @@ def move_gain(g: UndirectedGraph, assignment: np.ndarray, node: int, target: int
     recomputation of the standard variant to floating-point accuracy.
     """
     assignment = np.asarray(assignment, dtype=np.int64)
+    n = g.node_count
+    if assignment.shape != (n,):
+        raise ValidationError(f"assignment has shape {assignment.shape}, graph has {n} nodes")
+    if not 0 <= node < n:
+        raise ValidationError(f"node {node} outside [0, {n})")
+    if target < 0:
+        raise ValidationError(f"target community {target} is negative")
     m = g.total_weight
     if m <= 0:
         raise ValidationError("modularity gain undefined without edges")
@@ -225,10 +209,10 @@ def _one_level(g: UndirectedGraph, rng: Random,
     communities are tallied. The loop reads Python scalars only: lists for
     per-node state, memoryviews for the neighbour scan.
 
-    On a level with unit weights and no self-loop, such as the symmetrized
-    follower graph, `Counter` tallies the neighbour communities in C: an
-    integer count times inv_m rounds exactly as a sum of 1.0s does, so the
-    moves are those of the weighted tally.
+    On a level with unit weights and no self-loop (`loop_weights` all 0),
+    such as the symmetrized follower graph, `Counter` tallies the neighbour
+    communities in C: an integer count times inv_m rounds exactly as a sum
+    of 1.0s does, so the moves are those of the weighted tally.
     """
     n = g.node_count
     m = g.total_weight
@@ -245,7 +229,7 @@ def _one_level(g: UndirectedGraph, rng: Random,
     visits = moves = 0
 
     # reductions, not a mask: the check allocates nothing of arc length
-    unit = g.weights.min() == g.weights.max() == 1.0 and not _self_loop_entries(g).shape[0]
+    unit = g.weights.min() == g.weights.max() == 1.0 and not g.loop_weights.any()
     # memoryviews, not lists: a list of the arcs would raise peak memory
     indptr, indices, weights = g.indptr.tolist(), memoryview(g.indices), memoryview(g.weights)
     while queue:

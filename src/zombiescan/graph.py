@@ -8,7 +8,9 @@ by community detection keeps the same layout plus per-entry weights.
 Conventions for the undirected graph: an edge {u, v} with weight w appears
 in both adjacency rows; a self-loop at u appears once in u's row and its
 weight counts once toward u's weighted degree. Half the sum of all row
-entries is the total edge weight m.
+entries is the total edge weight m. `loop_weights` holds each node's loop
+weight (0.0 without one): Louvain's aggregation puts a community's internal
+weight there.
 """
 
 from __future__ import annotations
@@ -219,10 +221,12 @@ class UndirectedGraph:
     """Weighted undirected graph in CSR form, used for community detection.
 
     Built via :func:`UndirectedGraph.from_edges`; see the module docstring
-    for the self-loop and degree conventions.
+    for the self-loop and degree conventions; `degree_weights` and
+    `loop_weights` are derived from the entries, so they always agree.
     """
 
-    __slots__ = ("_n", "indptr", "indices", "weights", "degree_weights", "total_weight")
+    __slots__ = ("_n", "indptr", "indices", "weights", "degree_weights", "loop_weights",
+                 "total_weight")
 
     def __init__(self, node_count: int, indptr: np.ndarray, indices: np.ndarray,
                  weights: np.ndarray):
@@ -235,6 +239,10 @@ class UndirectedGraph:
         rows = np.repeat(np.arange(node_count), np.diff(indptr))
         self.degree_weights = np.bincount(rows, weights, minlength=node_count).astype(
             np.float64, copy=False)
+        # a row holds at most one entry for its own id: its self-loop
+        loop = rows == indices
+        self.loop_weights = np.zeros(node_count)
+        self.loop_weights[rows[loop]] = weights[loop]
         self.total_weight = float(self.degree_weights.sum()) / 2.0  # m
 
     @classmethod
@@ -286,4 +294,6 @@ def symmetrize(g: DirectedGraph) -> UndirectedGraph:
     keys = _unique_keys(np.concatenate([_pair_keys(src, g.out_indices, n),
                                         _pair_keys(g.out_indices, src, n)]))
     indptr, indices = _csr_from_keys(keys, n)
+    # freed before the constructor builds its row index, symmetrize's peak
+    del keys, src
     return UndirectedGraph(n, indptr, indices, np.ones(indices.shape[0]))

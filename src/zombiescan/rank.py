@@ -195,6 +195,11 @@ def _whole(g: DirectedGraph, io=None) -> _Communities:
         io = np.asarray(io, dtype=np.float64)
         if io.shape[0] != g.node_count:
             raise ValidationError("io scores must cover every node")
+        bad = ~(np.isfinite(io) & (io >= 0.0))
+        if bad.any():
+            u = int(np.argmax(bad))
+            raise ValidationError(f"node {u} has io score {float(io[u])}; "
+                                  "it must be finite and non-negative")
     targets, degrees = g.out_indices.astype(np.intp), g.out_degrees
     return _Communities(np.zeros(g.node_count, dtype=np.intp), 1, degrees, targets,
                         _walk_weights(targets, degrees, io))

@@ -325,7 +325,35 @@ class TestEvaluate:
         assert lines[0] == "region,count"
 
 
+PIPELINE_DATA_FILES = ("graph.bin", "partition.csv", "ranks.csv", "report.csv",
+                       "summary.json", "metrics.json", "regions.csv")
+PIPELINE_DIGESTS = json.loads((Path(DATA) / "pipeline_digests.json").read_text())
+
+
+def pipeline_fingerprint(run):
+    """SHA-256 of each data file of a `pipeline` run, and its manifest's
+    modularity values as float.hex(); the manifest itself holds timings."""
+    summary = json.loads((Path(run) / "manifest.json").read_text())["summary"]
+    return {
+        "files": {f: hashlib.sha256((Path(run) / f).read_bytes()).hexdigest()
+                  for f in PIPELINE_DATA_FILES},
+        "modularity_standard": summary["modularity_standard"].hex(),
+        "modularity_distinct_pairs": summary["modularity_distinct_pairs"].hex(),
+        "louvain_levels": [level["modularity"].hex() for level in summary["louvain_levels"]],
+    }
+
+
 class TestPipeline:
+    # keyed "corpus/io-source/mode"; regenerate an entry with pipeline_fingerprint
+    # only for a change that moves an output on purpose, and say so
+    @pytest.mark.parametrize("setting", sorted(PIPELINE_DIGESTS))
+    def test_committed_corpus_outputs_match_their_digests(self, tmp_path, setting):
+        name, io_source, mode = setting.split("/")
+        run = tmp_path / "run"
+        assert main(["pipeline", f"{DATA}/{name}", "-o", str(run),
+                     "--io-source", io_source, "--mode", mode]) == 0
+        assert pipeline_fingerprint(run) == PIPELINE_DIGESTS[setting]
+
     def test_runs_made_twice_are_byte_identical(self, tmp_path):
         for run in ("run_a", "run_b"):
             assert main(["pipeline", PLANTED, "-o", str(tmp_path / run)]) == 0

@@ -76,15 +76,29 @@ class TestModularity:
             assert got.hex() == modularity_row_index(und, p.assignment, variant).hex()
 
     def test_self_loop_entries_are_the_diagonal_entries(self):
-        from zombiescan.community import _self_loop_entries
-
         rng = np.random.Generator(np.random.PCG64(32))
         for _ in range(40):
             und = random_weighted_graph(rng)
             rows = np.repeat(np.arange(und.node_count), np.diff(und.indptr))
-            assert _self_loop_entries(und).tolist() == np.flatnonzero(
-                rows == und.indices).tolist()
-        assert _self_loop_entries(symmetrize(build_graph([], 3))).tolist() == []
+            loops = np.flatnonzero(rows == und.indices)
+            assert und.loop_weights.dtype == np.float64
+            assert np.flatnonzero(und.loop_weights).tolist() == rows[loops].tolist()
+            assert und.loop_weights[rows[loops]].tolist() == und.weights[loops].tolist()
+        assert symmetrize(build_graph([], 3)).loop_weights.tolist() == [0.0, 0.0, 0.0]
+
+    def test_aggregated_loop_weights_are_the_community_self_loops(self):
+        from zombiescan.community import _aggregate
+
+        und = corpus_graph("zombie_5x500")
+        p = Partition(louvain(und).levels[0].assignment)
+        agg = _aggregate(und, p)
+        assert agg.loop_weights.tolist() == [self_weight(agg, c)
+                                             for c in range(agg.node_count)]
+        rows = np.repeat(np.arange(und.node_count), np.diff(und.indptr))
+        intra = p.assignment[rows] == p.assignment[und.indices]
+        holds_intra = np.zeros(agg.node_count, dtype=bool)
+        holds_intra[p.assignment[rows[intra]]] = True
+        assert np.array_equal(agg.loop_weights != 0.0, holds_intra)
 
     def test_standard_range_bounds(self):
         und = und_from_arcs(TWO_TRIANGLES, 6)
@@ -112,6 +126,22 @@ class TestMoveGain:
     def test_joining_a_neighbor_from_isolation_gains(self):
         und = und_from_arcs([(0, 1, 0)], 2)
         assert move_gain(und, np.array([0, 1]), 1, 0) > 0
+
+    def test_inputs_it_would_misread_are_refused(self):
+        # on the path 0-5, -1 would wrap to the last community or node, and
+        # node 6 is past the end
+        und = und_from_arcs([(u, u + 1, 0) for u in range(5)], 6)
+        labels = np.array([0, 0, 0, 1, 1, 2])
+        for node, target, message in ((2, -1, "target community -1 is negative"),
+                                      (-1, 0, r"node -1 outside \[0, 6\)"),
+                                      (6, 0, r"node 6 outside \[0, 6\)")):
+            with pytest.raises(ValidationError, match=message):
+                move_gain(und, labels, node, target)
+        for short_or_long in (labels[:5], np.append(labels, 0), labels.reshape(2, 3)):
+            with pytest.raises(ValidationError, match="graph has 6 nodes"):
+                move_gain(und, short_or_long, 2, 1)
+        # a target past the last community is an empty one, and stays allowed
+        assert move_gain(und, labels, 2, 3) < 0
 
     def test_matches_recompute_from_scratch(self):
         rng = np.random.Generator(np.random.PCG64(5150))

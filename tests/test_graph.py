@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -95,6 +97,24 @@ class TestSymmetrize:
         assert und.total_weight == 3.0
         for u in range(3):
             assert und.degree_weights[u] == 2.0
+
+    def test_keys_are_freed_before_the_row_index_is_built(self):
+        # the pair keys (8 B per entry) are freed before the constructor builds
+        # its row index, which keeps the peak near 22 B per entry
+        rng = np.random.Generator(np.random.PCG64(41))
+        n = 5000
+        src = np.repeat(np.arange(n), 24)
+        g = build_graph(np.column_stack([src, rng.integers(0, n, size=src.shape[0]),
+                                         np.zeros_like(src)]), n)
+        tracemalloc.start()
+        try:
+            und = symmetrize(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        entries = und.indices.shape[0]
+        assert entries > 230_000
+        assert peak < 26 * entries
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)

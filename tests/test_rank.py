@@ -195,6 +195,14 @@ class TestPagerank:
         with pytest.raises(ValidationError):
             pagerank(g, RankConfig(mode="uneven"))
 
+    @pytest.mark.parametrize("bad", [-0.4, np.nan, np.inf, -np.inf])
+    def test_io_it_cannot_walk_is_refused(self, bad):
+        g = whole_graph([(0, 1), (1, 2), (2, 0)], 3)
+        with pytest.raises(ValidationError, match=f"node 1 has io score {float(bad)}"):
+            pagerank(g, RankConfig(), np.array([0.5, bad, 0.5]))
+        # scores above 1 stay allowed: the uneven split reads only their ratios
+        assert pagerank(g, RankConfig(), np.array([2.0, 0.0, 3.0])).converged
+
     def test_nonconvergence_flagged(self):
         # bipartite walk {0} <-> {1, 2} oscillates forever at damping 1
         g = whole_graph([(0, 1), (0, 2), (1, 0), (2, 0)], 3)

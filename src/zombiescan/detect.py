@@ -154,8 +154,10 @@ _LABELS = {"zombie": True, "normal": False}
 def write_report_csv(report: ZombieReport, destination) -> None:
     """Emit `node_id,community_id,pagerank,threshold,label` rows."""
     labels = np.array(["normal", "zombie"], dtype=object)[report.is_zombie.astype(np.intp)]
+    # the values first: the ranks writer rendered the same column last
+    values = float_reprs(report.values)
     write_csv(destination, _REPORT_HEADER,
-              [range(report.total), report.community_ids, report.values,
+              [range(report.total), report.community_ids, values,
                float_reprs(report.thresholds, nan=""), labels.tolist()])
 
 

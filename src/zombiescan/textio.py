@@ -261,16 +261,34 @@ def code_column(column: list[str], codes: dict[str, int]) -> np.ndarray:
     return np.fromiter(map(codes.get, column, repeat(-1)), dtype=np.int8, count=len(column))
 
 
+# (int64 bits, nan, object array of the strings) of the last column rendered;
+# one tuple, read once per call, so a call racing another one still returns
+# the strings of the bits it compared
+_last_render = None
+
+
 def float_reprs(values: np.ndarray, nan: str = "nan") -> list[str]:
     """repr() of each float, rendered once per distinct bit pattern (so -0.0
-    keeps its sign), with `nan` in place of "nan"."""
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    keeps its sign), with `nan` in place of "nan". A column equal bit for bit
+    to the last one rendered, with the same `nan`, gets that column's strings
+    again, in a fresh list; the memo holds that one column only."""
+    global _last_render
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+    last = _last_render
+    if last is None or last[1] != nan or not np.array_equal(last[0], bits):
+        last = _last_render = (bits.copy(), nan, _render_floats(bits, nan))
+    return last[2].tolist()
+
+
+def _render_floats(bits: np.ndarray, nan: str) -> np.ndarray:
+    """repr() of each float of the int64 `bits`, as an object array, with
+    `nan` in place of "nan"."""
+    distinct, inverse = np.unique(bits, return_inverse=True)
     # the repr of a list joins the reprs of its floats with ", "
     reprs = repr(distinct.view(np.float64).tolist())[1:-1].split(", ")
     if nan != "nan":
         reprs = [nan if r == "nan" else r for r in reprs]
-    return np.array(reprs, dtype=object)[inverse].tolist()
+    return np.array(reprs, dtype=object)[inverse]
 
 
 def write_csv(destination, header: tuple[str, ...], columns) -> None:

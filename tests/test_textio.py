@@ -17,15 +17,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zombiescan import ParseError, Partition, ValidationError, build_graph, parse_profiles
+from zombiescan import (ParseError, Partition, ValidationError, build_graph, detect_zombies,
+                        parse_profiles, parse_weibo_network, rank_all_communities, textio)
 from zombiescan.cli import main
 from zombiescan.community import read_partition_csv, write_partition_csv
 from zombiescan.detect import ZombieReport, read_report_csv, write_report_csv
 from zombiescan.ingest import _profile_columns, _profile_rows, _profile_table
 from zombiescan.rank import ImportanceVector, read_ranks_csv, write_ranks_csv
 from zombiescan.synth import GroundTruth, read_truth_csv, write_truth_csv
-from zombiescan.textio import (_digit_column, float_column, int_column, read_text, render_ints,
-                               split_csv, split_fields, write_csv)
+from zombiescan.textio import (_digit_column, float_column, float_reprs, int_column, read_text,
+                               render_ints, split_csv, split_fields, write_csv)
 
 from conftest import DATA, profile_table
 from oracles import (io_reference, partition_csv_rows, ranks_csv_rows, read_partition_rows,
@@ -490,6 +491,101 @@ class TestWriters:
         separators = np.frombuffer("".join(s for _, s in tokens).encode(), dtype=np.uint8)
         assert render_ints(values, separators) == \
             "".join(f"{v}{s}" for v, s in tokens).encode()
+
+
+def nan_with(payload: int) -> float:
+    """A quiet NaN whose low mantissa bits are `payload`."""
+    return float(np.array([0x7FF8000000000000 | payload]).view(np.float64)[0])
+
+
+def repr_reference(values, nan: str) -> list[str]:
+    return [nan if v != v else repr(v) for v in np.asarray(values).tolist()]
+
+
+@pytest.fixture
+def renders(monkeypatch):
+    """The columns float_reprs renders anew, as (bits, nan), from an empty memo."""
+    calls = []
+    render = textio._render_floats
+
+    def spy(bits, nan):
+        calls.append((bits.tolist(), nan))
+        return render(bits, nan)
+
+    monkeypatch.setattr(textio, "_last_render", None)
+    monkeypatch.setattr(textio, "_render_floats", spy)
+    return calls
+
+
+class TestFloatMemo:
+    """float_reprs gives back the last column's strings for an identical column."""
+
+    OPS = ("new", "repeat", "zero-sign", "nan-payload", "nan-argument", "mutate")
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_every_render_equals_repr(self, data):
+        column = st.lists(SPECIAL_FLOATS | st.builds(nan_with, st.integers(0, 2 ** 51 - 1)),
+                          max_size=6)
+        nans = st.sampled_from(["nan", ""])
+        # every op at least once, in a drawn order, among drawn extras
+        ops = data.draw(st.permutations(
+            list(self.OPS) + data.draw(st.lists(st.sampled_from(self.OPS), max_size=6))))
+        values, nan = np.asarray(data.draw(column), dtype=np.float64), data.draw(nans)
+
+        def check(values, nan):
+            got = float_reprs(values, nan=nan)
+            assert got == repr_reference(values, nan)
+            return got
+
+        for op in ops:
+            if op == "new":
+                values, nan = np.asarray(data.draw(column), dtype=np.float64), data.draw(nans)
+            elif op == "repeat":
+                check(values.copy(), nan)
+            elif op in ("zero-sign", "nan-payload"):
+                if not values.shape[0]:
+                    values = np.zeros(1)
+                at = data.draw(st.integers(0, values.shape[0] - 1))
+                pair = (0.0, -0.0) if op == "zero-sign" else map(nan_with, data.draw(
+                    st.lists(st.integers(1, 2 ** 51 - 1), min_size=2, max_size=2, unique=True)))
+                # the same array, changed in place between the two renders
+                for x in pair:
+                    values[at] = x
+                    check(values, nan)
+            elif op == "nan-argument":
+                for arg in ("nan", ""):
+                    check(values, arg)
+            else:  # mutate
+                got = check(values, nan)
+                got[:] = ["x"] * len(got)
+                got.append("y")
+                check(values, nan)
+            check(values, nan)
+
+    def test_the_pipeline_renders_pagerank_once(self, renders):
+        corpus = f"{DATA}/zombie_5x500"
+        g = parse_weibo_network(f"{corpus}/weibo_network.txt").to_graph()
+        part = Partition(read_truth_csv(f"{corpus}/truth.csv").block_ids)
+        vectors = rank_all_communities(g, part)
+        write_ranks_csv(io.StringIO(), g, part, vectors)
+        report = detect_zombies(vectors)
+        write_report_csv(report, io.StringIO())
+        pagerank = np.zeros(g.node_count)
+        for vec in vectors.values():
+            pagerank[vec.members] = vec.values
+        # io, pagerank and the fences; the report's pagerank column is the memo's
+        assert [nan for _, nan in renders] == ["nan", "nan", ""]
+        assert renders[1][0] == pagerank.view(np.int64).tolist()
+        assert renders[2][0] == report.thresholds.view(np.int64).tolist()
+
+    def test_the_memo_holds_one_column(self, renders):
+        a, b = np.array([0.5, 1 / 3]), np.array([0.25])
+        for column in (a, b, a, a):
+            assert float_reprs(column) == repr_reference(column, "nan")
+        assert [bits for bits, _ in renders] == [a.view(np.int64).tolist(),
+                                               b.view(np.int64).tolist(),
+                                               a.view(np.int64).tolist()]
 
 
 # what the stage files carry: text of every kind but CR (no uid list, region

@@ -186,11 +186,13 @@ def _cmd_stats(run: Run, args) -> None:
 
 def _cmd_communities(run: Run, args) -> None:
     graph = cache_load(run.input(args.cache))
-    uids = [uid for _, uid in parse_uidlist(run.input(args.uids))] if args.uids else None
+    uids = parse_uidlist(run.input(args.uids)) if args.uids else None
     run.stage("communities", _communities, args, graph, uids, args.output)
 
 
 def _cmd_rank(run: Run, args) -> None:
+    if args.io_source == "profile" and not args.profiles:
+        raise ValidationError("--io-source profile needs a profile file: pass --profiles")
     graph = cache_load(run.input(args.cache))
     part = read_partition_csv(run.input(args.partition), graph.node_count)
     profiles = parse_profiles(run.input(args.profiles)) if args.profiles else None
@@ -232,6 +234,9 @@ def _find_corpus(source: Path) -> dict[str, Path | None]:
 def _cmd_pipeline(run: Run, args) -> None:
     out = Path(args.output)
     files = _find_corpus(Path(args.input))
+    if args.io_source == "profile" and not files["profiles"]:
+        raise ValidationError("--io-source profile needs a profile file (user_profile.txt) "
+                              f"beside {files['network']}")
     graph = run.stage("convert", _convert, files["network"], out / "graph.bin")
     part = run.stage("communities", _communities, args, graph, None, out / "partition.csv")
     # one parse serves both the profile IO source and the region breakdown

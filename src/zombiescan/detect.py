@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .rank import ImportanceVector
-from .textio import (ASCII, code_column, float_column, float_reprs, int_column, read_text,
-                     repeats, split_csv, write_csv, write_json)
+from .textio import (ASCII, code_column, float_column, int_column, read_text, repeats,
+                     split_csv, write_csv, write_json)
 
 __all__ = [
     "QUARTILE_METHODS",
@@ -152,13 +152,11 @@ _LABELS = {"zombie": True, "normal": False}
 
 
 def write_report_csv(report: ZombieReport, destination) -> None:
-    """Emit `node_id,community_id,pagerank,threshold,label` rows."""
+    """Emit `node_id,community_id,pagerank,threshold,label` rows; the fence
+    of a community below the size floor, a NaN, is a blank threshold."""
     labels = np.array(["normal", "zombie"], dtype=object)[report.is_zombie.astype(np.intp)]
-    # the values first: the ranks writer rendered the same column last
-    values = float_reprs(report.values)
-    write_csv(destination, _REPORT_HEADER,
-              [range(report.total), report.community_ids, values,
-               float_reprs(report.thresholds, nan=""), labels.tolist()])
+    write_csv(destination, _REPORT_HEADER, [range(report.total), report.community_ids,
+                                            report.values, report.thresholds, labels.tolist()])
 
 
 def read_report_csv(source) -> np.ndarray:

@@ -79,49 +79,39 @@ def _csr_from_keys(keys: np.ndarray, node_count: int):
     return indptr, indices.astype(_index_dtype(node_count))
 
 
-def _csr_from_arcs(sources: np.ndarray, targets: np.ndarray, node_count: int):
-    """Sort arcs by (source, target) and build indptr/indices arrays."""
-    keys = _pair_keys(sources, targets, node_count)
-    keys.sort()
-    return _csr_from_keys(keys, node_count)
-
-
 class DirectedGraph:
     """Immutable directed graph over dense integer node ids [0, N).
 
     Holds the out-adjacency as CSR arrays (`out_indptr`, `out_indices`); a
     node's followees are a slice of them. `out_degrees` and `in_degrees`
-    are whole arrays. The in-adjacency (`in_indptr`, `in_indices`) is sorted
-    from the out-adjacency on first use, since no pipeline stage reads it.
-    No self-loops, no duplicate arcs. Equal graphs compare equal and are
-    unhashable. Construction goes through :func:`build_graph` or the cache
-    loader; instances are safe for concurrent reads.
+    are whole arrays. The in-adjacency (`in_indptr`, `in_indices`) is derived
+    from the out-adjacency on each access, with no cache, since no pipeline
+    stage reads it. No self-loops, no duplicate arcs. Equal graphs compare
+    equal and are unhashable. Construction goes through :func:`build_graph`
+    or the cache loader; instances are safe for concurrent reads.
     """
 
-    __slots__ = ("_n", "out_indptr", "out_indices", "_in_csr",
-                 "dropped_self_loops", "dropped_duplicates")
+    __slots__ = ("_n", "out_indptr", "out_indices", "dropped_self_loops",
+                 "dropped_duplicates")
 
     def __init__(self, node_count: int, out_indptr: np.ndarray, out_indices: np.ndarray,
                  dropped_self_loops: int = 0, dropped_duplicates: int = 0):
         self._n = int(node_count)
         self.out_indptr = out_indptr
         self.out_indices = out_indices
-        self._in_csr = None
         self.dropped_self_loops = dropped_self_loops
         self.dropped_duplicates = dropped_duplicates
 
-    def _in_adjacency(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._in_csr is None:
-            self._in_csr = _csr_from_arcs(self.out_indices, self.arc_sources(), self._n)
-        return self._in_csr
-
     @property
     def in_indptr(self) -> np.ndarray:
-        return self._in_adjacency()[0]
+        return np.concatenate(([0], np.cumsum(self.in_degrees)))
 
     @property
     def in_indices(self) -> np.ndarray:
-        return self._in_adjacency()[1]
+        """Source node of every arc, in (target, source) order."""
+        keys = _pair_keys(self.out_indices, self.arc_sources(), self._n)
+        keys.sort()
+        return _csr_from_keys(keys, self._n)[1]
 
     @property
     def node_count(self) -> int:

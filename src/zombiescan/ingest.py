@@ -268,8 +268,8 @@ def _flagged_arcs(g: DirectedGraph) -> RawNetwork:
     return RawNetwork(n, g.edge_count, sources, g.out_indices, flags)
 
 
-def parse_uidlist(source) -> list[tuple[int, str]]:
-    """Read one external uid per line (UTF-8); line i maps to node id i.
+def parse_uidlist(source) -> list[str]:
+    """Read one external uid per line (UTF-8); line i is the uid of node i.
 
     Blank lines may end the list; one followed by a uid is an error."""
     uids = [line.strip() for line in read_text(source, UTF8).split("\n")]
@@ -279,7 +279,7 @@ def parse_uidlist(source) -> list[tuple[int, str]]:
         raise ParseError("uid list is empty", 1)
     if "" in uids:
         raise ParseError("blank line inside uid list", uids.index("") + 1)
-    return list(enumerate(uids))
+    return uids
 
 
 def write_uidlist(uids: list[str], destination) -> None:

@@ -11,7 +11,8 @@ converts whole columns (`int_column`, `float_column`, `code_column`) into
 values and masks of the rows at fault, and `CsvRows.check` raises the
 message of the first faulty row. Every integer column is int64: a token
 int() refuses, or one outside 64 bits, is a fault of its row.
-`write_csv` writes every stage table, as csv.writer would.
+`write_csv` writes every stage table, as csv.writer would. It is the one
+place where a float becomes text: its `repr`, or a blank field for a NaN.
 """
 
 from __future__ import annotations
@@ -261,42 +262,44 @@ def code_column(column: list[str], codes: dict[str, int]) -> np.ndarray:
     return np.fromiter(map(codes.get, column, repeat(-1)), dtype=np.int8, count=len(column))
 
 
-# (int64 bits, nan, object array of the strings) of the last column rendered;
+# (int64 bits, object array of the strings) of the last column rendered;
 # one tuple, read once per call, so a call racing another one still returns
 # the strings of the bits it compared
 _last_render = None
 
 
-def float_reprs(values: np.ndarray, nan: str = "nan") -> list[str]:
-    """repr() of each float, rendered once per distinct bit pattern (so -0.0
-    keeps its sign), with `nan` in place of "nan". A column equal bit for bit
-    to the last one rendered, with the same `nan`, gets that column's strings
-    again, in a fresh list; the memo holds that one column only."""
+def float_reprs(values: np.ndarray) -> list[str]:
+    """repr() of each float, "" for a NaN, rendered once per distinct bit
+    pattern (so -0.0 keeps its sign). A column equal bit for bit to the last
+    one rendered gets that column's strings again, in a fresh list; the memo
+    holds that one column only."""
     global _last_render
     bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
     last = _last_render
-    if last is None or last[1] != nan or not np.array_equal(last[0], bits):
-        last = _last_render = (bits.copy(), nan, _render_floats(bits, nan))
-    return last[2].tolist()
+    if last is None or not np.array_equal(last[0], bits):
+        last = _last_render = (bits.copy(), _render_floats(bits))
+    return last[1].tolist()
 
 
-def _render_floats(bits: np.ndarray, nan: str) -> np.ndarray:
-    """repr() of each float of the int64 `bits`, as an object array, with
-    `nan` in place of "nan"."""
+def _render_floats(bits: np.ndarray) -> np.ndarray:
+    """repr() of each float of the int64 `bits`, "" for a NaN, as an object array."""
     distinct, inverse = np.unique(bits, return_inverse=True)
+    floats = distinct.view(np.float64)
     # the repr of a list joins the reprs of its floats with ", "
-    reprs = repr(distinct.view(np.float64).tolist())[1:-1].split(", ")
-    if nan != "nan":
-        reprs = [nan if r == "nan" else r for r in reprs]
-    return np.array(reprs, dtype=object)[inverse]
+    reprs = np.array(repr(floats.tolist())[1:-1].split(", "), dtype=object)
+    # indices, not a mask: the repr of no float splits into one ""
+    reprs[np.flatnonzero(np.isnan(floats))] = ""
+    return reprs[inverse]
 
 
 def write_csv(destination, header: tuple[str, ...], columns) -> None:
     """Write `header` and the rows of `columns` (two or more, of equal length)
     in UTF-8 as csv.writer writes them with LF line ends: an integer array or
-    a range in decimal, a float64 array through `float_reprs`, any other column
-    (a list of str) as it stands, quoted where a field holds ',', '"' or LF.
-    A text field holding CR is refused: every reader turns it into LF."""
+    a range in decimal, a float64 array through `float_reprs` (each value its
+    repr, a NaN blank), any other column (a list of str) as it stands, quoted
+    where a field holds ',', '"' or LF. A text field holding CR is refused:
+    every reader turns it into LF. Columns render left to right, so the
+    report's first float column reuses the ranks file's last (`float_reprs`)."""
     fields = []
     for name, column in zip(header, columns):
         if isinstance(column, np.ndarray) and column.dtype.kind in "iu":

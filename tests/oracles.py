@@ -645,17 +645,21 @@ def partition_csv_rows(assignment, uids=None) -> str:
     return _csv_text(header, rows)
 
 
+def float_text(value) -> str:
+    """A float field: its repr, or blank for a NaN."""
+    return "" if math.isnan(value) else repr(float(value))
+
+
 def ranks_csv_rows(assignment, io_values, pagerank, converged) -> str:
     return _csv_text(["node_id", "community_id", "io", "pagerank", "converged"],
-                     [[i, int(c), repr(float(x)), repr(float(p)), "true" if ok else "false"]
+                     [[i, int(c), float_text(x), float_text(p), "true" if ok else "false"]
                       for i, (c, x, p, ok) in enumerate(zip(assignment, io_values,
                                                             pagerank, converged))])
 
 
 def report_csv_rows(report) -> str:
     return _csv_text(["node_id", "community_id", "pagerank", "threshold", "label"],
-                     [[n, int(c), repr(float(v)), "" if math.isnan(t) else repr(float(t)),
-                       "zombie" if z else "normal"]
+                     [[n, int(c), float_text(v), float_text(t), "zombie" if z else "normal"]
                       for n, (c, v, t, z) in enumerate(zip(report.community_ids,
                                                            report.values, report.thresholds,
                                                            report.is_zombie))])

@@ -252,6 +252,26 @@ class TestRankAndDetect:
         assert "error: no rank for node 0; " in capsys.readouterr().err
         assert not out.exists() or not files_under(out)
 
+    def test_profile_io_without_profiles_exits_2_before_reading(self, tmp_path, capsys):
+        out = tmp_path / "ranks.csv"
+        assert main(["rank", str(tmp_path / "absent.bin"), str(tmp_path / "absent.csv"),
+                     "-o", str(out), "--io-source", "profile"]) == 2
+        assert capsys.readouterr().err == \
+            "error: --io-source profile needs a profile file: pass --profiles\n"
+        assert not out.exists()
+
+    def test_pipeline_profile_io_without_profiles_exits_2_before_reading(self, tmp_path,
+                                                                         capsys):
+        lone = tmp_path / "lone"
+        lone.mkdir()
+        net = lone / "weibo_network.txt"
+        net.write_text("not a network\n")  # never parsed
+        run = tmp_path / "run"
+        assert main(["pipeline", str(lone), "-o", str(run), "--io-source", "profile"]) == 2
+        assert capsys.readouterr().err == ("error: --io-source profile needs a profile file "
+                                           f"(user_profile.txt) beside {net}\n")
+        assert not run.exists()
+
     def test_summary_names_manifest(self, tmp_path):
         ranks = tmp_path / "ranks.csv"
         rows = ["node_id,community_id,io,pagerank,converged"]
@@ -625,13 +645,14 @@ class TestManifests:
                 assert entry["sha256"] == digest, (argv[0], entry["path"])
 
     def test_failed_run_leaves_nothing_behind(self, tmp_path):
-        # rank fails for lack of profiles after convert and communities staged their files
+        # the truth file fails to read after every other stage staged its files
         lone = tmp_path / "lone"
         lone.mkdir()
         net = lone / "weibo_network.txt"
         net.write_bytes((Path(PLANTED) / "weibo_network.txt").read_bytes())
+        (lone / "truth.csv").write_text("not a truth file\n")
         run = tmp_path / "run"
-        assert main(["pipeline", str(net), "-o", str(run), "--io-source", "profile"]) == 2
+        assert main(["pipeline", str(net), "-o", str(run)]) == 2
         assert list(run.iterdir()) == []
 
 

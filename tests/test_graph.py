@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zombiescan import ValidationError, build_graph, symmetrize
-from zombiescan.graph import (UndirectedGraph, _build_graph, _csr_from_arcs, _pair_keys,
+from zombiescan.graph import (DirectedGraph, UndirectedGraph, _build_graph, _pair_keys,
                               _sorted_member)
 
 from conftest import random_graph
@@ -23,9 +23,7 @@ class TestBuildGraph:
     def test_in_adjacency_built_on_first_use(self):
         g = build_graph([(0, 1, 0), (2, 1, 1)], 3)
         assert g.in_degrees.tolist() == [0, 2, 1]
-        assert g._in_csr is None  # counting in-degrees needs no in-adjacency
         assert g.in_indices[g.in_indptr[1]:g.in_indptr[2]].tolist() == [0, 2]
-        assert g._in_csr is not None
         assert g.in_degrees.dtype == np.diff(g.in_indptr).dtype
 
     def test_self_loop_dropped(self):
@@ -208,7 +206,9 @@ class TestKeyedSorts:
     def test_csr_from_arcs_matches_lexsort(self, case):
         n, triples = case
         src, dst = triples[:, 0], triples[:, 1]
-        assert_same_arrays(_csr_from_arcs(src, dst, n), csr_from_arcs_lexsort(src, dst, n))
+        # repeated arcs and self-loops kept: the in-CSR is the out-CSR of the reversed arcs
+        g = DirectedGraph(n, *csr_from_arcs_lexsort(src, dst, n))
+        assert_same_arrays((g.in_indptr, g.in_indices), csr_from_arcs_lexsort(dst, src, n))
 
     @given(arc_triples())
     @settings(max_examples=60, deadline=None)

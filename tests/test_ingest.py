@@ -347,7 +347,7 @@ class TestSetupMemory:
 
 class TestUidlist:
     def test_two_lines(self):
-        assert parse_uidlist(io.StringIO("1001\n1002\n")) == [(0, "1001"), (1, "1002")]
+        assert parse_uidlist(io.StringIO("1001\n1002\n")) == ["1001", "1002"]
 
     def test_length_matches_lines(self):
         text = "".join(f"uid{i}\n" for i in range(50))
@@ -357,7 +357,7 @@ class TestUidlist:
         uids = [str(9000 + 7 * i) for i in range(20)]
         buf = io.StringIO()
         write_uidlist(uids, buf)
-        assert parse_uidlist(io.StringIO(buf.getvalue())) == list(enumerate(uids))
+        assert parse_uidlist(io.StringIO(buf.getvalue())) == uids
 
     def test_empty_file_rejected(self):
         with pytest.raises(ParseError):
@@ -369,7 +369,7 @@ class TestUidlist:
 
     @pytest.mark.parametrize("tail", ["\n", "\n\n", "\n\n\n", "\n \n\t\n", ""])
     def test_trailing_blank_lines_end_the_list(self, tail):
-        assert parse_uidlist(io.StringIO("a\nb" + tail)) == [(0, "a"), (1, "b")]
+        assert parse_uidlist(io.StringIO("a\nb" + tail)) == ["a", "b"]
 
 
 def regions_of(profiles) -> list[str]:

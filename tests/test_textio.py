@@ -29,8 +29,9 @@ from zombiescan.textio import (_digit_column, float_column, float_reprs, int_col
                                render_ints, split_csv, split_fields, write_csv)
 
 from conftest import DATA, profile_table
-from oracles import (io_reference, partition_csv_rows, ranks_csv_rows, read_partition_rows,
-                     read_ranks_rows, read_report_rows, read_truth_rows, report_csv_rows)
+from oracles import (float_text, io_reference, partition_csv_rows, ranks_csv_rows,
+                     read_partition_rows, read_ranks_rows, read_report_rows, read_truth_rows,
+                     report_csv_rows)
 
 # tokens the readers must read exactly as the row loops do
 ODD_TOKENS = ["", " 7", "7 ", "+7", "-7", "07", "7.5", '"7"', "٧", "x", "1e3", "nan",
@@ -498,19 +499,19 @@ def nan_with(payload: int) -> float:
     return float(np.array([0x7FF8000000000000 | payload]).view(np.float64)[0])
 
 
-def repr_reference(values, nan: str) -> list[str]:
-    return [nan if v != v else repr(v) for v in np.asarray(values).tolist()]
+def repr_reference(values) -> list[str]:
+    return list(map(float_text, np.asarray(values).tolist()))
 
 
 @pytest.fixture
 def renders(monkeypatch):
-    """The columns float_reprs renders anew, as (bits, nan), from an empty memo."""
+    """The bits of the columns float_reprs renders anew, from an empty memo."""
     calls = []
     render = textio._render_floats
 
-    def spy(bits, nan):
-        calls.append((bits.tolist(), nan))
-        return render(bits, nan)
+    def spy(bits):
+        calls.append(bits.tolist())
+        return render(bits)
 
     monkeypatch.setattr(textio, "_last_render", None)
     monkeypatch.setattr(textio, "_render_floats", spy)
@@ -520,29 +521,28 @@ def renders(monkeypatch):
 class TestFloatMemo:
     """float_reprs gives back the last column's strings for an identical column."""
 
-    OPS = ("new", "repeat", "zero-sign", "nan-payload", "nan-argument", "mutate")
+    OPS = ("new", "repeat", "zero-sign", "nan-payload", "mutate")
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_every_render_equals_repr(self, data):
         column = st.lists(SPECIAL_FLOATS | st.builds(nan_with, st.integers(0, 2 ** 51 - 1)),
                           max_size=6)
-        nans = st.sampled_from(["nan", ""])
         # every op at least once, in a drawn order, among drawn extras
         ops = data.draw(st.permutations(
             list(self.OPS) + data.draw(st.lists(st.sampled_from(self.OPS), max_size=6))))
-        values, nan = np.asarray(data.draw(column), dtype=np.float64), data.draw(nans)
+        values = np.asarray(data.draw(column), dtype=np.float64)
 
-        def check(values, nan):
-            got = float_reprs(values, nan=nan)
-            assert got == repr_reference(values, nan)
+        def check(values):
+            got = float_reprs(values)
+            assert got == repr_reference(values)
             return got
 
         for op in ops:
             if op == "new":
-                values, nan = np.asarray(data.draw(column), dtype=np.float64), data.draw(nans)
+                values = np.asarray(data.draw(column), dtype=np.float64)
             elif op == "repeat":
-                check(values.copy(), nan)
+                check(values.copy())
             elif op in ("zero-sign", "nan-payload"):
                 if not values.shape[0]:
                     values = np.zeros(1)
@@ -552,16 +552,13 @@ class TestFloatMemo:
                 # the same array, changed in place between the two renders
                 for x in pair:
                     values[at] = x
-                    check(values, nan)
-            elif op == "nan-argument":
-                for arg in ("nan", ""):
-                    check(values, arg)
+                    check(values)
             else:  # mutate
-                got = check(values, nan)
+                got = check(values)
                 got[:] = ["x"] * len(got)
                 got.append("y")
-                check(values, nan)
-            check(values, nan)
+                check(values)
+            check(values)
 
     def test_the_pipeline_renders_pagerank_once(self, renders):
         corpus = f"{DATA}/zombie_5x500"
@@ -575,17 +572,16 @@ class TestFloatMemo:
         for vec in vectors.values():
             pagerank[vec.members] = vec.values
         # io, pagerank and the fences; the report's pagerank column is the memo's
-        assert [nan for _, nan in renders] == ["nan", "nan", ""]
-        assert renders[1][0] == pagerank.view(np.int64).tolist()
-        assert renders[2][0] == report.thresholds.view(np.int64).tolist()
+        assert len(renders) == 3
+        assert renders[1] == pagerank.view(np.int64).tolist()
+        assert renders[2] == report.thresholds.view(np.int64).tolist()
 
     def test_the_memo_holds_one_column(self, renders):
         a, b = np.array([0.5, 1 / 3]), np.array([0.25])
         for column in (a, b, a, a):
-            assert float_reprs(column) == repr_reference(column, "nan")
-        assert [bits for bits, _ in renders] == [a.view(np.int64).tolist(),
-                                               b.view(np.int64).tolist(),
-                                               a.view(np.int64).tolist()]
+            assert float_reprs(column) == repr_reference(column)
+        assert renders == [a.view(np.int64).tolist(), b.view(np.int64).tolist(),
+                           a.view(np.int64).tolist()]
 
 
 # what the stage files carry: text of every kind but CR (no uid list, region
@@ -608,6 +604,45 @@ def written(write) -> str:
     return buf.getvalue()
 
 
+class TestNanIsBlank:
+    """A NaN goes out as a blank field, which the ranks and report readers
+    refuse where a value must be finite and read as a fence too small to set."""
+
+    @pytest.mark.parametrize("column", [2, 3])  # io, pagerank
+    def test_ranks_value(self, column):
+        values, io_col = np.array([0.5, 0.5]), np.array([0.25, 0.75])
+        (io_col if column == 2 else values)[1] = np.nan
+        vectors = {0: ImportanceVector(values, np.arange(2), 1, 0.0, True, io_col)}
+        text = written(lambda buf: write_ranks_csv(buf, build_graph([], 2), Partition([0, 0]),
+                                                   vectors))
+        row = ["1", "0", "0.75", "0.5", "true"]
+        row[column] = ""
+        assert text.splitlines()[2] == ",".join(row)
+        with pytest.raises(ValidationError) as refused:
+            read_ranks_csv(io.StringIO(text))
+        assert str(refused.value) == f"bad ranks row: {row!r}"
+
+    @staticmethod
+    def report(values, thresholds) -> ZombieReport:
+        return ZombieReport(community_ids=np.zeros(2, dtype=np.int64), values=np.array(values),
+                            thresholds=np.array(thresholds), is_zombie=np.array([True, False]),
+                            method="linear", min_community_size=5, communities=1)
+
+    def test_report_value(self):
+        text = written(lambda buf: write_report_csv(self.report([0.0, np.nan], [0.1, 0.1]),
+                                                    buf))
+        assert text.splitlines()[2] == "1,0,,0.1,normal"
+        with pytest.raises(ValidationError) as refused:
+            read_report_csv(io.StringIO(text))
+        assert str(refused.value) == "bad report row: ['1', '0', '', '0.1', 'normal']"
+
+    def test_report_fence(self):
+        text = written(lambda buf: write_report_csv(self.report([0.0, 0.5], [0.1, np.nan]),
+                                                    buf))
+        assert text.splitlines()[2] == "1,0,0.5,,normal"
+        assert read_report_csv(io.StringIO(text)).tolist() == [True, False]
+
+
 class TestRoundTrips:
     """Each reader returns what its writer wrote."""
 
@@ -622,7 +657,8 @@ class TestRoundTrips:
         rows = split_csv(written(lambda buf: write_csv(buf, header, [ints, floats, text])),
                          "table", header)
         assert int_column(rows.columns[0])[0].tolist() == ints.tolist()
-        assert same_floats(float_column(rows.columns[1])[0], floats)
+        # a NaN is written blank
+        assert same_floats(float_column([f or "nan" for f in rows.columns[1]])[0], floats)
         assert rows.columns[2] == text
 
     @pytest.mark.parametrize("uids", [["a\rb", "c"], ["a", "\r"], ["a", "b\r\n"]])

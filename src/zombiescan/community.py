@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .graph import UndirectedGraph
-from .textio import UTF8, int_column, read_text, repeats, split_csv, write_csv
+from .textio import UTF8, read_text, repeats, split_csv, write_csv
 
 __all__ = [
     "Partition",
@@ -351,8 +351,8 @@ def read_partition_csv(source, node_count: int) -> Partition:
     """Read a partition written by write_partition_csv; a `uid` column is ignored."""
     rows = split_csv(read_text(source, UTF8), "partition", _PARTITION_HEADER,
                      _PARTITION_HEADER + ("uid",))
-    nodes, bad_nodes = int_column(rows.columns[0])
-    comms, bad_comms = int_column(rows.columns[1])
+    nodes, bad_nodes = rows.ints(0)
+    comms, bad_comms = rows.ints(1)
     rows.check((bad_nodes | bad_comms, lambda i: f"bad partition row: {rows.row(i)!r}"),
                ((nodes < 0) | (nodes >= node_count),
                 lambda i: f"node id {nodes[i]} outside [0, {node_count})"),

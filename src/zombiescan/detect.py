@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .rank import ImportanceVector
-from .textio import (ASCII, code_column, float_column, int_column, read_text, repeats,
-                     split_csv, write_csv, write_json)
+from .textio import (ASCII, code_column, float_column, read_text, repeats, split_csv, write_csv,
+                     write_json)
 
 __all__ = [
     "QUARTILE_METHODS",
@@ -165,12 +165,12 @@ def read_report_csv(source) -> np.ndarray:
     column (ids int64, pagerank finite and non-negative, threshold finite),
     repeated nodes and a node outside that range, naming one left without a row."""
     rows = split_csv(read_text(source, ASCII), "report", _REPORT_HEADER)
-    nodes, bad_nodes = int_column(rows.columns[0])
-    _, bad_cids = int_column(rows.columns[1])
-    values, bad_values = float_column(rows.columns[2])
+    nodes, bad_nodes = rows.ints(0)
+    _, bad_cids = rows.ints(1)
+    values, bad_values = float_column(rows.text(2))
     # a blank threshold is a community too small to fence
-    thresholds, bad_thresholds = float_column([t or "0" for t in rows.columns[3]])
-    labels = code_column(rows.columns[4], _LABELS)
+    thresholds, bad_thresholds = float_column([t or "0" for t in rows.text(3)])
+    labels = code_column(rows.text(4), _LABELS)
     inside = ~bad_nodes & (nodes >= 0) & (nodes < len(rows))
     rows.check((bad_nodes | bad_cids | bad_values | ~np.isfinite(values) | (values < 0)
                 | bad_thresholds | ~np.isfinite(thresholds) | (labels < 0),

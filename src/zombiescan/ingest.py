@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import CacheError, ParseError, ValidationError
 from .graph import DirectedGraph, _build_graph, _index_dtype, _pair_keys, _sorted_member
-from .textio import (ASCII, INT64_MAX, UTF8, decode, int_column, read_input, read_text,
-                     render_ints, split_fields, text_stream)
+from .textio import (ASCII, INT64_MAX, UTF8, decode, int_column, read_bytes, read_input,
+                     read_text, render_ints, split_fields, text_stream)
 
 log = logging.getLogger(__name__)
 
@@ -322,50 +322,59 @@ def parse_profiles(source) -> ProfileTable:
     unparseable count is masked as missing and tallied in a warning; one a
     short record lacks is masked untallied.
     """
-    text = read_text(source, UTF8)
-    table, bad_numbers = _profile_table(*(_profile_columns(text) or _profile_rows(text)))
+    data = read_bytes(source, UTF8)
+    table, bad_numbers = _profile_table(*(_profile_columns(data)
+                                          or _profile_rows(data.decode(UTF8))))
     if bad_numbers:
         log.warning("%d numeric profile fields were blank, negative or unparseable",
                     bad_numbers)
     return table
 
 
-def _profile_columns(text: str):
-    """The stripped region, followers and followees columns from one split of
-    the whole text, or None unless every line holds exactly 8 fields."""
-    split = split_fields(text, "\t", _PROFILE_WIDTH)
-    if split is None:
+def _profile_columns(data: bytes):
+    """The region column and the two count columns, each (values, unreadable
+    mask, records without the field), from one scan of the UTF-8 bytes; None
+    unless every line holds exactly 8 fields. The counts are read from the
+    bytes; a count column with a field that is not plain digits is stripped
+    and read as strings."""
+    fields = split_fields(data, "\t", _PROFILE_WIDTH)
+    if fields is None:
         return None
-    return [list(map(str.strip, split[j::_PROFILE_WIDTH]))
-            for j in (_REGION, _FOLLOWERS, _FOLLOWEES)]
+    return fields.text(_REGION), [(*fields.ints(j, strip=True), 0)
+                                  for j in (_FOLLOWERS, _FOLLOWEES)]
 
 
 def _profile_rows(text: str):
-    """The same columns line by line; a record without a count holds None
-    there, one without a region holds ""."""
+    """The same columns line by line; a record without a region reads ""
+    there, and one without a count is masked and counted as absent."""
     rows = [line.split("\t") for line in text.split("\n") if line]
-    return [[row[j].strip() if j < len(row) else absent for row in rows]
-            for j, absent in ((_REGION, ""), (_FOLLOWERS, None), (_FOLLOWEES, None))]
+    counts = []
+    for j in (_FOLLOWERS, _FOLLOWEES):
+        column = [row[j].strip() if j < len(row) else None for row in rows]
+        counts.append((*int_column(column), column.count(None)))
+    return [row[_REGION] if _REGION < len(row) else "" for row in rows], counts
 
 
-def _profile_table(region: list[str], followers: list,
-                   followees: list) -> tuple[ProfileTable, int]:
+def _profile_table(region: list[str], counts) -> tuple[ProfileTable, int]:
     """The table of split profile columns, and the count of blank, negative or
-    bad counts."""
-    names = [r for r in dict.fromkeys(region) if r]
+    bad counts. Each distinct region is stripped once; regions are coded in
+    order of first appearance, a blank one -1."""
+    raw = dict.fromkeys(region)
+    stripped = [r.strip() for r in raw]
+    names = [r for r in dict.fromkeys(stripped) if r]
     index = dict(zip(names, range(len(names))))
     index[""] = -1
-    codes = np.fromiter(map(index.__getitem__, region), dtype=np.int64, count=len(region))
-    counts = []
+    code = {r: index[s] for r, s in zip(raw, stripped)}
+    codes = np.fromiter(map(code.__getitem__, region), dtype=np.int64, count=len(region))
+    columns = []
     bad_numbers = 0
-    for column in (followers, followees):
-        values, missing = int_column(column)
+    for values, missing, absent in counts:
         missing |= values < 0
         values[missing] = 0
-        # a record without the field holds None there: missing, not tallied
-        bad_numbers += int(missing.sum()) - column.count(None)
-        counts += [values, missing]
-    return ProfileTable(codes, names, *counts), bad_numbers
+        # a record without the field is missing, not tallied
+        bad_numbers += int(missing.sum()) - absent
+        columns += [values, missing]
+    return ProfileTable(codes, names, *columns), bad_numbers
 
 
 # Binary cache layout (little-endian), the graph's out-CSR exactly as held:

@@ -34,8 +34,7 @@ import numpy as np
 from .community import Partition
 from .errors import ValidationError
 from .graph import DirectedGraph
-from .textio import (ASCII, code_column, float_column, int_column, read_text, repeats,
-                     split_csv, write_csv)
+from .textio import ASCII, code_column, float_column, read_text, repeats, split_csv, write_csv
 
 log = logging.getLogger(__name__)
 
@@ -311,11 +310,11 @@ def read_ranks_csv(source) -> dict[int, ImportanceVector]:
     outside [0, 1], a negative or non-finite score, a bad `converged` and
     repeated nodes."""
     rows = split_csv(read_text(source, ASCII), "ranks", _RANKS_HEADER)
-    nodes, bad_nodes = int_column(rows.columns[0])
-    cids, bad_cids = int_column(rows.columns[1])
-    io, bad_io = float_column(rows.columns[2])
-    values, bad_values = float_column(rows.columns[3])
-    flags = code_column(rows.columns[4], _CONVERGED)
+    nodes, bad_nodes = rows.ints(0)
+    cids, bad_cids = rows.ints(1)
+    io, bad_io = float_column(rows.text(2))
+    values, bad_values = float_column(rows.text(3))
+    flags = code_column(rows.text(4), _CONVERGED)
     # NaN fails both comparisons
     rows.check((bad_nodes | bad_cids | bad_io | ~((io >= 0) & (io <= 1)) | bad_values
                 | ~np.isfinite(values) | (values < 0) | (flags < 0),

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ParseError, ValidationError
 from .graph import DirectedGraph, _build_graph
 from .ingest import ProfileTable, write_uidlist, write_weibo_network
-from .textio import UTF8, code_column, int_column, read_text, split_csv, text_stream, write_csv
+from .textio import UTF8, code_column, read_text, split_csv, text_stream, write_csv
 
 log = logging.getLogger(__name__)
 
@@ -249,15 +249,15 @@ def write_truth_csv(truth: GroundTruth, destination) -> None:
 def read_truth_csv(source) -> GroundTruth:
     """Read a truth file (UTF-8); `is_zombie` must be one of 0/1/true/false/True/False."""
     rows = split_csv(read_text(source, UTF8), "truth", _TRUTH_HEADER)
-    nodes, bad_nodes = int_column(rows.columns[0])
-    blocks, bad_blocks = int_column(rows.columns[1])
-    flags = code_column(rows.columns[2], _TRUTH_FLAGS)
+    nodes, bad_nodes = rows.ints(0)
+    blocks, bad_blocks = rows.ints(1)
+    flags = code_column(rows.text(2), _TRUTH_FLAGS)
     # a row without a region field is short; the other fields refuse ""
     rows.check((bad_nodes | bad_blocks | (flags < 0) | (rows.widths < 4)
                 | (nodes != np.arange(len(rows))), lambda i: f"bad truth row: {rows.row(i)!r}"))
     if not len(rows):
         raise ValidationError("truth file is empty")
-    return GroundTruth(blocks, flags > 0, rows.columns[3])
+    return GroundTruth(blocks, flags > 0, rows.text(3))
 
 
 def emit_weibo_format(g: DirectedGraph, truth: GroundTruth,

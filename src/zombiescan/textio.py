@@ -4,13 +4,23 @@ Files with text columns (profiles, uid lists, truth, regions and the uid
 column of a partition) are UTF-8; the numeric files (network, ranks,
 report, JSON) are ASCII. A reader takes its whole input at once:
 `read_text` decodes it, with universal newlines as a text-mode open()
-would apply them. `split_csv` splits a stage CSV into string columns once:
-a plain file in one pass, any other (quotes, a lone CR, blank lines, rows
-wider or narrower than the header) through the csv module. The reader then
-converts whole columns (`int_column`, `float_column`, `code_column`) into
-values and masks of the rows at fault, and `CsvRows.check` raises the
-message of the first faulty row. Every integer column is int64: a token
-int() refuses, or one outside 64 bits, is a fault of its row.
+would apply them (`read_bytes` checks and keeps the bytes instead).
+
+A plain table (every line `width` fields split by one delimiter byte, and
+for a CSV no quote, CR or NUL) is scanned once over its UTF-8 bytes:
+`split_fields` keeps the offset of every separator as a rows x width array
+(`Fields`). Its integer columns are read from those bytes, one numpy step
+per digit position, and never become strings; a column with a field that
+is not 1 to 19 ASCII digits within int64 goes through `int_column` on its
+strings instead. Only the text columns a reader keeps are decoded. The
+csv module still runs for any other CSV (quotes, a lone CR, blank lines,
+rows wider or narrower than the header), and `split_csv` hands the reader
+either kind behind one `CsvRows`. The reader converts whole columns
+(`ints`, `float_column`, `code_column`) into values and masks of the rows
+at fault, and `CsvRows.check` raises the message of the first faulty row.
+Every integer column is int64: a token int() refuses, or one outside 64
+bits, is a fault of its row.
+
 `write_csv` writes every stage table, as csv.writer would. It is the one
 place where a float becomes text: its `repr`, or a blank field for a NaN.
 """
@@ -68,6 +78,18 @@ def read_text(source, encoding: str) -> str:
     return data if isinstance(data, str) else decode(data, encoding)
 
 
+def read_bytes(source, encoding: str) -> bytes:
+    """The whole input as bytes in `encoding`. A path or binary stream must
+    decode (see `decode`) and gets universal newlines; a text stream is
+    encoded as it reads, newlines included."""
+    data = read_input(source)
+    if isinstance(data, str):
+        return data.encode(encoding)
+    if not data.isascii():
+        decode(data, encoding)  # raises the ParseError of a byte that does not decode
+    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
+
+
 def decode(data: bytes, encoding: str) -> str:
     """Bytes as text with universal newlines; a byte that does not decode is
     a ParseError naming its line."""
@@ -84,39 +106,122 @@ def _universal_newlines(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
-def split_fields(body: str, delimiter: str, width: int) -> list[str] | None:
-    """The fields, row by row, of text whose every line holds `width` fields
-    split by the one-byte `delimiter`; None for any other text, a blank line
-    included."""
-    if not body.endswith("\n"):
-        body += "\n"
+def split_fields(body: bytes, delimiter: str, width: int) -> Fields | None:
+    """The fields of UTF-8 text whose every line holds `width` fields split
+    by the one-byte `delimiter`, found by one scan of its bytes; None for any
+    other text, a blank line included."""
+    if not body.endswith(b"\n"):
+        body += b"\n"
     # wider rows need no scan: a blank line breaks their delimiter pattern below
-    if width == 1 and (body.startswith("\n") or "\n\n" in body):
+    if width == 1 and (body.startswith(b"\n") or b"\n\n" in body):
         return None
-    chars = np.frombuffer(body.encode(UTF8), dtype=np.uint8)
-    seps = chars[(chars == ord(delimiter)) | (chars == 10)]
+    data = np.frombuffer(body, dtype=np.uint8)
+    at_separator = data == ord(delimiter)
+    at_separator |= data == 10
+    ends = np.flatnonzero(at_separator)
     # each line is width - 1 delimiters and a LF apart
     pattern = np.full(width, ord(delimiter), dtype=np.uint8)
     pattern[-1] = 10
-    if seps.shape[0] % width or (seps.reshape(-1, width) != pattern).any():
+    if ends.shape[0] % width or (data[ends].reshape(-1, width) != pattern).any():
         return None
-    return body[:-1].replace("\n", delimiter).split(delimiter)
+    return Fields(data, ends.reshape(-1, width), delimiter)
+
+
+class Fields:
+    """The fields of a plain table, held as its UTF-8 bytes: `ends[i, j]` is
+    the offset of the separator that ends field j of row i (the delimiter, or
+    the LF after the last field). An integer column is read from the bytes;
+    only a text column, or an integer column with a field that is not plain
+    digits, becomes strings."""
+
+    __slots__ = ("data", "ends", "delimiter")
+
+    def __init__(self, data: np.ndarray, ends: np.ndarray, delimiter: str):
+        self.data, self.ends, self.delimiter = data, ends, delimiter
+
+    def __len__(self) -> int:
+        return int(self.ends.shape[0])
+
+    def _starts(self, j: int) -> np.ndarray:
+        if j:
+            return self.ends[:, j - 1] + 1
+        starts = np.zeros(len(self), dtype=self.ends.dtype)
+        starts[1:] = self.ends[:-1, -1] + 1
+        return starts
+
+    def ints(self, j: int, strip: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """Column j as `int_column` reads it (stripped first with `strip`)."""
+        values = _digits(self.data, self._starts(j), self.ends[:, j])
+        if values is None:
+            column = self.text(j)
+            return int_column(list(map(str.strip, column)) if strip else column)
+        return values, np.zeros(len(self), dtype=bool)
+
+    def text(self, j: int) -> list[str]:
+        """Column j as strings."""
+        if not len(self):
+            return []
+        starts, ends = self._starts(j), self.ends[:, j]
+        sizes = ends - starts + 1  # each field with its separator
+        # the offsets of the column's bytes: steps of 1, and from each
+        # separator to the start of the next row's field
+        at = np.ones(int(sizes.sum()), dtype=ends.dtype)
+        at[0] = starts[0]
+        at[np.cumsum(sizes[:-1])] = starts[1:] - ends[:-1]
+        np.cumsum(at, out=at)
+        separator = self.delimiter if j < self.ends.shape[1] - 1 else "\n"
+        return self.data[at].tobytes().decode(UTF8).split(separator)[:-1]
+
+    def row(self, i: int) -> list[str]:
+        """The fields of row i."""
+        start = int(self.ends[i - 1, -1]) + 1 if i else 0
+        line = self.data[start:int(self.ends[i, -1])].tobytes().decode(UTF8)
+        return line.split(self.delimiter)
+
+
+def _digits(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
+    """The int64 of each field data[starts[i]:ends[i]] when every one is 1 to
+    19 ASCII digits within int64; None otherwise. The fields are read right
+    aligned, one Horner step per digit position."""
+    sizes = ends - starts
+    if not sizes.shape[0]:
+        return np.zeros(0, dtype=np.int64)
+    top = int(sizes.max())
+    if top > 19 or sizes.min() < 1:
+        return None
+    values = np.zeros(sizes.shape[0], dtype=np.uint64)
+    at = ends - top
+    for _ in range(top):
+        digit = data.take(at, mode="clip")
+        digit -= 48
+        digit[at < starts] = 0  # a shorter field's leading zeros
+        if (digit > 9).any():
+            return None
+        values *= 10
+        values += digit
+        at += 1
+    # 19 digits fit in 64 unsigned bits
+    if top == 19 and (values > INT64_MAX).any():
+        return None
+    return values.view(np.int64)
 
 
 class CsvRows:
     """The rows of a CSV after its header, split once by `split_csv`.
 
-    columns[j] holds field j of every row, "" where a row is shorter (a
-    field that every integer, float and code column refuses), and widths
-    each row's field count; row(i) is row i's fields as csv.reader reads
-    them. error is the "bad <kind> row on line N: ..." message of a
-    csv.Error that ended the split after these rows, or None.
+    ints(j) reads column j as `int_column` does, text(j) gives its fields as
+    strings, "" where a row is shorter (a field that every integer, float
+    and code column refuses), and row(i) gives row i's fields as csv.reader
+    reads them; widths holds each row's field count. error is the "bad
+    <kind> row on line N: ..." message of a csv.Error that ended the split
+    after these rows, or None.
     """
 
-    __slots__ = ("columns", "widths", "row", "error")
+    __slots__ = ("ints", "text", "row", "widths", "error")
 
-    def __init__(self, columns: list[list[str]], widths: np.ndarray, row, error=None):
-        self.columns, self.widths, self.row, self.error = columns, widths, row, error
+    def __init__(self, fields, widths: np.ndarray, error=None):
+        self.ints, self.text, self.row = fields.ints, fields.text, fields.row
+        self.widths, self.error = widths, error
 
     def __len__(self) -> int:
         return int(self.widths.shape[0])
@@ -133,34 +238,50 @@ class CsvRows:
             raise ValidationError(self.error)
 
 
+class _Columns:
+    """The fields of rows that csv.reader split, as string columns, "" where
+    a row is shorter than `width`."""
+
+    __slots__ = ("columns", "row")
+
+    def __init__(self, rows: list[list[str]], width: int):
+        self.columns = [[row[j] if j < len(row) else "" for row in rows] for j in range(width)]
+        self.row = rows.__getitem__
+
+    def ints(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        return int_column(self.columns[j])
+
+    def text(self, j: int) -> list[str]:
+        return self.columns[j]
+
+
 def split_csv(text: str, kind: str, *headers: tuple[str, ...]) -> CsvRows:
     """The nonblank rows of a CSV text after its header, which must be one of
     `headers`. A file whose first line is a header and whose every other
-    line holds that many unquoted fields is split in one pass; any other
-    goes through csv.reader."""
+    line holds that many unquoted fields is split by one scan of its bytes;
+    any other goes through csv.reader."""
     head, _, body = text.partition("\n")
     for header in headers:
         if head == ",".join(header):
             fields = _plain_fields(body, len(header))
             if fields is not None:
-                width = len(header)
-                return CsvRows([fields[j::width] for j in range(width)],
-                               np.full(len(fields) // width, width, dtype=np.int64),
-                               lambda i: fields[i * width:(i + 1) * width])
+                return CsvRows(fields, np.full(len(fields), len(header), dtype=np.int64))
     return _csv_module_rows(text, kind, headers)
 
 
-def _plain_fields(body: str, width: int) -> list[str] | None:
-    """The fields of `body`, row by row, when each line holds `width` fields
-    that csv.reader would read as they stand; None otherwise."""
+def _plain_fields(body: str, width: int) -> Fields | None:
+    """The fields of `body` when each line holds `width` fields that
+    csv.reader would read as they stand; None otherwise."""
     if not body:
-        return []
+        return Fields(np.zeros(0, dtype=np.uint8), np.zeros((0, width), dtype=np.intp), ",")
     if any(c in body for c in '"\r\0'):
         return None
-    fields = split_fields(body, ",", width)
-    # csv.reader refuses a field longer than its size limit
+    fields = split_fields(body.encode(UTF8), ",", width)
+    # csv.reader refuses a field longer than its size limit; a field has no
+    # more characters than bytes
     limit = csv.field_size_limit()
-    if fields is not None and len(body) > limit and max(map(len, fields)) > limit:
+    if fields is not None and len(body) > limit and \
+            (np.diff(fields.ends.ravel(), prepend=-1) > limit + 1).any():
         return None
     return fields
 
@@ -179,9 +300,8 @@ def _csv_module_rows(text: str, kind: str, headers) -> CsvRows:
                 rows.append(row)
     except csv.Error as exc:
         error = f"bad {kind} row on line {reader.line_num}: {exc}"
-    columns = [[row[j] if j < len(row) else "" for row in rows] for j in range(width)]
     widths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    return CsvRows(columns, widths, rows.__getitem__, error)
+    return CsvRows(_Columns(rows, width), widths, error)
 
 
 def int_column(column: list) -> tuple[np.ndarray, np.ndarray]:
@@ -194,28 +314,21 @@ def int_column(column: list) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _digit_column(column: list) -> np.ndarray | None:
-    """The fields as int64 when each is a nonempty run of ASCII digits that
-    fits; None otherwise."""
-    if not column:
-        return np.zeros(0, dtype=np.int64)
-    if "" in column:
-        return None
+    """The fields as int64 when each is 1 to 19 ASCII digits within int64
+    (`_digits` on their joined bytes); None otherwise."""
     try:
-        joined = ",".join(column)
+        joined = ",".join(column) + ","
     except TypeError:  # a None field
         return None
     if not joined.isascii():
         return None
-    raw = joined.encode(ASCII)
-    if raw.translate(None, b"0123456789,"):
+    data = np.frombuffer(joined.encode(ASCII), dtype=np.uint8)
+    ends = np.flatnonzero(data == 44)
+    if ends.shape[0] != len(column):  # a field holds the separator
         return None
-    if raw.count(b",") != len(column) - 1:  # a field holds the separator
-        return None
-    values = np.fromstring(raw, dtype=np.int64, sep=",")
-    # an oversized token clamps to INT64_MAX; int64() reads it exactly
-    if values.shape[0] != len(column) or (values == INT64_MAX).any():
-        return None
-    return values
+    starts = np.zeros(len(column), dtype=ends.dtype)
+    starts[1:] = ends[:-1] + 1
+    return _digits(data, starts, ends)
 
 
 def float_column(column: list[str]) -> tuple[np.ndarray, np.ndarray]:

@@ -36,7 +36,8 @@ from oracles import (float_text, io_reference, partition_csv_rows, ranks_csv_row
 # tokens the readers must read exactly as the row loops do
 ODD_TOKENS = ["", " 7", "7 ", "+7", "-7", "07", "7.5", '"7"', "٧", "x", "1e3", "nan",
               "inf", "-0.0", "99999999999999999999", "9223372036854775807", "true", "false",
-              "True", "zombie", "normal", "a,b", "\x00"]
+              "True", "zombie", "normal", "a,b", "\x00", "9223372036854775808",
+              "-9223372036854775808", "0000000000000000000000007", "1\u00a0"]
 LINE_FAULTS = ["blank", "extra", "short", "repeat", "drop", "crlf", "cr", "header",
                "no_final_newline"]
 TEXT = st.text(st.sampled_from("ab 1,\t\"北京　\r"), max_size=4)
@@ -86,11 +87,15 @@ def outcome(read):
 
 @contextmanager
 def one_pass():
-    """Fail on any call of csv.reader or of the per-token integer loop."""
+    """Fail on any call of csv.reader, of the per-token integer loop, or of
+    `int_column`, which reads integers from strings: a clean file's integer
+    columns are read from its bytes, with no string per field."""
     def refuse(*args):
         raise AssertionError("a clean file left the one-pass path")
 
-    with mock.patch("csv.reader", refuse), mock.patch("zombiescan.textio.int64", refuse):
+    with mock.patch("csv.reader", refuse), mock.patch("zombiescan.textio.int64", refuse), \
+            mock.patch("zombiescan.textio.int_column", refuse), \
+            mock.patch("zombiescan.ingest.int_column", refuse):
         yield
 
 
@@ -183,18 +188,24 @@ class TestReaders:
         check_reader(*REPORT, text, clean)
 
     @given(st.data())
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=600, deadline=None)
     def test_profiles(self, data):
-        count = st.integers(0, 10 ** 6).map(str) | st.sampled_from(
-            ["", " 5", "5 ", "x", "5.0", "-3", "+4", "٣", "99999999999999999999", " ",
-             "1,234", ","])
-        text_value = st.text(st.sampled_from("ab 1\t北京　\r,"), max_size=4)
+        # a plain file: digit counts, no tab inside a field and no line fault
+        plain = data.draw(st.booleans())
+        count = st.integers(0, 10 ** 6).map(str)
+        if not plain:
+            count |= st.sampled_from(
+                ["", " 5", "5 ", "x", "5.0", "-3", "+4", "٣", "99999999999999999999", " ",
+                 "1,234", ",", "9223372036854775808", "-9223372036854775808",
+                 "0000000000000000000000007", "1\u00a0"])
+        alphabet = "ab 1北京　\r," if plain else "ab 1\t北京　\r,"
+        text_value = st.text(st.sampled_from(alphabet), max_size=4)
         lines = []
         for _ in range(data.draw(st.integers(0, 5))):
             # uid name gender verification region, then followers followees tweets
             lines.append("\t".join(data.draw(text_value if j < 5 else count) for j in range(8)))
-        for fault in data.draw(st.lists(st.sampled_from(["blank", "short", "long", "crlf"]),
-                                        max_size=2)):
+        for fault in [] if plain else data.draw(
+                st.lists(st.sampled_from(["blank", "short", "long", "crlf"]), max_size=2)):
             at = data.draw(st.integers(0, len(lines)))
             if fault == "blank":
                 lines.insert(at, "")
@@ -219,11 +230,16 @@ class TestReaders:
 
         want = table(_profile_rows(text))
         assert flat(parse_profiles(io.StringIO(text))) == want[:-1]
-        fast = _profile_columns(text)
+        fast = _profile_columns(text.encode())
         if fast is not None:
             assert table(fast) == want
         if "\n\n" not in "\n" + text + "\n" and all(line.count("\t") == 7 for line in lines):
             assert fast is not None
+            # counts of 1 to 19 ASCII digits within int64 are read from the bytes
+            if all(f.isascii() and f.isdigit() and len(f) <= 19 and int(f) < 2 ** 63
+                   for line in lines for f in line.split("\t")[5:7]):
+                with one_pass():
+                    assert flat(parse_profiles(io.StringIO(text))) == want[:-1]
 
 
 # (reader, row loop, valid rows) of each CSV kind
@@ -337,6 +353,7 @@ def test_committed_files_are_read_in_one_pass(tmp_path):
         assert main(["pipeline", f"{DATA}/{name}", "-o", str(run)]) == 0
         node_count = len((run / "ranks.csv").read_text().splitlines()) - 1
         with one_pass():
+            parse_profiles(f"{DATA}/{name}/user_profile.txt")
             read_truth_csv(f"{DATA}/{name}/truth.csv")
             read_partition_csv(run / "partition.csv", node_count)
             read_ranks_csv(run / "ranks.csv")
@@ -351,7 +368,7 @@ def test_committed_files_are_read_in_one_pass(tmp_path):
          "carriage-return", "inner-space-kept"])
 def test_profile_fields_are_stripped_on_the_column_path(region, followers, followees, want):
     text = f"u1\tamy\tf\tno\t{region}\t{followers}\t{followees}\t0\nu2\tbob\tm\tno\tHarbin\t1\t2\t0\n"
-    assert _profile_columns(text) is not None
+    assert _profile_columns(text.encode()) is not None
     table = parse_profiles(io.StringIO(text))
     assert regions_of(table) == [want, "Harbin"]
     assert (table.followers.tolist(), table.followees.tolist()) == ([5, 1], [3, 2])
@@ -408,10 +425,11 @@ def test_int_column_leaves_fields_holding_the_separator_to_the_row_loop(column):
 @pytest.mark.parametrize("at", [0, 1, 2])
 def test_split_fields_refuses_a_blank_line(width, at):
     rows = [",".join(f"{row}{j}" for j in range(width)) for row in "ab"]
-    assert split_fields("\n".join(rows) + "\n", ",", width) == \
+    fields = split_fields(("\n".join(rows) + "\n").encode(), ",", width)
+    assert [field for i in range(len(fields)) for field in fields.row(i)] == \
         [f"{row}{j}" for row in "ab" for j in range(width)]
     blank = rows[:at] + [""] + rows[at:]  # at the start, in the middle, at the end
-    assert split_fields("\n".join(blank) + "\n", ",", width) is None
+    assert split_fields(("\n".join(blank) + "\n").encode(), ",", width) is None
 
 
 class TestDecoding:
@@ -656,10 +674,10 @@ class TestRoundTrips:
         header = ("i", "f", "t")
         rows = split_csv(written(lambda buf: write_csv(buf, header, [ints, floats, text])),
                          "table", header)
-        assert int_column(rows.columns[0])[0].tolist() == ints.tolist()
+        assert rows.ints(0)[0].tolist() == ints.tolist()
         # a NaN is written blank
-        assert same_floats(float_column([f or "nan" for f in rows.columns[1]])[0], floats)
-        assert rows.columns[2] == text
+        assert same_floats(float_column([f or "nan" for f in rows.text(1)])[0], floats)
+        assert rows.text(2) == text
 
     @pytest.mark.parametrize("uids", [["a\rb", "c"], ["a", "\r"], ["a", "b\r\n"]])
     def test_a_text_field_holding_cr_is_refused(self, tmp_path, uids):
@@ -682,7 +700,7 @@ class TestRoundTrips:
         assert again.assignment.tolist() == part.assignment.tolist()
         if with_uids:
             header = ("node_id", "community_id", "uid")
-            assert split_csv(text, "partition", header).columns[2] == uids
+            assert split_csv(text, "partition", header).text(2) == uids
 
     @given(st.integers(1, 6), st.data())
     @settings(max_examples=100, deadline=None)
@@ -725,8 +743,8 @@ class TestRoundTrips:
         assert read_report_csv(io.StringIO(text)).tolist() == report.is_zombie.tolist()
         rows = split_csv(text, "report", ("node_id", "community_id", "pagerank", "threshold",
                                           "label"))
-        assert same_floats(float_column(rows.columns[2])[0], report.values)
-        assert same_floats(float_column([t or "nan" for t in rows.columns[3]])[0],
+        assert same_floats(float_column(rows.text(2))[0], report.values)
+        assert same_floats(float_column([t or "nan" for t in rows.text(3)])[0],
                            report.thresholds)
 
     @given(st.integers(1, 6), st.data())

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .graph import UndirectedGraph
-from .textio import UTF8, read_text, repeats, split_csv, write_csv
+from .textio import UTF8, read_bytes, repeats, split_csv, write_csv
 
 __all__ = [
     "Partition",
@@ -349,7 +349,7 @@ def write_partition_csv(p: Partition, destination, uids: list[str] | None = None
 
 def read_partition_csv(source, node_count: int) -> Partition:
     """Read a partition written by write_partition_csv; a `uid` column is ignored."""
-    rows = split_csv(read_text(source, UTF8), "partition", _PARTITION_HEADER,
+    rows = split_csv(read_bytes(source, UTF8), "partition", _PARTITION_HEADER,
                      _PARTITION_HEADER + ("uid",))
     nodes, bad_nodes = rows.ints(0)
     comms, bad_comms = rows.ints(1)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .rank import ImportanceVector
-from .textio import (ASCII, code_column, float_column, read_text, repeats, split_csv, write_csv,
+from .textio import (ASCII, code_column, float_column, read_bytes, repeats, split_csv, write_csv,
                      write_json)
 
 __all__ = [
@@ -164,7 +164,7 @@ def read_report_csv(source) -> np.ndarray:
     in any order, must list nodes 0..rows-1; rejects a bad value in any
     column (ids int64, pagerank finite and non-negative, threshold finite),
     repeated nodes and a node outside that range, naming one left without a row."""
-    rows = split_csv(read_text(source, ASCII), "report", _REPORT_HEADER)
+    rows = split_csv(read_bytes(source, ASCII), "report", _REPORT_HEADER)
     nodes, bad_nodes = rows.ints(0)
     _, bad_cids = rows.ints(1)
     values, bad_values = float_column(rows.text(2))

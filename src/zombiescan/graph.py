@@ -11,6 +11,11 @@ weight counts once toward u's weighted degree. Half the sum of all row
 entries is the total edge weight m. `loop_weights` holds each node's loop
 weight (0.0 without one): Louvain's aggregation puts a community's internal
 weight there.
+
+Passes that reduce or scatter each row's entries (the constructor's row
+sums here, rank's sweeps) run over `row_blocks`: consecutive blocks of
+whole rows of about ROW_BLOCK_SIZE entries each, so their temporaries stay
+in cache and none is as long as all the entries.
 """
 
 from __future__ import annotations
@@ -25,6 +30,28 @@ __all__ = [
     "build_graph",
     "symmetrize",
 ]
+
+
+# arcs (or undirected entries) per block of a row-block pass: its temporaries
+# then fit in a core's L2 cache and stay below the package's mmap threshold
+ROW_BLOCK_SIZE = 8192
+
+
+def row_blocks(indptr: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """(first row, end row, first entry, end entry) of each block of whole
+    rows of the CSR offsets `indptr`, in order: as many rows as hold at most
+    ROW_BLOCK_SIZE entries, or one longer row. The blocks cover every row; a
+    table without rows is one empty block."""
+    n = indptr.shape[0] - 1
+    blocks, lo = [], 0
+    while True:
+        start = int(indptr[lo])
+        hi = int(indptr.searchsorted(start + ROW_BLOCK_SIZE, "right")) - 1
+        hi = min(max(hi, lo + 1), n)
+        blocks.append((lo, hi, start, int(indptr[hi])))
+        if hi == n:
+            return blocks
+        lo = hi
 
 
 def _index_dtype(node_count: int) -> np.dtype:
@@ -224,15 +251,16 @@ class UndirectedGraph:
         self.indptr = indptr
         self.indices = indices
         self.weights = weights
-        # weighted degree k_u = sum of u's row (self-loop counted once); a
-        # bincount over no entries is integer, hence the cast
-        rows = np.repeat(np.arange(node_count), np.diff(indptr))
-        self.degree_weights = np.bincount(rows, weights, minlength=node_count).astype(
-            np.float64, copy=False)
-        # a row holds at most one entry for its own id: its self-loop
-        loop = rows == indices
+        # weighted degree k_u = sum of u's row (self-loop counted once),
+        # summed in row order as one bincount over all entries would
+        self.degree_weights = np.empty(node_count)
         self.loop_weights = np.zeros(node_count)
-        self.loop_weights[rows[loop]] = weights[loop]
+        for lo, hi, start, end in row_blocks(indptr):
+            rows = np.repeat(np.arange(lo, hi), np.diff(indptr[lo:hi + 1]))
+            self.degree_weights[lo:hi] = np.bincount(rows - lo, weights[start:end], hi - lo)
+            # a row holds at most one entry for its own id: its self-loop
+            loop = rows == indices[start:end]
+            self.loop_weights[rows[loop]] = weights[start:end][loop]
         self.total_weight = float(self.degree_weights.sum()) / 2.0  # m
 
     @classmethod
@@ -284,6 +312,6 @@ def symmetrize(g: DirectedGraph) -> UndirectedGraph:
     keys = _unique_keys(np.concatenate([_pair_keys(src, g.out_indices, n),
                                         _pair_keys(g.out_indices, src, n)]))
     indptr, indices = _csr_from_keys(keys, n)
-    # freed before the constructor builds its row index, symmetrize's peak
+    # freed before the constructor runs
     del keys, src
     return UndirectedGraph(n, indptr, indices, np.ones(indices.shape[0]))

@@ -14,14 +14,17 @@ probability vector.
 
 Communities never exchange weight, so one sweep over all intra-community
 arcs advances every community at once (the local step of Kamvar et al.
-2003, "BlockRank"). The arcs keep their CSR order and nodes their ids: a
-sweep reads source weights as `np.repeat(x, degrees)` and scatters them
-with `np.bincount` over the targets, so it stores no arc sources and
-makes one arc-length array. Every arc into a node comes from the node's
-own community, so its inflow adds up in the order it would for that
-community alone; the per-community sums run over the nodes gathered
-community by community, in id order, so each community rounds, and
-stops, exactly as it would alone. A whole graph is one community.
+2003, "BlockRank"). The arcs keep their CSR order and nodes their ids. A
+sweep runs over blocks of whole rows (`graph.row_blocks`, about 8,192 arcs
+each): it repeats the block's source weights by their out-degrees and adds
+them into the targets with `np.add.at`, which adds each target's inflow in
+arc order from 0.0, as one `np.bincount` over every arc would. So it stores
+no arc sources and makes no array of arc length; the intra arcs and their
+walk weights are found block by block the same way. Every arc into a node
+comes from the node's own community, so its inflow adds up in the order it
+would for that community alone; the per-community sums run over the nodes
+gathered community by community, in id order, so each community rounds,
+and stops, exactly as it would alone. A whole graph is one community.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ import numpy as np
 
 from .community import Partition
 from .errors import ValidationError
-from .graph import DirectedGraph
-from .textio import ASCII, code_column, float_column, read_text, repeats, split_csv, write_csv
+from .graph import DirectedGraph, row_blocks
+from .textio import ASCII, code_column, float_column, read_bytes, repeats, split_csv, write_csv
 
 log = logging.getLogger(__name__)
 
@@ -86,9 +89,21 @@ def _assignment(g: DirectedGraph, p: Partition) -> np.ndarray:
 def _intra(g: DirectedGraph, assignment: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Targets of the arcs inside one community, in CSR order as intp, and
     each node's count of them (its intra out-degree)."""
-    inside = np.repeat(assignment, g.out_degrees) == assignment[g.out_indices]
-    before = np.concatenate(([0], np.cumsum(inside)))[g.out_indptr]  # intra arcs before each row
-    return g.out_indices[inside].astype(np.intp), np.diff(before)
+    follows = np.empty(g.node_count, dtype=np.int64)
+    # one array for all the arcs, shrunk at the end: a piece per block would
+    # come from the malloc heap (each is under the mmap threshold) and leave
+    # it grown after the pieces are freed
+    kept, count = np.empty(g.edge_count, dtype=np.intp), 0
+    for lo, hi, start, end in row_blocks(g.out_indptr):
+        targets = g.out_indices[start:end]
+        offsets = g.out_indptr[lo:hi + 1] - start
+        inside = np.flatnonzero(np.repeat(assignment[lo:hi], np.diff(offsets))
+                                == assignment.take(targets))
+        kept[count:count + inside.shape[0]] = targets.take(inside)
+        count += inside.shape[0]
+        follows[lo:hi] = np.diff(inside.searchsorted(offsets))  # intra arcs before each row end
+    kept.resize(count, refcheck=False)  # in place; no view of it is left
+    return kept, follows
 
 
 def _io_scores(n: int, targets: np.ndarray, follows: np.ndarray, source: str,
@@ -123,20 +138,27 @@ def io_scores_for(g: DirectedGraph, source: str = "local", profiles=None) -> np.
     return _io_scores(g.node_count, g.out_indices, g.out_degrees, source, profiles)
 
 
+def _row_blocks(degrees: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """`row_blocks` of the rows with these out-degrees."""
+    return row_blocks(np.concatenate(([0], np.cumsum(degrees))))
+
+
 def _walk_weights(targets: np.ndarray, degrees: np.ndarray, io=None) -> np.ndarray:
     """Walk weight of each arc, rows in node order: an even split without io,
     else io[v] / sum of io over u's followees for arc u->v (summed in arc
     order), or an even split where that sum is 0 so no walk weight is lost."""
-    n = degrees.shape[0]
     share = 1.0 / np.maximum(degrees, 1)  # of an even split
     if io is None:
         return np.repeat(share, degrees)
-    weights = io[targets]
-    row_sum = np.bincount(np.repeat(np.arange(n), degrees), weights=weights, minlength=n)
-    even = row_sum == 0
-    weights /= np.repeat(np.where(even, 1.0, row_sum), degrees)
-    if even.any():
-        weights[np.repeat(even, degrees)] = np.repeat(share[even], degrees[even])
+    weights = np.empty(targets.shape[0])
+    for lo, hi, start, end in _row_blocks(degrees):
+        counts, block = degrees[lo:hi], weights[start:end]
+        np.take(io, targets[start:end], out=block)
+        row_sum = np.bincount(np.repeat(np.arange(hi - lo), counts), block, hi - lo)
+        even = row_sum == 0
+        block /= np.repeat(np.where(even, 1.0, row_sum), counts)
+        if even.any():
+            block[np.repeat(even, counts)] = np.repeat(share[lo:hi][even], counts[even])
     return weights
 
 
@@ -152,7 +174,8 @@ class _Communities:
     Node i belongs to community[i] and owns the next degrees[i] arcs, in
     CSR order; arc targets are node numbers and weights the walk weights.
     `order` lists the nodes community by community, in number order, and
-    `dangling` those of them without an out-arc.
+    `dangling` those of them without an out-arc; `blocks` are the rows' blocks
+    for a sweep.
     """
 
     def __init__(self, community: np.ndarray, count: int, degrees: np.ndarray,
@@ -164,6 +187,7 @@ class _Communities:
         self.order = np.argsort(community, kind="stable")
         self.dangling = self.order[degrees[self.order] == 0]
         self.dangling_counts = np.bincount(community[self.dangling], minlength=count)
+        self.blocks = _row_blocks(degrees)
 
     def take(self, keep: np.ndarray) -> tuple["_Communities", np.ndarray]:
         """The communities at indices `keep` (ascending), and which nodes stay."""
@@ -178,10 +202,11 @@ class _Communities:
 
     def sweep(self, x: np.ndarray, damping: float) -> tuple[np.ndarray, np.ndarray]:
         """One damped step of every community: the new x and each community's L1 change."""
-        flow = np.repeat(x, self.degrees)
-        flow *= self.weights
-        inflow = np.bincount(self.targets, flow, minlength=x.shape[0])
-        del flow  # freed before the node-length arrays below are made
+        inflow = np.zeros(x.shape[0])
+        for lo, hi, start, end in self.blocks:
+            flow = np.repeat(x[lo:hi], self.degrees[lo:hi])
+            flow *= self.weights[start:end]
+            np.add.at(inflow, self.targets[start:end], flow)
         mass = _segment_sums(x[self.dangling], self.dangling_counts)
         new_x = (((1.0 - damping) / self.sizes)[self.community]
                  + damping * (inflow + (mass / self.sizes)[self.community]))
@@ -309,7 +334,7 @@ def read_ranks_csv(source) -> dict[int, ImportanceVector]:
     """Rebuild per-community vectors, io included, from a ranks CSV; rejects io
     outside [0, 1], a negative or non-finite score, a bad `converged` and
     repeated nodes."""
-    rows = split_csv(read_text(source, ASCII), "ranks", _RANKS_HEADER)
+    rows = split_csv(read_bytes(source, ASCII), "ranks", _RANKS_HEADER)
     nodes, bad_nodes = rows.ints(0)
     cids, bad_cids = rows.ints(1)
     io, bad_io = float_column(rows.text(2))

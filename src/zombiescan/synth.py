@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ParseError, ValidationError
 from .graph import DirectedGraph, _build_graph
 from .ingest import ProfileTable, write_uidlist, write_weibo_network
-from .textio import UTF8, code_column, read_text, split_csv, text_stream, write_csv
+from .textio import UTF8, code_column, read_bytes, read_text, split_csv, text_stream, write_csv
 
 log = logging.getLogger(__name__)
 
@@ -248,7 +248,7 @@ def write_truth_csv(truth: GroundTruth, destination) -> None:
 
 def read_truth_csv(source) -> GroundTruth:
     """Read a truth file (UTF-8); `is_zombie` must be one of 0/1/true/false/True/False."""
-    rows = split_csv(read_text(source, UTF8), "truth", _TRUTH_HEADER)
+    rows = split_csv(read_bytes(source, UTF8), "truth", _TRUTH_HEADER)
     nodes, bad_nodes = rows.ints(0)
     blocks, bad_blocks = rows.ints(1)
     flags = code_column(rows.text(2), _TRUTH_FLAGS)

@@ -4,7 +4,8 @@ Files with text columns (profiles, uid lists, truth, regions and the uid
 column of a partition) are UTF-8; the numeric files (network, ranks,
 report, JSON) are ASCII. A reader takes its whole input at once:
 `read_text` decodes it, with universal newlines as a text-mode open()
-would apply them (`read_bytes` checks and keeps the bytes instead).
+would apply them, and `read_bytes`, which the table readers use, checks
+that it decodes and keeps the bytes instead.
 
 A plain table (every line `width` fields split by one delimiter byte, and
 for a CSV no quote, CR or NUL) is scanned once over its UTF-8 bytes:
@@ -15,9 +16,10 @@ is not 1 to 19 ASCII digits within int64 goes through `int_column` on its
 strings instead. Only the text columns a reader keeps are decoded. The
 csv module still runs for any other CSV (quotes, a lone CR, blank lines,
 rows wider or narrower than the header), and `split_csv` hands the reader
-either kind behind one `CsvRows`. The reader converts whole columns
-(`ints`, `float_column`, `code_column`) into values and masks of the rows
-at fault, and `CsvRows.check` raises the message of the first faulty row.
+either kind behind one `CsvRows`; only that fallback decodes the whole
+file. The reader converts whole columns (`ints`, `float_column`,
+`code_column`) into values and masks of the rows at fault, and
+`CsvRows.check` raises the message of the first faulty row.
 Every integer column is int64: a token int() refuses, or one outside 64
 bits, is a fault of its row.
 
@@ -79,12 +81,13 @@ def read_text(source, encoding: str) -> str:
 
 
 def read_bytes(source, encoding: str) -> bytes:
-    """The whole input as bytes in `encoding`. A path or binary stream must
-    decode (see `decode`) and gets universal newlines; a text stream is
-    encoded as it reads, newlines included."""
+    """The whole input as bytes. A path or binary stream must decode in
+    `encoding` (see `decode`) and gets universal newlines; a text stream is
+    encoded in UTF-8 as it reads, newlines included, so its text splits into
+    the fields `read_text` would give."""
     data = read_input(source)
     if isinstance(data, str):
-        return data.encode(encoding)
+        return data.encode(UTF8)
     if not data.isascii():
         decode(data, encoding)  # raises the ParseError of a byte that does not decode
     return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
@@ -255,28 +258,29 @@ class _Columns:
         return self.columns[j]
 
 
-def split_csv(text: str, kind: str, *headers: tuple[str, ...]) -> CsvRows:
-    """The nonblank rows of a CSV text after its header, which must be one of
-    `headers`. A file whose first line is a header and whose every other
-    line holds that many unquoted fields is split by one scan of its bytes;
-    any other goes through csv.reader."""
-    head, _, body = text.partition("\n")
+def split_csv(data: bytes, kind: str, *headers: tuple[str, ...]) -> CsvRows:
+    """The nonblank rows of a CSV, UTF-8 bytes as `read_bytes` gives them,
+    after its header, which must be one of `headers`. A file whose first
+    line is a header and whose every other line holds that many unquoted
+    fields is split by one scan of its bytes; any other is decoded and goes
+    through csv.reader."""
+    head, _, body = data.partition(b"\n")
     for header in headers:
-        if head == ",".join(header):
+        if head == ",".join(header).encode(ASCII):
             fields = _plain_fields(body, len(header))
             if fields is not None:
                 return CsvRows(fields, np.full(len(fields), len(header), dtype=np.int64))
-    return _csv_module_rows(text, kind, headers)
+    return _csv_module_rows(data.decode(UTF8), kind, headers)
 
 
-def _plain_fields(body: str, width: int) -> Fields | None:
+def _plain_fields(body: bytes, width: int) -> Fields | None:
     """The fields of `body` when each line holds `width` fields that
     csv.reader would read as they stand; None otherwise."""
     if not body:
         return Fields(np.zeros(0, dtype=np.uint8), np.zeros((0, width), dtype=np.intp), ",")
-    if any(c in body for c in '"\r\0'):
+    if b'"' in body or b"\r" in body or b"\0" in body:
         return None
-    fields = split_fields(body.encode(UTF8), ",", width)
+    fields = split_fields(body, ",", width)
     # csv.reader refuses a field longer than its size limit; a field has no
     # more characters than bytes
     limit = csv.field_size_limit()

@@ -245,6 +245,19 @@ def flattened(dendrogram) -> np.ndarray:
     return labels
 
 
+def row_index_weights(und) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted degree and self-loop weight of each node of an undirected
+    graph, from a row index as long as its entries: each row summed in entry
+    order by one bincount."""
+    n = und.node_count
+    rows = np.repeat(np.arange(n), np.diff(und.indptr))
+    degrees = np.bincount(rows, und.weights, minlength=n).astype(np.float64)
+    loops = np.zeros(n)
+    loop = rows == und.indices
+    loops[rows[loop]] = und.weights[loop]
+    return degrees, loops
+
+
 # ---- the lexsort CSR builds and the numpy-scalar local moves -----------------
 # The builds and the full-sweep local moves are kept as they were before the
 # keyed sorts, the list-based loop, the node queue and the bincount
@@ -625,6 +638,44 @@ def rank_reference(g, assignment, count: int, cfg, profiles=None, io_source: str
                              sweeps, residual)
         vectors[cid] = (values, members, sweeps, residual, residual < cfg.tolerance)
     return vectors, io, takes
+
+
+# ---- rank's arc passes over whole arrays, before the row blocks --------------
+
+def intra_whole(g, assignment) -> tuple[np.ndarray, np.ndarray]:
+    """Targets of the arcs inside one community (intp, CSR order) and each
+    node's count of them, from arrays as long as all the arcs."""
+    inside = np.repeat(assignment, np.diff(g.out_indptr)) == assignment[g.out_indices]
+    before = np.concatenate(([0], np.cumsum(inside)))[g.out_indptr]
+    return g.out_indices[inside].astype(np.intp), np.diff(before)
+
+
+def walk_weights_whole(targets, degrees, io=None) -> np.ndarray:
+    """Walk weight of each arc: even, or io-proportional with an even split
+    where a row's io sums to 0; each row summed in arc order by one bincount."""
+    n = degrees.shape[0]
+    share = 1.0 / np.maximum(degrees, 1)
+    if io is None:
+        return np.repeat(share, degrees)
+    weights = io[targets]
+    row_sum = np.bincount(np.repeat(np.arange(n), degrees), weights=weights, minlength=n)
+    even = row_sum == 0
+    weights /= np.repeat(np.where(even, 1.0, row_sum), degrees)
+    if even.any():
+        weights[np.repeat(even, degrees)] = np.repeat(share[even], degrees[even])
+    return weights
+
+
+def sweep_whole(work, x, damping):
+    """One damped step of the communities `work` holds (the package's
+    `_Communities` fields, read only): one flow array as long as the arcs,
+    scattered by one bincount. Returns the new x and each community's L1 change."""
+    flow = np.repeat(x, work.degrees) * work.weights
+    inflow = np.bincount(work.targets, flow, minlength=x.shape[0])
+    mass = _segment_sums(x[work.dangling], work.dangling_counts)
+    new_x = (((1.0 - damping) / work.sizes)[work.community]
+             + damping * (inflow + (mass / work.sizes)[work.community]))
+    return new_x, _segment_sums(np.abs(new_x - x)[work.order], work.sizes)
 
 
 # ---- CSV writers as csv.writer renders them, one row at a time ----------------

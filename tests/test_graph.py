@@ -5,13 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zombiescan import ValidationError, build_graph, symmetrize
-from zombiescan.graph import (DirectedGraph, UndirectedGraph, _build_graph, _pair_keys,
-                              _sorted_member)
+from zombiescan import ValidationError, build_graph, graph, symmetrize
+from zombiescan.graph import (ROW_BLOCK_SIZE, DirectedGraph, UndirectedGraph, _build_graph,
+                              _pair_keys, _sorted_member)
 
 from conftest import random_graph
 from oracles import (arcs_with_flags, build_graph_lexsort, csr_from_arcs_lexsort,
-                     from_edges_lexsort, is_reciprocal, out_row, symmetrize_lexsort)
+                     from_edges_lexsort, is_reciprocal, out_row, row_index_weights,
+                     symmetrize_lexsort)
 
 
 class TestBuildGraph:
@@ -97,8 +98,7 @@ class TestSymmetrize:
             assert und.degree_weights[u] == 2.0
 
     def test_keys_are_freed_before_the_row_index_is_built(self):
-        # the pair keys (8 B per entry) are freed before the constructor builds
-        # its row index, which keeps the peak near 22 B per entry
+        # the pair keys (8 B per entry) are freed before the constructor runs
         rng = np.random.Generator(np.random.PCG64(41))
         n = 5000
         src = np.repeat(np.arange(n), 24)
@@ -113,6 +113,38 @@ class TestSymmetrize:
         entries = und.indices.shape[0]
         assert entries > 230_000
         assert peak < 26 * entries
+
+    def test_constructor_makes_no_array_of_entry_length(self):
+        # the weighted degrees and loop weights are summed row block by row
+        # block: two node arrays and a few arrays of one block
+        rng = np.random.Generator(np.random.PCG64(43))
+        n = 5000
+        src = np.repeat(np.arange(n), 24)
+        und = symmetrize(build_graph(np.column_stack(
+            [src, rng.integers(0, n, size=src.shape[0]), np.zeros_like(src)]), n))
+        tracemalloc.start()
+        try:
+            again = UndirectedGraph(n, und.indptr, und.indices, und.weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert und.indices.shape[0] > 230_000
+        assert again.total_weight == und.total_weight
+        assert peak < 16 * n + 32 * ROW_BLOCK_SIZE
+
+    @pytest.mark.parametrize("size", [1, 3, ROW_BLOCK_SIZE])
+    def test_row_sums_match_the_row_index(self, monkeypatch, size):
+        # rows of many entries with uneven weights, self-loops included, and
+        # nodes 0, 1 and 58, 59 without entries
+        monkeypatch.setattr(graph, "ROW_BLOCK_SIZE", size)
+        rng = np.random.Generator(np.random.PCG64(47))
+        u, v = rng.integers(2, 58, size=(2, 600))
+        w = rng.random(600) * 10.0 ** rng.integers(-8, 8, 600)
+        und = UndirectedGraph.from_edges(60, u, v, w)
+        degrees, loops = row_index_weights(und)
+        assert np.diff(und.indptr).max() > 3 and loops.any()
+        assert und.degree_weights.view(np.int64).tolist() == degrees.view(np.int64).tolist()
+        assert und.loop_weights.view(np.int64).tolist() == loops.view(np.int64).tolist()
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)

@@ -9,15 +9,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from zombiescan import (Partition, RankConfig, ValidationError, build_graph, cache_load,
+from zombiescan import (Partition, RankConfig, ValidationError, build_graph, cache_load, graph,
                         io_scores_for, pagerank, rank_all_communities)
 from zombiescan.cli import main
 from zombiescan.community import read_partition_csv
+from zombiescan.graph import ROW_BLOCK_SIZE
 from zombiescan.rank import (_Communities, _intra, _walk_weights, _whole, read_ranks_csv,
                              write_ranks_csv)
 
 from conftest import DATA, profile_table, random_graph
-from oracles import io_score, out_row, pagerank_dense, pagerank_sweeps, rank_reference
+from oracles import (intra_whole, io_score, out_row, pagerank_dense, pagerank_sweeps,
+                     rank_reference, sweep_whole, walk_weights_whole)
 
 
 def whole_graph(arcs, n):
@@ -481,11 +483,79 @@ class TestWorkingSet:
         assert self.kept(lambda: pagerank(whole_graph(arcs, 112), cfg)) == []
 
 
+def block_cases():
+    """(name, graph, assignment) of the layouts a row-block boundary can meet."""
+    rng = np.random.Generator(np.random.PCG64(17))
+    # rows of 5 to 11 arcs, longer than a small block, inside and across 3 communities
+    long_rows = [(u, int(v)) for u in range(20)
+                 for v in rng.choice(20, size=int(rng.integers(6, 12)), replace=False) if u != v]
+    # nodes 0-2 and 15-19 follow no one
+    padded = [(u, int(v)) for u in range(3, 15)
+              for v in rng.choice(20, size=int(rng.integers(1, 5)), replace=False) if u != v]
+    # 60 rows of 1 or 2 arcs into nodes 0 and 1: a block of several rows
+    # sends more than one arc into node 0, whose inflow must still add up arc
+    # by arc
+    shared = [(u, v) for u in range(4, 64) for v in (0, 1) if v == 0 or u % 3 == 0]
+    return [("long-rows", whole_graph(long_rows, 20), rng.integers(0, 3, size=20)),
+            ("shared-targets", whole_graph(shared, 64), np.zeros(64, dtype=np.int64)),
+            ("no-arcs", whole_graph([], 5), np.array([0, 1, 0, 1, 1])),
+            ("zero-degree-ends", whole_graph(padded, 20), rng.integers(0, 2, size=20)),
+            ("one-node", whole_graph([], 1), np.zeros(1, dtype=np.int64))]
+
+
+class TestRowBlocks:
+    """Rank's passes over blocks of whole rows give the bits of the same
+    passes over whole arrays, whatever the block size."""
+
+    @pytest.mark.parametrize("size", [1, 3, ROW_BLOCK_SIZE])
+    @pytest.mark.parametrize("case", block_cases(), ids=lambda case: case[0])
+    def test_passes_match_the_whole_array_passes(self, monkeypatch, size, case):
+        monkeypatch.setattr(graph, "ROW_BLOCK_SIZE", size)
+        _, g, assignment = case
+        targets, follows = _intra(g, assignment)
+        want_targets, want_follows = intra_whole(g, assignment)
+        assert targets.dtype == want_targets.dtype
+        assert targets.tolist() == want_targets.tolist()
+        assert follows.tolist() == want_follows.tolist()
+        rng = np.random.Generator(np.random.PCG64(3))
+        io = rng.random(g.node_count)
+        io[::3] = 0.0  # so some rows sum to 0 and split evenly
+        for io_values in (None, io):
+            weights = _walk_weights(targets, follows, io_values)
+            assert bits(weights) == bits(walk_weights_whole(targets, follows, io_values))
+        count = int(assignment.max()) + 1
+        work = _Communities(assignment, count, follows, targets, weights)
+        x = rng.random(g.node_count)
+        for _ in range(3):
+            got, want = work.sweep(x, 0.85), sweep_whole(work, x, 0.85)
+            assert bits(got[0]) == bits(want[0]) and bits(got[1]) == bits(want[1])
+            x = got[0]
+        # the working set after it drops community 0
+        if count > 1:
+            work, nodes = work.take(np.arange(1, count))
+            x = x[nodes]
+            got, want = work.sweep(x, 0.85), sweep_whole(work, x, 0.85)
+            assert bits(got[0]) == bits(want[0]) and bits(got[1]) == bits(want[1])
+
+    @given(st.lists(st.integers(0, 6), max_size=30), st.integers(1, 8))
+    def test_blocks_cover_every_row_once(self, degrees, size):
+        indptr = np.concatenate(([0], np.cumsum(degrees, dtype=np.int64)))
+        with mock.patch.object(graph, "ROW_BLOCK_SIZE", size):
+            blocks = graph.row_blocks(indptr)
+        assert blocks[0][0] == 0 and blocks[-1][1] == len(degrees)
+        for (lo, hi, start, end), after in zip(blocks, blocks[1:] + [None]):
+            assert (start, end) == (indptr[lo], indptr[hi])
+            assert hi > lo or len(degrees) == 0
+            assert end - start <= size or hi == lo + 1  # one row longer than a block
+            assert after is None or after[0] == hi
+
+
 class TestMemory:
     @pytest.mark.parametrize("mode", ["even", "uneven"])
-    def test_peak_is_three_arrays_of_intra_arcs(self, mode):
-        # at a sweep only the targets (intp), the walk weights and one flow
-        # array are as long as the intra arcs, 24 B per arc in all
+    def test_peak_is_two_arrays_of_intra_arcs(self, mode):
+        # only the targets (intp) and the walk weights are as long as the
+        # intra arcs, 16 B per arc; each pass over the arcs makes a few
+        # arrays of one row block (an arc-length flow array took 24 B per arc)
         rng = np.random.Generator(np.random.PCG64(31))
         n = 5000
         community = rng.integers(0, 5, size=n)
@@ -508,7 +578,7 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 24 * intra + 128 * n
+        assert peak < 16 * intra + 128 * n + 32 * ROW_BLOCK_SIZE
 
 
 class TestRanksWriterIo:

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,3 +211,37 @@ class TestEmission:
         path = tmp_path / "truth.csv"
         path.write_text(f"node_id,block_id,is_zombie,region\n0,0,{value},Beijing\n")
         assert read_truth_csv(path).labels().tolist() == [expected]
+
+
+class TestTruthMemory:
+    """The truth reader holds the file's bytes once, its separator offsets
+    and the columns it keeps."""
+
+    # The rise of traced memory over read_truth_csv, per row, on the file
+    # below: 244 B/row, most of it the region column (the byte offsets of its
+    # fields, then one str per row). The file is 18 B/row; a decoded copy of
+    # it (2 B per character, as it holds Chinese) kept to the end would cross
+    # the bound.
+    PEAK_BYTES_PER_ROW = 270
+
+    def test_read_truth_csv_peak_per_row(self, tmp_path):
+        rng = np.random.Generator(np.random.PCG64(7))
+        n = 20_000
+        regions = np.array(["Beijing", "Shanghai", "Guangdong", "北京", "Harbin"])
+        region = regions[rng.integers(0, regions.shape[0], n)].tolist()
+        zombie = rng.random(n) < 0.1
+        path = tmp_path / "truth.csv"
+        path.write_text("node_id,block_id,is_zombie,region\n"
+                        + "".join(f"{i},{i // 1000},{int(z)},{r}\n"
+                                  for i, z, r in zip(range(n), zombie, region)),
+                        encoding="utf-8")
+        tracemalloc.start()
+        try:
+            truth = read_truth_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert truth.regions == region
+        assert truth.is_zombie.tolist() == zombie.tolist()
+        assert truth.block_ids.tolist() == (np.arange(n) // 1000).tolist()
+        assert peak / n < self.PEAK_BYTES_PER_ROW

@@ -672,8 +672,8 @@ class TestRoundTrips:
         floats = np.asarray(data.draw(st.lists(SPECIAL_FLOATS, min_size=n, max_size=n)))
         text = data.draw(st.lists(FIELD_TEXT, min_size=n, max_size=n))
         header = ("i", "f", "t")
-        rows = split_csv(written(lambda buf: write_csv(buf, header, [ints, floats, text])),
-                         "table", header)
+        rows = split_csv(written(lambda buf: write_csv(buf, header, [ints, floats, text]))
+                         .encode(), "table", header)
         assert rows.ints(0)[0].tolist() == ints.tolist()
         # a NaN is written blank
         assert same_floats(float_column([f or "nan" for f in rows.text(1)])[0], floats)
@@ -700,7 +700,7 @@ class TestRoundTrips:
         assert again.assignment.tolist() == part.assignment.tolist()
         if with_uids:
             header = ("node_id", "community_id", "uid")
-            assert split_csv(text, "partition", header).text(2) == uids
+            assert split_csv(text.encode(), "partition", header).text(2) == uids
 
     @given(st.integers(1, 6), st.data())
     @settings(max_examples=100, deadline=None)
@@ -741,8 +741,8 @@ class TestRoundTrips:
             method="linear", min_community_size=5, communities=4)
         text = written(lambda buf: write_report_csv(report, buf))
         assert read_report_csv(io.StringIO(text)).tolist() == report.is_zombie.tolist()
-        rows = split_csv(text, "report", ("node_id", "community_id", "pagerank", "threshold",
-                                          "label"))
+        rows = split_csv(text.encode(), "report", ("node_id", "community_id", "pagerank",
+                                                   "threshold", "label"))
         assert same_floats(float_column(rows.text(2))[0], report.values)
         assert same_floats(float_column([t or "nan" for t in rows.text(3)])[0],
                            report.thresholds)

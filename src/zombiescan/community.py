@@ -33,7 +33,7 @@ from random import Random
 import numpy as np
 
 from .errors import ValidationError
-from .graph import UndirectedGraph
+from .graph import UndirectedGraph, row_blocks
 from .textio import UTF8, read_bytes, repeats, split_csv, write_csv
 
 __all__ = [
@@ -103,11 +103,13 @@ def modularity(g: UndirectedGraph, p: Partition, variant: str = "standard") -> f
     two_m = 2.0 * m
     comm = p.assignment
     k = g.degree_weights
-    # intra[c]: sum over ordered same-community row entries (diagonal once)
-    row_comm = np.repeat(comm, np.diff(g.indptr))
-    same = row_comm == comm[g.indices]
-    intra = np.bincount(row_comm[same], weights=g.weights[same],
-                        minlength=p.community_count)
+    # intra[c]: sum over ordered same-community row entries (diagonal once),
+    # in entry order from 0.0 as one bincount over all the entries would
+    intra = np.zeros(p.community_count)
+    for lo, hi, start, end in row_blocks(g.indptr):
+        row_comm = np.repeat(comm[lo:hi], np.diff(g.indptr[lo:hi + 1]))
+        same = row_comm == comm.take(g.indices[start:end])
+        np.add.at(intra, row_comm[same], g.weights[start:end][same])
     tot = np.bincount(comm, weights=k, minlength=p.community_count)
     if variant == "standard":
         return float(np.sum(intra / two_m - (tot / two_m) ** 2))
@@ -271,30 +273,55 @@ def _one_level(g: UndirectedGraph, rng: Random,
     return np.array(node_comm, dtype=np.int64), visits, moves
 
 
+def _block_edges(g: UndirectedGraph, comm: np.ndarray, lo: int, hi: int, start: int,
+                 end: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Communities (cu, cv) and weights w of the edges of rows lo..hi-1, one
+    entry per edge in row order, and the mask of those inside a community;
+    an intra-community edge that is no self-loop weighs twice, since both its
+    ordered pairs land on the community's diagonal."""
+    rows = np.repeat(np.arange(lo, hi), np.diff(g.indptr[lo:hi + 1]))
+    cols = g.indices[start:end]
+    # each off-diagonal edge appears in both rows; keep one representative
+    keep = rows <= cols
+    rows, cols, w = rows[keep], cols[keep], g.weights[start:end][keep]
+    cu, cv = comm.take(rows), comm.take(cols)
+    intra = cu == cv
+    return cu, cv, np.where(intra & (rows != cols), 2.0 * w, w), intra
+
+
 def _aggregate(g: UndirectedGraph, p: Partition) -> UndirectedGraph:
     """Phase 2: one node per community; intra-community weight becomes a self-loop.
 
-    Each community's self-loop is one bincount over its entries in row
-    order, the order in which from_edges would sum them, so only the
-    inter-community edges (plus one loop per community) are sorted.
+    Each community's self-loop adds its entries in row order from 0.0, the
+    order in which from_edges would sum them, so only the inter-community
+    edges (plus one loop per community) are sorted. The entries are read a
+    block of rows at a time: one pass sums the loops and counts the
+    inter-community edges, a second copies them, in row order, from the
+    blocks that hold any into arrays of their exact length.
     """
-    comm = p.assignment
-    rows = np.repeat(np.arange(g.node_count), np.diff(g.indptr))
-    cols = g.indices
-    # each off-diagonal edge appears in both rows; keep one representative
-    keep = rows <= cols
-    rows, cols, w = rows[keep], cols[keep], g.weights[keep]
-    cu, cv = comm[rows], comm[cols]
-    intra = cu == cv
-    # both ordered pairs of an intra-community edge land on the diagonal
-    w = np.where(intra & (rows != cols), 2.0 * w, w)
-    loops = np.flatnonzero(np.bincount(cu[intra], minlength=p.community_count))
-    loop_sum = np.bincount(cu[intra], weights=w[intra], minlength=p.community_count)
-    inter = ~intra
-    return UndirectedGraph.from_edges(p.community_count,
-                                      np.concatenate([cu[inter], loops]),
-                                      np.concatenate([cv[inter], loops]),
-                                      np.concatenate([w[inter], loop_sum[loops]]))
+    comm, count = p.assignment, p.community_count
+    loop_sum = np.zeros(count)
+    has_loop = np.zeros(count, dtype=bool)
+    blocks = row_blocks(g.indptr)
+    inter_counts = []
+    for block in blocks:
+        cu, _, weights, intra = _block_edges(g, comm, *block)
+        has_loop[cu[intra]] = True
+        np.add.at(loop_sum, cu[intra], weights[intra])
+        inter_counts.append(intra.shape[0] - int(np.count_nonzero(intra)))
+    loops = np.flatnonzero(has_loop)
+    total = sum(inter_counts)
+    u = np.empty(total + loops.shape[0], dtype=np.int64)
+    v, w = np.empty_like(u), np.empty(u.shape[0])
+    at = 0
+    for block, k in zip(blocks, inter_counts):
+        if k:
+            cu, cv, weights, intra = _block_edges(g, comm, *block)
+            inter = ~intra
+            u[at:at + k], v[at:at + k], w[at:at + k] = cu[inter], cv[inter], weights[inter]
+            at += k
+    u[total:], v[total:], w[total:] = loops, loops, loop_sum[loops]
+    return UndirectedGraph.from_edges(count, u, v, w)
 
 
 def louvain(g: UndirectedGraph, cfg: LouvainConfig | None = None) -> Dendrogram:

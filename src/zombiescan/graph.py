@@ -12,10 +12,16 @@ entries is the total edge weight m. `loop_weights` holds each node's loop
 weight (0.0 without one): Louvain's aggregation puts a community's internal
 weight there.
 
-Passes that reduce or scatter each row's entries (the constructor's row
-sums here, rank's sweeps) run over `row_blocks`: consecutive blocks of
-whole rows of about ROW_BLOCK_SIZE entries each, so their temporaries stay
-in cache and none is as long as all the entries.
+Passes over every arc or entry run over `row_blocks`: consecutive blocks
+of whole rows of about ROW_BLOCK_SIZE entries each, so their temporaries
+stay in cache and none is as long as all the entries. They are
+`symmetrize`'s pair keys and its pass that drops repeated keys, the
+constructor's row sums, the per-community sums of `modularity` and of
+Louvain's aggregation, and rank's intra-arc filter, walk weights and
+sweeps. A pass that adds a block's values into per-row or per-community
+sums does so with `np.add.at` into one accumulator, which adds in entry
+order from 0.0 as one `np.bincount` over all the entries would, so the
+sums have the bits of the whole-array pass.
 """
 
 from __future__ import annotations
@@ -87,6 +93,24 @@ def _unique_keys(keys: np.ndarray) -> np.ndarray:
     keep = np.ones(keys.shape[0], dtype=bool)
     keep[1:] = keys[1:] != keys[:-1]
     return keys if keep.all() else keys[keep]
+
+
+def _drop_repeats(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of `keys`, which owns its data and is sorted,
+    cleared of repeats and shrunk in place, then returned: no copy of it is
+    made, however many of its keys repeat."""
+    keys.sort()
+    # block by block, each kept key moves down to the next free slot; a block
+    # compares with its predecessor before its own writes, and that slot still
+    # holds its value (unmoved, or moved onto itself when nothing was dropped)
+    count = min(keys.shape[0], 1)
+    for start in range(1, keys.shape[0], ROW_BLOCK_SIZE):
+        end = min(start + ROW_BLOCK_SIZE, keys.shape[0])
+        new = keys[start:end][keys[start:end] != keys[start - 1:end - 1]]
+        keys[count:count + new.shape[0]] = new
+        count += new.shape[0]
+    keys.resize(count, refcheck=False)  # in place; no view of it is left
+    return keys
 
 
 def _sorted_member(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -237,9 +261,12 @@ def _build_graph(src: np.ndarray, dst: np.ndarray, flag: np.ndarray,
 class UndirectedGraph:
     """Weighted undirected graph in CSR form, used for community detection.
 
-    Built via :func:`UndirectedGraph.from_edges`; see the module docstring
-    for the self-loop and degree conventions; `degree_weights` and
-    `loop_weights` are derived from the entries, so they always agree.
+    Built via :func:`UndirectedGraph.from_edges` or :func:`symmetrize`; see
+    the module docstring for the self-loop and degree conventions;
+    `degree_weights` and `loop_weights` are derived from the entries, so they
+    always agree. `weights` may be a read-only view, such as `symmetrize`'s
+    one 1.0 repeated with stride 0: read it, slice it or index it, but do not
+    write to it or rely on its strides.
     """
 
     __slots__ = ("_n", "indptr", "indices", "weights", "degree_weights", "loop_weights",
@@ -293,6 +320,8 @@ class UndirectedGraph:
 
     def neighbors(self, u: int) -> tuple[np.ndarray, np.ndarray]:
         """(neighbor ids, weights) of u's row; may include u itself."""
+        if not 0 <= u < self._n:
+            raise ValidationError(f"node {u} outside [0, {self._n})")
         lo, hi = self.indptr[u], self.indptr[u + 1]
         return self.indices[lo:hi], self.weights[lo:hi]
 
@@ -304,14 +333,18 @@ def symmetrize(g: DirectedGraph) -> UndirectedGraph:
     """Collapse arcs onto undirected weight-1 edges.
 
     A pair of mutual arcs becomes a single edge of weight 1, matching a 0/1
-    adjacency-matrix reading of connectivity.
+    adjacency-matrix reading of connectivity. The weights are one 1.0 seen
+    through a read-only view of entry length, which stores no entry.
     """
-    n = g.node_count
-    src = g.arc_sources()
+    n, arcs = g.node_count, g.edge_count
     # both directions of every arc, once each: the rows of the 0/1 adjacency
-    keys = _unique_keys(np.concatenate([_pair_keys(src, g.out_indices, n),
-                                        _pair_keys(g.out_indices, src, n)]))
-    indptr, indices = _csr_from_keys(keys, n)
-    # freed before the constructor runs
-    del keys, src
-    return UndirectedGraph(n, indptr, indices, np.ones(indices.shape[0]))
+    keys = np.empty(2 * arcs, dtype=np.int64)
+    for lo, hi, start, end in row_blocks(g.out_indptr):
+        src = np.repeat(np.arange(lo, hi), np.diff(g.out_indptr[lo:hi + 1]))
+        dst = g.out_indices[start:end]
+        keys[start:end] = _pair_keys(src, dst, n)
+        keys[arcs + start:arcs + end] = _pair_keys(dst, src, n)
+    indptr, indices = _csr_from_keys(_drop_repeats(keys), n)
+    del keys  # consumed above; freed before the constructor runs
+    return UndirectedGraph(n, indptr, indices,
+                           np.broadcast_to(np.float64(1.0), indices.shape))

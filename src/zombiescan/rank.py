@@ -143,15 +143,16 @@ def _row_blocks(degrees: np.ndarray) -> list[tuple[int, int, int, int]]:
     return row_blocks(np.concatenate(([0], np.cumsum(degrees))))
 
 
-def _walk_weights(targets: np.ndarray, degrees: np.ndarray, io=None) -> np.ndarray:
+def _walk_weights(targets: np.ndarray, degrees: np.ndarray, blocks, io=None) -> np.ndarray:
     """Walk weight of each arc, rows in node order: an even split without io,
     else io[v] / sum of io over u's followees for arc u->v (summed in arc
-    order), or an even split where that sum is 0 so no walk weight is lost."""
+    order), or an even split where that sum is 0 so no walk weight is lost.
+    `blocks` are the rows' `row_blocks`."""
     share = 1.0 / np.maximum(degrees, 1)  # of an even split
     if io is None:
         return np.repeat(share, degrees)
     weights = np.empty(targets.shape[0])
-    for lo, hi, start, end in _row_blocks(degrees):
+    for lo, hi, start, end in blocks:
         counts, block = degrees[lo:hi], weights[start:end]
         np.take(io, targets[start:end], out=block)
         row_sum = np.bincount(np.repeat(np.arange(hi - lo), counts), block, hi - lo)
@@ -174,12 +175,12 @@ class _Communities:
     Node i belongs to community[i] and owns the next degrees[i] arcs, in
     CSR order; arc targets are node numbers and weights the walk weights.
     `order` lists the nodes community by community, in number order, and
-    `dangling` those of them without an out-arc; `blocks` are the rows' blocks
-    for a sweep.
+    `dangling` those of them without an out-arc; `blocks` are the rows'
+    `row_blocks`, for a sweep.
     """
 
     def __init__(self, community: np.ndarray, count: int, degrees: np.ndarray,
-                 targets: np.ndarray, weights: np.ndarray):
+                 targets: np.ndarray, weights: np.ndarray, blocks):
         self.community, self.degrees = community, degrees
         self.targets, self.weights = targets, weights
         self.sizes = np.bincount(community, minlength=count)
@@ -187,7 +188,7 @@ class _Communities:
         self.order = np.argsort(community, kind="stable")
         self.dangling = self.order[degrees[self.order] == 0]
         self.dangling_counts = np.bincount(community[self.dangling], minlength=count)
-        self.blocks = _row_blocks(degrees)
+        self.blocks = blocks
 
     def take(self, keep: np.ndarray) -> tuple["_Communities", np.ndarray]:
         """The communities at indices `keep` (ascending), and which nodes stay."""
@@ -196,9 +197,10 @@ class _Communities:
         nodes = kept[self.community]
         arcs = np.repeat(nodes, self.degrees)
         number = np.cumsum(nodes) - 1  # of each staying node, in the new set
+        degrees = self.degrees[nodes]
         return _Communities((np.cumsum(kept) - 1)[self.community[nodes]], keep.shape[0],
-                            self.degrees[nodes], number[self.targets[arcs]],
-                            self.weights[arcs]), nodes
+                            degrees, number[self.targets[arcs]], self.weights[arcs],
+                            _row_blocks(degrees)), nodes
 
     def sweep(self, x: np.ndarray, damping: float) -> tuple[np.ndarray, np.ndarray]:
         """One damped step of every community: the new x and each community's L1 change."""
@@ -225,8 +227,9 @@ def _whole(g: DirectedGraph, io=None) -> _Communities:
             raise ValidationError(f"node {u} has io score {float(io[u])}; "
                                   "it must be finite and non-negative")
     targets, degrees = g.out_indices.astype(np.intp), g.out_degrees
+    blocks = row_blocks(g.out_indptr)
     return _Communities(np.zeros(g.node_count, dtype=np.intp), 1, degrees, targets,
-                        _walk_weights(targets, degrees, io))
+                        _walk_weights(targets, degrees, blocks, io), blocks)
 
 
 def _iterate(work: _Communities, cfg: RankConfig):
@@ -300,10 +303,11 @@ def rank_all_communities(g: DirectedGraph, p: Partition, cfg: RankConfig | None 
     cfg = cfg or RankConfig()
     assignment = _assignment(g, p)
     targets, follows = _intra(g, assignment)
+    blocks = _row_blocks(follows)  # planned once, for the walk weights and the sweeps
     io = _io_scores(g.node_count, targets, follows, io_source, profiles)
-    weights = _walk_weights(targets, follows, io if cfg.mode == "uneven" else None)
+    weights = _walk_weights(targets, follows, blocks, io if cfg.mode == "uneven" else None)
     return dict(enumerate(_rank(_Communities(assignment, p.community_count, follows, targets,
-                                             weights), cfg, io)))
+                                             weights, blocks), cfg, io)))
 
 
 _RANKS_HEADER = ("node_id", "community_id", "io", "pagerank", "converged")

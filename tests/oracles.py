@@ -351,6 +351,26 @@ def aggregate_lexsort(und, assignment: np.ndarray, community_count: int):
     return from_edges_lexsort(community_count, cu, cv, w)
 
 
+def aggregate_row_index(und, assignment: np.ndarray, community_count: int):
+    """The (u, v, w) edges that Louvain's aggregation hands to `from_edges`,
+    from an int64 row index as long as the entries: the inter-community
+    edges in row order, then one self-loop per community that holds an
+    intra-community entry, its weight one bincount over those entries in row
+    order, so the bits agree with the package's block-by-block sums."""
+    rows = np.repeat(np.arange(und.node_count), np.diff(und.indptr))
+    cols = und.indices
+    keep = rows <= cols
+    rows, cols, w = rows[keep], cols[keep], und.weights[keep]
+    cu, cv = assignment[rows], assignment[cols]
+    intra = cu == cv
+    w = np.where(intra & (rows != cols), 2.0 * w, w)
+    loops = np.flatnonzero(np.bincount(cu[intra], minlength=community_count))
+    loop_sum = np.bincount(cu[intra], weights=w[intra], minlength=community_count)
+    inter = ~intra
+    return (np.concatenate([cu[inter], loops]), np.concatenate([cv[inter], loops]),
+            np.concatenate([w[inter], loop_sum[loops]]))
+
+
 def symmetrize_lexsort(g):
     """(indptr, indices, weights) of a DirectedGraph's weight-1 undirected view."""
     src = np.repeat(np.arange(g.node_count), np.diff(g.out_indptr)).astype(np.int64)

@@ -1,14 +1,17 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from zombiescan import (LouvainConfig, Partition, ValidationError, build_graph, louvain,
+from zombiescan import (LouvainConfig, Partition, ValidationError, build_graph, graph, louvain,
                         modularity, move_gain, symmetrize)
-from zombiescan.community import read_partition_csv, write_partition_csv
-from zombiescan.graph import UndirectedGraph
+from zombiescan.community import _aggregate, read_partition_csv, write_partition_csv
+from zombiescan.graph import ROW_BLOCK_SIZE, UndirectedGraph
 
 from conftest import random_graph
-from oracles import (aggregate_lexsort, dense_adjacency, flattened, modularity_dense,
-                     modularity_row_index, one_level_numpy_scalars,
+from oracles import (aggregate_lexsort, aggregate_row_index, dense_adjacency, flattened,
+                     modularity_dense, modularity_row_index, one_level_numpy_scalars,
                      one_level_queue_numpy_scalars, self_weight)
 
 TWO_TRIANGLES = [(0, 1, 0), (1, 2, 0), (2, 0, 0), (3, 4, 0), (4, 5, 0), (5, 3, 0)]
@@ -68,12 +71,16 @@ class TestModularity:
 
     @pytest.mark.parametrize("variant", ["standard", "distinct-pairs"])
     def test_bits_match_the_row_index_sums(self, variant):
+        # blocks of one row (size 1), of a few rows and of the whole graph:
+        # a community's sum is added across blocks in entry order
         rng = np.random.Generator(np.random.PCG64(31))
         for _ in range(40):
             und = random_weighted_graph(rng)
             p = Partition(rng.integers(0, 4, size=und.node_count))
-            got = modularity(und, p, variant)
-            assert got.hex() == modularity_row_index(und, p.assignment, variant).hex()
+            want = modularity_row_index(und, p.assignment, variant).hex()
+            for size in (1, 3, ROW_BLOCK_SIZE):
+                with mock.patch.object(graph, "ROW_BLOCK_SIZE", size):
+                    assert modularity(und, p, variant).hex() == want
 
     def test_self_loop_entries_are_the_diagonal_entries(self):
         rng = np.random.Generator(np.random.PCG64(32))
@@ -87,8 +94,6 @@ class TestModularity:
         assert symmetrize(build_graph([], 3)).loop_weights.tolist() == [0.0, 0.0, 0.0]
 
     def test_aggregated_loop_weights_are_the_community_self_loops(self):
-        from zombiescan.community import _aggregate
-
         und = corpus_graph("zombie_5x500")
         p = Partition(louvain(und).levels[0].assignment)
         agg = _aggregate(und, p)
@@ -231,8 +236,6 @@ class TestLouvain:
         assert abs(q - q_planted) <= 0.02
 
     def test_aggregation_preserves_modularity(self):
-        from zombiescan.community import _aggregate
-
         g, _ = random_graph(6, 25, 0.15)
         und = symmetrize(g)
         rng = np.random.Generator(np.random.PCG64(0))
@@ -243,9 +246,36 @@ class TestLouvain:
         assert q_agg == pytest.approx(q_orig, abs=1e-12)
         assert agg.total_weight == pytest.approx(und.total_weight, abs=1e-9)
 
-    def test_aggregate_matches_lexsort_reference(self):
-        from zombiescan.community import _aggregate
+    @pytest.mark.parametrize("size", [1, 3, ROW_BLOCK_SIZE])
+    def test_aggregate_gives_from_edges_the_row_index_edges(self, monkeypatch, size):
+        # the same edges in the same order, loop weights summed to the same
+        # bits, whichever blocks the rows fall into
+        monkeypatch.setattr(graph, "ROW_BLOCK_SIZE", size)
+        rng = np.random.Generator(np.random.PCG64(33))
+        cases = [random_weighted_graph(rng) for _ in range(40)]
+        cases += [symmetrize(random_graph(seed, 30, 0.2)[0]) for seed in range(5)]
+        calls = []
+        from_edges = UndirectedGraph.from_edges.__func__
 
+        def spy(cls, n, u, v, w):
+            calls.append((n, u, v, w))
+            return from_edges(cls, n, u, v, w)
+
+        monkeypatch.setattr(UndirectedGraph, "from_edges", classmethod(spy))
+        for und in cases:
+            for labels in (rng.integers(0, 4, size=und.node_count),
+                           np.zeros(und.node_count), np.arange(und.node_count)):
+                p = Partition(labels)
+                calls.clear()
+                _aggregate(und, p)
+                (n, *edges), = calls
+                assert n == p.community_count
+                want = aggregate_row_index(und, p.assignment, p.community_count)
+                for got, expected in zip(edges, want):
+                    assert got.dtype == expected.dtype
+                    assert got.tobytes() == expected.tobytes()
+
+    def test_aggregate_matches_lexsort_reference(self):
         rng = np.random.Generator(np.random.PCG64(8))
         for _ in range(100):
             n = int(rng.integers(1, 50))
@@ -258,6 +288,57 @@ class TestLouvain:
             expected = aggregate_lexsort(und, p.assignment, p.community_count)
             for got, want in zip((agg.indptr, agg.indices, agg.weights), expected):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def planted_graph():
+    """50 blocks of 200 nodes, 40 arcs out of each node into its own block
+    and 500 arcs between blocks, symmetrized: 659,026 entries, far more than
+    a row block; and the blocks as a partition."""
+    rng = np.random.Generator(np.random.PCG64(53))
+    n, size = 10_000, 200
+    src = np.repeat(np.arange(n), 40)
+    dst = (src // size) * size + rng.integers(0, size, src.shape[0])
+    cross = rng.integers(0, n, size=(2, 500))
+    src, dst = np.concatenate([src, cross[0]]), np.concatenate([dst, cross[1]])
+    g = build_graph(np.column_stack([src, dst, np.zeros_like(src)]), n)
+    return symmetrize(g), Partition(np.arange(n) // size)
+
+
+def traced_peak(f, *args) -> int:
+    """Peak bytes that tracemalloc saw allocated while f ran."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """modularity and the aggregation read the entries a row block at a
+    time: they allocate node and community arrays and the temporaries of a
+    few blocks, and no array as long as the entries, not even a mask."""
+
+    @pytest.fixture(scope="class")
+    def planted(self):
+        return planted_graph()
+
+    @pytest.mark.parametrize("variant", ["standard", "distinct-pairs"])
+    def test_modularity_makes_no_array_of_entry_length(self, planted, variant):
+        und, p = planted
+        peak = traced_peak(modularity, und, p, variant)
+        bound = 16 * und.node_count + 32 * ROW_BLOCK_SIZE
+        assert und.indices.shape[0] > bound  # one byte per entry would break it
+        assert peak < bound
+
+    def test_aggregate_makes_no_array_of_entry_length(self, planted):
+        und, p = planted
+        peak = traced_peak(_aggregate, und, p)
+        # the aggregated graph, and its from_edges input, hold about as many
+        # entries as the 500 arcs between blocks
+        bound = 16 * und.node_count + 48 * ROW_BLOCK_SIZE
+        assert und.indices.shape[0] > bound
+        assert peak < bound
 
 
 def corpus_graph(name):
@@ -319,8 +400,6 @@ class TestLocalMoves:
 
     @pytest.mark.parametrize("name", ["planted_4x50", "zombie_5x500"])
     def test_committed_corpora_and_their_aggregated_level(self, name):
-        from zombiescan.community import _aggregate
-
         und = corpus_graph(name)
         for seed in (0, 1):
             raw = self.assert_same_as_full_sweep(und, seed)

@@ -14,8 +14,8 @@ from zombiescan import (Partition, RankConfig, ValidationError, build_graph, cac
 from zombiescan.cli import main
 from zombiescan.community import read_partition_csv
 from zombiescan.graph import ROW_BLOCK_SIZE
-from zombiescan.rank import (_Communities, _intra, _walk_weights, _whole, read_ranks_csv,
-                             write_ranks_csv)
+from zombiescan.rank import (_Communities, _intra, _row_blocks, _walk_weights, _whole,
+                             read_ranks_csv, write_ranks_csv)
 
 from conftest import DATA, profile_table, random_graph
 from oracles import (intra_whole, io_score, out_row, pagerank_dense, pagerank_sweeps,
@@ -28,7 +28,7 @@ def whole_graph(arcs, n):
 
 def weights_of(g, io):
     """Arc weights aligned with g's out-adjacency, split by io (evenly for None)."""
-    return _walk_weights(g.out_indices, g.out_degrees, io)
+    return _walk_weights(g.out_indices, g.out_degrees, graph.row_blocks(g.out_indptr), io)
 
 
 def power_iterate(g, arc_weights, damping):
@@ -520,11 +520,12 @@ class TestRowBlocks:
         rng = np.random.Generator(np.random.PCG64(3))
         io = rng.random(g.node_count)
         io[::3] = 0.0  # so some rows sum to 0 and split evenly
+        blocks = _row_blocks(follows)
         for io_values in (None, io):
-            weights = _walk_weights(targets, follows, io_values)
+            weights = _walk_weights(targets, follows, blocks, io_values)
             assert bits(weights) == bits(walk_weights_whole(targets, follows, io_values))
         count = int(assignment.max()) + 1
-        work = _Communities(assignment, count, follows, targets, weights)
+        work = _Communities(assignment, count, follows, targets, weights, blocks)
         x = rng.random(g.node_count)
         for _ in range(3):
             got, want = work.sweep(x, 0.85), sweep_whole(work, x, 0.85)

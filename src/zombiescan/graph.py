@@ -83,18 +83,6 @@ def _pair_keys(src: np.ndarray, dst: np.ndarray, node_count: int) -> np.ndarray:
     return keys
 
 
-def _unique_keys(keys: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of `keys`, which is sorted in place and returned
-    itself when it holds no repeat.
-
-    np.unique does the same but is far slower on int64.
-    """
-    keys.sort()
-    keep = np.ones(keys.shape[0], dtype=bool)
-    keep[1:] = keys[1:] != keys[:-1]
-    return keys if keep.all() else keys[keep]
-
-
 def _drop_repeats(keys: np.ndarray) -> np.ndarray:
     """Sorted distinct values of `keys`, which owns its data and is sorted,
     cleared of repeats and shrunk in place, then returned: no copy of it is
@@ -219,7 +207,15 @@ def build_graph(arcs, node_count: int) -> DirectedGraph:
 def _build_graph(src: np.ndarray, dst: np.ndarray, flag: np.ndarray,
                  node_count: int) -> DirectedGraph:
     """:func:`build_graph` on separate integer source, target and flag columns,
-    of any width."""
+    of any width.
+
+    The sort and the reverse-arc lookup run only when a check finds that the
+    input needs them; the graph is the same either way. The pair keys are
+    sorted and cleared of repeats unless they already strictly rise. The
+    flagged arcs' reverse keys are looked up among the listed keys unless,
+    sorted, they equal the flagged arcs' own sorted keys, which then hold
+    each of them. A network file written from a graph passes both checks.
+    """
     if node_count < 0:
         raise ValidationError("node_count must be non-negative")
     bad = (src < 0) | (src >= node_count) | (dst < 0) | (dst >= node_count)
@@ -227,7 +223,7 @@ def _build_graph(src: np.ndarray, dst: np.ndarray, flag: np.ndarray,
         i = int(np.argmax(bad))
         raise ValidationError(
             f"arc #{i} ({src[i]}->{dst[i]}) has an endpoint outside [0, {node_count})")
-    del bad  # each mask is dropped once used: the build's peak is the lookup below
+    del bad  # each mask is dropped once used: the build's peak is the key arrays below
 
     keep = src != dst
     dropped_self_loops = int(keep.shape[0] - np.count_nonzero(keep))
@@ -235,23 +231,26 @@ def _build_graph(src: np.ndarray, dst: np.ndarray, flag: np.ndarray,
         src, dst, flag = src[keep], dst[keep], flag[keep]
     del keep
 
-    explicit = _unique_keys(_pair_keys(src, dst, node_count))
-    dropped_duplicates = int(src.shape[0] - explicit.shape[0])
-
-    # the reverse of a flagged arc is added unless it is listed, as it is
-    # throughout a file written from a graph
-    rec = flag == 1
-    reverse = _pair_keys(dst[rec], src[rec], node_count)
+    keys = _pair_keys(src, dst, node_count)
+    rec = np.flatnonzero(flag == 1)
+    reverse = _pair_keys(dst.take(rec), src.take(rec), node_count)
+    forward = keys.take(rec)
     del rec
     reverse.sort()
-    missing = reverse[~_sorted_member(explicit, reverse)]
+    if not (keys[1:] > keys[:-1]).all():
+        keys = _drop_repeats(keys)
+        forward.sort()
+    dropped_duplicates = int(src.shape[0] - keys.shape[0])
+
+    # the reverse of a flagged arc is added unless it is listed
+    listed = np.array_equal(forward, reverse)
+    del forward
+    if not listed:
+        missing = reverse[~_sorted_member(keys, reverse)]
+        if missing.shape[0]:
+            missing = _drop_repeats(missing)
+            keys = np.insert(keys, np.searchsorted(keys, missing), missing)
     del reverse
-    if missing.shape[0]:
-        missing = _unique_keys(missing)
-        keys = np.insert(explicit, np.searchsorted(explicit, missing), missing)
-    else:
-        keys = explicit
-    del explicit
 
     out_indptr, out_indices = _csr_from_keys(keys, node_count)
     return DirectedGraph(node_count, out_indptr, out_indices,

@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -237,6 +238,67 @@ class TestNarrowColumns:
         triples = np.array(rows, dtype=np.int64)
         g = narrow_build(triples, 4)
         *arrays, loops, duplicates = build_graph_lexsort(triples, 4)
+        assert_same_arrays((g.out_indptr, g.out_indices, g.in_indptr, g.in_indices), arrays)
+        assert (g.dropped_self_loops, g.dropped_duplicates) == (loops, duplicates)
+
+
+@st.composite
+def listed_arcs(draw):
+    """(node_count, int64 rows): a drawn graph's own arc list in CSR order with
+    its reciprocal flags, as a network file written from it lists them, then
+    changed by one drawn perturbation where the graph has what it needs."""
+    n, triples = draw(arc_triples())
+    rows = arcs_with_flags(build_graph(triples, n))
+    flagged = [i for i, (_, _, f) in enumerate(rows) if f]
+    kind = draw(st.sampled_from(["none", "clear-flag", "remove-reverse", "repeat-arc",
+                                 "self-loop", "swap-rows"]))
+    if kind == "clear-flag" and flagged:  # its reverse stays flagged
+        i = draw(st.sampled_from(flagged))
+        rows[i] = rows[i][:2] + (0,)
+    elif kind == "remove-reverse" and flagged:  # the flagged arc asks for it back
+        u, v, _ = rows[draw(st.sampled_from(flagged))]
+        rows.remove((v, u, 1))
+    elif kind == "repeat-arc" and rows:
+        rows.insert(draw(st.integers(0, len(rows))), rows[draw(st.integers(0, len(rows) - 1))])
+    elif kind == "self-loop":
+        u = draw(st.integers(0, n - 1))
+        rows.insert(draw(st.integers(0, len(rows))), (u, u, draw(st.integers(0, 1))))
+    elif kind == "swap-rows":
+        by_row = [[r for r in rows if r[0] == u] for u in range(n)]
+        listed = [u for u in range(n) if by_row[u]]
+        if len(listed) > 1:
+            a, b = draw(st.lists(st.sampled_from(listed), min_size=2, max_size=2, unique=True))
+            by_row[a], by_row[b] = by_row[b], by_row[a]
+            rows = [r for row in by_row for r in row]
+    return n, np.array(rows, dtype=np.int64).reshape(-1, 3)
+
+
+class TestListedArcs:
+    """A graph's own arc list builds without the sort, the dedup or the
+    reverse-arc lookup, and any change to it builds the reference graph."""
+
+    @pytest.mark.parametrize("loop", [None, (7, 7, 1)], ids=["as-listed", "with-self-loop"])
+    def test_skip_the_dedup_and_the_lookup(self, loop):
+        g, _ = random_graph(5, 40, 0.3)
+        rows = arcs_with_flags(g)
+        assert any(f for _, _, f in rows)
+        if loop:
+            rows.insert(len(rows) // 2, loop)
+        with mock.patch.object(graph, "_drop_repeats", wraps=graph._drop_repeats) as dedup, \
+                mock.patch.object(graph, "_sorted_member",
+                                  wraps=graph._sorted_member) as lookup:
+            built = narrow_build(np.array(rows, dtype=np.int64), g.node_count)
+        assert built == g
+        assert (built.dropped_self_loops, built.dropped_duplicates) == (1 if loop else 0, 0)
+        assert not dedup.called
+        assert not lookup.called
+
+    @given(listed_arcs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_lexsort(self, case):
+        n, triples = case
+        g = narrow_build(triples, n)
+        *arrays, loops, duplicates = build_graph_lexsort(triples, n)
         assert_same_arrays((g.out_indptr, g.out_indices, g.in_indptr, g.in_indices), arrays)
         assert (g.dropped_self_loops, g.dropped_duplicates) == (loops, duplicates)
 

@@ -2,14 +2,14 @@
 runtime dependency, and importing the package fixes glibc's mmap threshold."""
 
 import ast
-import ctypes
 import importlib
 import inspect
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import zombiescan
@@ -81,10 +81,28 @@ def test_pyproject_depends_on_numpy_only():
     assert names == ["numpy"]
 
 
-class _MallInfo2(ctypes.Structure):
+# run in a fresh interpreter: glibc serves a 2 MiB request from any free heap
+# chunk large enough, so a hole that an earlier test left would decide it
+_HEAP_CHECK = """
+import ctypes
+import numpy as np
+import zombiescan
+
+class MallInfo2(ctypes.Structure):
     _fields_ = [(name, ctypes.c_size_t) for name in ("arena", "ordblks", "smblks", "hblks",
                                                      "hblkhd", "usmblks", "fsmblks",
                                                      "uordblks", "fordblks", "keepcost")]
+
+mallinfo2 = getattr(ctypes.CDLL(None), "mallinfo2", None)
+if mallinfo2 is None:
+    raise SystemExit(77)
+mallinfo2.restype = MallInfo2
+big = np.ones(2 << 20)
+del big
+mapped = mallinfo2().hblkhd
+mid = np.ones(1 << 18)
+assert mallinfo2().hblkhd - mapped >= mid.nbytes
+"""
 
 
 def test_freed_block_does_not_move_later_arrays_to_the_heap():
@@ -92,12 +110,10 @@ def test_freed_block_does_not_move_later_arrays_to_the_heap():
     so freeing it returns its pages (glibc only)."""
     if not sys.platform.startswith("linux"):
         pytest.skip("glibc only")
-    mallinfo2 = getattr(ctypes.CDLL(None), "mallinfo2", None)
-    if mallinfo2 is None:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", _HEAP_CHECK], env=env, timeout=120,
+                          capture_output=True, text=True)
+    if proc.returncode == 77:
         pytest.skip("no mallinfo2 (glibc < 2.33 or another libc)")
-    mallinfo2.restype = _MallInfo2
-    big = np.ones(2 << 20)
-    del big
-    mapped = mallinfo2().hblkhd
-    mid = np.ones(1 << 18)
-    assert mallinfo2().hblkhd - mapped >= mid.nbytes
+    assert proc.returncode == 0, proc.stderr

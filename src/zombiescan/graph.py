@@ -204,6 +204,13 @@ def build_graph(arcs, node_count: int) -> DirectedGraph:
     return _build_graph(triples[:, 0], triples[:, 1], triples[:, 2], node_count)
 
 
+def _outside(src: np.ndarray, dst: np.ndarray, node_count: int) -> bool:
+    """Whether an arc has an endpoint outside [0, node_count), decided by the
+    columns' minima and maxima, with no array of arc length."""
+    return bool(src.shape[0]) and (min(src.min(), dst.min()) < 0
+                                   or max(src.max(), dst.max()) >= node_count)
+
+
 def _build_graph(src: np.ndarray, dst: np.ndarray, flag: np.ndarray,
                  node_count: int) -> DirectedGraph:
     """:func:`build_graph` on separate integer source, target and flag columns,
@@ -218,12 +225,11 @@ def _build_graph(src: np.ndarray, dst: np.ndarray, flag: np.ndarray,
     """
     if node_count < 0:
         raise ValidationError("node_count must be non-negative")
-    bad = (src < 0) | (src >= node_count) | (dst < 0) | (dst >= node_count)
-    if bad.any():
+    if _outside(src, dst, node_count):
+        bad = (src < 0) | (src >= node_count) | (dst < 0) | (dst >= node_count)
         i = int(np.argmax(bad))
         raise ValidationError(
             f"arc #{i} ({src[i]}->{dst[i]}) has an endpoint outside [0, {node_count})")
-    del bad  # each mask is dropped once used: the build's peak is the key arrays below
 
     keep = src != dst
     dropped_self_loops = int(keep.shape[0] - np.count_nonzero(keep))

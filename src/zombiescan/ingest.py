@@ -4,8 +4,11 @@ The network file layout: a header line "N M", then N adjacency lines. Each
 adjacency line is "v1 k" followed by 2k integers alternating target id and
 relationship flag, where flag 1 marks a reciprocal follow. Any run of ASCII
 whitespace separates tokens. Adjacency lines may appear in any node order.
-The parser reads the tokens as one column and checks the records as masks
-over it; only a token holding a byte other than a digit goes through int().
+The parser reads the file in blocks of whole lines, about 64 KiB each. In a
+block it reads the tokens as one column and checks the records as masks
+over it, then writes their arcs into narrow columns that grow in place, so
+no array is as long as the file. Only a token holding a byte other than a
+digit goes through int().
 
 The binary cache stores a parsed graph so the text parse runs once; the
 layout is documented next to the reader below.
@@ -17,15 +20,17 @@ import logging
 import re
 import struct
 import zlib
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import CacheError, ParseError, ValidationError
-from .graph import DirectedGraph, _build_graph, _index_dtype, _pair_keys, _sorted_member
-from .textio import (ASCII, INT64_MAX, UTF8, decode, int_column, read_bytes, read_input,
-                     read_text, render_ints, split_fields, text_stream)
+from .graph import (DirectedGraph, _build_graph, _index_dtype, _outside, _pair_keys,
+                    _sorted_member)
+from .textio import (ASCII, INT64_MAX, UTF8, int_column, read_bytes, read_text, render_ints,
+                     split_fields, text_stream)
 
 log = logging.getLogger(__name__)
 
@@ -68,30 +73,70 @@ def parse_weibo_network(source) -> RawNetwork:
     """Parse a network file into a RawNetwork; the first faulty line raises a
     ParseError naming it.
 
-    The input is read once and must be ASCII. A path or binary stream has
-    its CR and CRLF line ends made LF; a text stream is taken as it reads,
-    so a CR there is whitespace.
+    The input is read in blocks of whole lines and must be ASCII. A path or
+    binary stream has its CR and CRLF line ends made LF; a text stream is
+    taken as it reads, so a CR there is whitespace. A character that is not
+    ASCII is a fault of its line like any other.
 
     A mismatch between the declared edge count and the number of parsed
     arcs is logged as a warning, not raised; published counts for the same
     crawl are known to disagree with each other.
     """
-    data = read_input(source)
-    if isinstance(data, str):
-        try:
-            data = data.encode(ASCII)
-        except UnicodeEncodeError as exc:
-            raise ParseError(f"character {data[exc.start]!r} is not ASCII text",
-                             data.count("\n", 0, exc.start) + 1) from None
-    elif not data.isascii():
-        decode(data, ASCII)  # raises the ParseError of the first non-ASCII byte
-    elif b"\r" in data:
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    raw = _parse(data)
+    with (open(source, "rb") if isinstance(source, (str, Path)) else nullcontext(source)) as fh:
+        raw = _parse(_line_blocks(fh.read))
     if raw.arc_count != raw.declared_edge_count:
         log.warning("network declares %d relationships but %d arcs were parsed",
                     raw.declared_edge_count, raw.arc_count)
     return raw
+
+
+# characters read at a time: a block's token columns (8 B per token) then stay
+# below the package's mmap threshold, so they reuse heap memory
+_PARSE_BLOCK = 1 << 16
+
+
+def _line_blocks(read):
+    """The input of `read(size)` in blocks of whole lines, as ASCII bytes with
+    LF line ends; only the last block may lack its LF, and a line longer than
+    a read is one block. Bytes have their CR and CRLF made LF, a CR at the end
+    of a read waiting for the next one; text is encoded as it reads. At the
+    first character that is not ASCII, the whole lines before it are yielded,
+    then a str that names the character, which is on the next line."""
+    head = []  # the line that the reads so far leave unfinished, in pieces
+    cr = b""
+    while True:
+        chunk = read(_PARSE_BLOCK)
+        fault = None
+        if not chunk.isascii():
+            try:
+                chunk.encode(ASCII) if isinstance(chunk, str) else chunk.decode(ASCII)
+            except UnicodeError as exc:
+                bad = chunk[exc.start]
+                name = f"character {bad!r}" if isinstance(bad, str) else f"byte 0x{bad:02x}"
+                fault = f"{name} is not ASCII text"
+                chunk = chunk[:exc.start]
+        if isinstance(chunk, str):
+            data = chunk.encode(ASCII)
+        else:
+            data, cr = cr + chunk, b""
+            if chunk and fault is None and data.endswith(b"\r"):
+                data, cr = data[:-1], b"\r"
+            if b"\r" in data:
+                data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        if not chunk and fault is None:  # the end of the input
+            block = b"".join([*head, data])
+            if block:
+                yield block
+            return
+        end = data.rfind(b"\n") + 1
+        if end:
+            yield b"".join([*head, data[:end]])
+            head = []
+        if fault is not None:
+            yield fault
+            return
+        if end < len(data):
+            head.append(data[end:])
 
 
 # a file of digits and the whitespace np.fromstring skips tells tokens by `byte > 32`
@@ -101,9 +146,18 @@ _SPACE = b" \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f"
 _TOKEN_BYTE = np.array([byte not in _SPACE for byte in range(256)])
 _TOKEN = re.compile(b"[^" + _SPACE + b"]+")
 
+# the most arcs the columns are first made for, since the declared count may
+# be wrong or 20 digits long; when full they grow by an eighth
+_FIRST_ARCS = 1 << 22
 
-def _parse(buf: bytes) -> RawNetwork:
-    chars = np.frombuffer(buf, dtype=np.uint8)
+
+def _parse(blocks) -> RawNetwork:
+    """The RawNetwork of a network file given as its `_line_blocks`: the
+    header from the first line, then each block's records checked and their
+    arcs written into narrow columns that grow in place."""
+    buf = next(blocks, b"")
+    if isinstance(buf, str):
+        raise ParseError(buf, 1)
     end = buf.find(b"\n")  # the header is read exactly, from the first line only
     header = (buf if end < 0 else buf[:end]).decode(ASCII).split()
     if not header:
@@ -120,6 +174,47 @@ def _parse(buf: bytes) -> RawNetwork:
     if n > INT64_MAX:
         raise ParseError(f"node count {n} does not fit a 64-bit id", 1)
 
+    index = _index_dtype(n)
+    size = min(declared_m, _FIRST_ARCS)
+    columns = np.empty(size, index), np.empty(size, index), np.empty(size, np.uint8)
+    arcs = records = 0
+    line, last = 2, 1  # the number of the line `buf` starts on, and of the last record
+    buf = buf[end + 1:] if end >= 0 else b""
+    while buf is not None:
+        if isinstance(buf, str):
+            raise ParseError(buf, line)
+        found, nonblank, lfs, *block = _records(buf, n, n - records, line)
+        if found.shape[0]:
+            last = line + int(found[-1])
+        if nonblank > found.shape[0]:
+            raise ParseError("trailing content after the declared adjacency records", last + 1)
+        count = block[0].shape[0]
+        if arcs + count > size:
+            size = max(arcs + count, size + size // 8)
+            for column in columns:
+                column.resize(size, refcheck=False)  # in place; no view of it is left
+        # each value was checked in range as int64, so narrowing keeps it
+        for column, values in zip(columns, block):
+            column[arcs:arcs + count] = values
+        arcs += count
+        records += found.shape[0]
+        line += lfs
+        partial = bool(buf) and not buf.endswith(b"\n")
+        buf = next(blocks, None)
+    if records < n:  # the line after the last
+        raise ParseError(f"expected {n} adjacency records, found {records}", line + partial)
+    for column in columns:
+        column.resize(arcs, refcheck=False)
+    return RawNetwork(n, declared_m, *columns)
+
+
+def _records(buf: bytes, n: int, wanted: int, line: int):
+    """The first `wanted` adjacency records of a block of whole lines that
+    starts on line `line`, checked; the first faulty one raises its
+    ParseError. Returns their lines in the block (from 0), the block's count
+    of nonblank lines and of LFs, and the sources, targets and flags of
+    their arcs, as int64."""
+    chars = np.frombuffer(buf, dtype=np.uint8)
     lf = np.flatnonzero(chars == 10)
     plain = not buf.translate(None, _PLAIN)
     token = chars > 32 if plain else _TOKEN_BYTE[chars]
@@ -132,24 +227,19 @@ def _parse(buf: bytes) -> RawNetwork:
         numbers[odd] = 48
         numbers = numbers.tobytes()
     first = np.empty_like(token)
-    first[0] = token[0]
+    first[:1] = token[:1]
     np.greater(token[1:], token[:-1], out=first[1:])
-    del token  # one byte mask is alive beside the offsets, the largest array so far
     starts = np.flatnonzero(first)
-    del first
     # line i holds tokens [bounds[i], bounds[i + 1]); bounds[1:-1] counts those before each LF
     bounds = np.concatenate([[0], np.searchsorted(starts, lf), [starts.shape[0]]])
     counts = np.diff(bounds)
-    lines = np.flatnonzero(counts[1:]) + 1  # the nonblank lines after the header
-    records = lines[:n]
+    lines = np.flatnonzero(counts)
+    records = lines[:wanted]
     odd = np.searchsorted(starts, odd, side="right") - 1  # the token of each such byte
     odd = odd[np.diff(odd, prepend=-1) > 0]  # each once, to be read again below
-    odd_starts = starts[odd].tolist()
-    del starts
     values = np.fromstring(numbers, dtype=np.int64, sep=" ")  # oversized reads INT64_MAX
-    del numbers
     refused = np.zeros(counts.shape[0], dtype=bool)  # lines with a token int() refuses
-    for tok, start in zip(odd.tolist(), odd_starts):
+    for tok, start in zip(odd.tolist(), starts[odd].tolist()):
         try:
             values[tok] = _clamped_int(_TOKEN.match(buf, start)[0])
         except ValueError:
@@ -164,12 +254,11 @@ def _parse(buf: bytes) -> RawNetwork:
     malformed = faults.any(axis=0)
     good = int(np.argmax(malformed)) if malformed.any() else m
     fault = (good, int(np.argmax(faults[:, good]))) if good < m else None
-    del faults, malformed, refused
 
     # the records before the first malformed one are `v1 k` and k (target, flag) pairs
-    pairs = values[2:2 + int(widths[:good].sum())].reshape(-1, 2)
+    pairs = values[:int(widths[:good].sum())].reshape(-1, 2)
     arc = np.ones(pairs.shape[0], dtype=bool)
-    arc[(heads[:good] - 2) // 2] = False
+    arc[heads[:good] // 2] = False
     # viewed unsigned, a negative value is above every valid one; the checks read
     # the int64 values, so none out of range can wrap into range when narrowed
     unsigned = pairs.view(np.uint64)
@@ -181,8 +270,9 @@ def _parse(buf: bytes) -> RawNetwork:
                                       (6, unsigned[arc, 1] > 1)) if bad.any())
     if fault is not None:  # (record, check), checks in the order of their messages
         lineno = int(records[fault[0]])  # counted from 0, so it ends at LF lf[lineno]
-        line = buf[lf[lineno - 1] + 1:lf[lineno] if lineno < lf.shape[0] else None]
-        nums = [int(tok) for tok in line.decode(ASCII).split()] if fault[1] else []
+        text = buf[lf[lineno - 1] + 1 if lineno else 0:
+                   lf[lineno] if lineno < lf.shape[0] else None]
+        nums = [int(tok) for tok in text.decode(ASCII).split()] if fault[1] else []
         node, degree = (nums + [0, 0])[:2]
         raise ParseError((
             "non-integer token",
@@ -192,19 +282,9 @@ def _parse(buf: bytes) -> RawNetwork:
             f"record for node {node} declares {degree} neighbors but carries "
             f"{len(nums) - 2} trailing numbers (expected {2 * degree})",
             f"target id outside [0, {n})",
-            "relationship flag must be 0 or 1")[fault[1]], lineno + 1)
-    if m < n:  # the line after the last
-        raise ParseError(f"expected {n} adjacency records, found {m}",
-                         lf.shape[0] + (not buf.endswith(b"\n")) + 1)
-    if lines.shape[0] > n:
-        raise ParseError("trailing content after the declared adjacency records",
-                         (int(records[-1]) if m else 0) + 2)
-    # one column narrowed at a time; a `v1 k` head may wrap, but it is not an arc
-    index = _index_dtype(n)
-    targets = pairs[:, 0].astype(index)[arc]
-    flags = pairs[:, 1].astype(np.uint8)[arc]
-    del values, pairs, unsigned
-    return RawNetwork(n, declared_m, np.repeat(v1.astype(index), k), targets, flags)
+            "relationship flag must be 0 or 1")[fault[1]], line + lineno)
+    return (records, lines.shape[0], lf.shape[0], np.repeat(v1, k),
+            pairs[:, 0][arc], pairs[:, 1][arc])
 
 
 def _clamped_int(token: bytes) -> int:
@@ -226,10 +306,10 @@ def write_weibo_network(raw_or_graph, destination) -> None:
     raw = raw_or_graph if isinstance(raw_or_graph, RawNetwork) else _flagged_arcs(raw_or_graph)
     n = raw.node_count
     sources, targets, flags = raw.sources, raw.targets, raw.flags
-    outside = (sources < 0) | (sources >= n) | (targets < 0) | (targets >= n)
-    bad = outside | ((flags != 0) & (flags != 1))
-    if bad.any():
-        i = int(np.argmax(bad))
+    bad_flag = flags.shape[0] and (flags.min() < 0 or flags.max() > 1)
+    if bad_flag or _outside(sources, targets, n):
+        outside = (sources < 0) | (sources >= n) | (targets < 0) | (targets >= n)
+        i = int(np.argmax(outside | ((flags != 0) & (flags != 1))))
         raise ValidationError(
             f"arc #{i} ({sources[i]}->{targets[i]}) has an endpoint outside [0, {n})"
             if outside[i] else f"arc #{i} has relationship flag {flags[i]}; it must be 0 or 1")

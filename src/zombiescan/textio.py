@@ -2,7 +2,8 @@
 
 Files with text columns (profiles, uid lists, truth, regions and the uid
 column of a partition) are UTF-8; the numeric files (network, ranks,
-report, JSON) are ASCII. A reader takes its whole input at once:
+report, JSON) are ASCII. A reader takes its whole input at once (the
+network parser alone reads blocks of whole lines, see `ingest`):
 `read_text` decodes it, with universal newlines as a text-mode open()
 would apply them, and `read_bytes`, which the table readers use, checks
 that it decodes and keeps the bytes instead.

@@ -53,6 +53,20 @@ class TestBuildGraph:
         with pytest.raises(ValidationError, match="arc #1"):
             build_graph([(0, 1, 0), (0, 2, 0)], 2)
 
+    @pytest.mark.parametrize("arcs,message", [
+        ([(-1, 0, 0)], r"^arc #0 \(-1->0\) has an endpoint outside \[0, 2\)$"),
+        ([(0, 2, 0)], r"^arc #0 \(0->2\) has an endpoint outside \[0, 2\)$"),
+        ([(0, 1, 1), (1, 0, 0), (1, 2, 0), (-1, 0, 0)],
+         r"^arc #2 \(1->2\) has an endpoint outside \[0, 2\)$"),
+    ], ids=["negative-source", "target-equal-to-n", "after-good-arcs"])
+    def test_first_bad_arc_is_named(self, arcs, message):
+        with pytest.raises(ValidationError, match=message):
+            build_graph(arcs, 2)
+        # the parser's narrow columns take the same check
+        src, dst, flag = np.array(arcs).T
+        with pytest.raises(ValidationError, match=message):
+            _build_graph(src.astype(np.int32), dst.astype(np.int32), flag.astype(np.uint8), 2)
+
     @pytest.mark.parametrize("flag", [2, -1])
     def test_flag_other_than_0_or_1_rejected(self, flag):
         with pytest.raises(ValidationError, match=f"arc #1 has relationship flag {flag}"):

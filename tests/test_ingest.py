@@ -245,6 +245,26 @@ class TestFastParse:
         assert raw.declared_edge_count == int(HUGE)
 
 
+class TestParseInBlocks(TestParseWeiboNetwork, TestFastParse):
+    """The parse tests with reads of a few bytes: a block per line, lines
+    longer than a read, and CRLF line ends split across two reads."""
+
+    @pytest.fixture(autouse=True, params=[1, 5])
+    def tiny_blocks(self, request, monkeypatch):
+        monkeypatch.setattr("zombiescan.ingest._PARSE_BLOCK", request.param)
+
+    @pytest.mark.parametrize("text,line", [
+        ("2 1\n0 1 5 0\n1 0\n\u0660\n", 2),  # a faulty line before the byte wins
+        ("1 0\n0 0\n\n 3\u0660 0\n", 4),
+        ("1 0\r\n0 0\r\n\u0660", 3),
+    ])
+    def test_first_faulty_line_wins_over_a_later_byte_that_is_not_ascii(self, text, line):
+        for source in (io.BytesIO(text.encode()), io.StringIO(text)):
+            with pytest.raises(ParseError) as err:
+                parse_weibo_network(source)
+            assert err.value.line == line
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("text", [GOLDEN_RECIPROCAL, GOLDEN_FANOUT,
                                       GOLDEN_EMPTY, GOLDEN_MIXED])
@@ -323,16 +343,25 @@ class TestSetupMemory:
     # The rise of traced memory over a parse and a graph build, per arc. With
     # int64 columns and a second sort of every key with the reverse ones, the
     # corpus below took 78.8 B/arc; with narrow columns and a build that only
-    # looks the reverse keys up, 34.1 B/arc.
-    PEAK_BYTES_PER_ARC = 50
+    # looks the reverse keys up, 34.1 B/arc, most of it the parse of the whole
+    # file at once; with a parse in blocks of lines, 24.8 B/arc.
+    PEAK_BYTES_PER_ARC = 30
+    # The parse alone: its 9 B/arc of columns and one block's temporaries. The
+    # whole-file parse took 34.1 B/arc; in blocks of lines, 13.6 B/arc.
+    PARSE_PEAK_BYTES_PER_ARC = 16
 
-    def test_parse_and_build_peak_per_arc(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def corpus(self, tmp_path_factory):
         rng = np.random.Generator(np.random.PCG64(7))
         n, m = 5_000, 170_000
         arcs = np.stack([rng.integers(0, n, m), rng.integers(0, n, m),
                          rng.random(m) < 0.18], axis=1)
-        path = tmp_path / "net.txt"
+        path = tmp_path_factory.mktemp("setup") / "net.txt"
         write_weibo_network(build_graph(arcs, n), path)
+        return path, arcs, n
+
+    def test_parse_and_build_peak_per_arc(self, corpus):
+        path, arcs, n = corpus
         tracemalloc.start()
         try:
             raw = parse_weibo_network(path)
@@ -343,6 +372,16 @@ class TestSetupMemory:
         assert 190_000 < raw.arc_count < 210_000 and 0.25 < raw.flags.mean() < 0.35
         assert g == build_graph(arcs, n)
         assert peak / raw.arc_count < self.PEAK_BYTES_PER_ARC
+
+    def test_parse_peak_per_arc(self, corpus):
+        path, _, _ = corpus
+        tracemalloc.start()
+        try:
+            raw = parse_weibo_network(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / raw.arc_count < self.PARSE_PEAK_BYTES_PER_ARC
 
 
 class TestUidlist:

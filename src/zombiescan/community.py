@@ -165,10 +165,10 @@ class LouvainConfig:
     def __post_init__(self):
         if self.max_levels < 1:
             raise ValidationError("max_levels must be at least 1")
-        if self.min_gain < 0:
-            raise ValidationError("min_gain must be non-negative")
-        if self.resolution <= 0:
-            raise ValidationError("resolution must be positive")
+        if not 0 <= self.min_gain < np.inf:  # nan too
+            raise ValidationError("min_gain must be non-negative and finite")
+        if not 0 < self.resolution < np.inf:
+            raise ValidationError("resolution must be positive and finite")
 
 
 @dataclass

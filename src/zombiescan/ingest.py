@@ -29,8 +29,8 @@ import numpy as np
 from .errors import CacheError, ParseError, ValidationError
 from .graph import (DirectedGraph, _build_graph, _index_dtype, _outside, _pair_keys,
                     _sorted_member)
-from .textio import (ASCII, INT64_MAX, UTF8, int_column, read_bytes, read_text, render_ints,
-                     split_fields, text_stream)
+from .textio import (ASCII, INT64_MAX, UTF8, int_column, read_bytes, render_ints, split_fields,
+                     text_stream)
 
 log = logging.getLogger(__name__)
 
@@ -352,7 +352,7 @@ def parse_uidlist(source) -> list[str]:
     """Read one external uid per line (UTF-8); line i is the uid of node i.
 
     Blank lines may end the list; one followed by a uid is an error."""
-    uids = [line.strip() for line in read_text(source, UTF8).split("\n")]
+    uids = [line.strip() for line in read_bytes(source, UTF8).decode(UTF8).split("\n")]
     while uids and not uids[-1]:
         uids.pop()
     if not uids:

@@ -55,8 +55,8 @@ class RankConfig:
     def __post_init__(self):
         if not 0.0 < self.damping <= 1.0:
             raise ValidationError("damping must be in (0, 1]")
-        if self.tolerance <= 0:
-            raise ValidationError("tolerance must be positive")
+        if not 0 < self.tolerance < np.inf:  # nan too
+            raise ValidationError("tolerance must be positive and finite")
         if self.max_iterations < 1:
             raise ValidationError("max_iterations must be at least 1")
         if self.mode not in ("even", "uneven"):

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ParseError, ValidationError
 from .graph import DirectedGraph, _build_graph
 from .ingest import ProfileTable, write_uidlist, write_weibo_network
-from .textio import UTF8, code_column, read_bytes, read_text, split_csv, text_stream, write_csv
+from .textio import UTF8, code_column, read_bytes, split_csv, text_stream, write_csv
 
 log = logging.getLogger(__name__)
 
@@ -98,7 +98,7 @@ class SynthConfig:
         """The config of a JSON object (UTF-8) keyed by field name; a list
         stands for a tuple. Invalid JSON is a ParseError naming its line, and
         JSON nested too deeply to decode is one on line 1."""
-        text = read_text(source, UTF8)
+        text = read_bytes(source, UTF8).decode(UTF8)
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:

@@ -2,11 +2,11 @@
 
 Files with text columns (profiles, uid lists, truth, regions and the uid
 column of a partition) are UTF-8; the numeric files (network, ranks,
-report, JSON) are ASCII. A reader takes its whole input at once (the
-network parser alone reads blocks of whole lines, see `ingest`):
-`read_text` decodes it, with universal newlines as a text-mode open()
-would apply them, and `read_bytes`, which the table readers use, checks
-that it decodes and keeps the bytes instead.
+report, JSON) are ASCII. Every reader but the network parser, which
+reads blocks of whole lines (see `ingest`), takes its whole input through
+`read_bytes`: it checks that the input decodes, makes its newlines
+universal as a text-mode open() would, and keeps the bytes. A reader of
+text decodes them.
 
 A plain table (every line `width` fields split by one delimiter byte, and
 for a CSV no quote, CR or NUL) is scanned once over its UTF-8 bytes:
@@ -14,11 +14,12 @@ for a CSV no quote, CR or NUL) is scanned once over its UTF-8 bytes:
 (`Fields`). Its integer columns are read from those bytes, one numpy step
 per digit position, and never become strings; a column with a field that
 is not 1 to 19 ASCII digits within int64 goes through `int_column` on its
-strings instead. Only the text columns a reader keeps are decoded. The
-csv module still runs for any other CSV (quotes, a lone CR, blank lines,
-rows wider or narrower than the header), and `split_csv` hands the reader
-either kind behind one `CsvRows`; only that fallback decodes the whole
-file. The reader converts whole columns (`ints`, `float_column`,
+strings instead, one numpy call that applies int() to each. Only the text
+columns a reader keeps are decoded. The csv module still runs for any
+other CSV (quotes, a lone CR, blank lines, rows wider or narrower than the
+header); only that fallback decodes the whole file, and its columns are
+lists of strings. `split_csv` hands the reader either split as one
+`CsvRows`. The reader converts whole columns (`ints`, `float_column`,
 `code_column`) into values and masks of the rows at fault, and
 `CsvRows.check` raises the message of the first faulty row.
 Every integer column is int64: a token int() refuses, or one outside 64
@@ -69,45 +70,28 @@ def write_json(payload, destination) -> None:
         fh.write(json.dumps(payload, indent=2) + "\n")
 
 
-def read_input(source) -> bytes | str:
-    """The whole input: the bytes of a path or binary stream, the text of a text stream."""
-    return Path(source).read_bytes() if isinstance(source, (str, Path)) else source.read()
-
-
-def read_text(source, encoding: str) -> str:
-    """The whole input as text. A path or binary stream is decoded (see
-    `decode`); a text stream is taken as it reads, newlines included."""
-    data = read_input(source)
-    return data if isinstance(data, str) else decode(data, encoding)
-
-
 def read_bytes(source, encoding: str) -> bytes:
     """The whole input as bytes. A path or binary stream must decode in
-    `encoding` (see `decode`) and gets universal newlines; a text stream is
-    encoded in UTF-8 as it reads, newlines included, so its text splits into
-    the fields `read_text` would give."""
-    data = read_input(source)
+    `encoding` and gets universal newlines; a text stream is encoded in
+    UTF-8 as it reads, newlines included. A byte that does not decode, or a
+    lone surrogate in a text stream, is a ParseError naming its line."""
+    data = Path(source).read_bytes() if isinstance(source, (str, Path)) else source.read()
     if isinstance(data, str):
-        return data.encode(UTF8)
-    if not data.isascii():
-        decode(data, encoding)  # raises the ParseError of a byte that does not decode
-    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
-
-
-def decode(data: bytes, encoding: str) -> str:
-    """Bytes as text with universal newlines; a byte that does not decode is
-    a ParseError naming its line."""
+        try:
+            return data.encode(UTF8)
+        except UnicodeEncodeError as exc:
+            raise ParseError(f"character {data[exc.start]!r} is not UTF-8 text",
+                             data.count("\n", 0, exc.start) + 1) from None
     try:
-        text = data.decode(encoding)
+        if not data.isascii():
+            data.decode(encoding)
     except UnicodeDecodeError as exc:
-        line = _universal_newlines(data[:exc.start].decode(encoding)).count("\n") + 1
+        # the line universal newlines put it on: LF, plus CR, minus CRLF
+        head = data[:exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise ParseError(f"byte 0x{data[exc.start]:02x} is not {encoding.upper()} text",
                          line) from None
-    return _universal_newlines(text)
-
-
-def _universal_newlines(text: str) -> str:
-    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
 
 
 def split_fields(body: bytes, delimiter: str, width: int) -> Fields | None:
@@ -223,8 +207,8 @@ class CsvRows:
 
     __slots__ = ("ints", "text", "row", "widths", "error")
 
-    def __init__(self, fields, widths: np.ndarray, error=None):
-        self.ints, self.text, self.row = fields.ints, fields.text, fields.row
+    def __init__(self, ints, text, row, widths: np.ndarray, error=None):
+        self.ints, self.text, self.row = ints, text, row
         self.widths, self.error = widths, error
 
     def __len__(self) -> int:
@@ -242,23 +226,6 @@ class CsvRows:
             raise ValidationError(self.error)
 
 
-class _Columns:
-    """The fields of rows that csv.reader split, as string columns, "" where
-    a row is shorter than `width`."""
-
-    __slots__ = ("columns", "row")
-
-    def __init__(self, rows: list[list[str]], width: int):
-        self.columns = [[row[j] if j < len(row) else "" for row in rows] for j in range(width)]
-        self.row = rows.__getitem__
-
-    def ints(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        return int_column(self.columns[j])
-
-    def text(self, j: int) -> list[str]:
-        return self.columns[j]
-
-
 def split_csv(data: bytes, kind: str, *headers: tuple[str, ...]) -> CsvRows:
     """The nonblank rows of a CSV, UTF-8 bytes as `read_bytes` gives them,
     after its header, which must be one of `headers`. A file whose first
@@ -270,7 +237,8 @@ def split_csv(data: bytes, kind: str, *headers: tuple[str, ...]) -> CsvRows:
         if head == ",".join(header).encode(ASCII):
             fields = _plain_fields(body, len(header))
             if fields is not None:
-                return CsvRows(fields, np.full(len(fields), len(header), dtype=np.int64))
+                return CsvRows(fields.ints, fields.text, fields.row,
+                               np.full(len(fields), len(header), dtype=np.int64))
     return _csv_module_rows(data.decode(UTF8), kind, headers)
 
 
@@ -306,34 +274,20 @@ def _csv_module_rows(text: str, kind: str, headers) -> CsvRows:
     except csv.Error as exc:
         error = f"bad {kind} row on line {reader.line_num}: {exc}"
     widths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    return CsvRows(_Columns(rows, width), widths, error)
+    columns = [[row[j] if j < len(row) else "" for row in rows] for j in range(width)]
+    return CsvRows(lambda j: int_column(columns[j]), columns.__getitem__, rows.__getitem__,
+                   widths, error)
 
 
 def int_column(column: list) -> tuple[np.ndarray, np.ndarray]:
     """int64 of each field, and the mask of the fields that are not an
-    integer int() reads within int64 (None included); those read 0."""
-    values = _digit_column(column)
-    if values is not None:
-        return values, np.zeros(len(column), dtype=bool)
-    return _token_by_token(column, int64, np.int64)
-
-
-def _digit_column(column: list) -> np.ndarray | None:
-    """The fields as int64 when each is 1 to 19 ASCII digits within int64
-    (`_digits` on their joined bytes); None otherwise."""
+    integer int() reads within int64 (None included); those read 0. One
+    numpy call reads the column, with int() on each field; only a column it
+    refuses goes token by token."""
     try:
-        joined = ",".join(column) + ","
-    except TypeError:  # a None field
-        return None
-    if not joined.isascii():
-        return None
-    data = np.frombuffer(joined.encode(ASCII), dtype=np.uint8)
-    ends = np.flatnonzero(data == 44)
-    if ends.shape[0] != len(column):  # a field holds the separator
-        return None
-    starts = np.zeros(len(column), dtype=ends.dtype)
-    starts[1:] = ends[:-1] + 1
-    return _digits(data, starts, ends)
+        return np.array(column, dtype=np.int64), np.zeros(len(column), dtype=bool)
+    except (TypeError, ValueError, OverflowError):
+        return _token_by_token(column, int64, np.int64)
 
 
 def float_column(column: list[str]) -> tuple[np.ndarray, np.ndarray]:

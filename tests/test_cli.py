@@ -655,6 +655,16 @@ class TestManifests:
         assert main(["pipeline", str(net), "-o", str(run)]) == 2
         assert list(run.iterdir()) == []
 
+    @pytest.mark.parametrize("flags", [["--tol", "nan", "--epsilon", "nan"], ["--tol", "inf"],
+                                       ["--epsilon", "inf"]])
+    def test_non_finite_setting_exits_2(self, tmp_path, flags):
+        run = tmp_path / "run"
+        code = main(["pipeline", PLANTED, "-o", str(run), *flags])
+        manifest = run / "manifest.json"
+        if manifest.exists():  # a bare NaN or Infinity is not JSON
+            json.loads(manifest.read_text(), parse_constant=reject_constant)
+        assert code == 2
+
 
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as e:

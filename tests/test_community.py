@@ -185,6 +185,12 @@ class TestLouvain:
         und = und_from_arcs(clique_arcs(range(5)), 5)
         assert louvain(und, LouvainConfig(seed=3)).partition.community_count == 1
 
+    @pytest.mark.parametrize("field", ["min_gain", "resolution"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_setting_is_refused(self, field, value):
+        with pytest.raises(ValidationError, match=f"^{field} must be .* finite$"):
+            LouvainConfig(**{field: value})
+
     def test_modularity_non_decreasing_across_levels(self):
         g, _ = random_graph(8, 40, 0.08)
         und = symmetrize(g)

@@ -17,16 +17,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zombiescan import (ParseError, Partition, ValidationError, build_graph, detect_zombies,
-                        parse_profiles, parse_weibo_network, rank_all_communities, textio)
+from zombiescan import (ParseError, Partition, SynthConfig, ValidationError, build_graph,
+                        detect_zombies, parse_profiles, parse_uidlist, parse_weibo_network,
+                        rank_all_communities, textio)
 from zombiescan.cli import main
 from zombiescan.community import read_partition_csv, write_partition_csv
 from zombiescan.detect import ZombieReport, read_report_csv, write_report_csv
 from zombiescan.ingest import _profile_columns, _profile_rows, _profile_table
 from zombiescan.rank import ImportanceVector, read_ranks_csv, write_ranks_csv
 from zombiescan.synth import GroundTruth, read_truth_csv, write_truth_csv
-from zombiescan.textio import (_digit_column, float_column, float_reprs, int_column, read_text,
-                               render_ints, split_csv, split_fields, write_csv)
+from zombiescan.textio import (float_column, float_reprs, int_column, read_bytes, render_ints,
+                               split_csv, split_fields, write_csv)
 
 from conftest import DATA, profile_table
 from oracles import (float_text, io_reference, partition_csv_rows, ranks_csv_rows,
@@ -37,7 +38,7 @@ from oracles import (float_text, io_reference, partition_csv_rows, ranks_csv_row
 ODD_TOKENS = ["", " 7", "7 ", "+7", "-7", "07", "7.5", '"7"', "٧", "x", "1e3", "nan",
               "inf", "-0.0", "99999999999999999999", "9223372036854775807", "true", "false",
               "True", "zombie", "normal", "a,b", "\x00", "9223372036854775808",
-              "-9223372036854775808", "0000000000000000000000007", "1\u00a0"]
+              "-9223372036854775808", "0000000000000000000000007", "1\u00a0", "7_0", "\x1c7"]
 LINE_FAULTS = ["blank", "extra", "short", "repeat", "drop", "crlf", "cr", "header",
                "no_final_newline"]
 TEXT = st.text(st.sampled_from("ab 1,\t\"北京　\r"), max_size=4)
@@ -197,7 +198,7 @@ class TestReaders:
             count |= st.sampled_from(
                 ["", " 5", "5 ", "x", "5.0", "-3", "+4", "٣", "99999999999999999999", " ",
                  "1,234", ",", "9223372036854775808", "-9223372036854775808",
-                 "0000000000000000000000007", "1\u00a0"])
+                 "0000000000000000000000007", "1\u00a0", "\x1c5"])
         alphabet = "ab 1北京　\r," if plain else "ab 1\t北京　\r,"
         text_value = st.text(st.sampled_from(alphabet), max_size=4)
         lines = []
@@ -363,9 +364,11 @@ def test_committed_files_are_read_in_one_pass(tmp_path):
 @pytest.mark.parametrize("region,followers,followees,want", [
     ("Beijing ", "5", "3", "Beijing"), (" Beijing", " 5", "3 ", "Beijing"),
     ("Beijing\u3000", "5", "3", "Beijing"), ("\u3000北京", "5", "3", "北京"),
-    ("Beijing\r", "5\r", "\r3", "Beijing"), ("Inner Mongolia", "5", "3", "Inner Mongolia")],
+    ("Beijing\r", "5\r", "\r3", "Beijing"), ("Inner Mongolia", "5", "3", "Inner Mongolia"),
+    # str.strip() removes U+001C to U+001F, which int() refuses
+    ("Beijing", "\x1c5", "3\x1f", "Beijing")],
     ids=["trailing-space", "leading-space", "trailing-wide-space", "leading-wide-space",
-         "carriage-return", "inner-space-kept"])
+         "carriage-return", "inner-space-kept", "separator-controls"])
 def test_profile_fields_are_stripped_on_the_column_path(region, followers, followees, want):
     text = f"u1\tamy\tf\tno\t{region}\t{followers}\t{followees}\t0\nu2\tbob\tm\tno\tHarbin\t1\t2\t0\n"
     assert _profile_columns(text.encode()) is not None
@@ -415,10 +418,39 @@ def test_record_without_count_fields_masks_them_untallied(caplog):
 
 @pytest.mark.parametrize("column", [["1,234", "5", ","], ["1,2", "3"], [",", "4"], [","]])
 def test_int_column_leaves_fields_holding_the_separator_to_the_row_loop(column):
-    assert _digit_column(column) is None
     values, bad = int_column(column)
     assert bad.tolist() == ["," in field for field in column]
     assert values.tolist() == [0 if "," in field else int(field) for field in column]
+
+
+# "7\x00": int() refuses a trailing NUL, which numpy's fixed-width strings drop
+@given(st.lists(st.sampled_from(ODD_TOKENS + [None, "7\x00"])
+                | st.integers(0, 10 ** 20).map(str), max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_int_column_equals_a_token_loop(column):
+    want = []
+    for token in column:
+        try:
+            want.append(textio.int64(token))
+        except (TypeError, ValueError):
+            want.append(None)
+    values, bad = int_column(column)
+    assert values.dtype == np.int64
+    assert [None if b else v for v, b in zip(values.tolist(), bad.tolist())] == want
+    assert values[bad].tolist() == [0] * int(bad.sum())
+
+
+def test_quoted_field_reads_integer_columns_in_one_call():
+    n = 50_000
+    text = "node_id,community_id,uid\n" + "".join(f"{i},{i % 7},u{i}\n" for i in range(n))
+    text = text.replace(",u1\n", ',"u,1"\n', 1)  # the csv module splits it
+
+    def refuse(*args):
+        raise AssertionError("an integer column went token by token")
+
+    with mock.patch("zombiescan.textio.int64", refuse):
+        part = read_partition_csv(io.StringIO(text), n)
+    assert part.assignment.tolist() == Partition(np.arange(n) % 7).assignment.tolist()
 
 
 @pytest.mark.parametrize("width", [1, 2, 8])
@@ -434,11 +466,23 @@ def test_split_fields_refuses_a_blank_line(width, at):
 
 class TestDecoding:
     def test_bytes_decode_with_universal_newlines(self):
-        assert read_text(io.BytesIO("a\r\nb\rc\n北京".encode()), "utf-8") == "a\nb\nc\n北京"
+        assert read_bytes(io.BytesIO("a\r\nb\rc\n北京".encode()), "utf-8") == \
+            "a\nb\nc\n北京".encode()
 
     def test_undecodable_byte_names_its_line(self):
         with pytest.raises(ParseError, match=r"^line 3: byte 0xe9 is not UTF-8 text$"):
-            read_text(io.BytesIO(b"a\r\nb\rP\xe9kin\n"), "utf-8")
+            read_bytes(io.BytesIO(b"a\r\nb\rP\xe9kin\n"), "utf-8")
+
+    @pytest.mark.parametrize("read,text", [
+        (lambda s: read_partition_csv(s, 2), "node_id,community_id,uid\n0,0,a\n1,0,\ud800\n"),
+        (read_truth_csv, "node_id,block_id,is_zombie,region\n0,0,1,a\n1,0,0,\ud800\n"),
+        (parse_profiles, "u0\ta\tf\tno\tBeijing\t1\t2\t0\n\nu1\tb\tm\tno\t\ud800\t1\t2\t0\n"),
+        (parse_uidlist, "u0\r\nu1\n\ud800\n"),
+        (SynthConfig.from_json, '{"block_sizes": [4],\n"seed": 1,\n"regions": {"\ud800": 1}}')],
+        ids=["partition", "truth", "profiles", "uidlist", "synth-config"])
+    def test_lone_surrogate_in_a_text_stream_names_its_line(self, read, text):
+        with pytest.raises(ParseError, match=r"^line 3: character '\\ud800' is not UTF-8 text$"):
+            read(io.StringIO(text))
 
     def test_numeric_files_stay_ascii(self):
         report = "node_id,community_id,pagerank,threshold,label\n0,0,0.1,,normal\n北"

@@ -4,10 +4,11 @@ The network file layout: a header line "N M", then N adjacency lines. Each
 adjacency line is "v1 k" followed by 2k integers alternating target id and
 relationship flag, where flag 1 marks a reciprocal follow. Any run of ASCII
 whitespace separates tokens. Adjacency lines may appear in any node order.
-The parser reads the file in blocks of whole lines, about 64 KiB each. In a
-block it reads the tokens as one column and checks the records as masks
-over it, then writes their arcs into narrow columns that grow in place, so
-no array is as long as the file. Only a token holding a byte other than a
+The parser reads the text that `textio.text_stream` yields in blocks of
+whole lines, about 64 Ki characters each, as ASCII bytes. In a block it
+reads the tokens as one column and checks the records as masks over it,
+then writes their arcs into narrow columns that grow in place, so no
+array is as long as the file. Only a token holding a byte other than a
 digit goes through int().
 
 The binary cache stores a parsed graph so the text parse runs once; the
@@ -20,7 +21,6 @@ import logging
 import re
 import struct
 import zlib
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,8 +29,8 @@ import numpy as np
 from .errors import CacheError, ParseError, ValidationError
 from .graph import (DirectedGraph, _build_graph, _index_dtype, _outside, _pair_keys,
                     _sorted_member)
-from .textio import (ASCII, INT64_MAX, UTF8, int_column, read_bytes, render_ints, split_fields,
-                     text_stream)
+from .textio import (ASCII, INT64_MAX, UTF8, encoded, int_column, read_bytes, render_ints,
+                     split_fields, text_stream)
 
 log = logging.getLogger(__name__)
 
@@ -73,17 +73,18 @@ def parse_weibo_network(source) -> RawNetwork:
     """Parse a network file into a RawNetwork; the first faulty line raises a
     ParseError naming it.
 
-    The input is read in blocks of whole lines and must be ASCII. A path or
-    binary stream has its CR and CRLF line ends made LF; a text stream is
-    taken as it reads, so a CR there is whitespace. A character that is not
-    ASCII is a fault of its line like any other.
+    The input is read as `textio.text_stream` reads it, in blocks of whole
+    lines, and must be ASCII: a path or binary stream has universal
+    newlines, and a text stream is taken as it reads, so a CR there is
+    whitespace. A character that is not ASCII is a fault of its line like
+    any other.
 
     A mismatch between the declared edge count and the number of parsed
     arcs is logged as a warning, not raised; published counts for the same
     crawl are known to disagree with each other.
     """
-    with (open(source, "rb") if isinstance(source, (str, Path)) else nullcontext(source)) as fh:
-        raw = _parse(_line_blocks(fh.read))
+    with text_stream(source, "r", ASCII) as fh:
+        raw = _parse(_line_blocks(fh))
     if raw.arc_count != raw.declared_edge_count:
         log.warning("network declares %d relationships but %d arcs were parsed",
                     raw.declared_edge_count, raw.arc_count)
@@ -95,39 +96,14 @@ def parse_weibo_network(source) -> RawNetwork:
 _PARSE_BLOCK = 1 << 16
 
 
-def _line_blocks(read):
-    """The input of `read(size)` in blocks of whole lines, as ASCII bytes with
-    LF line ends; only the last block may lack its LF, and a line longer than
-    a read is one block. Bytes have their CR and CRLF made LF, a CR at the end
-    of a read waiting for the next one; text is encoded as it reads. At the
-    first character that is not ASCII, the whole lines before it are yielded,
-    then a str that names the character, which is on the next line."""
+def _line_blocks(fh):
+    """The text of `fh` in blocks of whole lines, as ASCII bytes; only the
+    last block may lack its LF, and a line longer than a read is one block.
+    At the first character that is not ASCII, the whole lines before it are
+    yielded, then a str that names the character, which is on the next line."""
     head = []  # the line that the reads so far leave unfinished, in pieces
-    cr = b""
-    while True:
-        chunk = read(_PARSE_BLOCK)
-        fault = None
-        if not chunk.isascii():
-            try:
-                chunk.encode(ASCII) if isinstance(chunk, str) else chunk.decode(ASCII)
-            except UnicodeError as exc:
-                bad = chunk[exc.start]
-                name = f"character {bad!r}" if isinstance(bad, str) else f"byte 0x{bad:02x}"
-                fault = f"{name} is not ASCII text"
-                chunk = chunk[:exc.start]
-        if isinstance(chunk, str):
-            data = chunk.encode(ASCII)
-        else:
-            data, cr = cr + chunk, b""
-            if chunk and fault is None and data.endswith(b"\r"):
-                data, cr = data[:-1], b"\r"
-            if b"\r" in data:
-                data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        if not chunk and fault is None:  # the end of the input
-            block = b"".join([*head, data])
-            if block:
-                yield block
-            return
+    while chunk := fh.read(_PARSE_BLOCK):
+        data, fault = encoded(chunk, ASCII, fh)
         end = data.rfind(b"\n") + 1
         if end:
             yield b"".join([*head, data[:end]])
@@ -135,8 +111,9 @@ def _line_blocks(read):
         if fault is not None:
             yield fault
             return
-        if end < len(data):
-            head.append(data[end:])
+        head.append(data[end:])
+    if any(head):
+        yield b"".join(head)
 
 
 # a file of digits and the whitespace np.fromstring skips tells tokens by `byte > 32`

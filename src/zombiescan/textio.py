@@ -2,11 +2,14 @@
 
 Files with text columns (profiles, uid lists, truth, regions and the uid
 column of a partition) are UTF-8; the numeric files (network, ranks,
-report, JSON) are ASCII. Every reader but the network parser, which
-reads blocks of whole lines (see `ingest`), takes its whole input through
-`read_bytes`: it checks that the input decodes, makes its newlines
-universal as a text-mode open() would, and keeps the bytes. A reader of
-text decodes them.
+report, JSON) are ASCII. `text_stream` is the one place that tells a
+path, a binary stream and a text stream apart: every reader reads the text
+it yields, which has universal newlines and escaped undecodable bytes for
+a path or binary stream, and is taken as it reads for a text stream. The
+reader encodes the text back to bytes (`encoded`), naming the first
+character that does not encode. The network parser reads blocks of whole
+lines (see `ingest`); every other reader reads its whole input through
+`read_bytes`, and a reader of text decodes the bytes.
 
 A plain table (every line `width` fields split by one delimiter byte, and
 for a CSV no quote, CR or NUL) is scanned once over its UTF-8 bytes:
@@ -50,14 +53,18 @@ INT64_MAX = int(np.iinfo(np.int64).max)
 
 @contextmanager
 def text_stream(source, mode: str = "r", encoding: str = ASCII):
-    """Yield a text stream for a path, text stream, or binary stream."""
+    """Yield a text stream for a path, text stream, or binary stream. A path
+    or binary stream is read with universal newlines, each byte that does
+    not decode kept as an escape (errors="surrogateescape"); it is written
+    strictly."""
+    errors = "surrogateescape" if mode == "r" else "strict"
     if isinstance(source, (str, Path)):
-        with open(source, mode, encoding=encoding) as fh:
+        with open(source, mode, encoding=encoding, errors=errors) as fh:
             yield fh
     elif isinstance(source, io.TextIOBase):
         yield source
     else:
-        wrapper = io.TextIOWrapper(source, encoding=encoding, write_through=True)
+        wrapper = io.TextIOWrapper(source, encoding=encoding, errors=errors, write_through=True)
         try:
             yield wrapper
         finally:
@@ -71,27 +78,29 @@ def write_json(payload, destination) -> None:
 
 
 def read_bytes(source, encoding: str) -> bytes:
-    """The whole input as bytes. A path or binary stream must decode in
-    `encoding` and gets universal newlines; a text stream is encoded in
-    UTF-8 as it reads, newlines included. A byte that does not decode, or a
-    lone surrogate in a text stream, is a ParseError naming its line."""
-    data = Path(source).read_bytes() if isinstance(source, (str, Path)) else source.read()
-    if isinstance(data, str):
-        try:
-            return data.encode(UTF8)
-        except UnicodeEncodeError as exc:
-            raise ParseError(f"character {data[exc.start]!r} is not UTF-8 text",
-                             data.count("\n", 0, exc.start) + 1) from None
+    """The whole input, read as `text_stream` reads it, as bytes in
+    `encoding`. The first character that does not encode is a ParseError
+    naming it and its line."""
+    with text_stream(source, "r", encoding) as fh:
+        data, fault = encoded(fh.read(), encoding, fh)
+    if fault is not None:
+        raise ParseError(fault, data.count(b"\n") + 1)
+    return data
+
+
+def encoded(text: str, encoding: str, stream) -> tuple[bytes, str | None]:
+    """`text`, read from `stream`, in `encoding` up to its first character
+    that does not encode, and the message naming that character (None when
+    every one encodes). A stream that escapes the bytes it cannot decode
+    (errors="surrogateescape") holds each as U+DC80..U+DCFF: that is a byte
+    that is not `encoding` text."""
     try:
-        if not data.isascii():
-            data.decode(encoding)
-    except UnicodeDecodeError as exc:
-        # the line universal newlines put it on: LF, plus CR, minus CRLF
-        head = data[:exc.start]
-        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        raise ParseError(f"byte 0x{data[exc.start]:02x} is not {encoding.upper()} text",
-                         line) from None
-    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
+        return text.encode(encoding), None
+    except UnicodeEncodeError as exc:
+        bad = text[exc.start]
+        escaped = stream.errors == "surrogateescape" and "\udc80" <= bad <= "\udcff"
+        name = f"byte 0x{ord(bad) - 0xdc00:02x}" if escaped else f"character {bad!r}"
+        return text[:exc.start].encode(encoding), f"{name} is not {encoding.upper()} text"
 
 
 def split_fields(body: bytes, delimiter: str, width: int) -> Fields | None:

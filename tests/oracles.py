@@ -759,6 +759,16 @@ def _csv_reader_rows(text: str, kind: str, *headers):
         raise ValidationError(f"bad {kind} row on line {reader.line_num}: {exc}") from None
 
 
+def _ascii(text: str) -> str:
+    """The text of a numeric file; its first character that is not ASCII is a
+    ParseError naming it, on its line counted by LF."""
+    for lineno, line in enumerate(text.split("\n"), 1):
+        for char in line:
+            if ord(char) > 127:
+                raise ParseError(f"character {char!r} is not ASCII text", lineno)
+    return text
+
+
 def read_partition_rows(text: str, node_count: int) -> np.ndarray:
     """The community id of each node, before relabelling."""
     assignment = np.zeros(node_count, dtype=np.int64)
@@ -808,7 +818,7 @@ def read_ranks_rows(text: str) -> dict[int, tuple[np.ndarray, np.ndarray, bool, 
     groups: dict[int, list[tuple[int, float, bool, float]]] = {}
     seen: set[int] = set()
     header = ("node_id", "community_id", "io", "pagerank", "converged")
-    for row in _csv_reader_rows(text, "ranks", header):
+    for row in _csv_reader_rows(_ascii(text), "ranks", header):
         try:
             node, cid, io_value, value, flag = (_int64(row[0]), _int64(row[1]), float(row[2]),
                                                 float(row[3]), row[4])
@@ -847,6 +857,7 @@ def read_report_rows(text: str) -> list[bool]:
     header = ("node_id", "community_id", "pagerank", "threshold", "label")
     rows: list[list[str]] = []
     pending = None
+    text = _ascii(text)
     try:
         for row in _csv_reader_rows(text, "report", header):
             rows.append(row)

@@ -17,7 +17,8 @@ from zombiescan import (CacheError, ParseError, ValidationError, build_graph, ca
                         cache_save, parse_profiles, parse_uidlist,
                         parse_weibo_network)
 from zombiescan.graph import _index_dtype
-from zombiescan.ingest import RawNetwork, write_uidlist, write_weibo_network
+from zombiescan.ingest import _PARSE_BLOCK, RawNetwork, write_uidlist, write_weibo_network
+from zombiescan.textio import read_bytes
 
 from conftest import DATA, random_graph
 from oracles import _parse_lines, build_graph_lexsort, out_row
@@ -263,6 +264,51 @@ class TestParseInBlocks(TestParseWeiboNetwork, TestFastParse):
             with pytest.raises(ParseError) as err:
                 parse_weibo_network(source)
             assert err.value.line == line
+
+
+# pieces of a network file: digits, spaces, line ends, characters that are
+# not ASCII (in UTF-8) and bytes that are not UTF-8
+TEXT_PIECES = [b"0", b"1", b"2", b" ", b"\n", b"\r", b"\r\n", "\u0660".encode(), "\u00e9".encode(),
+               b"\xe9", b"\xff"]
+
+
+def first_fault(read, source):
+    """The line and message of the ParseError `read(source)` raises, or None."""
+    try:
+        read(source)
+    except ParseError as exc:
+        return exc.line, str(exc)
+    return None
+
+
+@given(st.sampled_from([b"", b"1 0\n", b"2 1\r\n"]), st.lists(st.sampled_from(TEXT_PIECES),
+                                                            max_size=24))
+@settings(max_examples=300, deadline=None)
+def test_parser_names_the_character_read_bytes_names(head, pieces):
+    """The parser raises read_bytes' error for the first character that is
+    not ASCII, unless a faulty line before it wins; the same for a path and a
+    binary stream at any read size."""
+    data = head + b"".join(pieces)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "net.txt"
+        path.write_bytes(data)
+        sources = {"path": lambda: path, "bytes": lambda: io.BytesIO(data)}
+        if b"\r" not in data:  # a text stream keeps a CR as whitespace
+            text = data.decode("utf-8", "surrogateescape")
+            sources["text"] = lambda: io.StringIO(text)
+        seen = {}
+        for size in (1, 5, _PARSE_BLOCK):
+            with mock.patch("zombiescan.ingest._PARSE_BLOCK", size):
+                for kind, source in sources.items():
+                    bad = first_fault(lambda s: read_bytes(s, "ascii"), source())
+                    fault = first_fault(parse_weibo_network, source())
+                    if bad is None:
+                        assert fault is None or "ASCII" not in fault[1]
+                    else:
+                        assert fault == bad or fault[0] < bad[0]
+                    seen.setdefault(kind, fault)
+                    assert fault == seen[kind]
+    assert seen["path"] == seen["bytes"]
 
 
 class TestRoundTrip:

@@ -20,11 +20,14 @@ MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__i
 
 # members the types do not offer: the pipeline reads the arrays (`in_degrees`,
 # `out_degrees`, the CSR slices, `assignment`, `thresholds`, `total_weight`,
-# `region_codes`), and profiles have one fixed layout
+# `region_codes`), profiles have one fixed layout (`ProfileTable`), a whole
+# input is read by `textio.read_bytes`, and a config is written by
+# `dataclasses.asdict`
 DELETED = {"in_neighbors", "in_degree", "degrees", "out_neighbors", "out_degree", "has_arc",
            "m", "members", "sizes", "per_community_threshold", "transition_weights",
            "uid", "name", "gender", "verification", "tweets", "tweets_missing", "regions",
-           "ProfileSchema", "write_profiles", "IOScores", "node_ids", "zombie_nodes"}
+           "ProfileSchema", "write_profiles", "IOScores", "node_ids", "zombie_nodes",
+           "UserProfile", "read_text", "read_input", "decode", "to_json_dict"}
 
 
 @pytest.mark.parametrize("name", ["zombiescan"] + [f"zombiescan.{m}" for m in MODULES])
@@ -38,10 +41,12 @@ def test_all_resolves_and_lists_no_deleted_name(name):
 
 @pytest.mark.parametrize("owner", [zombiescan.DirectedGraph, zombiescan.UndirectedGraph,
                                    zombiescan.Partition, zombiescan.ZombieReport,
-                                   zombiescan.ProfileTable, zombiescan.GroundTruth])
+                                   zombiescan.ProfileTable, zombiescan.GroundTruth,
+                                   zombiescan.SynthConfig, zombiescan.textio])
 def test_deleted_members_are_gone(owner):
-    # the truth file's region column stays on GroundTruth
-    deleted = DELETED - {"regions"} if owner is zombiescan.GroundTruth else DELETED
+    # the truth file's region column stays on GroundTruth, the region weights on SynthConfig
+    keeps_regions = owner in (zombiescan.GroundTruth, zombiescan.SynthConfig)
+    deleted = DELETED - {"regions"} if keeps_regions else DELETED
     assert not [n for n in deleted if hasattr(owner, n)]
     assert not [n for n in deleted if n in getattr(owner, "__dataclass_fields__", {})]
 
@@ -71,6 +76,20 @@ def test_only_textio_imports_csv():
     # every stage table goes out through textio.write_csv and in through split_csv
     assert [stem for stem in MODULES if "csv" in absolute_imports(PACKAGE / f"{stem}.py")] == \
         ["textio"]
+
+
+def test_only_textio_tells_the_kinds_of_source_apart():
+    # textio.text_stream opens a path, a text stream or a binary stream; every
+    # other module reads the text stream it yields
+    def dispatches(stem):
+        path = PACKAGE / f"{stem}.py"
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        names = {alias.name for node in nodes if isinstance(node, ast.ImportFrom)
+                 for alias in node.names}
+        names |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+        return "io" in absolute_imports(path) or "nullcontext" in names
+
+    assert [stem for stem in MODULES if dispatches(stem)] == ["textio"]
 
 
 def test_pyproject_depends_on_numpy_only():

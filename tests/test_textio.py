@@ -484,6 +484,18 @@ class TestDecoding:
         with pytest.raises(ParseError, match=r"^line 3: character '\\ud800' is not UTF-8 text$"):
             read(io.StringIO(text))
 
+    @pytest.mark.parametrize("read,text", [
+        (read_ranks_csv, "node_id,community_id,io,pagerank,converged\n"
+                         "0,0,0.5,1.0,true\n1,0,0.5,\u0661,true\n"),
+        (read_report_csv, "node_id,community_id,pagerank,threshold,label\n"
+                          "0,0,1.0,,normal\n1,0,1.0,,n\u0661rmal\n"),
+        # a text stream is taken as it reads: its CR is no line end
+        (lambda s: read_bytes(s, "ascii"), "0 1\r2\n\n3\u0661\n")],
+        ids=["ranks", "report", "read_bytes"])
+    def test_numeric_text_stream_stays_ascii(self, read, text):
+        with pytest.raises(ParseError, match="^line 3: character '\u0661' is not ASCII text$"):
+            read(io.StringIO(text))
+
     def test_numeric_files_stay_ascii(self):
         report = "node_id,community_id,pagerank,threshold,label\n0,0,0.1,,normal\n北"
         with pytest.raises(ParseError, match="line 3: byte 0xe5 is not ASCII text"):

@@ -32,7 +32,7 @@ from random import Random
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _integral
 from .graph import UndirectedGraph, row_blocks
 from .textio import UTF8, read_bytes, repeats, split_csv, write_csv
 
@@ -163,8 +163,8 @@ class LouvainConfig:
     resolution: float = 1.0
 
     def __post_init__(self):
-        if self.max_levels < 1:
-            raise ValidationError("max_levels must be at least 1")
+        if not (_integral(self.max_levels) and self.max_levels >= 1):
+            raise ValidationError("max_levels must be an integer of at least 1")
         if not 0 <= self.min_gain < np.inf:  # nan too
             raise ValidationError("min_gain must be non-negative and finite")
         if not 0 < self.resolution < np.inf:

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and their checks' integer test."""
+
+import numbers
+
+
+def _integral(value) -> bool:  # a numpy integer too, but no bool
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class ValidationError(ValueError):

@@ -1,5 +1,8 @@
 """Immutable graph containers shared by every stage of the pipeline.
 
+Every arc list that becomes a graph or a network file keeps one arc rule, checked
+by `_check_arcs` alone: ids are integers in [0, N), relationship flags 0 or 1.
+
 Directed follower graphs are stored as compressed sparse rows (one sorted
 index array per direction), so degree queries are O(1) and neighbor scans
 are cache-friendly at large edge counts. The undirected weighted view used
@@ -190,25 +193,35 @@ def build_graph(arcs, node_count: int) -> DirectedGraph:
     (`dropped_self_loops`, `dropped_duplicates`). A flag of 1 also
     materializes the reverse arc; reverse arcs that already exist are not
     counted as duplicates, so re-ingesting a graph's own arc list is
-    warning-free.
+    warning-free. The triples must keep the arc rule; they are not cast to int64.
     """
-    triples = np.asarray(list(arcs) if not isinstance(arcs, np.ndarray) else arcs, dtype=np.int64)
+    triples = np.asarray(list(arcs) if not isinstance(arcs, np.ndarray) else arcs)
     if triples.size == 0:
-        triples = triples.reshape(0, 3)
+        triples = np.empty((0, 3), dtype=np.int64)
     if triples.ndim != 2 or triples.shape[1] != 3:
         raise ValidationError("arcs must be (source, target, flag) triples")
-    bad = (triples[:, 2] != 0) & (triples[:, 2] != 1)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValidationError(f"arc #{i} has relationship flag {triples[i, 2]}; it must be 0 or 1")
     return _build_graph(triples[:, 0], triples[:, 1], triples[:, 2], node_count)
 
 
-def _outside(src: np.ndarray, dst: np.ndarray, node_count: int) -> bool:
-    """Whether an arc has an endpoint outside [0, node_count), decided by the
-    columns' minima and maxima, with no array of arc length."""
-    return bool(src.shape[0]) and (min(src.min(), dst.min()) < 0
-                                   or max(src.max(), dst.max()) >= node_count)
+def _check_arcs(src: np.ndarray, dst: np.ndarray, flag: np.ndarray | None,
+                node_count: int) -> None:
+    """Raise a ValidationError naming the first arc that breaks the arc rule (`flag`
+    is None without flags). Dtypes, minima and maxima decide: a valid list makes no mask."""
+    if node_count < 0:
+        raise ValidationError("node_count must be non-negative")
+    for column in (src, dst) if flag is None else (src, dst, flag):
+        if column.dtype.kind not in "biu":
+            raise ValidationError(f"arcs hold {column.dtype} values, not integers within int64")
+    if not src.shape[0] or (0 <= min(src.min(), dst.min())
+                            and max(src.max(), dst.max()) < node_count
+                            and (flag is None or 0 <= flag.min() <= flag.max() <= 1)):
+        return
+    bad = (src < 0) | (src >= node_count) | (dst < 0) | (dst >= node_count)
+    i = int(np.argmax(bad if flag is None else bad | ((flag != 0) & (flag != 1))))
+    if bad[i]:
+        raise ValidationError(
+            f"arc #{i} ({src[i]}->{dst[i]}) has an endpoint outside [0, {node_count})")
+    raise ValidationError(f"arc #{i} has relationship flag {flag[i]}; it must be 0 or 1")
 
 
 def _build_graph(src: np.ndarray, dst: np.ndarray, flag: np.ndarray,
@@ -223,13 +236,7 @@ def _build_graph(src: np.ndarray, dst: np.ndarray, flag: np.ndarray,
     sorted, they equal the flagged arcs' own sorted keys, which then hold
     each of them. A network file written from a graph passes both checks.
     """
-    if node_count < 0:
-        raise ValidationError("node_count must be non-negative")
-    if _outside(src, dst, node_count):
-        bad = (src < 0) | (src >= node_count) | (dst < 0) | (dst >= node_count)
-        i = int(np.argmax(bad))
-        raise ValidationError(
-            f"arc #{i} ({src[i]}->{dst[i]}) has an endpoint outside [0, {node_count})")
+    _check_arcs(src, dst, flag, node_count)
 
     keep = src != dst
     dropped_self_loops = int(keep.shape[0] - np.count_nonzero(keep))
@@ -300,24 +307,20 @@ class UndirectedGraph:
                    w: np.ndarray) -> "UndirectedGraph":
         """Accumulate undirected edges (u, v, w); (u, u, w) adds w to the diagonal.
 
-        Parallel entries for the same pair sum their weights.
+        Parallel entries for the same pair sum their weights in input order.
         """
-        u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
+        u, v = np.asarray(u), np.asarray(v)
+        _check_arcs(u, v, None, node_count)
         w = np.asarray(w, dtype=np.float64)
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         # row entries: every edge as (lo, hi), then the off-diagonal ones as (hi, lo)
         off = lo != hi
         keys = np.concatenate([_pair_keys(lo, hi, node_count),
                                _pair_keys(hi[off], lo[off], node_count)])
-        # stable, so the entries of one pair, all from one block, sum in input order
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        first = np.ones(keys.shape[0], dtype=bool)
-        first[1:] = keys[1:] != keys[:-1]
-        sums = np.bincount(np.cumsum(first) - 1, np.concatenate([w, w[off]])[order])
-        indptr, indices = _csr_from_keys(keys[first], node_count)
-        return cls(node_count, indptr, indices, sums.astype(np.float64, copy=False))
+        # bincount adds the entries of one pair, all from one block, in input order
+        keys, pair = np.unique(keys, return_inverse=True)
+        sums = np.bincount(pair, np.concatenate([w, w[off]]), keys.shape[0])
+        return cls(node_count, *_csr_from_keys(keys, node_count), sums.astype(float, copy=False))
 
     @property
     def node_count(self) -> int:

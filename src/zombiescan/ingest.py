@@ -26,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CacheError, ParseError, ValidationError
-from .graph import (DirectedGraph, _build_graph, _index_dtype, _outside, _pair_keys,
+from .errors import CacheError, ParseError
+from .graph import (DirectedGraph, _build_graph, _check_arcs, _index_dtype, _pair_keys,
                     _sorted_member)
 from .textio import (ASCII, INT64_MAX, UTF8, encoded, int_column, read_bytes, render_ints,
                      split_fields, text_stream)
@@ -277,19 +277,13 @@ def write_weibo_network(raw_or_graph, destination) -> None:
 
     Rows are emitted for every node in id order, each row's arcs by target,
     repeated arcs in their input order; a graph's flags mark the arcs whose
-    reverse arc is also present. An arc with an endpoint outside
-    [0, node_count) or a flag other than 0 or 1 raises a ValidationError.
+    reverse arc is also present. Arcs that break the arc rule of
+    `graph._check_arcs` raise its ValidationError, and nothing is written.
     """
     raw = raw_or_graph if isinstance(raw_or_graph, RawNetwork) else _flagged_arcs(raw_or_graph)
     n = raw.node_count
     sources, targets, flags = raw.sources, raw.targets, raw.flags
-    bad_flag = flags.shape[0] and (flags.min() < 0 or flags.max() > 1)
-    if bad_flag or _outside(sources, targets, n):
-        outside = (sources < 0) | (sources >= n) | (targets < 0) | (targets >= n)
-        i = int(np.argmax(outside | ((flags != 0) & (flags != 1))))
-        raise ValidationError(
-            f"arc #{i} ({sources[i]}->{targets[i]}) has an endpoint outside [0, {n})"
-            if outside[i] else f"arc #{i} has relationship flag {flags[i]}; it must be 0 or 1")
+    _check_arcs(sources, targets, flags, n)
     # stable, so repeated pairs keep their input order
     order = np.argsort(_pair_keys(sources, targets, n), kind="stable")
     bounds = np.searchsorted(sources[order], np.arange(n + 1))

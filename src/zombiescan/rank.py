@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .community import Partition
-from .errors import ValidationError
+from .errors import ValidationError, _integral
 from .graph import DirectedGraph, row_blocks
 from .textio import ASCII, code_column, float_column, read_bytes, repeats, split_csv, write_csv
 
@@ -57,8 +57,8 @@ class RankConfig:
             raise ValidationError("damping must be in (0, 1]")
         if not 0 < self.tolerance < np.inf:  # nan too
             raise ValidationError("tolerance must be positive and finite")
-        if self.max_iterations < 1:
-            raise ValidationError("max_iterations must be at least 1")
+        if not (_integral(self.max_iterations) and self.max_iterations >= 1):
+            raise ValidationError("max_iterations must be an integer of at least 1")
         if self.mode not in ("even", "uneven"):
             raise ValidationError("mode must be 'even' or 'uneven'")
 

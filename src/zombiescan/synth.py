@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, _integral
 from .graph import DirectedGraph, _build_graph
 from .ingest import ProfileTable, write_uidlist, write_weibo_network
 from .textio import UTF8, code_column, read_bytes, split_csv, text_stream, write_csv
@@ -37,10 +37,6 @@ __all__ = ["SynthConfig", "GroundTruth", "generate", "emit_weibo_format",
 _FIRST_UID = 1_000_000
 _DEFAULT_REGIONS = {"Beijing": 5.0, "Shanghai": 4.0, "Guangzhou": 3.0,
                     "Chengdu": 2.0, "Harbin": 1.0}
-
-
-def _integral(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _real(value) -> bool:

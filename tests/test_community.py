@@ -191,6 +191,13 @@ class TestLouvain:
         with pytest.raises(ValidationError, match=f"^{field} must be .* finite$"):
             LouvainConfig(**{field: value})
 
+    @pytest.mark.parametrize("cap", [0, -1, 2.5, np.nan, "5", True])
+    def test_level_cap_must_be_a_positive_integer(self, cap):
+        # range() of louvain's level loop takes no float
+        with pytest.raises(ValidationError, match="^max_levels must be an integer of at least 1$"):
+            LouvainConfig(max_levels=cap)
+        assert LouvainConfig(max_levels=np.int64(2)).max_levels == 2
+
     def test_modularity_non_decreasing_across_levels(self):
         g, _ = random_graph(8, 40, 0.08)
         und = symmetrize(g)

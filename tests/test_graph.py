@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from zombiescan import ValidationError, build_graph, graph, symmetrize
 from zombiescan.graph import (ROW_BLOCK_SIZE, DirectedGraph, UndirectedGraph, _build_graph,
-                              _pair_keys, _sorted_member)
+                              _check_arcs, _pair_keys, _sorted_member)
 
 from conftest import random_graph
 from oracles import (arcs_with_flags, build_graph_lexsort, csr_from_arcs_lexsort,
@@ -71,6 +71,33 @@ class TestBuildGraph:
     def test_flag_other_than_0_or_1_rejected(self, flag):
         with pytest.raises(ValidationError, match=f"arc #1 has relationship flag {flag}"):
             build_graph([(0, 1, 0), (1, 2, flag)], 3)
+
+    def test_first_bad_arc_of_either_kind_is_named(self):
+        with pytest.raises(ValidationError, match=r"^arc #1 \(0->5\) has an endpoint outside"):
+            build_graph([(0, 1, 0), (0, 5, 0), (1, 2, 7)], 3)
+
+    @pytest.mark.parametrize("arcs,dtype", [
+        ([(0, 1.7, 0)], "float64"),
+        ([(0, 1, 0), (2 ** 70, 1, 0)], "object"),
+        ([(0, 1, 0), (2 ** 63, 1, 0)], "float64"),
+        (np.array([[0, 1, 0]], dtype=np.float32), "float32"),
+    ], ids=["fraction", "beyond-int64", "beyond-int64-by-one", "float-array"])
+    def test_id_that_is_no_int64_integer_rejected(self, arcs, dtype):
+        # taken as they are: 1.7 is not truncated to 1, nor 2**70 left to overflow
+        with pytest.raises(ValidationError, match=f"^arcs hold {dtype} values, not integers"):
+            build_graph(arcs, 3)
+
+    def test_valid_arcs_are_checked_without_a_mask(self):
+        # minima and maxima decide a valid list: a mask would trace 1 byte per arc
+        src = np.arange(1_000_000) % 7
+        flag = (src % 2).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            _check_arcs(src, src[::-1], flag, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000
 
     def test_reingestion_is_idempotent(self):
         g, _ = random_graph(7, 15, 0.2)

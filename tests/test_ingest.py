@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from zombiescan import (CacheError, ParseError, ValidationError, build_graph, cache_load,
                         cache_save, parse_profiles, parse_uidlist,
                         parse_weibo_network)
-from zombiescan.graph import _index_dtype
+from zombiescan.graph import UndirectedGraph, _index_dtype
 from zombiescan.ingest import _PARSE_BLOCK, RawNetwork, write_uidlist, write_weibo_network
 from zombiescan.textio import read_bytes
 
@@ -311,6 +311,16 @@ def test_parser_names_the_character_read_bytes_names(head, pieces):
     assert seen["path"] == seen["bytes"]
 
 
+# arc lists over 2 nodes that break the arc rule, and the message naming their first bad arc
+BAD_ARCS = pytest.mark.parametrize("sources,targets,flags,match", [
+    ([0], [5], [0], r"^arc #0 \(0->5\) has an endpoint outside \[0, 2\)$"),
+    ([0, 7], [1, 0], [0, 0], r"^arc #1 \(7->0\) has an endpoint outside \[0, 2\)$"),
+    ([1, -1], [0, 1], [0, 0], r"^arc #1 \(-1->1\) has an endpoint outside"),
+    ([0, 1], [1, 0], [1, 3], r"^arc #1 has relationship flag 3; it must be 0 or 1$"),
+    ([0], [1], [-1], r"^arc #0 has relationship flag -1"),
+], ids=["target-outside", "source-outside", "negative-source", "flag-3", "negative-flag"])
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("text", [GOLDEN_RECIPROCAL, GOLDEN_FANOUT,
                                       GOLDEN_EMPTY, GOLDEN_MIXED])
@@ -367,13 +377,7 @@ class TestRoundTrip:
         write_weibo_network(raw, buf)
         assert buf.getvalue() == "2 0\n0 0\n1 0\n"
 
-    @pytest.mark.parametrize("sources,targets,flags,match", [
-        ([0], [5], [0], r"^arc #0 \(0->5\) has an endpoint outside \[0, 2\)$"),
-        ([0, 7], [1, 0], [0, 0], r"^arc #1 \(7->0\) has an endpoint outside \[0, 2\)$"),
-        ([1, -1], [0, 1], [0, 0], r"^arc #1 \(-1->1\) has an endpoint outside"),
-        ([0, 1], [1, 0], [1, 3], r"^arc #1 has relationship flag 3; it must be 0 or 1$"),
-        ([0], [1], [-1], r"^arc #0 has relationship flag -1"),
-    ], ids=["target-outside", "source-outside", "negative-source", "flag-3", "negative-flag"])
+    @BAD_ARCS
     def test_arcs_the_parser_refuses_are_not_written(self, sources, targets, flags, match):
         raw = RawNetwork(2, len(sources), *(np.array(c, dtype=np.int64)
                                             for c in (sources, targets, flags)))
@@ -381,6 +385,24 @@ class TestRoundTrip:
         with pytest.raises(ValidationError, match=match):
             write_weibo_network(raw, buf)
         assert buf.getvalue() == ""
+
+    @BAD_ARCS
+    def test_every_arc_list_entry_refuses_it_alike(self, sources, targets, flags, match):
+        # graph._check_arcs is the one arc rule of the builders and the writer;
+        # from_edges takes no flags, so it meets only the endpoint cases
+        columns = [np.array(c, dtype=np.int64) for c in (sources, targets, flags)]
+        raw = RawNetwork(2, len(sources), *columns)
+        entries = [lambda: build_graph(list(zip(sources, targets, flags)), 2), raw.to_graph,
+                   lambda: write_weibo_network(raw, io.StringIO())]
+        if set(flags) <= {0, 1}:
+            entries.append(lambda: UndirectedGraph.from_edges(2, columns[0], columns[1],
+                                                              np.ones(len(sources))))
+        messages = set()
+        for entry in entries:
+            with pytest.raises(ValidationError, match=match) as caught:
+                entry()
+            messages.add(str(caught.value))
+        assert len(messages) == 1
 
 
 class TestSetupMemory:

@@ -92,6 +92,14 @@ def test_only_textio_tells_the_kinds_of_source_apart():
     assert [stem for stem in MODULES if dispatches(stem)] == ["textio"]
 
 
+def test_only_graph_states_the_arc_rule():
+    # graph._check_arcs names the first bad arc for the builders and the writer
+    for phrase in ("has an endpoint outside", "has relationship flag"):
+        counts = {stem: (PACKAGE / f"{stem}.py").read_text(encoding="utf-8").count(phrase)
+                  for stem in MODULES}
+        assert {stem: n for stem, n in counts.items() if n} == {"graph": 1}
+
+
 def test_pyproject_depends_on_numpy_only():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))

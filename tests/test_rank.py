@@ -205,6 +205,13 @@ class TestPagerank:
         # scores above 1 stay allowed: the uneven split reads only their ratios
         assert pagerank(g, RankConfig(), np.array([2.0, 0.0, 3.0])).converged
 
+    @pytest.mark.parametrize("cap", [0, -3, 2.5, np.nan, np.inf, "5", True])
+    def test_iteration_cap_must_be_a_positive_integer(self, cap):
+        # a nan cap never stops the sweeps; 2.5 would stop them after 3
+        with pytest.raises(ValidationError, match="^max_iterations must be an integer of at"):
+            RankConfig(max_iterations=cap)
+        assert RankConfig(max_iterations=np.int64(3)).max_iterations == 3
+
     def test_nonconvergence_flagged(self):
         # bipartite walk {0} <-> {1, 2} oscillates forever at damping 1
         g = whole_graph([(0, 1), (0, 2), (1, 0), (2, 0)], 3)

@@ -26,7 +26,7 @@ self-loop) and the optimizer repeats on the smaller graph.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import _count_elements, deque
 from dataclasses import dataclass
 from random import Random
 
@@ -209,12 +209,15 @@ def _one_level(g: UndirectedGraph, rng: Random,
     of accepted moves. Ties keep the current community, then prefer the
     smallest community id, whatever the order in which the neighbour
     communities are tallied. The loop reads Python scalars only: lists for
-    per-node state, memoryviews for the neighbour scan.
+    per-node state, memoryviews of the arcs.
 
-    On a level with unit weights and no self-loop (`loop_weights` all 0),
-    such as the symmetrized follower graph, `Counter` tallies the neighbour
-    communities in C: an integer count times inv_m rounds exactly as a sum
-    of 1.0s does, so the moves are those of the weighted tally.
+    Each visit reads its row once, as a list, for the tally and the
+    re-queue. On a level with unit weights and no self-loop (`loop_weights`
+    all 0), such as the symmetrized follower graph, `_count_elements` (the
+    C loop of `collections.Counter`) tallies the neighbour communities into
+    a plain dict: an integer count times inv_m rounds exactly as a sum of
+    1.0s does, so the moves are those of the weighted tally. The node's own
+    community leaves the tally before the gain loop.
     """
     n = g.node_count
     m = g.total_weight
@@ -240,23 +243,23 @@ def _one_level(g: UndirectedGraph, rng: Random,
         visits += 1
         cu = node_comm[u]
         lo, hi = indptr[u], indptr[u + 1]
-        if unit:  # a Counter reads 0 for cu when no neighbour is in it
-            links = Counter(map(node_comm.__getitem__, indices[lo:hi]))
+        row = indices[lo:hi].tolist()
+        links = {}
+        if unit:
+            _count_elements(links, map(node_comm.__getitem__, row))
         else:
-            links = {cu: 0.0}
-            for v, w in zip(indices[lo:hi], weights[lo:hi]):
+            for v, w in zip(row, weights[lo:hi]):
                 if v != u:
                     c = node_comm[v]
                     links[c] = links.get(c, 0.0) + w
+        own = links.pop(cu, 0)  # the stay gain's count; the gain loop sees the others
 
         ku = k[u]
         comm_tot[cu] -= ku
         best_c = cu
-        best_gain = links[cu] * inv_m - comm_tot[cu] * ku * inv_2mm
+        best_gain = own * inv_m - comm_tot[cu] * ku * inv_2mm
         stay_gain = best_gain
         for c, kin in links.items():
-            if c == cu:
-                continue
             gain = kin * inv_m - comm_tot[c] * ku * inv_2mm
             if gain > best_gain or (gain == best_gain and best_c != cu and c < best_c):
                 best_gain = gain
@@ -265,7 +268,7 @@ def _one_level(g: UndirectedGraph, rng: Random,
             cu = node_comm[u] = best_c
             moves += 1
             # u itself is skipped: it now sits in best_c
-            for v in indices[lo:hi]:
+            for v in row:
                 if not queued[v] and node_comm[v] != best_c:
                     queued[v] = True
                     queue.append(v)

@@ -1,7 +1,8 @@
 """Immutable graph containers shared by every stage of the pipeline.
 
 Every arc list that becomes a graph or a network file keeps one arc rule, checked
-by `_check_arcs` alone: ids are integers in [0, N), relationship flags 0 or 1.
+by `_check_arcs` alone: its columns have one length, ids are integers in [0, N),
+relationship flags 0 or 1.
 
 Directed follower graphs are stored as compressed sparse rows (one sorted
 index array per direction), so degree queries are O(1) and neighbor scans
@@ -203,15 +204,40 @@ def build_graph(arcs, node_count: int) -> DirectedGraph:
     return _build_graph(triples[:, 0], triples[:, 1], triples[:, 2], node_count)
 
 
+def _int64_value(x) -> bool:
+    """Whether x, an entry of a column that is not of an integer dtype, equals
+    an integer within int64."""
+    try:
+        return x == int(x) and -2 ** 63 <= int(x) < 2 ** 63
+    except (TypeError, ValueError, OverflowError):  # a string, nan, inf
+        return False
+
+
 def _check_arcs(src: np.ndarray, dst: np.ndarray, flag: np.ndarray | None,
                 node_count: int) -> None:
     """Raise a ValidationError naming the first arc that breaks the arc rule (`flag`
-    is None without flags). Dtypes, minima and maxima decide: a valid list makes no mask."""
+    is None without flags), or the lengths of columns that differ. Dtypes, minima
+    and maxima decide: a valid list makes no mask."""
     if node_count < 0:
         raise ValidationError("node_count must be non-negative")
-    for column in (src, dst) if flag is None else (src, dst, flag):
-        if column.dtype.kind not in "biu":
-            raise ValidationError(f"arcs hold {column.dtype} values, not integers within int64")
+    columns = dict(zip(("source", "target", "flag"), (src, dst) if flag is None
+                       else (src, dst, flag)))
+    if len({column.shape[0] for column in columns.values()}) > 1:
+        raise ValidationError("arc columns differ in length: " + ", ".join(
+            f"{column.shape[0]} {role}s" for role, column in columns.items()))
+    non_integer = {role: column for role, column in columns.items()
+                   if column.dtype.kind not in "biu"}
+    if non_integer:
+        dtype = next(iter(non_integer.values())).dtype
+        message = f"arcs hold {dtype} values, not integers within int64"
+        # the arc of the first entry that is no int64 integer, if any: a float
+        # column of whole numbers is refused for its dtype alone
+        found = next(((i, role, x) for i, row in enumerate(zip(*non_integer.values()))
+                      for role, x in zip(non_integer, row) if not _int64_value(x)), None)
+        if found is not None:
+            i, role, x = found
+            message += f": arc #{i} has {role} {x.item() if isinstance(x, np.generic) else x!r}"
+        raise ValidationError(message)
     if not src.shape[0] or (0 <= min(src.min(), dst.min())
                             and max(src.max(), dst.max()) < node_count
                             and (flag is None or 0 <= flag.min() <= flag.max() <= 1)):
@@ -307,11 +333,14 @@ class UndirectedGraph:
                    w: np.ndarray) -> "UndirectedGraph":
         """Accumulate undirected edges (u, v, w); (u, u, w) adds w to the diagonal.
 
-        Parallel entries for the same pair sum their weights in input order.
+        w holds one weight per edge. Parallel entries for the same pair sum
+        their weights in input order.
         """
         u, v = np.asarray(u), np.asarray(v)
         _check_arcs(u, v, None, node_count)
         w = np.asarray(w, dtype=np.float64)
+        if w.shape != u.shape:
+            raise ValidationError(f"{u.shape[0]} edges but weights of shape {w.shape}")
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         # row entries: every edge as (lo, hi), then the off-diagonal ones as (hi, lo)
         off = lo != hi

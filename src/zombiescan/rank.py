@@ -24,7 +24,10 @@ walk weights are found block by block the same way. Every arc into a node
 comes from the node's own community, so its inflow adds up in the order it
 would for that community alone; the per-community sums run over the nodes
 gathered community by community, in id order, so each community rounds,
-and stops, exactly as it would alone. A whole graph is one community.
+and stops, exactly as it would alone. They are grouped by node count: the
+communities of one count are the rows of one 2-D array (a view when they
+are side by side), summed in one step, each row as `np.sum` sums it alone.
+A whole graph is one community.
 """
 
 from __future__ import annotations
@@ -164,9 +167,25 @@ def _walk_weights(targets: np.ndarray, degrees: np.ndarray, blocks, io=None) -> 
 
 
 def _segment_sums(a: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Sum of each consecutive slice of a, in np.sum's own summation order."""
-    ends = np.cumsum(counts).tolist()
-    return np.array([a[lo:hi].sum() for lo, hi in zip([0] + ends[:-1], ends)])
+    """Sum of each consecutive slice of a, in np.sum's own summation order.
+
+    The slices of one length are summed in one step, as the rows of a 2-D
+    array: numpy sums each row as np.sum sums that slice alone. The array is
+    a view of a when those slices lie side by side, else a gather. Empty
+    slices sum to 0.0."""
+    starts = np.cumsum(counts) - counts
+    sums = np.zeros(counts.shape[0])
+    # bincount, not np.unique: a first np.unique imports numpy.ma
+    for length in (np.flatnonzero(np.bincount(counts)[1:]) + 1).tolist():
+        which = np.flatnonzero(counts == length)
+        first, k = int(starts[which[0]]), which.shape[0]
+        # slices of one length start at least `length` apart
+        if starts[which[-1]] - first == length * (k - 1):
+            rows = a[first:first + length * k].reshape(k, length)
+        else:
+            rows = a[starts[which, None] + np.arange(length)]
+        sums[which] = rows.sum(axis=1)
+    return sums
 
 
 class _Communities:

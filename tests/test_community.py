@@ -363,18 +363,18 @@ def corpus_graph(name):
 
 @pytest.fixture
 def tallies(monkeypatch):
-    """The Counter tallies of the local moves, one entry per visit that counted."""
-    from collections import Counter
+    """The unit-weight tallies of the local moves, one entry per visit that counted."""
+    from collections import _count_elements
 
     import zombiescan.community as community
 
     counted = []
 
-    def spy(items):
+    def spy(mapping, items):
         counted.append(None)
-        return Counter(items)
+        return _count_elements(mapping, items)
 
-    monkeypatch.setattr(community, "Counter", spy)
+    monkeypatch.setattr(community, "_count_elements", spy)
     return counted
 
 

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from unittest import mock
 
@@ -85,6 +86,20 @@ class TestBuildGraph:
     def test_id_that_is_no_int64_integer_rejected(self, arcs, dtype):
         # taken as they are: 1.7 is not truncated to 1, nor 2**70 left to overflow
         with pytest.raises(ValidationError, match=f"^arcs hold {dtype} values, not integers"):
+            build_graph(arcs, 3)
+
+    @pytest.mark.parametrize("arcs,named", [
+        ([(0, 1, 0), (0, 2 ** 63, 0)], ": arc #1 has target 9.223372036854776e+18"),
+        ([(0, 1, 0), (2 ** 70, 1, 0)], ": arc #1 has source 1180591620717411303424"),
+        ([(0, 1, 0), (1, 2, 0.5)], ": arc #1 has flag 0.5"),
+        ([(0, 1, 0), (1, float("nan"), 0)], ": arc #1 has target nan"),
+        ([("0", "1", "0")], ": arc #0 has source '0'"),
+        ([(0, 1.0, 0)], ""),  # whole numbers, refused as floats: no arc to name
+    ], ids=["beyond-int64-by-one", "beyond-int64", "fraction-flag", "nan", "strings",
+            "whole-floats"])
+    def test_refusal_of_a_value_names_the_arc_and_the_value(self, arcs, named):
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"not integers within int64{named}") + "$"):
             build_graph(arcs, 3)
 
     def test_valid_arcs_are_checked_without_a_mask(self):

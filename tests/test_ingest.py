@@ -1,4 +1,5 @@
 import io
+import re
 import struct
 import tempfile
 import time
@@ -403,6 +404,23 @@ class TestRoundTrip:
                 entry()
             messages.add(str(caught.value))
         assert len(messages) == 1
+
+    def test_columns_of_different_lengths_are_refused(self):
+        # arc #1 has a source and a target but no flag
+        raw = RawNetwork(3, 1, np.array([0, 1]), np.array([1, 2]), np.array([0]))
+        buf = io.StringIO()
+        for entry in (raw.to_graph, lambda: write_weibo_network(raw, buf)):
+            with pytest.raises(ValidationError, match=r"^arc columns differ in length: "
+                                                      r"2 sources, 2 targets, 1 flags$"):
+                entry()
+        assert buf.getvalue() == ""
+        with pytest.raises(ValidationError, match=r"^arc columns differ in length: "
+                                                  r"2 sources, 1 targets$"):
+            UndirectedGraph.from_edges(3, raw.sources, raw.targets[:1], np.ones(2))
+        for weights in (np.ones(1), np.ones(3), np.ones((2, 1)), np.float64(1.0)):
+            with pytest.raises(ValidationError,
+                               match=re.escape(f"2 edges but weights of shape {weights.shape}")):
+                UndirectedGraph.from_edges(3, raw.sources, raw.targets, weights)
 
 
 class TestSetupMemory:

@@ -144,3 +144,25 @@ def test_freed_block_does_not_move_later_arrays_to_the_heap():
     if proc.returncode == 77:
         pytest.skip("no mallinfo2 (glibc < 2.33 or another libc)")
     assert proc.returncode == 0, proc.stderr
+
+
+_NO_MASKED_ARRAYS = """
+import sys
+from zombiescan.cli import main
+assert main(["pipeline", sys.argv[1], "-o", sys.argv[2]]) == 0
+assert "numpy.ma" not in sys.modules, "the pipeline imported numpy.ma"
+"""
+
+
+def test_pipeline_does_not_import_masked_arrays(tmp_path):
+    """numpy imports numpy.ma lazily, on a first np.unique without return
+    flags among others; the pipeline, run in a fresh interpreter, never
+    does, so the module's memory is not part of a run's peak."""
+    from conftest import DATA
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", _NO_MASKED_ARRAYS, f"{DATA}/zombie_5x500",
+                           str(tmp_path / "run")], env=env, timeout=300, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr

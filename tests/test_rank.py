@@ -14,10 +14,11 @@ from zombiescan import (Partition, RankConfig, ValidationError, build_graph, cac
 from zombiescan.cli import main
 from zombiescan.community import read_partition_csv
 from zombiescan.graph import ROW_BLOCK_SIZE
-from zombiescan.rank import (_Communities, _intra, _row_blocks, _walk_weights, _whole,
-                             read_ranks_csv, write_ranks_csv)
+from zombiescan.rank import (_Communities, _intra, _row_blocks, _segment_sums, _walk_weights,
+                             _whole, read_ranks_csv, write_ranks_csv)
 
 from conftest import DATA, profile_table, random_graph
+from oracles import _segment_sums as oracle_segment_sums
 from oracles import (intra_whole, io_score, out_row, pagerank_dense, pagerank_sweeps,
                      rank_reference, sweep_whole, walk_weights_whole)
 
@@ -556,6 +557,32 @@ class TestRowBlocks:
             assert hi > lo or len(degrees) == 0
             assert end - start <= size or hi == lo + 1  # one row longer than a block
             assert after is None or after[0] == hi
+
+
+class TestSegmentSums:
+    """The per-community sums, grouped by slice length, have the bits of one
+    np.sum per slice."""
+
+    def test_mixed_lengths_match_the_per_slice_loop(self):
+        rng = np.random.Generator(np.random.PCG64(41))
+        # lengths below, at and above np.sum's blocks of 8 and 128, zero-length
+        # slices, and slices of 1,000 or more, each length several times, apart
+        lengths = [0, *range(1, 9), 127, 128, 129, 1000, 1031, 4096]
+        # then lengths whose slices lie side by side, one run with an empty
+        # slice inside, and a length of one slice
+        counts = np.r_[rng.permutation(np.repeat(lengths, 3)), 9, 9, 0, 9, 2000, 2000, 5000]
+        size = int(counts.sum())
+        # values over 24 orders of magnitude, so the summation order shows
+        a = rng.random(size) * 10.0 ** rng.integers(-12, 12, size=size)
+        got, want = _segment_sums(a, counts), oracle_segment_sums(a, counts)
+        assert got.dtype == np.float64 and bits(got) == bits(want)
+        assert bits(got[counts == 0]) == [0] * 4
+
+    @given(st.lists(st.integers(0, 20), max_size=40), st.integers(0, 2 ** 32 - 1))
+    def test_any_lengths_match_the_per_slice_loop(self, lengths, seed):
+        counts = np.array(lengths, dtype=np.int64)
+        a = np.random.Generator(np.random.PCG64(seed)).standard_normal(int(counts.sum()))
+        assert bits(_segment_sums(a, counts)) == bits(oracle_segment_sums(a, counts))
 
 
 class TestMemory:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ValidationError, _integral
 from .graph import UndirectedGraph, row_blocks
-from .textio import UTF8, read_bytes, repeats, split_csv, write_csv
+from .textio import UTF8, check_nodes, read_bytes, split_csv, write_csv
 
 __all__ = [
     "Partition",
@@ -378,19 +378,16 @@ def write_partition_csv(p: Partition, destination, uids: list[str] | None = None
 
 
 def read_partition_csv(source, node_count: int) -> Partition:
-    """Read a partition written by write_partition_csv; a `uid` column is ignored."""
+    """Read a partition written by write_partition_csv, its rows holding each
+    of the graph's `node_count` nodes once (`textio.check_nodes`); a `uid`
+    column is ignored."""
     rows = split_csv(read_bytes(source, UTF8), "partition", _PARTITION_HEADER,
                      _PARTITION_HEADER + ("uid",))
     nodes, bad_nodes = rows.ints(0)
     comms, bad_comms = rows.ints(1)
-    rows.check((bad_nodes | bad_comms, lambda i: f"bad partition row: {rows.row(i)!r}"),
-               ((nodes < 0) | (nodes >= node_count),
-                lambda i: f"node id {nodes[i]} outside [0, {node_count})"),
-               (repeats(nodes), lambda i: f"node {nodes[i]} assigned twice"))
-    if nodes.shape[0] < node_count:
-        assigned = np.zeros(node_count, dtype=bool)
-        assigned[nodes] = True
-        raise ValidationError(f"partition does not cover node {int(np.argmin(assigned))}")
+    check_nodes(nodes, node_count, "partition",
+                (bad_nodes | bad_comms, lambda i: f"bad partition row: {rows.row(i)!r}"),
+                bad=bad_nodes, check=rows.check)
     assignment = np.empty(node_count, dtype=np.int64)
     assignment[nodes] = comms
     del rows  # frees the split text before the relabel allocates

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-from .rank import ImportanceVector
-from .textio import (ASCII, code_column, float_column, read_bytes, repeats, split_csv, write_csv,
-                     write_json)
+from .errors import ValidationError, _integral
+from .rank import ImportanceVector, _node_order
+from .textio import (ASCII, check_nodes, code_column, float_column, read_bytes, split_csv,
+                     write_csv, write_json)
 
 __all__ = [
     "QUARTILE_METHODS",
@@ -103,45 +103,30 @@ def detect_zombies(ranks: dict[int, ImportanceVector], min_community_size: int =
                    method: str = "linear") -> ZombieReport:
     """Label every ranked node; zombie means strictly below its community fence.
 
-    The vectors must list each node 0..n-1 exactly once, n being their total
-    member count. Rejects an unknown quartile method, a node listed twice,
-    and a node outside that range, naming the node it leaves without a rank.
+    The vectors must rank each node 0..n-1 once, n being their total member
+    count (`rank._node_order`). Rejects a malformed vector, an unknown
+    quartile method and a floor that is no integer of at least 1.
     """
     if not ranks:
         raise ValidationError("no communities to scan")
-    if min_community_size < 1:
-        raise ValidationError("min_community_size must be at least 1")
+    if not (_integral(min_community_size) and min_community_size >= 1):
+        raise ValidationError("min_community_size must be an integer of at least 1")
     if method not in QUARTILE_METHODS:
         raise ValidationError(f"unknown quartile method {method!r}")
 
-    cids = np.array(sorted(ranks), dtype=np.int64)
-    vectors = [ranks[cid] for cid in cids.tolist()]
-    sizes = np.array([vec.values.shape[0] for vec in vectors])
+    community, values, *_ = _node_order(ranks)
+    sizes = np.bincount(community, minlength=len(ranks))
     # a NaN fence flags nobody: no value compares below it
     fences = np.array([iqr_threshold(vec.values, method) if size >= min_community_size
-                       else np.nan for vec, size in zip(vectors, sizes.tolist())])
-
-    members = np.concatenate([vec.members for vec in vectors])
-    n = members.shape[0]
-    inside = (members >= 0) & (members < n)
-    listed = np.bincount(members[inside], minlength=n)
-    if (listed > 1).any():
-        raise ValidationError(f"node {np.argmax(listed > 1)} listed twice in the ranks")
-    if not inside.all():  # n members, none twice: one outside 0..n-1 leaves a gap
-        raise ValidationError(f"no rank for node {np.argmin(listed)}; node "
-                              f"{members[np.argmin(inside)]} is outside 0..{n - 1}")
-    community = np.empty(n, dtype=np.intp)  # position in `cids`
-    community[members] = np.repeat(np.arange(cids.shape[0]), sizes)
-    values = np.empty(n)
-    values[members] = np.concatenate([vec.values for vec in vectors])
+                       else np.nan for vec, size in zip(ranks.values(), sizes.tolist())])
     thresholds = fences[community]
     return ZombieReport(
-        community_ids=cids[community],
+        community_ids=np.array(list(ranks), dtype=np.int64)[community],
         values=values,
         thresholds=thresholds,
         is_zombie=values < thresholds,
         method=method,
-        min_community_size=min_community_size,
+        min_community_size=int(min_community_size),
         communities=len(ranks),
         skipped_small_communities=int((sizes < min_community_size).sum()),
     )
@@ -161,9 +146,9 @@ def write_report_csv(report: ZombieReport, destination) -> None:
 
 def read_report_csv(source) -> np.ndarray:
     """Predicted labels from a report CSV, as is_zombie by node id. The rows,
-    in any order, must list nodes 0..rows-1; rejects a bad value in any
-    column (ids int64, pagerank finite and non-negative, threshold finite),
-    repeated nodes and a node outside that range, naming one left without a row."""
+    in any order, must list nodes 0..rows-1 once each (`textio.check_nodes`);
+    rejects a bad value in any column (ids int64, pagerank finite and
+    non-negative, threshold finite)."""
     rows = split_csv(read_bytes(source, ASCII), "report", _REPORT_HEADER)
     nodes, bad_nodes = rows.ints(0)
     _, bad_cids = rows.ints(1)
@@ -171,15 +156,11 @@ def read_report_csv(source) -> np.ndarray:
     # a blank threshold is a community too small to fence
     thresholds, bad_thresholds = float_column([t or "0" for t in rows.text(3)])
     labels = code_column(rows.text(4), _LABELS)
-    inside = ~bad_nodes & (nodes >= 0) & (nodes < len(rows))
-    rows.check((bad_nodes | bad_cids | bad_values | ~np.isfinite(values) | (values < 0)
-                | bad_thresholds | ~np.isfinite(thresholds) | (labels < 0),
-                lambda i: f"bad report row: {rows.row(i)!r}"),
-               # n rows, one of them outside 0..n-1, leave a node without a row
-               (~inside, lambda i: "no row for node %d; node %d is outside 0..%d" % (
-                   np.argmin(np.bincount(nodes[inside], minlength=len(rows))), nodes[i],
-                   len(rows) - 1)),
-               (repeats(nodes), lambda i: f"node {nodes[i]} listed twice in the report"))
+    check_nodes(nodes, len(rows), "report",
+                (bad_nodes | bad_cids | bad_values | ~np.isfinite(values) | (values < 0)
+                 | bad_thresholds | ~np.isfinite(thresholds) | (labels < 0),
+                 lambda i: f"bad report row: {rows.row(i)!r}"),
+                bad=bad_nodes, check=rows.check)
     is_zombie = np.empty(len(rows), dtype=bool)
     is_zombie[nodes] = labels > 0
     return is_zombie

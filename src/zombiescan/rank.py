@@ -40,7 +40,8 @@ import numpy as np
 from .community import Partition
 from .errors import ValidationError, _integral
 from .graph import DirectedGraph, row_blocks
-from .textio import ASCII, code_column, float_column, read_bytes, repeats, split_csv, write_csv
+from .textio import (ASCII, check_nodes, code_column, float_column, read_bytes, split_csv,
+                     write_csv)
 
 log = logging.getLogger(__name__)
 
@@ -71,7 +72,10 @@ class ImportanceVector:
     """Result of one community's power iteration.
 
     values are aligned with `members` (parent node ids, sorted) and sum to 1;
-    io, if known, holds the members' io scores in the same order.
+    io, if known, holds the members' io scores in the same order. The writer
+    and `detect_zombies` take a dict of vectors (`_node_order`) only when
+    members is a 1-D integer array, values and io (if set) are 1-D and as
+    long, and the members of all the vectors list each node 0..n-1 once.
     """
 
     values: np.ndarray
@@ -285,18 +289,40 @@ def _iterate(work: _Communities, cfg: RankConfig):
     return x, iterations, residuals
 
 
-def _rank(work: _Communities, cfg: RankConfig, io=None) -> list[ImportanceVector]:
-    """Rank every community; io by node id, if given, rides along."""
+def _rank(work: _Communities, cfg: RankConfig, io=None) -> dict[int, ImportanceVector]:
+    """Rank every community, keyed by its index; io by node id, if given, rides along."""
     x, iterations, residuals = _iterate(work, cfg)
-    vectors = []
-    for members, sweeps, residual in zip(np.split(work.order, np.cumsum(work.sizes)[:-1]),
-                                         iterations.tolist(), residuals.tolist()):
-        converged = residual < cfg.tolerance
-        if not converged:
-            log.warning("power iteration stopped at %d sweeps with residual %.3g",
-                        sweeps, residual)
-        vectors.append(ImportanceVector(x[members], members, sweeps, residual, converged,
-                                        None if io is None else io[members]))
+    converged = residuals < cfg.tolerance
+    for sweeps, residual in zip(iterations[~converged].tolist(),
+                                residuals[~converged].tolist()):
+        log.warning("power iteration stopped at %d sweeps with residual %.3g", sweeps, residual)
+    c = work.community
+    return _vectors(c, work.order, x, io, converged[c], iterations[c], residuals[c])
+
+
+def _vectors(community: np.ndarray, order: np.ndarray, values: np.ndarray, io,
+             converged: np.ndarray, iterations: np.ndarray,
+             residuals: np.ndarray) -> dict[int, ImportanceVector]:
+    """{community id: vector} of node-order columns: node i is in community[i]
+    with value values[i], io score io[i] (io may be None) and flag
+    converged[i]; iterations[i] and residuals[i] are its community's.
+    `order` is the stable argsort of community. The communities come in
+    order of their first node, each with its members ascending; one
+    converged when each of its nodes did."""
+    grouped = community[order]
+    new = np.ones(order.shape[0], dtype=bool)
+    np.not_equal(grouped[1:], grouped[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    first = order[starts]
+    bounds = np.append(starts, order.shape[0]).tolist()
+    ids, sweeps = grouped[starts].tolist(), iterations[first].tolist()
+    last = residuals[first].tolist()
+    done = np.logical_and.reduceat(converged[order], starts).tolist()
+    vectors = {}
+    for k in np.argsort(first).tolist():
+        members = order[bounds[k]:bounds[k + 1]]
+        vectors[ids[k]] = ImportanceVector(values[members], members, sweeps[k], last[k],
+                                           done[k], None if io is None else io[members])
     return vectors
 
 
@@ -325,8 +351,8 @@ def rank_all_communities(g: DirectedGraph, p: Partition, cfg: RankConfig | None 
     blocks = _row_blocks(follows)  # planned once, for the walk weights and the sweeps
     io = _io_scores(g.node_count, targets, follows, io_source, profiles)
     weights = _walk_weights(targets, follows, blocks, io if cfg.mode == "uneven" else None)
-    return dict(enumerate(_rank(_Communities(assignment, p.community_count, follows, targets,
-                                             weights, blocks), cfg, io)))
+    return _rank(_Communities(assignment, p.community_count, follows, targets, weights, blocks),
+                 cfg, io)
 
 
 _RANKS_HEADER = ("node_id", "community_id", "io", "pagerank", "converged")
@@ -337,15 +363,11 @@ def write_ranks_csv(destination, g: DirectedGraph, p: Partition,
                     io_source: str = "local") -> None:
     """Emit `node_id,community_id,io,pagerank,converged` rows in node order.
 
-    io is what the vectors carry; nodes of vectors without it are scored here."""
+    The vectors must rank each node of g once (`_node_order`). io is what
+    the vectors carry; nodes of vectors without it are scored here."""
     n = g.node_count
     assignment = _assignment(g, p)
-    io_col, pr_col = np.zeros(n), np.zeros(n)
-    conv_col, scored = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
-    for vec in vectors.values():
-        pr_col[vec.members], conv_col[vec.members] = vec.values, vec.converged
-        if vec.io is not None:
-            io_col[vec.members], scored[vec.members] = vec.io, True
+    _, pr_col, io_col, scored, conv_col = _node_order(vectors, n)
     if not scored.all():
         io_col[~scored] = _io_scores(n, *_intra(g, assignment), io_source,
                                      profiles)[~scored]
@@ -353,35 +375,66 @@ def write_ranks_csv(destination, g: DirectedGraph, p: Partition,
     write_csv(destination, _RANKS_HEADER, [range(n), assignment, io_col, pr_col, converged])
 
 
+def _node_order(vectors: dict[int, ImportanceVector], n: int | None = None):
+    """The vectors as node-order columns: each node's community (its index in
+    `vectors`), value, io score, whether its vector carries io (io reads 0
+    where not), and converged flag.
+
+    Each vector must hold 1-D integer members, and values (and io, if set)
+    as long; together the members must list each node 0..n-1 once
+    (`textio.check_nodes`), n being their count if not given."""
+    for cid, vec in vectors.items():
+        members = np.asarray(vec.members)
+        if members.ndim != 1 or members.dtype.kind not in "iu":
+            raise ValidationError(f"community {cid}: members must be a 1-D integer array, "
+                                  f"not {members.dtype} of shape {members.shape}")
+        for name, column in (("values", vec.values), ("io", vec.io)):
+            if column is not None and np.shape(column) != members.shape:
+                raise ValidationError(f"community {cid}: {name} of shape {np.shape(column)} "
+                                      f"for {members.shape[0]} members")
+    ranked = list(vectors.values())
+    sizes = np.array([len(vec.members) for vec in ranked], dtype=np.int64)
+    has_io = np.repeat(np.array([vec.io is not None for vec in ranked], dtype=bool), sizes)
+    # a leading empty array: the vectors may be none
+    nodes = np.concatenate([np.zeros(0, dtype=np.int64)] + [vec.members for vec in ranked],
+                           dtype=np.int64, casting="same_kind")
+    n = nodes.shape[0] if n is None else n
+    check_nodes(nodes, n, "ranks")
+    community, values, io = np.empty(n, dtype=np.intp), np.empty(n), np.zeros(n)
+    scored, converged = np.zeros(n, dtype=bool), np.empty(n, dtype=bool)
+    community[nodes] = np.repeat(np.arange(len(ranked)), sizes)
+    values[nodes] = np.concatenate([np.zeros(0)] + [vec.values for vec in ranked])
+    io[nodes[has_io]] = np.concatenate(
+        [np.zeros(0)] + [vec.io for vec in ranked if vec.io is not None])
+    scored[nodes] = has_io
+    converged[nodes] = np.repeat(np.array([bool(vec.converged) for vec in ranked], dtype=bool),
+                                 sizes)
+    return community, values, io, scored, converged
+
+
 def read_ranks_csv(source) -> dict[int, ImportanceVector]:
     """Rebuild per-community vectors, io included, from a ranks CSV; rejects io
-    outside [0, 1], a negative or non-finite score, a bad `converged` and
-    repeated nodes."""
+    outside [0, 1], a negative or non-finite score and a bad `converged`.
+    The rows, in any order, must list nodes 0..rows-1 once each
+    (`textio.check_nodes`)."""
     rows = split_csv(read_bytes(source, ASCII), "ranks", _RANKS_HEADER)
     nodes, bad_nodes = rows.ints(0)
     cids, bad_cids = rows.ints(1)
     io, bad_io = float_column(rows.text(2))
     values, bad_values = float_column(rows.text(3))
     flags = code_column(rows.text(4), _CONVERGED)
+    n = len(rows)
     # NaN fails both comparisons
-    rows.check((bad_nodes | bad_cids | bad_io | ~((io >= 0) & (io <= 1)) | bad_values
-                | ~np.isfinite(values) | (values < 0) | (flags < 0),
-                lambda i: f"bad ranks row: {rows.row(i)!r}"),
-               (repeats(nodes), lambda i: f"node {nodes[i]} listed twice in the ranks file"))
-    vectors: dict[int, ImportanceVector] = {}
-    if not len(rows):
-        return vectors
-    # rows by community, then node; communities in order of first appearance
-    order = np.lexsort((nodes, cids))
-    ids, starts = np.unique(cids[order], return_index=True)
-    bounds = np.append(starts, order.shape[0]).tolist()
-    first_row = np.minimum.reduceat(order, starts)
-    converged = np.logical_and.reduceat(flags[order] > 0, starts)
-    for k in np.argsort(first_row).tolist():
-        members = order[bounds[k]:bounds[k + 1]]
-        vectors[int(ids[k])] = ImportanceVector(values[members], nodes[members], 0, 0.0,
-                                                bool(converged[k]), io[members])
-    return vectors
+    check_nodes(nodes, n, "ranks",
+                (bad_nodes | bad_cids | bad_io | ~((io >= 0) & (io <= 1)) | bad_values
+                 | ~np.isfinite(values) | (values < 0) | (flags < 0),
+                 lambda i: f"bad ranks row: {rows.row(i)!r}"),
+                bad=bad_nodes, check=rows.check)
+    row = np.empty(n, dtype=np.intp)  # of each node
+    row[nodes] = np.arange(n)
+    cids = cids[row]
+    return _vectors(cids, np.argsort(cids, kind="stable"), values[row], io[row], flags[row] > 0,
+                    np.zeros(n, dtype=np.int64), np.zeros(n))
 
 
 _CONVERGED = {"true": True, "false": False}

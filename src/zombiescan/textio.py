@@ -26,7 +26,10 @@ lists of strings. `split_csv` hands the reader either split as one
 `code_column`) into values and masks of the rows at fault, and
 `CsvRows.check` raises the message of the first faulty row.
 Every integer column is int64: a token int() refuses, or one outside 64
-bits, is a fault of its row.
+bits, is a fault of its row. `check_nodes` alone decides the node rule of
+the partition, ranks and report files and of the ranks handed to the ranks
+writer and to detection: the node ids list each node 0..n-1 once, in any
+order.
 
 `write_csv` writes every stage table, as csv.writer would. It is the one
 place where a float becomes text: its `repr`, or a blank field for a NaN.
@@ -72,9 +75,14 @@ def text_stream(source, mode: str = "r", encoding: str = ASCII):
 
 
 def write_json(payload, destination) -> None:
-    """`payload` as JSON indented by 2, with a final newline."""
+    """`payload` as JSON indented by 2, with a final newline. A NaN or an
+    infinity, which JSON cannot hold, is refused before anything is written."""
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise ValidationError(f"cannot write JSON: {exc}") from None
     with text_stream(destination, "w") as fh:
-        fh.write(json.dumps(payload, indent=2) + "\n")
+        fh.write(text + "\n")
 
 
 def read_bytes(source, encoding: str) -> bytes:
@@ -224,15 +232,20 @@ class CsvRows:
         return int(self.widths.shape[0])
 
     def check(self, *faults) -> None:
-        """Raise the ValidationError of the first row with a fault, then the
-        pending csv.Error. Each fault is (mask over the rows, message of row
-        i), listed in the order a row's values are checked."""
-        hits = [(int(np.argmax(mask)), k) for k, (mask, _) in enumerate(faults) if mask.any()]
-        if hits:
-            row, k = min(hits)
-            raise ValidationError(faults[k][1](row))
+        """Raise the `_first_fault` of the rows, then the pending csv.Error."""
+        _first_fault(*faults)
         if self.error is not None:
             raise ValidationError(self.error)
+
+
+def _first_fault(*faults) -> None:
+    """Raise the ValidationError of the first row with a fault. Each fault is
+    (mask over the rows, message of row i), listed in the order a row's
+    values are checked."""
+    hits = [(int(np.argmax(mask)), k) for k, (mask, _) in enumerate(faults) if mask.any()]
+    if hits:
+        row, k = min(hits)
+        raise ValidationError(faults[k][1](row))
 
 
 def split_csv(data: bytes, kind: str, *headers: tuple[str, ...]) -> CsvRows:
@@ -329,13 +342,35 @@ def int64(token: str) -> int:
 def repeats(values: np.ndarray) -> np.ndarray:
     """The mask of the entries equal to an earlier entry."""
     mask = np.zeros(values.shape[0], dtype=bool)
-    if (values[1:] > values[:-1]).all():  # node order, as the writers leave it
-        return mask
-    ordered = np.sort(values)
-    if (ordered[1:] == ordered[:-1]).any():
-        order = np.argsort(values, kind="stable")
-        mask[order[1:]] = values[order[1:]] == values[order[:-1]]
+    order = np.argsort(values, kind="stable")
+    mask[order[1:]] = values[order[1:]] == values[order[:-1]]
     return mask
+
+
+def check_nodes(nodes: np.ndarray, n: int, kind: str, *faults, bad=None,
+                check=_first_fault) -> None:
+    """Hold the int64 node ids `nodes` to the node rule: they list each node
+    0..n-1 once, in any row order.
+
+    `check` (`_first_fault`, or `CsvRows.check`) raises the first row's fault
+    among `faults`, then a node outside 0..n-1 (naming a node it leaves
+    without a row, if any) and a node the `kind` lists twice. A node
+    left without a row after that is a ValidationError too. `bad` marks the
+    rows whose id did not read: they name no node. Ids that keep the rule
+    cost one bincount."""
+    outside = (nodes < 0) | (nodes >= n)
+    named = ~outside if bad is None else ~(outside | bad)
+    listed = np.bincount(nodes[named], minlength=n)
+    gap = None if listed.all() else int(np.argmin(listed))
+    node_faults = []
+    if not named.all() or (listed > 1).any():
+        node_faults = [
+            (outside, lambda i: ("" if gap is None else f"no row for node {gap}; ")
+             + f"node {nodes[i]} is outside 0..{n - 1}"),
+            (repeats(nodes), lambda i: f"node {nodes[i]} listed twice in the {kind}")]
+    check(*faults, *node_faults)
+    if gap is not None:
+        raise ValidationError(f"no row for node {gap} in the {kind}")
 
 
 def code_column(column: list[str], codes: dict[str, int]) -> np.ndarray:

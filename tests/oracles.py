@@ -769,23 +769,61 @@ def _ascii(text: str) -> str:
     return text
 
 
+def _rows_and_error(text: str, kind: str, *headers) -> tuple[list[list[str]], Exception | None]:
+    """The rows `_csv_reader_rows` yields, and the error it stops at (None
+    when it reads to the end). The faults of those rows come before the
+    error, and those rows are all the rows there are."""
+    rows: list[list[str]] = []
+    try:
+        for row in _csv_reader_rows(text, kind, *headers):
+            rows.append(row)
+    except ValidationError as exc:
+        return rows, exc
+    return rows, None
+
+
+def _nodes(rows) -> set[int]:
+    """The node ids that the rows' first fields name."""
+    nodes = set()
+    for row in rows:
+        try:
+            nodes.add(_int64(row[0]))
+        except (ValueError, IndexError):
+            pass
+    return nodes
+
+
+def _check_node(node: int, n: int, seen: set[int], rows, kind: str) -> None:
+    """The node rule for one row, the rows checked in order: its node lies in
+    0..n-1 (else the message names the first node no row names, if one
+    exists), and no row before it (`seen`) names it."""
+    if not 0 <= node < n:
+        gaps = set(range(n)) - _nodes(rows)
+        raise ValidationError((f"no row for node {min(gaps)}; " if gaps else "")
+                              + f"node {node} is outside 0..{n - 1}")
+    if node in seen:
+        raise ValidationError(f"node {node} listed twice in the {kind}")
+    seen.add(node)
+
+
 def read_partition_rows(text: str, node_count: int) -> np.ndarray:
     """The community id of each node, before relabelling."""
     assignment = np.zeros(node_count, dtype=np.int64)
-    assigned = np.zeros(node_count, dtype=bool)
+    seen: set[int] = set()
     header = ("node_id", "community_id")
-    for row in _csv_reader_rows(text, "partition", header, header + ("uid",)):
+    rows, pending = _rows_and_error(text, "partition", header, header + ("uid",))
+    for row in rows:
         try:
             node, comm = _int64(row[0]), _int64(row[1])
         except (ValueError, IndexError):
             raise ValidationError(f"bad partition row: {row!r}") from None
-        if not 0 <= node < node_count:
-            raise ValidationError(f"node id {node} outside [0, {node_count})")
-        if assigned[node]:
-            raise ValidationError(f"node {node} assigned twice")
-        assignment[node], assigned[node] = comm, True
-    if not assigned.all():
-        raise ValidationError(f"partition does not cover node {int(np.argmin(assigned))}")
+        _check_node(node, node_count, seen, rows, "partition")
+        assignment[node] = comm
+    if pending is not None:
+        raise pending
+    if len(seen) < node_count:
+        raise ValidationError(f"no row for node {min(set(range(node_count)) - seen)} "
+                              "in the partition")
     return assignment
 
 
@@ -814,11 +852,12 @@ def read_truth_rows(text: str) -> tuple[list[int], list[bool], list[str]]:
 
 def read_ranks_rows(text: str) -> dict[int, tuple[np.ndarray, np.ndarray, bool, np.ndarray]]:
     """{community id: (members, values, all converged, io)}, communities in
-    order of first appearance, members sorted."""
+    order of their first node, members sorted."""
     groups: dict[int, list[tuple[int, float, bool, float]]] = {}
     seen: set[int] = set()
     header = ("node_id", "community_id", "io", "pagerank", "converged")
-    for row in _csv_reader_rows(_ascii(text), "ranks", header):
+    rows, pending = _rows_and_error(_ascii(text), "ranks", header)
+    for row in rows:
         try:
             node, cid, io_value, value, flag = (_int64(row[0]), _int64(row[1]), float(row[2]),
                                                 float(row[3]), row[4])
@@ -827,43 +866,25 @@ def read_ranks_rows(text: str) -> dict[int, tuple[np.ndarray, np.ndarray, bool, 
         if (not 0.0 <= io_value <= 1.0 or not math.isfinite(value) or value < 0
                 or flag not in ("true", "false")):
             raise ValidationError(f"bad ranks row: {row!r}")
-        if node in seen:
-            raise ValidationError(f"node {node} listed twice in the ranks file")
-        seen.add(node)
+        _check_node(node, len(rows), seen, rows, "ranks")
         groups.setdefault(cid, []).append((node, value, flag == "true", io_value))
+    if pending is not None:
+        raise pending
     vectors = {}
-    for cid, entries in groups.items():
+    for cid, entries in sorted(groups.items(), key=lambda group: min(group[1])):
         members, values, flags, io_values = zip(*sorted(entries))
         vectors[cid] = (np.asarray(members, dtype=np.int64), np.asarray(values), all(flags),
                         np.asarray(io_values))
     return vectors
 
 
-def _nodes(rows) -> set[int]:
-    """The node ids that the rows' first fields name."""
-    nodes = set()
-    for row in rows:
-        try:
-            nodes.add(_int64(row[0]))
-        except (ValueError, IndexError):
-            pass
-    return nodes
-
-
 def read_report_rows(text: str) -> list[bool]:
     """is zombie by node id; the rows, in any order, must list nodes 0 to
-    their count - 1. A csv module error comes after the faults of the rows
-    before it, and the rows before it are all the rows there are."""
+    their count - 1."""
     header = ("node_id", "community_id", "pagerank", "threshold", "label")
-    rows: list[list[str]] = []
-    pending = None
-    text = _ascii(text)
-    try:
-        for row in _csv_reader_rows(text, "report", header):
-            rows.append(row)
-    except ValidationError as exc:
-        pending = exc
+    rows, pending = _rows_and_error(_ascii(text), "report", header)
     labels: dict[int, bool] = {}
+    seen: set[int] = set()
     for row in rows:
         try:
             node, _, value, label = _int64(row[0]), _int64(row[1]), float(row[2]), row[4]
@@ -873,11 +894,7 @@ def read_report_rows(text: str) -> list[bool]:
         if (not math.isfinite(value) or value < 0 or not math.isfinite(threshold)
                 or label not in ("zombie", "normal")):
             raise ValidationError(f"bad report row: {row!r}")
-        if not 0 <= node < len(rows):
-            raise ValidationError(f"no row for node {min(set(range(len(rows))) - _nodes(rows))}; "
-                                  f"node {node} is outside 0..{len(rows) - 1}")
-        if node in labels:
-            raise ValidationError(f"node {node} listed twice in the report")
+        _check_node(node, len(rows), seen, rows, "report")
         labels[node] = label == "zombie"
     if pending is not None:
         raise pending

@@ -249,7 +249,8 @@ class TestRankAndDetect:
         capsys.readouterr()
         assert main(["detect", str(ranks), "-o", str(out / "report.csv"),
                      "--summary", str(out / "summary.json")]) == 2
-        assert "error: no rank for node 0; " in capsys.readouterr().err
+        # the ranks reader refuses it: 199 rows must list nodes 0..198
+        assert capsys.readouterr().err == "error: no row for node 0; node 199 is outside 0..198\n"
         assert not out.exists() or not files_under(out)
 
     def test_profile_io_without_profiles_exits_2_before_reading(self, tmp_path, capsys):

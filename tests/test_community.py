@@ -534,7 +534,7 @@ class TestPartition:
     def test_csv_incomplete_coverage_rejected(self, tmp_path):
         path = tmp_path / "partition.csv"
         path.write_text("node_id,community_id\n0,0\n")
-        with pytest.raises(ValidationError, match="cover"):
+        with pytest.raises(ValidationError, match="^no row for node 1 in the partition$"):
             read_partition_csv(path, 2)
 
     def test_csv_negative_community_ids_read(self, tmp_path):

@@ -1,3 +1,5 @@
+import io
+import json
 import re
 
 import numpy as np
@@ -5,9 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zombiescan import ValidationError, detect_zombies, iqr_threshold, quartiles
+from zombiescan import (Partition, ValidationError, build_graph, detect_zombies, iqr_threshold,
+                        quartiles)
 from zombiescan.detect import read_report_csv, write_report_csv, write_summary_json
-from zombiescan.rank import ImportanceVector
+from zombiescan.rank import ImportanceVector, read_ranks_csv, write_ranks_csv
+
+
+def write_ranks(vectors, n):
+    """Write the vectors as the ranks of a graph of n nodes in one community."""
+    write_ranks_csv(io.StringIO(), build_graph([], n), Partition(np.zeros(n)), vectors)
 
 
 def vec(values, members=None, converged=True):
@@ -119,16 +127,72 @@ class TestDetectZombies:
 
     @pytest.mark.parametrize("ranks,message", [
         ({0: vec([0.5, 0.5], members=[0, 2]), 1: vec([0.5], members=[3])},
-         "no rank for node 1; node 3 is outside 0..2"),
+         "no row for node 1; node 3 is outside 0..2"),
         ({0: vec([0.5, 0.5, 0.5], members=[-1, 0, 1])},
-         "no rank for node 2; node -1 is outside 0..2"),
+         "no row for node 2; node -1 is outside 0..2"),
         ({0: vec([0.5, 0.5, 0.5], members=[0, 1, 2 ** 40])},
-         f"no rank for node 2; node {2 ** 40} is outside 0..2"),
+         f"no row for node 2; node {2 ** 40} is outside 0..2"),
     ], ids=["gap", "negative", "huge"])
     def test_node_without_a_rank_rejected(self, ranks, message):
         # n members cover nodes 0..n-1, so a member outside leaves a node out
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             detect_zombies(ranks, min_community_size=2)
+
+    @pytest.mark.parametrize("values,members,io_values,message", [
+        ([0.5, 0.5, 0.5], [0, 1], None, "values of shape (3,) for 2 members"),
+        ([[0.5, 0.5]], [0, 1], None, "values of shape (1, 2) for 2 members"),
+        ([0.5, 0.5], [0.0, 1.0], None,
+         "members must be a 1-D integer array, not float64 of shape (2,)"),
+        ([0.5, 0.5], [[0, 1]], None,
+         "members must be a 1-D integer array, not int64 of shape (1, 2)"),
+        ([0.5, 0.5], [0, 1], [0.5], "io of shape (1,) for 2 members"),
+    ], ids=["values-longer", "values-2d", "members-float", "members-2d", "io-shorter"])
+    def test_malformed_vector_rejected_naming_its_community(self, values, members, io_values,
+                                                            message):
+        vectors = {0: vec([0.5], members=[2]), 7: ImportanceVector(
+            np.asarray(values), np.asarray(members), 1, 0.0, True,
+            None if io_values is None else np.asarray(io_values))}
+        for consume in (lambda: detect_zombies(vectors, 1), lambda: write_ranks(vectors, 3)):
+            with pytest.raises(ValidationError, match=f"^community 7: {re.escape(message)}$"):
+                consume()
+
+    @given(st.lists(st.lists(st.integers(-2, 7), max_size=4), min_size=1, max_size=3)
+           .filter(lambda sets: any(sets)))
+    @settings(max_examples=300, deadline=None)
+    def test_vectors_must_list_each_node_once(self, member_sets):
+        # detect and the writer take exactly the member sets that list
+        # 0..n-1 once each, and refuse the others as the ranks reader does
+        vectors = {cid: vec([0.5] * len(members), members=np.asarray(members, dtype=np.int64))
+                   for cid, members in enumerate(member_sets)}
+        nodes = [node for members in member_sets for node in members]
+        rows = "".join(f"{node},0,0.5,0.5,true\n" for node in nodes)
+        try:
+            read_ranks_csv(io.StringIO("node_id,community_id,io,pagerank,converged\n" + rows))
+            refusal = None
+        except ValidationError as exc:
+            refusal = str(exc)
+        assert (refusal is None) == (sorted(nodes) == list(range(len(nodes))))
+        for consume in (lambda: detect_zombies(vectors, 1),
+                        lambda: write_ranks(vectors, len(nodes))):
+            if refusal is None:
+                consume()
+            else:
+                with pytest.raises(ValidationError) as err:
+                    consume()
+                assert str(err.value) == refusal
+
+    @pytest.mark.parametrize("size", [float("nan"), 2.5, 5.0, True, 0, -1, "5", None])
+    def test_min_community_size_must_be_an_integer_of_at_least_1(self, size):
+        with pytest.raises(ValidationError,
+                           match="^min_community_size must be an integer of at least 1$"):
+            detect_zombies({0: vec([0.5] * 5)}, size)
+
+    def test_numpy_integer_min_community_size_is_kept_as_int(self):
+        report = detect_zombies({0: vec([0.24, 0.24, 0.24, 0.24, 0.04])}, np.int64(3))
+        assert type(report.min_community_size) is int and report.min_community_size == 3
+        buf = io.StringIO()
+        write_summary_json(report, buf)
+        assert json.loads(buf.getvalue())["min_size"] == 3
 
     def test_scale_equivariance_spot_check(self):
         values = [0.24, 0.24, 0.24, 0.24, 0.04]

@@ -100,6 +100,15 @@ def test_only_graph_states_the_arc_rule():
         assert {stem: n for stem, n in counts.items() if n} == {"graph": 1}
 
 
+def test_only_textio_states_the_node_rule():
+    # textio.check_nodes decides, for the readers, the writer and detection,
+    # whether node ids list 0..n-1 once each
+    for phrase in ("listed twice in the", "is outside 0.."):
+        counts = {stem: (PACKAGE / f"{stem}.py").read_text(encoding="utf-8").count(phrase)
+                  for stem in MODULES}
+        assert {stem: n for stem, n in counts.items() if n} == {"textio": 1}
+
+
 def test_pyproject_depends_on_numpy_only():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))

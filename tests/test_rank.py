@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import logging
+import re
 import tracemalloc
 from unittest import mock
 
@@ -333,6 +334,18 @@ class TestRanksCsv:
         write_ranks_csv(out, g, p, read_ranks_csv(run / "ranks.csv"))
         assert out.read_bytes() == (run / "ranks.csv").read_bytes()
 
+    @pytest.mark.parametrize("rows,message", [
+        (["-1,0,0.5,0.5,true", "1,0,0.5,0.5,true"], "no row for node 0; node -1 is outside 0..1"),
+        (["0,0,0.5,0.5,true", "2,0,0.5,0.5,true"], "no row for node 1; node 2 is outside 0..1"),
+        (["0,0,0.5,0.5,true", "7,1,0.5,0.5,true", "1,1,0.5,0.5,true"],
+         "no row for node 2; node 7 is outside 0..2"),
+    ], ids=["negative", "at-the-row-count", "above-the-row-count"])
+    def test_node_outside_the_rows_rejected(self, rows, message):
+        # n rows must list nodes 0..n-1; the writer would scatter node -1 to the last row
+        text = "\n".join(["node_id,community_id,io,pagerank,converged", *rows]) + "\n"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            read_ranks_csv(io.StringIO(text))
+
     @pytest.mark.parametrize("rows", [
         ["0,0,0.5,nan,true", "1,0,0.5,0.5,true"],
         ["0,0,0.5,0.5,true", "1,0,0.5,inf,true"],
@@ -624,14 +637,15 @@ class TestRanksWriterIo:
         vectors = rank_all_communities(g, p, cfg, profiles, source)
         stripped = {c: dataclasses.replace(v, io=None) if data.draw(st.booleans()) else v
                     for c, v in vectors.items()}
-        if data.draw(st.booleans()):  # a community no vector covers reads pagerank 0, true
-            cid = data.draw(st.sampled_from(sorted(vectors)))
-            del stripped[cid]
-            vectors = {**vectors, cid: dataclasses.replace(
-                vectors[cid], values=np.zeros(len(vectors[cid].members)), converged=True)}
         texts = []
         for given_vectors in (vectors, stripped):
             buf = io.StringIO()
             write_ranks_csv(buf, g, p, given_vectors, profiles, source)
             texts.append(buf.getvalue())
         assert texts[0] == texts[1]
+        if data.draw(st.booleans()):  # a community no vector covers leaves nodes unranked
+            cid = data.draw(st.sampled_from(sorted(vectors)))
+            del stripped[cid]
+            first = int(vectors[cid].members[0])
+            with pytest.raises(ValidationError, match=f"^no row for node {first} in the ranks$"):
+                write_ranks_csv(io.StringIO(), g, p, stripped, profiles, source)

@@ -7,6 +7,7 @@ per-token integer loop. Each writer must equal csv.writer byte for byte.
 """
 
 import csv
+import dataclasses
 import io
 import logging
 from contextlib import contextmanager, nullcontext
@@ -22,12 +23,12 @@ from zombiescan import (ParseError, Partition, SynthConfig, ValidationError, bui
                         rank_all_communities, textio)
 from zombiescan.cli import main
 from zombiescan.community import read_partition_csv, write_partition_csv
-from zombiescan.detect import ZombieReport, read_report_csv, write_report_csv
+from zombiescan.detect import ZombieReport, read_report_csv, write_report_csv, write_summary_json
 from zombiescan.ingest import _profile_columns, _profile_rows, _profile_table
 from zombiescan.rank import ImportanceVector, read_ranks_csv, write_ranks_csv
 from zombiescan.synth import GroundTruth, read_truth_csv, write_truth_csv
 from zombiescan.textio import (float_column, float_reprs, int_column, read_bytes, render_ints,
-                               split_csv, split_fields, write_csv)
+                               split_csv, split_fields, write_csv, write_json)
 
 from conftest import DATA, profile_table
 from oracles import (float_text, io_reference, partition_csv_rows, ranks_csv_rows,
@@ -715,6 +716,18 @@ class TestNanIsBlank:
                                                     buf))
         assert text.splitlines()[2] == "1,0,0.5,,normal"
         assert read_report_csv(io.StringIO(text)).tolist() == [True, False]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_json_refuses_it(self, tmp_path, value):
+        # JSON has no NaN or infinity: no file holds the tokens NaN or Infinity
+        path = tmp_path / "out.json"
+        with pytest.raises(ValidationError, match="^cannot write JSON: "):
+            write_json({"proportion": [0.5, value]}, path)
+        report = dataclasses.replace(self.report([0.0, 0.5], [0.1, 0.1]),
+                                     min_community_size=value)
+        with pytest.raises(ValidationError, match="^cannot write JSON: "):
+            write_summary_json(report, path)
+        assert not path.exists()
 
 
 class TestRoundTrips:

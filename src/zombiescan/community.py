@@ -218,6 +218,18 @@ def _one_level(g: UndirectedGraph, rng: Random,
     a plain dict: an integer count times inv_m rounds exactly as a sum of
     1.0s does, so the moves are those of the weighted tally. The node's own
     community leaves the tally before the gain loop.
+
+    On such a level whose rows list no neighbour twice, the tally reads
+    `key` instead of `node_comm`: key[v] is -1 while v sits alone in
+    community v (it never moved and no node joined it), else node_comm[v].
+    All lone neighbours thus share the key -1, which leaves the tally
+    before the gain loop. A lone neighbour's community counts 1, so its gain,
+    inv_m less a non-negative term, is at most inv_m: the visit scans its
+    row for lone neighbours, with the gain loop's expression and tie rule,
+    only when one was tallied and the best gain so far is not above inv_m.
+    A scan that finds fewer lone neighbours than others costs more than the
+    short tally saved; it happens on sparse levels, where lone neighbours
+    stay good candidates, so the level tallies node_comm from then on.
     """
     n = g.node_count
     m = g.total_weight
@@ -235,6 +247,9 @@ def _one_level(g: UndirectedGraph, rng: Random,
 
     # reductions, not a mask: the check allocates nothing of arc length
     unit = g.weights.min() == g.weights.max() == 1.0 and not g.loop_weights.any()
+    # a lone neighbour listed twice in a row would be scored as linked once
+    lone_keys = unit and _rows_rise(g)
+    key = [-1] * n if lone_keys else node_comm
     # memoryviews, not lists: a list of the arcs would raise peak memory
     indptr, indices, weights = g.indptr.tolist(), memoryview(g.indices), memoryview(g.weights)
     while queue:
@@ -246,12 +261,13 @@ def _one_level(g: UndirectedGraph, rng: Random,
         row = indices[lo:hi].tolist()
         links = {}
         if unit:
-            _count_elements(links, map(node_comm.__getitem__, row))
+            _count_elements(links, map(key.__getitem__, row))
         else:
             for v, w in zip(row, weights[lo:hi]):
                 if v != u:
                     c = node_comm[v]
                     links[c] = links.get(c, 0.0) + w
+        lone = links.pop(-1, 0) if lone_keys else 0
         own = links.pop(cu, 0)  # the stay gain's count; the gain loop sees the others
 
         ku = k[u]
@@ -264,7 +280,22 @@ def _one_level(g: UndirectedGraph, rng: Random,
             if gain > best_gain or (gain == best_gain and best_c != cu and c < best_c):
                 best_gain = gain
                 best_c = c
+        if lone and best_gain <= inv_m:
+            for c in row:
+                if key[c] < 0:  # node c alone in community c, which u links with 1
+                    gain = inv_m - comm_tot[c] * ku * inv_2mm
+                    if gain > best_gain or (gain == best_gain and best_c != cu and c < best_c):
+                        best_gain = gain
+                        # c itself, as the int that node_comm holds: the row's own
+                        # ints would scatter node_comm over the heap, slowing the tally
+                        best_c = node_comm[c]
+            if 2 * lone < len(row):
+                lone_keys, key = False, node_comm
         if best_c != cu and best_gain > stay_gain:
+            if lone_keys:
+                if key[best_c] < 0:
+                    key[best_c] = best_c
+                key[u] = best_c
             cu = node_comm[u] = best_c
             moves += 1
             # u itself is skipped: it now sits in best_c
@@ -274,6 +305,18 @@ def _one_level(g: UndirectedGraph, rng: Random,
                     queue.append(v)
         comm_tot[cu] += ku
     return np.array(node_comm, dtype=np.int64), visits, moves
+
+
+def _rows_rise(g: UndirectedGraph) -> bool:
+    """Whether every row of g lists its neighbours in rising order, so none
+    twice, as `symmetrize` and `from_edges` write them; read a block of rows
+    at a time."""
+    for lo, hi, start, end in row_blocks(g.indptr):
+        rows = np.repeat(np.arange(lo, hi), np.diff(g.indptr[lo:hi + 1]))
+        cols = g.indices[start:end]
+        if not ((cols[1:] > cols[:-1]) | (rows[1:] != rows[:-1])).all():
+            return False
+    return True
 
 
 def _block_edges(g: UndirectedGraph, comm: np.ndarray, lo: int, hi: int, start: int,

@@ -104,7 +104,8 @@ def detect_zombies(ranks: dict[int, ImportanceVector], min_community_size: int =
     """Label every ranked node; zombie means strictly below its community fence.
 
     The vectors must rank each node 0..n-1 once, n being their total member
-    count (`rank._node_order`). Rejects a malformed vector, an unknown
+    count (`rank._node_order`), with finite values: the fence orders no NaN,
+    and the report reader refuses one. Rejects a malformed vector, an unknown
     quartile method and a floor that is no integer of at least 1.
     """
     if not ranks:
@@ -115,13 +116,19 @@ def detect_zombies(ranks: dict[int, ImportanceVector], min_community_size: int =
         raise ValidationError(f"unknown quartile method {method!r}")
 
     community, values, *_ = _node_order(ranks)
+    ids = list(ranks)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = bad[0]
+        raise ValidationError(f"community {ids[community[i]]}: value {float(values[i])!r} "
+                              f"of node {i} is not finite")
     sizes = np.bincount(community, minlength=len(ranks))
     # a NaN fence flags nobody: no value compares below it
     fences = np.array([iqr_threshold(vec.values, method) if size >= min_community_size
                        else np.nan for vec, size in zip(ranks.values(), sizes.tolist())])
     thresholds = fences[community]
     return ZombieReport(
-        community_ids=np.array(list(ranks), dtype=np.int64)[community],
+        community_ids=np.array(ids, dtype=np.int64)[community],
         values=values,
         thresholds=thresholds,
         is_zombie=values < thresholds,

@@ -363,16 +363,42 @@ def write_ranks_csv(destination, g: DirectedGraph, p: Partition,
                     io_source: str = "local") -> None:
     """Emit `node_id,community_id,io,pagerank,converged` rows in node order.
 
-    The vectors must rank each node of g once (`_node_order`). io is what
-    the vectors carry; nodes of vectors without it are scored here."""
+    The vectors must rank each node of g once (`_node_order`), and their
+    member sets must be the communities of p (`_check_grouping`), since the
+    ranks reader groups the rows by `community_id`. io is what the vectors
+    carry; nodes of vectors without it are scored here."""
     n = g.node_count
     assignment = _assignment(g, p)
-    _, pr_col, io_col, scored, conv_col = _node_order(vectors, n)
+    community, pr_col, io_col, scored, conv_col = _node_order(vectors, n)
+    _check_grouping(list(vectors), community, assignment, p.community_count)
     if not scored.all():
         io_col[~scored] = _io_scores(n, *_intra(g, assignment), io_source,
                                      profiles)[~scored]
     converged = np.array(["false", "true"], dtype=object)[conv_col.astype(np.intp)].tolist()
     write_csv(destination, _RANKS_HEADER, [range(n), assignment, io_col, pr_col, converged])
+
+
+def _check_grouping(ids: list, community: np.ndarray, assignment: np.ndarray,
+                    count: int) -> None:
+    """Refuse vectors whose member sets are not the communities of a
+    partition: node i is in the vector keyed ids[community[i]] and in
+    community assignment[i] of count. One scatter each way names a community
+    of each vector and a vector of each community; every node must agree
+    with both. A vector without members holds no community."""
+    part = np.zeros(len(ids), dtype=np.intp)
+    part[community] = assignment
+    spread = np.flatnonzero(part[community] != assignment)
+    if spread.size:
+        i = spread[0]
+        raise ValidationError(f"community {ids[community[i]]}: members in communities "
+                              f"{part[community[i]]} and {assignment[i]} of the partition")
+    vector = np.zeros(count, dtype=np.intp)
+    vector[assignment] = community
+    shared = np.flatnonzero(vector[assignment] != community)
+    if shared.size:
+        i = shared[0]
+        raise ValidationError(f"communities {ids[community[i]]} and {ids[vector[assignment[i]]]}: "
+                              f"members of one community {assignment[i]} of the partition")
 
 
 def _node_order(vectors: dict[int, ImportanceVector], n: int | None = None):

@@ -3,6 +3,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zombiescan import (LouvainConfig, Partition, ValidationError, build_graph, graph, louvain,
                         modularity, move_gain, symmetrize)
@@ -31,6 +33,32 @@ def random_weighted_graph(rng):
 
 def clique_arcs(nodes):
     return [(u, v, 0) for u in nodes for v in nodes if u < v]
+
+
+@st.composite
+def tie_graphs(draw):
+    """A small unit-weight graph full of ties under a random relabelling: a
+    ring lattice, a star, a complete graph, a circulant (regular) graph, or
+    a sparse random graph, where lone nodes stay good candidates."""
+    n = draw(st.integers(3, 24))
+    family = draw(st.sampled_from(["ring", "star", "complete", "circulant", "sparse"]))
+    if family == "ring":
+        jumps = range(1, draw(st.integers(1, (n - 1) // 2)) + 1)
+    elif family == "circulant":
+        jumps = draw(st.sets(st.integers(1, n // 2), min_size=1))
+    if family in ("ring", "circulant"):
+        pairs = [(i, (i + s) % n) for i in range(n) for s in jumps]
+    elif family == "star":
+        pairs = [(0, i) for i in range(1, n)]
+    elif family == "complete":
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    else:
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                              .filter(lambda p: p[0] != p[1]), min_size=1, max_size=2 * n))
+    label = draw(st.permutations(range(n)))
+    edges = np.array(sorted({(min(label[a], label[b]), max(label[a], label[b]))
+                             for a, b in pairs}))
+    return UndirectedGraph.from_edges(n, edges[:, 0], edges[:, 1], np.ones(edges.shape[0]))
 
 
 class TestModularity:
@@ -501,6 +529,25 @@ class TestLocalMoves:
                                          np.array([1.0, 1.0]))
         raw, visits, moves = _one_level(und, Random(0), 1.0)
         assert list(raw) == [0, 1] and (visits, moves) == (2, 0)
+
+    @given(tie_graphs(), st.integers(0, 2 ** 32),
+           st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]) | st.floats(0.25, 4.0))
+    @settings(max_examples=300, deadline=None)
+    def test_unit_graphs_full_of_ties(self, und, seed, resolution):
+        # lone neighbours share one tally key; each is scored in a row scan
+        assert (und.weights == 1.0).all() and not und.loop_weights.any()
+        self.assert_same_as_queue_oracle(und, seed, resolution)
+
+    def test_a_row_that_lists_a_neighbour_twice_counts_it_twice(self, tallies):
+        # hand-built: the path 0-1-2 with the edge {0, 1} listed twice in both
+        # rows, so 0 and 1 link with 2 and a lone 0 counts 2 for node 1
+        und = UndirectedGraph(3, np.array([0, 2, 5, 6]), np.array([1, 1, 0, 0, 2, 1]),
+                              np.ones(6))
+        assert (und.weights == 1.0).all() and not und.loop_weights.any()
+        for seed in range(10):
+            for resolution in (0.5, 1.0, 2.0):
+                self.assert_same_as_queue_oracle(und, seed, resolution)
+        assert tallies
 
 
 class TestPartition:

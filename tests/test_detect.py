@@ -14,8 +14,15 @@ from zombiescan.rank import ImportanceVector, read_ranks_csv, write_ranks_csv
 
 
 def write_ranks(vectors, n):
-    """Write the vectors as the ranks of a graph of n nodes in one community."""
-    write_ranks_csv(io.StringIO(), build_graph([], n), Partition(np.zeros(n)), vectors)
+    """Write the vectors as the ranks of a graph of n nodes whose partition
+    puts the members in [0, n) of each integer vector in a community of its
+    own, as the writer requires of valid vectors."""
+    assignment = np.zeros(n, dtype=np.int64)
+    for c, vec in enumerate(vectors.values()):
+        members = np.asarray(vec.members)
+        if members.ndim == 1 and members.dtype.kind in "iu":
+            assignment[members[(members >= 0) & (members < n)]] = c
+    write_ranks_csv(io.StringIO(), build_graph([], n), Partition(assignment), vectors)
 
 
 def vec(values, members=None, converged=True):
@@ -180,6 +187,41 @@ class TestDetectZombies:
                 with pytest.raises(ValidationError) as err:
                     consume()
                 assert str(err.value) == refusal
+
+    @pytest.mark.parametrize("values,message", [
+        ([np.nan, .5, .5, .5, -1.0], "value nan of node 0"),
+        ([.5, .5, np.inf, .5, .5], "value inf of node 2"),
+        ([.5, .5, .5, .5, -np.inf], "value -inf of node 4"),
+    ], ids=["nan", "inf", "minus-inf"])
+    def test_value_that_is_not_finite_rejected(self, values, message):
+        # the report would hold the value, and read_report_csv refuses it
+        with pytest.raises(ValidationError, match=f"^community 3: {message} is not finite$"):
+            detect_zombies({3: vec(values)}, 1)
+
+    @given(st.lists(st.floats() | st.sampled_from([-0.0, 0.0, 0.5, 1.0]), min_size=1,
+                    max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_detect_takes_the_finite_values(self, values):
+        # a negative value is fenced like any other (see the lowering test
+        # below); its report reads back when the ranks reader takes the values
+        rows = "".join(f"{i},0,0.5,{v!r},true\n" for i, v in enumerate(values))
+        try:
+            read_ranks_csv(io.StringIO("node_id,community_id,io,pagerank,converged\n" + rows))
+            refused = False
+        except ValidationError:
+            refused = True
+        if not np.isfinite(values).all():
+            assert refused
+            with pytest.raises(ValidationError, match="is not finite$"):
+                detect_zombies({0: vec(values)}, 1)
+            return
+        report = detect_zombies({0: vec(values)}, 1)
+        assert report.values.tolist() == values
+        if not refused:
+            out = io.StringIO()
+            write_report_csv(report, out)
+            assert read_report_csv(io.StringIO(out.getvalue())).tolist() == \
+                report.is_zombie.tolist()
 
     @pytest.mark.parametrize("size", [float("nan"), 2.5, 5.0, True, 0, -1, "5", None])
     def test_min_community_size_must_be_an_integer_of_at_least_1(self, size):

@@ -15,8 +15,8 @@ from zombiescan import (Partition, RankConfig, ValidationError, build_graph, cac
 from zombiescan.cli import main
 from zombiescan.community import read_partition_csv
 from zombiescan.graph import ROW_BLOCK_SIZE
-from zombiescan.rank import (_Communities, _intra, _row_blocks, _segment_sums, _walk_weights,
-                             _whole, read_ranks_csv, write_ranks_csv)
+from zombiescan.rank import (ImportanceVector, _Communities, _intra, _row_blocks, _segment_sums,
+                             _walk_weights, _whole, read_ranks_csv, write_ranks_csv)
 
 from conftest import DATA, profile_table, random_graph
 from oracles import _segment_sums as oracle_segment_sums
@@ -333,6 +333,46 @@ class TestRanksCsv:
         out = tmp_path / "ranks.csv"
         write_ranks_csv(out, g, p, read_ranks_csv(run / "ranks.csv"))
         assert out.read_bytes() == (run / "ranks.csv").read_bytes()
+
+    @pytest.mark.parametrize("assignment,member_sets,message", [
+        ([0, 0, 1, 1], [[0, 2], [1, 3]], "community 0: members in communities 1 and 0 of "
+                                          "the partition"),
+        ([0, 0, 0, 0], [[0, 1], [2, 3]], "communities 0 and 1: members of one community 0 "
+                                          "of the partition"),
+        ([0, 1, 1, 0], [[0, 3, 1], [2]], "community 0: members in communities 0 and 1 of "
+                                         "the partition"),
+    ], ids=["crossed", "split", "merged"])
+    def test_vectors_grouped_unlike_the_partition_rejected(self, assignment, member_sets,
+                                                          message):
+        # the file takes community_id from the partition and pagerank from the
+        # vectors; the reader would group the rows into vectors that do not sum to 1
+        vectors = {c: ImportanceVector(np.full(len(m), 1 / len(m)), np.array(m), 1, 0.0, True)
+                   for c, m in enumerate(member_sets)}
+        out = io.StringIO()
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            write_ranks_csv(out, build_graph([], 4), Partition(assignment), vectors)
+        assert not out.getvalue()
+
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=8), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_the_writer_takes_the_partition_communities_only(self, labels, data):
+        # any grouping of the nodes into vectors, an empty vector among them
+        p = Partition(np.asarray(labels))
+        n = p.node_count
+        groups = np.asarray(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+        vectors = {7 + c: ImportanceVector(np.full(int((groups == c).sum()), 0.25),
+                                           np.flatnonzero(groups == c), 1, 0.0, True)
+                   for c in range(4)}
+        same = Partition(groups) == p
+        out = io.StringIO()
+        if same:
+            write_ranks_csv(out, build_graph([], n), p, vectors)
+            loaded = read_ranks_csv(io.StringIO(out.getvalue()))
+            assert sorted(v.members.tolist() for v in loaded.values()) == \
+                sorted(v.members.tolist() for v in vectors.values() if v.members.size)
+        else:
+            with pytest.raises(ValidationError, match="of the partition$"):
+                write_ranks_csv(out, build_graph([], n), p, vectors)
 
     @pytest.mark.parametrize("rows,message", [
         (["-1,0,0.5,0.5,true", "1,0,0.5,0.5,true"], "no row for node 0; node -1 is outside 0..1"),

@@ -33,7 +33,7 @@ from random import Random
 import numpy as np
 
 from .errors import ValidationError, _integral
-from .graph import UndirectedGraph, row_blocks
+from .graph import UndirectedGraph, _row_fault, row_blocks
 from .textio import UTF8, check_nodes, read_bytes, split_csv, write_csv
 
 __all__ = [
@@ -49,6 +49,14 @@ __all__ = [
 ]
 
 
+def _community_ids(assignment) -> np.ndarray:
+    """`assignment` as int64, unless a non-empty one is not of an integer or bool dtype."""
+    a = np.asarray(assignment)
+    if a.dtype.kind not in "biu" and a.size:
+        raise ValidationError(f"assignment holds {a.dtype} values, not integer community ids")
+    return a.astype(np.int64, copy=False)
+
+
 class Partition:
     """Assignment of every node to exactly one community.
 
@@ -61,7 +69,7 @@ class Partition:
     __slots__ = ("assignment", "community_count")
 
     def __init__(self, assignment: np.ndarray):
-        assignment = np.asarray(assignment, dtype=np.int64)
+        assignment = _community_ids(assignment)
         if assignment.ndim != 1:
             raise ValidationError("assignment must be one community id per node")
         uniq, dense = np.unique(assignment, return_inverse=True)
@@ -126,12 +134,12 @@ def move_gain(g: UndirectedGraph, assignment: np.ndarray, node: int, target: int
     Computed incrementally from community degree totals; matches a full
     recomputation of the standard variant to floating-point accuracy.
     """
-    assignment = np.asarray(assignment, dtype=np.int64)
+    assignment = _community_ids(assignment)
+    LouvainConfig(resolution=resolution)  # its rule: positive and finite
     n = g.node_count
     if assignment.shape != (n,):
         raise ValidationError(f"assignment has shape {assignment.shape}, graph has {n} nodes")
-    if not 0 <= node < n:
-        raise ValidationError(f"node {node} outside [0, {n})")
+    ids, w = g.neighbors(node)  # refuses a node outside [0, n)
     if target < 0:
         raise ValidationError(f"target community {target} is negative")
     m = g.total_weight
@@ -143,10 +151,8 @@ def move_gain(g: UndirectedGraph, assignment: np.ndarray, node: int, target: int
     k = g.degree_weights
     ncomm = max(int(assignment.max()) + 1, target + 1)
     tot = np.bincount(assignment, weights=k, minlength=ncomm)
-    ids, w = g.neighbors(node)
-    k_in = np.zeros(ncomm)
     nonself = ids != node
-    np.add.at(k_in, assignment[ids[nonself]], w[nonself])
+    k_in = np.bincount(assignment[ids[nonself]], w[nonself], ncomm)
     tot_cur = tot[current] - k[node]
     gain_stay = k_in[current] / m - resolution * tot_cur * k[node] / (2.0 * m * m)
     gain_move = k_in[target] / m - resolution * tot[target] * k[node] / (2.0 * m * m)
@@ -219,7 +225,7 @@ def _one_level(g: UndirectedGraph, rng: Random,
     1.0s does, so the moves are those of the weighted tally. The node's own
     community leaves the tally before the gain loop.
 
-    On such a level whose rows list no neighbour twice, the tally reads
+    On such a level that `graph._row_fault` passes, the tally reads
     `key` instead of `node_comm`: key[v] is -1 while v sits alone in
     community v (it never moved and no node joined it), else node_comm[v].
     All lone neighbours thus share the key -1, which leaves the tally
@@ -248,7 +254,7 @@ def _one_level(g: UndirectedGraph, rng: Random,
     # reductions, not a mask: the check allocates nothing of arc length
     unit = g.weights.min() == g.weights.max() == 1.0 and not g.loop_weights.any()
     # a lone neighbour listed twice in a row would be scored as linked once
-    lone_keys = unit and _rows_rise(g)
+    lone_keys = unit and _row_fault(g.indptr, g.indices, n) is None
     key = [-1] * n if lone_keys else node_comm
     # memoryviews, not lists: a list of the arcs would raise peak memory
     indptr, indices, weights = g.indptr.tolist(), memoryview(g.indices), memoryview(g.weights)
@@ -305,18 +311,6 @@ def _one_level(g: UndirectedGraph, rng: Random,
                     queue.append(v)
         comm_tot[cu] += ku
     return np.array(node_comm, dtype=np.int64), visits, moves
-
-
-def _rows_rise(g: UndirectedGraph) -> bool:
-    """Whether every row of g lists its neighbours in rising order, so none
-    twice, as `symmetrize` and `from_edges` write them; read a block of rows
-    at a time."""
-    for lo, hi, start, end in row_blocks(g.indptr):
-        rows = np.repeat(np.arange(lo, hi), np.diff(g.indptr[lo:hi + 1]))
-        cols = g.indices[start:end]
-        if not ((cols[1:] > cols[:-1]) | (rows[1:] != rows[:-1])).all():
-            return False
-    return True
 
 
 def _block_edges(g: UndirectedGraph, comm: np.ndarray, lo: int, hi: int, start: int,

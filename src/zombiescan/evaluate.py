@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _integral
 from .graph import DirectedGraph
 from .textio import write_csv, write_json
 
@@ -108,8 +108,8 @@ def degree_histogram(g: DirectedGraph, bin_width: int = 1) -> list[tuple[int, in
 
     Returns (bin lower bound, count) for nonempty bins; counts sum to N.
     """
-    if bin_width < 1:
-        raise ValidationError("bin width must be at least 1")
+    if not (_integral(bin_width) and bin_width >= 1):
+        raise ValidationError("bin width must be an integer of at least 1")
     totals = g.in_degrees + g.out_degrees
     bins = totals // bin_width
     counts = np.bincount(bins)

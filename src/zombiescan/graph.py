@@ -2,7 +2,8 @@
 
 Every arc list that becomes a graph or a network file keeps one arc rule, checked
 by `_check_arcs` alone: its columns have one length, ids are integers in [0, N),
-relationship flags 0 or 1.
+relationship flags 0 or 1. A DirectedGraph's CSR keeps one row rule, checked by
+`_row_fault` alone: offsets rise from 0 to M, rows rise strictly in [0, N), loop-free.
 
 Directed follower graphs are stored as compressed sparse rows (one sorted
 index array per direction), so degree queries are O(1) and neighbor scans
@@ -18,11 +19,11 @@ weight there.
 
 Passes over every arc or entry run over `row_blocks`: consecutive blocks
 of whole rows of about ROW_BLOCK_SIZE entries each, so their temporaries
-stay in cache and none is as long as all the entries. They are
-`symmetrize`'s pair keys and its pass that drops repeated keys, the
-constructor's row sums, the per-community sums of `modularity` and of
-Louvain's aggregation, and rank's intra-arc filter, walk weights and
-sweeps. A pass that adds a block's values into per-row or per-community
+stay in cache and none is as long as all the entries. They are the row
+rule's check, `symmetrize`'s pair keys and its pass that drops repeated
+keys, the constructor's row sums, the per-community sums of `modularity`
+and of Louvain's aggregation, and rank's intra-arc filter, walk weights
+and sweeps. A pass that adds a block's values into per-row or per-community
 sums does so with `np.add.at` into one accumulator, which adds in entry
 order from 0.0 as one `np.bincount` over all the entries would, so the
 sums have the bits of the whole-array pass.
@@ -62,6 +63,22 @@ def row_blocks(indptr: np.ndarray) -> list[tuple[int, int, int, int]]:
         if hi == n:
             return blocks
         lo = hi
+
+
+def _row_fault(indptr: np.ndarray, indices: np.ndarray, node_count: int) -> str | None:
+    """The CSR's first fault against the row rule, or None; order before self-loops."""
+    if indptr[0] != 0 or indptr[-1] != indices.shape[0] or (indptr[1:] < indptr[:-1]).any():
+        return "corrupt adjacency offsets"
+    if indices.shape[0] and (indices.min() < 0 or indices.max() >= node_count):
+        return "corrupt adjacency indices"
+    loops = False
+    for lo, hi, start, end in row_blocks(indptr):
+        rows = np.repeat(np.arange(lo, hi, dtype=indices.dtype), np.diff(indptr[lo:hi + 1]))
+        cols = indices[start:end]
+        if not ((cols[1:] > cols[:-1]) | (rows[1:] != rows[:-1])).all():
+            return "corrupt adjacency: duplicate arcs or an unsorted row"
+        loops = loops or bool((rows == cols).any())
+    return "corrupt adjacency: self-loop" if loops else None
 
 
 def _index_dtype(node_count: int) -> np.dtype:
@@ -129,7 +146,7 @@ class DirectedGraph:
     node's followees are a slice of them. `out_degrees` and `in_degrees`
     are whole arrays. The in-adjacency (`in_indptr`, `in_indices`) is derived
     from the out-adjacency on each access, with no cache, since no pipeline
-    stage reads it. No self-loops, no duplicate arcs. Equal graphs compare
+    stage reads it. The out-CSR keeps the row rule. Equal graphs compare
     equal and are unhashable. Construction goes through :func:`build_graph`
     or the cache loader; instances are safe for concurrent reads.
     """

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import CacheError, ParseError
 from .graph import (DirectedGraph, _build_graph, _check_arcs, _index_dtype, _pair_keys,
-                    _sorted_member)
+                    _row_fault, _sorted_member)
 from .textio import (ASCII, INT64_MAX, UTF8, encoded, int_column, read_bytes, render_ints,
                      split_fields, text_stream)
 
@@ -478,18 +478,6 @@ def cache_load(path) -> DirectedGraph:
         raise CacheError("cache checksum mismatch")
     indptr = np.frombuffer(blob, dtype="<i8", count=n + 1, offset=_HEADER.size)
     indices = np.frombuffer(blob, dtype=index, count=m, offset=_HEADER.size + 8 * (n + 1))
-    degrees = np.diff(indptr)
-    if indptr[0] != 0 or indptr[-1] != m or (degrees < 0).any():
-        raise CacheError("corrupt adjacency offsets")
-    if m:
-        if indices.min() < 0 or indices.max() >= n:
-            raise CacheError("corrupt adjacency indices")
-        # targets rise strictly within a row; the step from one row into the next is free
-        rises = indices[1:] > indices[:-1]
-        ends = indptr[1:-1]
-        rises[ends[(ends > 0) & (ends < m)] - 1] = True
-        if not rises.all():
-            raise CacheError("corrupt adjacency: duplicate arcs or an unsorted row")
-        if (indices == np.repeat(np.arange(n, dtype=index), degrees)).any():
-            raise CacheError("corrupt adjacency: self-loop")
+    if (fault := _row_fault(indptr, indices, n)) is not None:
+        raise CacheError(fault)
     return DirectedGraph(n, indptr, indices)

@@ -258,6 +258,23 @@ def row_index_weights(und) -> tuple[np.ndarray, np.ndarray]:
     return degrees, loops
 
 
+def row_fault_rows(indptr, indices, node_count: int) -> str | None:
+    """The row rule's first fault of a CSR, from its rows as Python lists: the
+    offsets, then the indices, then an unsorted row anywhere, then a
+    self-loop anywhere; None when it has none."""
+    indptr, indices = [int(x) for x in indptr], [int(x) for x in indices]
+    if indptr[0] != 0 or indptr[-1] != len(indices) or indptr != sorted(indptr):
+        return "corrupt adjacency offsets"
+    if not all(0 <= v < node_count for v in indices):
+        return "corrupt adjacency indices"
+    rows = [indices[indptr[u]:indptr[u + 1]] for u in range(node_count)]
+    if any(row != sorted(set(row)) for row in rows):
+        return "corrupt adjacency: duplicate arcs or an unsorted row"
+    if any(u in row for u, row in enumerate(rows)):
+        return "corrupt adjacency: self-loop"
+    return None
+
+
 # ---- the lexsort CSR builds and the numpy-scalar local moves -----------------
 # The builds and the full-sweep local moves are kept as they were before the
 # keyed sorts, the list-based loop, the node queue and the bincount

@@ -175,6 +175,12 @@ class TestMoveGain:
                 move_gain(und, short_or_long, 2, 1)
         # a target past the last community is an empty one, and stays allowed
         assert move_gain(und, labels, 2, 3) < 0
+        # float labels would be cast to int, and a nan resolution scores nan
+        with pytest.raises(ValidationError, match="float64 values, not integer community ids"):
+            move_gain(und, labels + 0.5, 2, 1)
+        for resolution in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValidationError, match="resolution must be positive and finite"):
+                move_gain(und, labels, 2, 1, resolution)
 
     def test_matches_recompute_from_scratch(self):
         rng = np.random.Generator(np.random.PCG64(5150))
@@ -305,7 +311,7 @@ class TestLouvain:
         monkeypatch.setattr(UndirectedGraph, "from_edges", classmethod(spy))
         for und in cases:
             for labels in (rng.integers(0, 4, size=und.node_count),
-                           np.zeros(und.node_count), np.arange(und.node_count)):
+                           np.zeros(und.node_count, dtype=np.int64), np.arange(und.node_count)):
                 p = Partition(labels)
                 calls.clear()
                 _aggregate(und, p)
@@ -555,6 +561,16 @@ class TestPartition:
         p = Partition([5, 5, 2, 9, 2])
         assert list(p.assignment) == [0, 0, 1, 2, 1]
         assert p.community_count == 3
+
+    @pytest.mark.parametrize("assignment", [[0.5, 0.7, 1.9], np.array([0.0, 1.0]),
+                                            ["0", "1"]])
+    def test_assignment_that_is_not_integer_rejected(self, assignment):
+        with pytest.raises(ValidationError, match="values, not integer community ids"):
+            Partition(assignment)
+
+    def test_bool_and_empty_assignments_are_taken(self):
+        assert Partition(np.array([True, False, True])) == Partition([0, 1, 0])
+        assert Partition([]).community_count == 0
 
     def test_equal_partitions_are_unhashable(self):
         a, b = Partition([0, 1, 0]), Partition([5, 7, 5])

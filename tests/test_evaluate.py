@@ -162,3 +162,6 @@ class TestDegreeHistogram:
     def test_bad_bin_width_rejected(self, two_cycle):
         with pytest.raises(ValidationError):
             degree_histogram(two_cycle, 0)
+        for bin_width in (1.5, True, -1, "2"):
+            with pytest.raises(ValidationError, match="bin width must be an integer of at least 1"):
+                degree_histogram(two_cycle, bin_width)

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from zombiescan import ValidationError, build_graph, graph, symmetrize
 from zombiescan.graph import (ROW_BLOCK_SIZE, DirectedGraph, UndirectedGraph, _build_graph,
-                              _check_arcs, _pair_keys, _sorted_member)
+                              _check_arcs, _pair_keys, _row_fault, _sorted_member)
 
 from conftest import random_graph
 from oracles import (arcs_with_flags, build_graph_lexsort, csr_from_arcs_lexsort,
-                     from_edges_lexsort, is_reciprocal, out_row, row_index_weights,
-                     symmetrize_lexsort)
+                     from_edges_lexsort, is_reciprocal, out_row, row_fault_rows,
+                     row_index_weights, symmetrize_lexsort)
 
 
 class TestBuildGraph:
@@ -135,6 +135,34 @@ class TestBuildGraph:
         g = build_graph([], 3)
         assert g.edge_count == 0
         assert (g.in_degrees[2], g.out_degrees[2]) == (0, 0)
+
+
+@st.composite
+def csr_tables(draw):
+    """(indptr, indices, n) of up to 6 rows: rows as drawn or sorted without
+    repeats, ids in [0, n) or from -1 to n, and at times one offset moved."""
+    n = draw(st.integers(0, 6))
+    low, high = (-1, n) if draw(st.booleans()) else (0, max(n - 1, 0))
+    rows = draw(st.lists(st.lists(st.integers(low, high), max_size=5), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        rows = [sorted(set(row)) for row in rows]
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    if draw(st.integers(0, 4)) == 0:
+        indptr[draw(st.integers(0, n))] += draw(st.sampled_from([-1, 1]))
+    return indptr, np.array([v for row in rows for v in row], dtype=np.int32), n
+
+
+class TestRowRule:
+    @given(csr_tables())
+    # a self-loop in the first row and a descent in the last: the descent is named
+    @example((np.array([0, 1, 1, 3]), np.array([0, 1, 0], dtype=np.int32), 3))
+    @settings(max_examples=300, deadline=None)
+    def test_first_fault_matches_the_rows(self, table):
+        indptr, indices, n = table
+        want = row_fault_rows(indptr, indices, n)
+        for size in (1, 3, ROW_BLOCK_SIZE):
+            with mock.patch.object(graph, "ROW_BLOCK_SIZE", size):
+                assert _row_fault(indptr, indices, n) == want
 
 
 class TestSymmetrize:

@@ -100,6 +100,14 @@ def test_only_graph_states_the_arc_rule():
         assert {stem: n for stem, n in counts.items() if n} == {"graph": 1}
 
 
+def test_only_graph_states_the_row_rule():
+    # graph._row_fault checks a CSR's rows for the cache loader and for Louvain
+    for phrase in ("duplicate arcs or an unsorted row", "corrupt adjacency: self-loop"):
+        counts = {stem: (PACKAGE / f"{stem}.py").read_text(encoding="utf-8").count(phrase)
+                  for stem in MODULES}
+        assert {stem: n for stem, n in counts.items() if n} == {"graph": 1}
+
+
 def test_only_textio_states_the_node_rule():
     # textio.check_nodes decides, for the readers, the writer and detection,
     # whether node ids list 0..n-1 once each

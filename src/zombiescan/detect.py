@@ -123,10 +123,10 @@ def detect_zombies(ranks: dict[int, ImportanceVector], min_community_size: int =
         raise ValidationError(f"community {ids[community[i]]}: value {float(values[i])!r} "
                               f"of node {i} is not finite")
     sizes = np.bincount(community, minlength=len(ranks))
-    # a NaN fence flags nobody: no value compares below it
+    # a NaN fence flags nobody; one that overflows to -inf is held at the lowest float
     fences = np.array([iqr_threshold(vec.values, method) if size >= min_community_size
                        else np.nan for vec, size in zip(ranks.values(), sizes.tolist())])
-    thresholds = fences[community]
+    thresholds = np.maximum(fences, -np.finfo(np.float64).max)[community]
     return ZombieReport(
         community_ids=np.array(ids, dtype=np.int64)[community],
         values=values,
